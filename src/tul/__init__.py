@@ -6,9 +6,10 @@ from .asymptotics import (AsymptoticPrediction, CrossCheckError, CrossCheckRepor
                           cross_check, melonic_exponents, predict_cycle,
                           predict_cycle_mm, predict_cycle_mn, predict_generic,
                           predict_melonic)
-from .enumeration import (DEFAULT_CAP, MinimalCoveringSet, catalan, enumerate_coverings,
-                          limit_coefficient, minimal_coverings, narayana,
-                          narayana_face_distribution, narayana_recurrence)
+from .enumeration import (DEFAULT_CAP, CoveringPass, MinimalCoveringSet, catalan,
+                          covering_pass, enumerate_coverings, limit_coefficient,
+                          minimal_coverings, narayana, narayana_face_distribution,
+                          narayana_recurrence)
 from .families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict,
                        cycle_spec_to_json_dict, is_melonic, make_cycle_graph,
                        make_dipole, make_melonic, melonic_recipe_from_json_dict,
@@ -25,11 +26,11 @@ from .tensors import (DISTRIBUTIONS, ScanRow, TensorSpec, UniversalityReport,
 from .verify import CheckResult, VerifySuiteConfig, run_verify_suite, suite_passed
 
 __all__ = [
-    "AsymptoticPrediction", "CheckResult", "ColoredGraph", "CoveringGraph",
+    "AsymptoticPrediction", "CheckResult", "ColoredGraph", "CoveringGraph", "CoveringPass",
     "CrossCheckError", "CrossCheckReport", "CycleSpec", "DEFAULT_CAP",
     "DISTRIBUTIONS", "FaceProfile", "MelonicRecipe", "MinimalCoveringSet",
     "Perm", "ScanRow", "TensorSpec", "UniversalityReport", "VerifySuiteConfig",
-    "apply_unitaries", "catalan", "compose", "cross_check", "cycle_count",
+    "apply_unitaries", "catalan", "compose", "covering_pass", "cross_check", "cycle_count",
     "cycle_spec_from_json_dict", "cycle_spec_to_json_dict", "cycles",
     "enumerate_coverings", "face_profile", "gaussian_exact_mean",
     "genus", "graph_from_json_dict", "graph_to_json_dict", "identity",

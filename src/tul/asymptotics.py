@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .enumeration import DEFAULT_CAP, catalan, limit_coefficient, minimal_coverings, narayana
+from .enumeration import (DEFAULT_CAP, catalan, check_ratios, limit_coefficient,
+                          minimal_coverings, narayana)
 from .families import CycleSpec, MelonicRecipe, is_melonic, make_cycle_graph, make_melonic
 from .graphs import ColoredGraph
 
@@ -39,13 +40,23 @@ class AsymptoticPrediction:
             raise ValueError(f"unknown family tag {self.family!r}")
 
 
-def _check_ratios(c, D: int) -> list[float]:
-    c = [float(x) for x in c]
-    if len(c) != D:
-        raise ValueError(f"expected {D} side ratios, got {len(c)}")
-    if any(x <= 0 for x in c):
-        raise ValueError(f"side ratios must be positive, got {c}")
-    return c
+def _prediction(gamma: int, family: str, c, coefficient) -> AsymptoticPrediction:
+    """The prediction with coefficient(), unless floats cannot hold it.
+
+    The ratios are positive and finite, so the exact coefficient is too; a
+    float result of 0, inf or nan, or an OverflowError, means it left the
+    double range.
+    """
+    try:
+        value = coefficient()
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(
+            f"the {family} coefficient for side ratios {[str(x) for x in c]} is positive "
+            f"and finite, but float underflow or overflow makes it {value!r}"
+        )
+    return AsymptoticPrediction(gamma=gamma, coefficient=value, family=family)
 
 
 def melonic_exponents(B: ColoredGraph, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
@@ -73,19 +84,18 @@ def predict_melonic(B: ColoredGraph, c, face_profile_source=None,
     """
     if not is_melonic(B):
         raise ValueError("predict_melonic expects a melonic graph")
-    c = _check_ratios(c, B.D)
+    c = check_ratios(c, B.D)
     gamma = 1 + B.k * (B.D - 1)
     if len(set(c)) == 1:
-        coefficient = c[0] ** gamma
-    else:
-        exponents = tuple(face_profile_source(B)) if face_profile_source is not None \
-            else melonic_exponents(B, cap=cap)
-        if len(exponents) != B.D or sum(exponents) != gamma:
-            raise ValueError(
-                f"face exponents {exponents} do not sum to gamma={gamma} over {B.D} colors"
-            )
-        coefficient = math.prod(ci ** f for ci, f in zip(c, exponents))
-    return AsymptoticPrediction(gamma=gamma, coefficient=coefficient, family="melonic")
+        return _prediction(gamma, "melonic", c, lambda: c[0] ** gamma)
+    exponents = tuple(face_profile_source(B)) if face_profile_source is not None \
+        else melonic_exponents(B, cap=cap)
+    if len(exponents) != B.D or sum(exponents) != gamma:
+        raise ValueError(
+            f"face exponents {exponents} do not sum to gamma={gamma} over {B.D} colors"
+        )
+    return _prediction(gamma, "melonic", c,
+                       lambda: math.prod(ci ** f for ci, f in zip(c, exponents)))
 
 
 def predict_cycle_mm(spec: CycleSpec, c) -> AsymptoticPrediction:
@@ -97,13 +107,13 @@ def predict_cycle_mm(spec: CycleSpec, c) -> AsymptoticPrediction:
     """
     if spec.m != spec.n:
         raise ValueError(f"predict_cycle_mm needs m = n, got m={spec.m}, n={spec.n}")
-    c = _check_ratios(c, spec.D)
+    c = check_ratios(c, spec.D)
     k = spec.k
     P = math.prod(c[i - 1] for i in spec.m_colors)
     Q = math.prod(c[i - 1] for i in spec.n_colors)
-    coefficient = math.fsum(narayana(k, l) * P ** l * Q ** (k - l + 1) for l in range(1, k + 1))
     family = "cycle_11" if spec.m == 1 else "cycle_mm"
-    return AsymptoticPrediction(gamma=spec.m * (k + 1), coefficient=coefficient, family=family)
+    return _prediction(spec.m * (k + 1), family, c, lambda: math.fsum(
+        narayana(k, l) * P ** l * Q ** (k - l + 1) for l in range(1, k + 1)))
 
 
 def predict_cycle_mn(spec: CycleSpec, c) -> AsymptoticPrediction:
@@ -111,11 +121,10 @@ def predict_cycle_mn(spec: CycleSpec, c) -> AsymptoticPrediction:
     (prod over identity colors of c_i) * (prod over shift colors of c_i^k)."""
     if spec.m >= spec.n:
         raise ValueError(f"predict_cycle_mn needs m < n, got m={spec.m}, n={spec.n}")
-    c = _check_ratios(c, spec.D)
+    c = check_ratios(c, spec.D)
     P = math.prod(c[i - 1] for i in spec.m_colors)
-    Q = math.prod(c[i - 1] ** spec.k for i in spec.n_colors)
-    return AsymptoticPrediction(gamma=spec.n * spec.k + spec.m, coefficient=P * Q,
-                                family="cycle_mn")
+    return _prediction(spec.n * spec.k + spec.m, "cycle_mn", c,
+                       lambda: P * math.prod(c[i - 1] ** spec.k for i in spec.n_colors))
 
 
 def predict_cycle(spec: CycleSpec, c) -> AsymptoticPrediction:
@@ -131,11 +140,9 @@ def predict_cycle(spec: CycleSpec, c) -> AsymptoticPrediction:
 
 def predict_generic(B: ColoredGraph, c, cap: int = DEFAULT_CAP) -> AsymptoticPrediction:
     """Enumeration-backed prediction for graphs outside the named families."""
-    c = _check_ratios(c, B.D)
-    mcs = minimal_coverings(B, cap=cap)
-    return AsymptoticPrediction(gamma=mcs.gamma,
-                                coefficient=limit_coefficient(B, c, cap=cap),
-                                family="generic")
+    c = check_ratios(c, B.D)
+    return _prediction(minimal_coverings(B, cap=cap).gamma, "generic", c,
+                       lambda: limit_coefficient(B, c, cap=cap))
 
 
 @dataclass(frozen=True)

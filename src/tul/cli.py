@@ -46,6 +46,16 @@ def _resolve_cap() -> int:
     return cap
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -201,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this file instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=_positive_int, default=1)
     common.add_argument("--seed", type=int, default=None)
 
     parser = argparse.ArgumentParser(

@@ -1,21 +1,43 @@
-"""Exhaustive enumeration of coverings over S_k, minimal covering graphs,
-and exact Catalan/Narayana combinatorics.
+"""Enumeration of coverings over S_k, minimal covering graphs, and exact
+Catalan/Narayana combinatorics.
 
-The brute force walks all k! pairings tau, so callers must stay under a cap
-(default 9, i.e. 362,880 coverings).  Everything the closed-form layer
-predicts is checkable at that scale.
+A covering of a D-colored graph B is a pairing tau in S_k, and its
+(0,i)-faces are the cycles of tau^-1 sigma_i.  `covering_pass` sweeps S_k
+once per graph in numpy.  The k! pairings come in lexicographic blocks, one
+per value of tau[0], each made of (k-1)! rows from one cached array of
+S_{k-1}.  Faces are counted by pointer jumping, for all rows of a block at
+once and one color at a time.  The pass keeps two things:
+
+  histogram  {zero_faces: multiplicity}, the whole finite-N Wick sum
+  minimal    the face-maximizing coverings, which carry its leading term
+
+The result is cached per graph, so gamma, the Catalan/Narayana counts, the
+limit coefficient and the exact Wick integer all come from one sweep.
+`enumerate_coverings` reads the same blocks one covering at a time.
+
+Callers must stay under a cap (default 9, i.e. 362,880 coverings).  The cap
+and connectivity are checked on every call, before the cache is consulted.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
-from .graphs import ColoredGraph, CoveringGraph, FaceProfile, face_profile, is_connected
-from .permutations import Perm, all_perms, identity
+import numpy as np
+
+from .graphs import ColoredGraph, FaceProfile, is_connected
+from .permutations import Perm, identity, inverse
 
 DEFAULT_CAP = 9
+
+# Graphs whose pass stays cached.  A bound on memory, not a tuning knob:
+# every consumer of one graph runs back to back, so a few slots suffice.
+_CACHED_GRAPHS = 4
 
 
 @dataclass(frozen=True)
@@ -30,34 +52,161 @@ class MinimalCoveringSet:
         return len(self.members)
 
 
-def _check_cap(k: int, cap: int):
-    if k > cap:
+@dataclass(frozen=True)
+class CoveringPass:
+    """What one sweep over S_k yields for a graph.
+
+    histogram maps each per-color zero-face vector to the number of pairings
+    that have it, so its values sum to k!; minimal holds the pairings of
+    maximal total, in lexicographic order.
+    """
+
+    histogram: Mapping[tuple[int, ...], int]
+    minimal: MinimalCoveringSet
+
+
+def _check_graph(B: ColoredGraph, cap: int):
+    if not is_connected(B):
+        raise ValueError("enumerate_coverings expects a connected graph")
+    if B.k > cap:
         raise ValueError(
-            f"k={k} exceeds the enumeration cap ({cap}): {k}! = {math.factorial(k)} "
+            f"k={B.k} exceeds the enumeration cap ({cap}): {B.k}! = {math.factorial(B.k)} "
             "pairings; pass a larger cap explicitly if you really want the full sweep"
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _lex_perms(m: int) -> np.ndarray:
+    """S_m as the rows of a read-only (m!, m) array, in lexicographic order."""
+    if m == 0:
+        return np.zeros((1, 0), dtype=np.intp)
+    sub = _lex_perms(m - 1)
+    out = np.empty((m, len(sub), m), dtype=np.intp)
+    for first in range(m):
+        out[first, :, 0] = first
+        out[first, :, 1:] = np.delete(np.arange(m), first)[sub]
+    out = out.reshape(-1, m)
+    out.flags.writeable = False
+    return out
+
+
+def _blocks(B: ColoredGraph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (taus, faces) for each value of tau[0] in turn: the ((k-1)!, k)
+    pairings of the block in lexicographic order, and their ((k-1)!, D)
+    per-color zero-face counts."""
+    k = B.k
+    sub = _lex_perms(k - 1)
+    rows = len(sub)
+    # tau^-1 sigma_i has the cycles of its inverse sigma_i^-1 tau, which is a
+    # gather of tau through a fixed table; equal colors share one count
+    tables, color_of = np.unique(np.array([inverse(s) for s in B.sigma]), axis=0,
+                                 return_inverse=True)
+    # pointers index the flattened (rows, k) block, so that one gather
+    # follows every row at once; labels are positions within a row
+    offset = np.arange(0, rows * k, k).reshape(rows, 1)
+    position = np.arange(k, dtype=np.int8)
+    start = np.tile(position, rows)
+    rounds = (k - 1).bit_length()  # ceil(log2 k): enough to span a k-cycle
+    for first in range(k):
+        rest = np.delete(np.arange(k), first)
+        taus = np.empty((rows, k), dtype=np.int8)
+        taus[:, 0] = first
+        taus[:, 1:] = rest[sub]
+        faces = np.empty((rows, len(tables)), dtype=np.int64)
+        for j, table in enumerate(tables):
+            step = np.empty((rows, k), dtype=np.intp)
+            step[:, 0] = table[first]
+            step[:, 1:] = table[rest][sub]
+            step += offset
+            step = step.ravel()
+            # after round r, label[x] is the least position among the 2^r
+            # points from x on its cycle, so after all rounds it names the cycle
+            label = start
+            for r in range(rounds):
+                label = np.minimum(label, label[step])
+                if r + 1 < rounds:
+                    step = step[step]
+            faces[:, j] = (label.reshape(rows, k) == position).sum(axis=1)
+        yield taus, faces[:, color_of]
+
+
+def _profile_keys(faces: np.ndarray, k: int) -> np.ndarray:
+    """One int64 per row, equal for two rows iff their face vectors are.
+
+    Counts lie in 1..k, so the vector is read as a base-k number; when that
+    could overflow, the key so far is first replaced by its rank.
+    """
+    key, bound = np.zeros(len(faces), dtype=np.int64), 1
+    for column in faces.T:
+        if bound * k >= 2 ** 63:
+            key, bound = np.unique(key, return_inverse=True)[1], len(faces)
+        key, bound = key * k + (column - 1), bound * k
+    return key
+
+
+@functools.lru_cache(maxsize=_CACHED_GRAPHS)
+def _sweep(B: ColoredGraph) -> CoveringPass:
+    """Fold the blocks into the face histogram and the minimal coverings."""
+    histogram: Counter = Counter()
+    gamma = -1
+    members: list[tuple[list[int], list[int]]] = []
+    for taus, faces in _blocks(B):
+        _, first, counts = np.unique(_profile_keys(faces, B.k), return_index=True,
+                                     return_counts=True)
+        for zero, n in zip(faces[first].tolist(), counts.tolist()):
+            histogram[tuple(zero)] += n
+        totals = faces.sum(axis=1)
+        best = int(totals.max())
+        if best > gamma:
+            gamma, members = best, []
+        if best == gamma:
+            hit = totals == best
+            members += zip(taus[hit].tolist(), faces[hit].tolist())
+    # members with equal face vectors share one FaceProfile
+    profiles = {zero: FaceProfile(zero_faces=zero, total=gamma)
+                for zero in {tuple(zero) for _, zero in members}}
+    minimal = MinimalCoveringSet(gamma=gamma, members=tuple(
+        (tuple(tau), profiles[tuple(zero)]) for tau, zero in members))
+    return CoveringPass(histogram=MappingProxyType(dict(sorted(histogram.items()))),
+                        minimal=minimal)
+
+
+def covering_pass(B: ColoredGraph, cap: int = DEFAULT_CAP) -> CoveringPass:
+    """The face histogram and minimal coverings of B, from one cached sweep."""
+    _check_graph(B, cap)
+    return _sweep(B)
+
+
 def enumerate_coverings(B: ColoredGraph, cap: int = DEFAULT_CAP) -> Iterator[tuple[Perm, FaceProfile]]:
     """Yield (tau, FaceProfile) for every tau in S_k, in lexicographic order."""
-    if not is_connected(B):
-        raise ValueError("enumerate_coverings expects a connected graph")
-    _check_cap(B.k, cap)
-    for tau in all_perms(B.k):
-        yield tau, face_profile(CoveringGraph(base=B, tau=tau))
+    _check_graph(B, cap)
+    for taus, faces in _blocks(B):
+        for tau, zero in zip(taus.tolist(), faces.tolist()):
+            yield tuple(tau), FaceProfile(zero_faces=tuple(zero), total=sum(zero))
 
 
 def minimal_coverings(B: ColoredGraph, cap: int = DEFAULT_CAP) -> MinimalCoveringSet:
-    """Sweep all coverings and keep every maximizer of the total face count."""
-    gamma = -1
-    members: list[tuple[Perm, FaceProfile]] = []
-    for tau, profile in enumerate_coverings(B, cap=cap):
-        if profile.total > gamma:
-            gamma = profile.total
-            members = [(tau, profile)]
-        elif profile.total == gamma:
-            members.append((tau, profile))
-    return MinimalCoveringSet(gamma=gamma, members=tuple(members))
+    """Every maximizer of the total face count, in lexicographic order."""
+    return covering_pass(B, cap=cap).minimal
+
+
+def check_ratios(c, D: int) -> list[float]:
+    """The D side ratios as floats, each positive and inside the float range."""
+    c = list(c)
+    if len(c) != D:
+        raise ValueError(f"expected {D} side ratios, got {len(c)}")
+    out = []
+    for i, x in enumerate(c, start=1):
+        try:
+            f = float(x)
+        except OverflowError:
+            raise ValueError(f"side ratio c[{i}] = {x} overflows a float") from None
+        if f == 0.0 and x > 0:
+            raise ValueError(f"side ratio c[{i}] = {x} underflows a float to 0.0")
+        if not 0.0 < f < math.inf:
+            raise ValueError(f"side ratio c[{i}] must be positive and finite, got {x}")
+        out.append(f)
+    return out
 
 
 def limit_coefficient(B: ColoredGraph, c, cap: int = DEFAULT_CAP) -> float:
@@ -67,11 +216,7 @@ def limit_coefficient(B: ColoredGraph, c, cap: int = DEFAULT_CAP) -> float:
     it is the leading coefficient of the averaged invariant for a
     c_1 N x ... x c_D N tensor.
     """
-    c = [float(x) for x in c]
-    if len(c) != B.D:
-        raise ValueError(f"expected {B.D} side ratios, got {len(c)}")
-    if any(x <= 0 for x in c):
-        raise ValueError(f"side ratios must be positive, got {c}")
+    c = check_ratios(c, B.D)
     mcs = minimal_coverings(B, cap=cap)
     return math.fsum(
         math.prod(ci ** f for ci, f in zip(c, profile.zero_faces))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ColoredGraph, is_connected
+from .graphs import ColoredGraph, is_connected, is_json_int
 from .permutations import identity
 
 Step = tuple[int, int]  # (color, white vertex), both 1-based
@@ -216,9 +216,9 @@ def cycle_spec_from_json_dict(data) -> CycleSpec:
         if key not in data:
             raise ValueError(f"cycle spec JSON is missing field '{key}'")
     for key in ("m_colors", "n_colors"):
-        if not isinstance(data[key], list) or not all(isinstance(x, int) for x in data[key]):
+        if not isinstance(data[key], list) or not all(is_json_int(x) for x in data[key]):
             raise ValueError(f"field '{key}' must be a list of integers")
-    if not isinstance(data["k"], int):
+    if not is_json_int(data["k"]):
         raise ValueError(f"field 'k' must be an integer, got {data['k']!r}")
     return CycleSpec(k=data["k"], m_colors=frozenset(data["m_colors"]),
                      n_colors=frozenset(data["n_colors"]))
@@ -234,12 +234,12 @@ def melonic_recipe_from_json_dict(data) -> MelonicRecipe:
     for key in ("D", "steps"):
         if key not in data:
             raise ValueError(f"melonic recipe JSON is missing field '{key}'")
-    if not isinstance(data["D"], int):
+    if not is_json_int(data["D"]):
         raise ValueError(f"field 'D' must be an integer, got {data['D']!r}")
     steps = data["steps"]
     if (not isinstance(steps, list)
             or not all(isinstance(s, list) and len(s) == 2
-                       and all(isinstance(x, int) for x in s) for s in steps)):
+                       and all(is_json_int(x) for x in s) for s in steps)):
         raise ValueError("field 'steps' must be a list of [color, white_vertex] pairs")
     return MelonicRecipe(D=data["D"], steps=tuple((c, v) for c, v in steps))
 

@@ -125,6 +125,12 @@ def genus(G: CoveringGraph) -> Fraction:
 # JSON interface: {"k": int, "D": int, "sigma": [[1-based images], ...]}
 # ---------------------------------------------------------------------------
 
+def is_json_int(x) -> bool:
+    """True for a JSON integer.  bool is an int in Python, but JSON true and
+    false are not numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_to_json_dict(B: ColoredGraph) -> dict:
     return {"k": B.k, "D": B.D, "sigma": [[j + 1 for j in s] for s in B.sigma]}
 
@@ -136,9 +142,9 @@ def graph_from_json_dict(data) -> ColoredGraph:
         if key not in data:
             raise ValueError(f"graph JSON is missing field '{key}'")
     k, D, sigma = data["k"], data["D"], data["sigma"]
-    if not isinstance(k, int) or k < 1:
+    if not is_json_int(k) or k < 1:
         raise ValueError(f"field 'k' must be a positive integer, got {k!r}")
-    if not isinstance(D, int) or D < 1:
+    if not is_json_int(D) or D < 1:
         raise ValueError(f"field 'D' must be a positive integer, got {D!r}")
     if not isinstance(sigma, list):
         raise ValueError("field 'sigma' must be a list of rows")
@@ -146,7 +152,7 @@ def graph_from_json_dict(data) -> ColoredGraph:
         raise ValueError(f"field 'sigma' has {len(sigma)} rows but field 'D' is {D}")
     rows = []
     for i, row in enumerate(sigma):
-        if not isinstance(row, list) or len(row) != k or not all(isinstance(x, int) for x in row):
+        if not isinstance(row, list) or len(row) != k or not all(is_json_int(x) for x in row):
             raise ValueError(f"sigma[{i + 1}] must be a list of {k} integers")
         p = tuple(x - 1 for x in row)
         if not is_perm(p):

@@ -19,9 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from .asymptotics import predict_cycle, predict_generic
-from .enumeration import DEFAULT_CAP, enumerate_coverings
+from .enumeration import DEFAULT_CAP, covering_pass
 from .families import CycleSpec
-from .graphs import ColoredGraph
+from .graphs import ColoredGraph, is_json_int
 from .permutations import inverse
 
 DISTRIBUTIONS = ("complex_gaussian", "complex_rademacher", "uniform_disc")
@@ -186,7 +186,8 @@ def trace_invariant_cycle(T: np.ndarray, spec: CycleSpec) -> float:
 
 def gaussian_exact_mean(B: ColoredGraph, c, N: int, cap: int = DEFAULT_CAP) -> int:
     """Exact mean of the invariant for complex Gaussian entries: the Wick sum
-    over all pairings tau of prod_i (c_i N)^{zero_faces_i(tau)}.
+    over all pairings tau of prod_i (c_i N)^{zero_faces_i(tau)}, taken as a
+    sum over distinct face vectors times their multiplicity.
 
     Exact (not asymptotic) because every Gaussian cumulant beyond the second
     vanishes; the c_i N are integers, so the result is an exact integer.
@@ -202,13 +203,8 @@ def gaussian_exact_mean(B: ColoredGraph, c, N: int, cap: int = DEFAULT_CAP) -> i
         if ci <= 0 or d.denominator != 1:
             raise ValueError(f"c[{i}]*N = {ci}*{N} is not a positive integer")
         dims.append(int(d))
-    total = 0
-    for _, profile in enumerate_coverings(B, cap=cap):
-        term = 1
-        for d, f in zip(dims, profile.zero_faces):
-            term *= d ** f
-        total += term
-    return total
+    return sum(n * math.prod(d ** f for d, f in zip(dims, zero_faces))
+               for zero_faces, n in covering_pass(B, cap=cap).histogram.items())
 
 
 def _evaluator(graph):
@@ -333,12 +329,16 @@ def tensor_spec_from_json_dict(data) -> TensorSpec:
         if key not in data:
             raise ValueError(f"tensor spec JSON is missing field '{key}'")
     for key in ("D", "N"):
-        if not isinstance(data[key], int):
+        if not is_json_int(data[key]):
             raise ValueError(f"field '{key}' must be an integer, got {data[key]!r}")
     if not isinstance(data["c"], list):
         raise ValueError("field 'c' must be a list of ratios")
     ratios = []
     for i, x in enumerate(data["c"], start=1):
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ValueError(f"field 'c[{i}]' must be a finite number, got {x!r}")
+        if isinstance(x, bool):
+            raise ValueError(f"field 'c[{i}]' is not a number or 'p/q' ratio: {x!r}")
         try:
             ratios.append(Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10 ** 9))
         except (ValueError, TypeError, ZeroDivisionError):
@@ -346,7 +346,7 @@ def tensor_spec_from_json_dict(data) -> TensorSpec:
     if not isinstance(data["distribution"], str):
         raise ValueError(f"field 'distribution' must be a string, got {data['distribution']!r}")
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
+    if not is_json_int(seed):
         raise ValueError(f"field 'seed' must be an integer, got {seed!r}")
     return TensorSpec(D=data["D"], c=tuple(ratios), N=data["N"],
                       distribution=data["distribution"], seed=seed)

@@ -256,3 +256,93 @@ def test_out_file(tmp_path, capsys, cycle22_graph):
     assert capsys.readouterr().out == ""
     data = json.loads(out.read_text())
     assert data["gamma"] == 3
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_mc_non_finite_ratio_exits_2(capsys, tmp_path, cycle_spec_file):
+    for bad in ("Infinity", "-Infinity", "NaN"):
+        spec = _write(tmp_path, "tensor.json", '{"D": 2, "c": [%s, 1], "N": 4, '
+                      '"distribution": "complex_gaussian"}' % bad)
+        code = main(["mc", "--spec", spec, "--cycle", cycle_spec_file])
+        assert code == 2
+        assert "'c[1]'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("D", True), ("N", True), ("seed", False),
+                                          ("c", [True, 1])])
+def test_mc_tensor_spec_rejects_booleans(capsys, tmp_path, cycle_spec_file, field, value):
+    data = {"D": 2, "c": [1, 1], "N": 4, "distribution": "complex_gaussian", "seed": 1}
+    data[field] = value
+    spec = _write(tmp_path, "tensor.json", json.dumps(data))
+    code = main(["mc", "--spec", spec, "--cycle", cycle_spec_file])
+    assert code == 2
+    assert f"'{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"k": True, "D": 1, "sigma": [[1]]}, "'k'"),
+    ({"k": 1, "D": True, "sigma": [[1]]}, "'D'"),
+    ({"k": 1, "D": 1, "sigma": [[True]]}, "sigma[1]"),
+])
+def test_enumerate_graph_rejects_booleans(capsys, tmp_path, data, field):
+    code = main(["enumerate", "--graph", _write(tmp_path, "g.json", json.dumps(data))])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"k": True, "m_colors": [1], "n_colors": [2]}, "'k'"),
+    ({"k": 2, "m_colors": [True], "n_colors": [2]}, "'m_colors'"),
+    ({"k": 2, "m_colors": [1], "n_colors": [2, False]}, "'n_colors'"),
+])
+def test_asym_cycle_spec_rejects_booleans(capsys, tmp_path, data, field):
+    spec = _write(tmp_path, "cycle.json", json.dumps(data))
+    code = main(["asym", "--family", "cycle", "--spec", spec])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"D": True, "steps": []}, "'D'"),
+    ({"D": 3, "steps": [[True, 1]]}, "'steps'"),
+])
+def test_asym_melonic_recipe_rejects_booleans(capsys, tmp_path, data, field):
+    spec = _write(tmp_path, "recipe.json", json.dumps(data))
+    code = main(["asym", "--family", "melonic", "--spec", spec])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["-3", "0"])
+def test_threads_below_one_exits_2(capsys, tensor_spec_file, cycle_spec_file, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--spec", tensor_spec_file, "--cycle", cycle_spec_file,
+              "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratios, value", [("1e-200,1e-200", "0.0"),
+                                           ("1e200,1e200", "inf")])
+def test_asym_float_range_is_not_a_ratio_error(capsys, tmp_path, ratios, value):
+    spec = _write(tmp_path, "cycle.json", json.dumps({"k": 3, "m_colors": [1],
+                                                      "n_colors": [2]}))
+    code = main(["asym", "--family", "cycle", "--spec", spec, "--c", ratios])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "underflow or overflow" in err and value in err
+    assert "must be positive" not in err
+
+
+def test_asym_ratio_outside_float_range(capsys, tmp_path):
+    spec = _write(tmp_path, "cycle.json", json.dumps({"k": 1, "m_colors": [1],
+                                                      "n_colors": [2]}))
+    for ratios, word in (("1e-400,1", "underflows"), ("1,1e400", "overflows")):
+        assert main(["asym", "--family", "cycle", "--spec", spec, "--c", ratios]) == 2
+        err = capsys.readouterr().err
+        assert word in err and ("c[1]" if word == "underflows" else "c[2]") in err

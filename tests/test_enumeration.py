@@ -1,12 +1,19 @@
+import itertools
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from tul.enumeration import (DEFAULT_CAP, catalan, enumerate_coverings, limit_coefficient,
-                             minimal_coverings, narayana, narayana_face_distribution,
-                             narayana_recurrence)
-from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic
-from tul.graphs import ColoredGraph
+from tul import enumeration
+from tul.asymptotics import cross_check
+from tul.enumeration import (DEFAULT_CAP, catalan, covering_pass, enumerate_coverings,
+                             limit_coefficient, minimal_coverings, narayana,
+                             narayana_face_distribution, narayana_recurrence)
+from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic,
+                          random_melonic_recipe)
+from tul.graphs import ColoredGraph, CoveringGraph, face_profile, is_connected
+from tul.tensors import gaussian_exact_mean
 
 
 def two_color_cycle(k):
@@ -182,3 +189,112 @@ def test_minimal_coverings_color_relabeling():
     faces_a = sorted(p.zero_faces for _, p in a.members)
     faces_b = sorted(tuple(reversed(p.zero_faces)) for _, p in b.members)
     assert faces_a == faces_b
+
+
+# ---------------------------------------------------------------------------
+# The blocked S_k pass against the per-covering definition
+# ---------------------------------------------------------------------------
+
+def _pass_graphs():
+    """Every graph family with k <= 6: cycles with every (m,n) color split up
+    to D=5, random melonic recipes, dipoles, and random connected graphs."""
+    graphs = []
+    for D in range(2, 6):
+        for m in range(1, D):
+            for m_colors in itertools.combinations(range(1, D + 1), m):
+                n_colors = frozenset(range(1, D + 1)) - set(m_colors)
+                for k in range(1, 7):
+                    graphs.append(make_cycle_graph(CycleSpec(
+                        k=k, m_colors=frozenset(m_colors), n_colors=n_colors)))
+    rng = np.random.default_rng(11)
+    for D in (3, 4, 5):
+        for k in range(1, 7):
+            graphs.append(make_melonic(random_melonic_recipe(rng, D, k)))
+    graphs += [make_dipole(D) for D in range(1, 6)]
+    while len(graphs) < 300:
+        k, D = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        B = ColoredGraph(k=k, sigma=tuple(tuple(int(x) for x in rng.permutation(k))
+                                          for _ in range(D)))
+        if is_connected(B):
+            graphs.append(B)
+    return graphs
+
+
+PASS_GRAPHS = _pass_graphs()
+
+
+def test_pass_matches_face_profile_for_every_covering():
+    for B in PASS_GRAPHS:
+        expected = [(tau, face_profile(CoveringGraph(base=B, tau=tau)))
+                    for tau in itertools.permutations(range(B.k))]
+        assert list(enumerate_coverings(B)) == expected, B
+        result = covering_pass(B)
+        assert dict(result.histogram) == Counter(p.zero_faces for _, p in expected), B
+        gamma = max(p.total for _, p in expected)
+        assert result.minimal.gamma == gamma
+        assert result.minimal.members == tuple((tau, p) for tau, p in expected
+                                               if p.total == gamma), B
+
+
+def test_pass_histogram_sums_to_k_factorial():
+    for B in PASS_GRAPHS:
+        histogram = covering_pass(B).histogram
+        assert sum(histogram.values()) == math.factorial(B.k)
+        assert all(len(zero) == B.D and all(1 <= f <= B.k for f in zero)
+                   for zero in histogram)
+
+
+def test_pass_histogram_is_read_only():
+    with pytest.raises(TypeError):
+        covering_pass(two_color_cycle(3)).histogram[(1, 1)] = 7
+
+
+def test_pass_k1():
+    result = covering_pass(make_dipole(4))
+    assert dict(result.histogram) == {(1, 1, 1, 1): 1}
+    assert result.minimal.gamma == 4
+    assert result.minimal.members[0][0] == (0,)
+
+
+def test_pass_many_colors():
+    # with this many colors a base-k key over all of them overflows int64,
+    # so the pass re-ranks the key part way
+    B = ColoredGraph(k=2, sigma=tuple((0, 1) if i % 3 else (1, 0) for i in range(64)))
+    expected = Counter(face_profile(CoveringGraph(base=B, tau=tau)).zero_faces
+                       for tau in itertools.permutations(range(2)))
+    assert dict(covering_pass(B).histogram) == expected
+    B = ColoredGraph(k=3, sigma=tuple(p for p in itertools.permutations(range(3))) * 7)
+    expected = Counter(face_profile(CoveringGraph(base=B, tau=tau)).zero_faces
+                       for tau in itertools.permutations(range(3)))
+    assert dict(covering_pass(B).histogram) == expected
+
+
+def test_pass_errors_come_before_any_sweep():
+    enumeration._sweep.cache_clear()
+    with pytest.raises(ValueError, match="cap"):
+        minimal_coverings(two_color_cycle(5), cap=4)
+    with pytest.raises(ValueError, match="connected"):
+        covering_pass(ColoredGraph(k=2, sigma=((0, 1), (0, 1))))
+    with pytest.raises(ValueError, match="cap"):
+        gaussian_exact_mean(two_color_cycle(5), (1, 1), 2, cap=4)
+    info = enumeration._sweep.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+    # a graph already in the cache is still checked against the caller's cap
+    covering_pass(two_color_cycle(5))
+    with pytest.raises(ValueError, match="cap"):
+        covering_pass(two_color_cycle(5), cap=4)
+    with pytest.raises(ValueError, match="cap"):
+        list(enumerate_coverings(two_color_cycle(5), cap=4))
+
+
+def test_consumers_share_one_sweep():
+    spec = CycleSpec(k=5, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
+    B = make_cycle_graph(spec)
+    enumeration._sweep.cache_clear()
+    mcs = minimal_coverings(B)
+    report = cross_check(B, spec, (1.5, 0.5, 2.0))
+    wick = gaussian_exact_mean(B, (1, 2, 1), 3)
+    assert enumeration._sweep.cache_info().misses == 1
+    assert (mcs.gamma, report.count_enum) == (2 * 5 + 1, 1)
+    assert wick == sum(math.prod(d ** f for d, f in zip((3, 6, 3), p.zero_faces))
+                       for _, p in enumerate_coverings(B))
