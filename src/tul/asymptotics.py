@@ -73,14 +73,12 @@ def melonic_exponents(B: ColoredGraph, cap: int = DEFAULT_CAP) -> tuple[int, ...
     return mcs.members[0][1].zero_faces
 
 
-def predict_melonic(B: ColoredGraph, c, face_profile_source=None,
-                    cap: int = DEFAULT_CAP) -> AsymptoticPrediction:
+def predict_melonic(B: ColoredGraph, c, cap: int = DEFAULT_CAP) -> AsymptoticPrediction:
     """gamma = 1 + k(D-1); coefficient = prod_i c_i^f_i over the unique
     minimal covering's per-color face counts.
 
-    face_profile_source(B) may supply the exponents; the default obtains them
-    from enumeration.  With all ratios equal the exponents are not needed at
-    all, since the coefficient collapses to c^gamma.
+    The exponents come from melonic_exponents.  With all ratios equal they
+    are not needed at all, since the coefficient collapses to c^gamma.
     """
     if not is_melonic(B):
         raise ValueError("predict_melonic expects a melonic graph")
@@ -88,8 +86,7 @@ def predict_melonic(B: ColoredGraph, c, face_profile_source=None,
     gamma = 1 + B.k * (B.D - 1)
     if len(set(c)) == 1:
         return _prediction(gamma, "melonic", c, lambda: c[0] ** gamma)
-    exponents = tuple(face_profile_source(B)) if face_profile_source is not None \
-        else melonic_exponents(B, cap=cap)
+    exponents = melonic_exponents(B, cap=cap)
     if len(exponents) != B.D or sum(exponents) != gamma:
         raise ValueError(
             f"face exponents {exponents} do not sum to gamma={gamma} over {B.D} colors"

@@ -46,13 +46,21 @@ def _resolve_cap() -> int:
     return cap
 
 
-def _positive_int(raw: str) -> int:
+def _int_list(raw: str) -> list[int]:
+    try:
+        return [int(tok) for tok in raw.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or a comma list of integers, got {raw!r}") from None
+
+
+def _seed(raw: str) -> int:
     try:
         value = int(raw)
+        if value < 0:
+            raise ValueError
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}") from None
     return value
 
 
@@ -78,8 +86,11 @@ def _parse_ratios(raw: str) -> list[Fraction]:
 
 def _emit(args, text: str):
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise CliError(f"cannot write {args.out}: {err.strerror or err}") from None
     else:
         sys.stdout.write(text)
 
@@ -154,12 +165,8 @@ def _cmd_mc(args) -> int:
         graph = cycle_spec_from_json_dict(_load_json(args.cycle))
     else:
         graph = graph_from_json_dict(_load_json(args.graph))
-    N_list = [int(tok) for tok in args.N_list.split(",")] if args.N_list else [tspec.N]
-    samples = [int(tok) for tok in args.samples.split(",")]
-    if len(samples) == 1:
-        samples = samples[0]
-    report = universality_scan(tspec, graph, N_list, samples,
-                               threads=args.threads, cap=cap)
+    samples = args.samples[0] if len(args.samples) == 1 else args.samples
+    report = universality_scan(tspec, graph, args.N_list or [tspec.N], samples, cap=cap)
     if args.format == "csv":
         header = ["graph", "distribution", "gamma", "predicted", "N", "samples",
                   "mean", "stderr", "normalized", "flagged"]
@@ -187,7 +194,7 @@ def _cmd_verify(args) -> int:
     families = frozenset(args.families.split(",")) if args.families else frozenset(FAMILIES)
     try:
         config = VerifySuiteConfig(max_k=args.max_k, max_D=args.max_D,
-                                   families=families, seed=args.seed or 0, cap=cap)
+                                   families=families, seed=args.seed, cap=cap)
     except ValueError as err:
         raise CliError(str(err)) from None
     results = run_verify_suite(config)
@@ -211,8 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this file instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--threads", type=_positive_int, default=1)
-    common.add_argument("--seed", type=int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="tul",
@@ -245,9 +250,11 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--graph", help="colored graph JSON (naive contraction route)")
     group.add_argument("--cycle", help="cycle spec JSON (matricized route)")
-    p.add_argument("--samples", default="1000",
+    p.add_argument("--samples", type=_int_list, default="1000",
                    help="sample count, or one count per N as a comma list")
-    p.add_argument("--N-list", dest="N_list", help="comma-separated tensor sizes N")
+    p.add_argument("--N-list", dest="N_list", type=_int_list,
+                   help="comma-separated tensor sizes N")
+    p.add_argument("--seed", type=_seed, help="override the tensor spec's seed")
     p.set_defaults(run=_cmd_mc)
 
     p = sub.add_parser("verify", parents=[common],
@@ -255,6 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", dest="max_k", type=int, default=5)
     p.add_argument("--max-D", dest="max_D", type=int, default=5)
     p.add_argument("--families", help=f"comma list from {{{','.join(FAMILIES)}}}")
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(run=_cmd_verify)
 
     return parser

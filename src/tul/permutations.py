@@ -7,8 +7,7 @@ boundary, not here.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Perm = tuple[int, ...]
 
@@ -66,28 +65,6 @@ def cycle_count(p: Perm) -> int:
             seen[j] = True
             j = p[j]
     return count
-
-
-def all_perms(k: int) -> Iterator[Perm]:
-    """All of S_k in lexicographic order."""
-    return itertools.permutations(range(k))
-
-
-def random_perm(rng, k: int) -> Perm:
-    return tuple(int(i) for i in rng.permutation(k))
-
-
-def transposition(k: int, a: int, b: int) -> Perm:
-    p = list(range(k))
-    p[a], p[b] = p[b], p[a]
-    return tuple(p)
-
-
-def from_one_based(images: Iterable[int]) -> Perm:
-    p = tuple(int(i) - 1 for i in images)
-    if not is_perm(p):
-        raise ValueError(f"{list(images)} is not a bijection on 1..{len(p)}")
-    return p
 
 
 def to_one_based(p: Perm) -> tuple[int, ...]:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +26,27 @@ from .permutations import inverse
 DISTRIBUTIONS = ("complex_gaussian", "complex_rademacher", "uniform_disc")
 
 DEFAULT_NAIVE_BUDGET = 10 ** 8
+
+# TensorSpec refuses tensors with more entries: 1 GiB of complex128
+MAX_TENSOR_ENTRIES = 2 ** 26
+
+
+def side_lengths(c, N: int, D: int) -> tuple[int, ...]:
+    """The side lengths c_i N of a D-tensor, each a positive integer."""
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
+    if len(c) != D:
+        raise ValueError(f"expected {D} side ratios, got {len(c)}")
+    dims = []
+    for i, ci in enumerate(c, start=1):
+        ci = Fraction(ci)
+        d = ci * N
+        if ci <= 0:
+            raise ValueError(f"c[{i}] must be positive, got {ci}")
+        if d.denominator != 1:
+            raise ValueError(f"c[{i}]*N = {ci}*{N} is not an integer")
+        dims.append(d.numerator)
+    return tuple(dims)
 
 
 @dataclass(frozen=True)
@@ -42,29 +62,25 @@ class TensorSpec:
     N: int
     distribution: str
     seed: int
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.D < 1:
             raise ValueError(f"D must be positive, got {self.D}")
         object.__setattr__(self, "c", tuple(Fraction(x) for x in self.c))
-        if len(self.c) != self.D:
-            raise ValueError(f"expected {self.D} side ratios, got {len(self.c)}")
-        if self.N < 1:
-            raise ValueError(f"N must be positive, got {self.N}")
-        for i, ci in enumerate(self.c, start=1):
-            if ci <= 0:
-                raise ValueError(f"c[{i}] must be positive, got {ci}")
-            if (ci * self.N).denominator != 1:
-                raise ValueError(f"c[{i}]*N = {ci}*{self.N} is not an integer")
+        dims = side_lengths(self.c, self.N, self.D)
+        entries = math.prod(dims)
+        if entries > MAX_TENSOR_ENTRIES:
+            raise ValueError(
+                f"N={self.N} gives a {'x'.join(map(str, dims))} tensor of {entries:.3e} "
+                f"entries, over the limit of {MAX_TENSOR_ENTRIES} (1 GiB of complex128)"
+            )
+        object.__setattr__(self, "dims", dims)
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}; "
                              f"choose one of {', '.join(DISTRIBUTIONS)}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(int(ci * self.N) for ci in self.c)
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
@@ -93,8 +109,7 @@ def naive_term_count(dims, k: int) -> int:
     return math.prod(dims) ** k
 
 
-def trace_invariant_naive(T: np.ndarray, B: ColoredGraph,
-                          budget: int = DEFAULT_NAIVE_BUDGET) -> float:
+def trace_invariant_naive(T: np.ndarray, B: ColoredGraph) -> float:
     """Exact delta-contraction sum over all free indices.
 
     White vertex j carries one index per color; the color-i edge equates that
@@ -109,10 +124,10 @@ def trace_invariant_naive(T: np.ndarray, B: ColoredGraph,
     dims = T.shape
     k, D = B.k, B.D
     terms = naive_term_count(dims, k)
-    if terms > budget:
+    if terms > DEFAULT_NAIVE_BUDGET:
         raise ValueError(
             f"naive contraction needs {terms:.3e} scalar terms, over the budget "
-            f"{budget:.1e}; use the matricized cycle route or raise the budget"
+            f"{DEFAULT_NAIVE_BUDGET:.1e}; use the matricized cycle route"
         )
     inv = [inverse(s) for s in B.sigma]
     Tc = np.conj(T)
@@ -192,17 +207,7 @@ def gaussian_exact_mean(B: ColoredGraph, c, N: int, cap: int = DEFAULT_CAP) -> i
     Exact (not asymptotic) because every Gaussian cumulant beyond the second
     vanishes; the c_i N are integers, so the result is an exact integer.
     """
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
-    c = [Fraction(x) for x in c]
-    if len(c) != B.D:
-        raise ValueError(f"expected {B.D} side ratios, got {len(c)}")
-    dims = []
-    for i, ci in enumerate(c, start=1):
-        d = ci * N
-        if ci <= 0 or d.denominator != 1:
-            raise ValueError(f"c[{i}]*N = {ci}*{N} is not a positive integer")
-        dims.append(int(d))
+    dims = side_lengths(c, N, B.D)
     return sum(n * math.prod(d ** f for d, f in zip(dims, zero_faces))
                for zero_faces, n in covering_pass(B, cap=cap).histogram.items())
 
@@ -215,36 +220,18 @@ def _evaluator(graph):
     raise TypeError(f"graph must be ColoredGraph or CycleSpec, got {type(graph)}")
 
 
-def _sample_values(spec: TensorSpec, graph, samples: int, threads: int = 1) -> np.ndarray:
-    evaluate = _evaluator(graph)
-    values = np.empty(samples, dtype=np.float64)
-
-    def fill(lo: int, hi: int):
-        for s in range(lo, hi):
-            values[s] = evaluate(sample_tensor(spec, s))
-
-    if threads <= 1 or samples < 4:
-        fill(0, samples)
-    else:
-        step = -(-samples // threads)
-        bounds = [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # disjoint slices; values identical for any worker count
-            list(pool.map(lambda b: fill(*b), bounds))
-    return values
-
-
-def monte_carlo_mean(spec: TensorSpec, graph, samples: int,
-                     threads: int = 1) -> tuple[float, float]:
+def monte_carlo_mean(spec: TensorSpec, graph, samples: int) -> tuple[float, float]:
     """Sample mean and standard error of the invariant over independent draws.
 
     graph selects the evaluation route: a ColoredGraph goes through the naive
     contraction, a CycleSpec through the matricized route.  Sample i always
-    uses substream i of spec.seed, so results do not depend on threads.
+    uses substream i of spec.seed, so the first n values do not depend on
+    how many are drawn.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
-    values = _sample_values(spec, graph, samples, threads=threads)
+    evaluate = _evaluator(graph)
+    values = np.array([evaluate(sample_tensor(spec, i)) for i in range(samples)])
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples))
     return mean, stderr
@@ -286,7 +273,7 @@ def graph_id(graph) -> str:
 
 
 def universality_scan(spec: TensorSpec, graph, N_list, samples,
-                      threads: int = 1, cap: int = DEFAULT_CAP) -> UniversalityReport:
+                      cap: int = DEFAULT_CAP) -> UniversalityReport:
     """Monte Carlo scan over N with a fixed distribution and side ratios.
 
     spec supplies c, distribution, and seed; its N is replaced by each entry
@@ -303,14 +290,15 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples,
         per_N = [int(s) for s in samples]
         if len(per_N) != len(N_list):
             raise ValueError(f"got {len(per_N)} sample counts for {len(N_list)} values of N")
+    # every row's spec is checked before any row is sampled
+    row_specs = [replace(spec, N=N) for N in N_list]
     if isinstance(graph, CycleSpec):
         prediction = predict_cycle(graph, spec.c)
     else:
         prediction = predict_generic(graph, spec.c, cap=cap)
     rows = []
-    for N, count in zip(N_list, per_N):
-        row_spec = replace(spec, N=N)
-        mean, stderr = monte_carlo_mean(row_spec, graph, count, threads=threads)
+    for N, row_spec, count in zip(N_list, row_specs, per_N):
+        mean, stderr = monte_carlo_mean(row_spec, graph, count)
         scale = float(N) ** prediction.gamma
         normalized = mean / scale
         flagged = abs(normalized - prediction.coefficient) > 4.0 * stderr / scale

@@ -44,12 +44,12 @@ def test_predict_melonic_rejects_non_melonic():
         predict_melonic(make_cycle_graph(spec), (1, 1))
 
 
-def test_predict_melonic_custom_source():
+def test_predict_melonic_coefficient_at_unequal_ratios():
+    # the enumerated exponents of this graph are (1, 2, 2), so c=(2,1,1) gives 2^1
     B = make_melonic(MelonicRecipe(D=3, steps=((1, 1),)))
-    pred = predict_melonic(B, (2, 1, 1), face_profile_source=lambda g: (1, 2, 2))
+    assert melonic_exponents(B) == (1, 2, 2)
+    pred = predict_melonic(B, (2, 1, 1))
     assert pred.coefficient == pytest.approx(2.0, rel=1e-14)
-    with pytest.raises(ValueError, match="sum"):
-        predict_melonic(B, (2, 1, 1), face_profile_source=lambda g: (1, 1, 1))
 
 
 def test_predict_cycle_mm_values():

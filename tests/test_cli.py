@@ -346,3 +346,60 @@ def test_asym_ratio_outside_float_range(capsys, tmp_path):
         assert main(["asym", "--family", "cycle", "--spec", spec, "--c", ratios]) == 2
         err = capsys.readouterr().err
         assert word in err and ("c[1]" if word == "underflows" else "c[2]") in err
+
+
+def test_mc_oversized_tensor_exits_2_before_any_draw(capsys, monkeypatch, tmp_path):
+    def no_draw(*args):
+        raise AssertionError("sample_tensor was called")
+
+    monkeypatch.setattr("tul.tensors.sample_tensor", no_draw)
+    cycle = _write(tmp_path, "cycle.json", json.dumps({"k": 1, "m_colors": [1],
+                                                       "n_colors": [2]}))
+    spec = _write(tmp_path, "tensor.json", json.dumps({"D": 2, "c": [1, 1], "N": 4,
+                                                       "distribution": "complex_gaussian"}))
+    code = main(["mc", "--spec", spec, "--cycle", cycle, "--N-list", "4,100000",
+                 "--samples", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "N=100000" in err and "limit" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["mc", "--samples", "abc"], "--samples"),
+    (["mc", "--N-list", "4,x"], "--N-list"),
+    (["mc", "--seed", "-1"], "--seed"),
+    (["verify", "--seed", "-5"], "--seed"),
+    (["verify", "--seed", "x"], "--seed"),
+])
+def test_flag_parse_errors_name_the_flag(capsys, tensor_spec_file, cycle_spec_file,
+                                         argv, flag):
+    if argv[0] == "mc":
+        argv = argv + ["--spec", tensor_spec_file, "--cycle", cycle_spec_file]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path, cycle_spec_file):
+    out = tmp_path / "missing" / "x.json"
+    code = main(["asym", "--family", "cycle", "--spec", cycle_spec_file, "--out", str(out)])
+    assert code == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--threads", "2"],
+    ["asym", "--threads", "2"],
+    ["enumerate", "--seed", "1"],
+    ["asym", "--seed", "1"],
+])
+def test_removed_flags_exit_2(capsys, tensor_spec_file, cycle_spec_file, cycle22_graph, argv):
+    inputs = {"mc": ["--spec", tensor_spec_file, "--cycle", cycle_spec_file],
+              "asym": ["--family", "cycle", "--spec", cycle_spec_file],
+              "enumerate": ["--graph", cycle22_graph]}
+    with pytest.raises(SystemExit) as exc:
+        main(argv + inputs[argv[0]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
