@@ -6,17 +6,16 @@ from .asymptotics import (AsymptoticPrediction, CrossCheckError, CrossCheckRepor
                           cross_check, melonic_exponents, predict_cycle,
                           predict_cycle_mm, predict_cycle_mn, predict_generic,
                           predict_melonic)
-from .enumeration import (DEFAULT_CAP, CoveringPass, MinimalCoveringSet, catalan,
-                          covering_pass, enumerate_coverings, limit_coefficient,
-                          minimal_coverings, narayana, narayana_face_distribution,
-                          narayana_recurrence)
+from .enumeration import (MAX_K, CoveringPass, MinimalCoveringSet, catalan, covering_pass,
+                          limit_coefficient, minimal_coverings, narayana,
+                          narayana_face_distribution, narayana_recurrence)
 from .families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict,
                        cycle_spec_to_json_dict, is_melonic, make_cycle_graph,
                        make_dipole, make_melonic, melonic_recipe_from_json_dict,
                        melonic_recipe_to_json_dict, random_melonic_recipe,
                        split_cycle_graph)
 from .graphs import (ColoredGraph, CoveringGraph, FaceProfile, face_profile, genus,
-                     graph_from_json_dict, graph_to_json_dict, is_connected, load_graph)
+                     graph_from_json_dict, graph_to_json_dict, is_connected)
 from .permutations import Perm, compose, cycle_count, cycles, identity, inverse
 from .tensors import (DISTRIBUTIONS, ScanRow, TensorSpec, UniversalityReport,
                       apply_unitaries, gaussian_exact_mean, monte_carlo_mean,
@@ -27,15 +26,15 @@ from .verify import CheckResult, VerifySuiteConfig, run_verify_suite, suite_pass
 
 __all__ = [
     "AsymptoticPrediction", "CheckResult", "ColoredGraph", "CoveringGraph", "CoveringPass",
-    "CrossCheckError", "CrossCheckReport", "CycleSpec", "DEFAULT_CAP",
-    "DISTRIBUTIONS", "FaceProfile", "MelonicRecipe", "MinimalCoveringSet",
+    "CrossCheckError", "CrossCheckReport", "CycleSpec", "DISTRIBUTIONS",
+    "FaceProfile", "MAX_K", "MelonicRecipe", "MinimalCoveringSet",
     "Perm", "ScanRow", "TensorSpec", "UniversalityReport", "VerifySuiteConfig",
     "apply_unitaries", "catalan", "compose", "covering_pass", "cross_check", "cycle_count",
     "cycle_spec_from_json_dict", "cycle_spec_to_json_dict", "cycles",
-    "enumerate_coverings", "face_profile", "gaussian_exact_mean",
+    "face_profile", "gaussian_exact_mean",
     "genus", "graph_from_json_dict", "graph_to_json_dict", "identity",
     "inverse", "is_connected", "is_melonic", "limit_coefficient",
-    "load_graph", "make_cycle_graph", "make_dipole", "make_melonic",
+    "make_cycle_graph", "make_dipole", "make_melonic",
     "melonic_exponents", "melonic_recipe_from_json_dict",
     "melonic_recipe_to_json_dict", "minimal_coverings", "monte_carlo_mean",
     "narayana", "narayana_face_distribution", "narayana_recurrence",

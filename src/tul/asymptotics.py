@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .enumeration import (DEFAULT_CAP, catalan, check_ratios, limit_coefficient,
-                          minimal_coverings, narayana)
+from .enumeration import catalan, check_ratios, limit_coefficient, minimal_coverings, narayana
 from .families import CycleSpec, MelonicRecipe, is_melonic, make_cycle_graph, make_melonic
 from .graphs import ColoredGraph
 
@@ -59,13 +58,13 @@ def _prediction(gamma: int, family: str, c, coefficient) -> AsymptoticPrediction
     return AsymptoticPrediction(gamma=gamma, coefficient=value, family=family)
 
 
-def melonic_exponents(B: ColoredGraph, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+def melonic_exponents(B: ColoredGraph) -> tuple[int, ...]:
     """Per-color zero-face counts of the unique minimal covering.
 
     There is no closed form for the split of gamma across colors, only for
     the total, so the exponents come from enumeration.
     """
-    mcs = minimal_coverings(B, cap=cap)
+    mcs = minimal_coverings(B)
     if mcs.count != 1:
         raise ValueError(
             f"expected a unique minimal covering, found {mcs.count}; graph is not melonic"
@@ -73,7 +72,7 @@ def melonic_exponents(B: ColoredGraph, cap: int = DEFAULT_CAP) -> tuple[int, ...
     return mcs.members[0][1].zero_faces
 
 
-def predict_melonic(B: ColoredGraph, c, cap: int = DEFAULT_CAP) -> AsymptoticPrediction:
+def predict_melonic(B: ColoredGraph, c) -> AsymptoticPrediction:
     """gamma = 1 + k(D-1); coefficient = prod_i c_i^f_i over the unique
     minimal covering's per-color face counts.
 
@@ -86,7 +85,7 @@ def predict_melonic(B: ColoredGraph, c, cap: int = DEFAULT_CAP) -> AsymptoticPre
     gamma = 1 + B.k * (B.D - 1)
     if len(set(c)) == 1:
         return _prediction(gamma, "melonic", c, lambda: c[0] ** gamma)
-    exponents = melonic_exponents(B, cap=cap)
+    exponents = melonic_exponents(B)
     if len(exponents) != B.D or sum(exponents) != gamma:
         raise ValueError(
             f"face exponents {exponents} do not sum to gamma={gamma} over {B.D} colors"
@@ -135,11 +134,11 @@ def predict_cycle(spec: CycleSpec, c) -> AsymptoticPrediction:
     return predict_cycle_mn(swapped, c)
 
 
-def predict_generic(B: ColoredGraph, c, cap: int = DEFAULT_CAP) -> AsymptoticPrediction:
+def predict_generic(B: ColoredGraph, c) -> AsymptoticPrediction:
     """Enumeration-backed prediction for graphs outside the named families."""
     c = check_ratios(c, B.D)
-    return _prediction(minimal_coverings(B, cap=cap).gamma, "generic", c,
-                       lambda: limit_coefficient(B, c, cap=cap))
+    return _prediction(minimal_coverings(B).gamma, "generic", c,
+                       lambda: limit_coefficient(B, c))
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ class CrossCheckError(AssertionError):
         )
 
 
-def cross_check(B: ColoredGraph, family_spec, c, cap: int = DEFAULT_CAP) -> CrossCheckReport:
+def cross_check(B: ColoredGraph, family_spec, c) -> CrossCheckReport:
     """Replay a family's closed-form gamma, minimal-covering count, and limit
     coefficient against brute-force enumeration of B.
 
@@ -177,7 +176,7 @@ def cross_check(B: ColoredGraph, family_spec, c, cap: int = DEFAULT_CAP) -> Cros
     if isinstance(family_spec, MelonicRecipe):
         if B != make_melonic(family_spec):
             raise ValueError("graph does not match the melonic recipe")
-        closed = predict_melonic(B, c, cap=cap)
+        closed = predict_melonic(B, c)
         count_closed = 1
     elif isinstance(family_spec, CycleSpec):
         if B != make_cycle_graph(family_spec):
@@ -187,8 +186,8 @@ def cross_check(B: ColoredGraph, family_spec, c, cap: int = DEFAULT_CAP) -> Cros
     else:
         raise TypeError(f"family_spec must be CycleSpec or MelonicRecipe, got {type(family_spec)}")
 
-    mcs = minimal_coverings(B, cap=cap)
-    coeff_enum = limit_coefficient(B, c, cap=cap)
+    mcs = minimal_coverings(B)
+    coeff_enum = limit_coefficient(B, c)
     report = CrossCheckReport(
         family=closed.family,
         gamma_closed=closed.gamma, gamma_enum=mcs.gamma,

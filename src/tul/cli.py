@@ -13,12 +13,11 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .asymptotics import CrossCheckError, predict_cycle, predict_melonic
-from .enumeration import DEFAULT_CAP, minimal_coverings, narayana_face_distribution
+from .enumeration import minimal_coverings, narayana_face_distribution
 from .families import (cycle_spec_from_json_dict, make_cycle_graph, make_melonic,
                        melonic_recipe_from_json_dict)
 from .graphs import graph_from_json_dict
@@ -31,19 +30,6 @@ SCHEMA = 1
 
 class CliError(Exception):
     """User-facing input problem; message printed without a traceback."""
-
-
-def _resolve_cap() -> int:
-    raw = os.environ.get("TUL_ENUM_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliError(f"TUL_ENUM_CAP must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise CliError(f"TUL_ENUM_CAP must be positive, got {cap}")
-    return cap
 
 
 def _int_list(raw: str) -> list[int]:
@@ -112,9 +98,8 @@ def _csv_text(header, rows) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_enumerate(args) -> int:
-    cap = _resolve_cap()
     B = graph_from_json_dict(_load_json(args.graph))
-    mcs = minimal_coverings(B, cap=cap)
+    mcs = minimal_coverings(B)
     if args.format == "csv":
         header = ["tau"] + [f"f_{i}" for i in range(1, B.D + 1)] + ["total"]
         rows = [[cycle_string(tau), *profile.zero_faces, profile.total]
@@ -129,20 +114,19 @@ def _cmd_enumerate(args) -> int:
             for tau, profile in mcs.members
         ]
     if args.histogram is not None:
-        hist = narayana_face_distribution(B, anchor_color=args.histogram, cap=cap)
+        hist = narayana_face_distribution(B, anchor_color=args.histogram)
         data["histogram"] = {str(l): n for l, n in hist.items()}
     _emit(args, _json_text(data))
     return 0
 
 
 def _cmd_asym(args) -> int:
-    cap = _resolve_cap()
     spec_data = _load_json(args.spec)
     if args.family == "melonic":
         recipe = melonic_recipe_from_json_dict(spec_data)
         B = make_melonic(recipe)
         c = _parse_ratios(args.c) if args.c else [Fraction(1)] * B.D
-        pred = predict_melonic(B, c, cap=cap)
+        pred = predict_melonic(B, c)
     else:
         spec = cycle_spec_from_json_dict(spec_data)
         c = _parse_ratios(args.c) if args.c else [Fraction(1)] * spec.D
@@ -157,7 +141,6 @@ def _cmd_asym(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    cap = _resolve_cap()
     tspec = tensor_spec_from_json_dict(_load_json(args.spec))
     if args.seed is not None:
         tspec = dataclasses.replace(tspec, seed=args.seed)
@@ -166,7 +149,7 @@ def _cmd_mc(args) -> int:
     else:
         graph = graph_from_json_dict(_load_json(args.graph))
     samples = args.samples[0] if len(args.samples) == 1 else args.samples
-    report = universality_scan(tspec, graph, args.N_list or [tspec.N], samples, cap=cap)
+    report = universality_scan(tspec, graph, args.N_list or [tspec.N], samples)
     if args.format == "csv":
         header = ["graph", "distribution", "gamma", "predicted", "N", "samples",
                   "mean", "stderr", "normalized", "flagged"]
@@ -190,11 +173,10 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cap = _resolve_cap()
     families = frozenset(args.families.split(",")) if args.families else frozenset(FAMILIES)
     try:
         config = VerifySuiteConfig(max_k=args.max_k, max_D=args.max_D,
-                                   families=families, seed=args.seed, cap=cap)
+                                   families=families, seed=args.seed)
     except ValueError as err:
         raise CliError(str(err)) from None
     results = run_verify_suite(config)

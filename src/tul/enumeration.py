@@ -13,10 +13,9 @@ once and one color at a time.  The pass keeps two things:
 
 The result is cached per graph, so gamma, the Catalan/Narayana counts, the
 limit coefficient and the exact Wick integer all come from one sweep.
-`enumerate_coverings` reads the same blocks one covering at a time.
 
-Callers must stay under a cap (default 9, i.e. 362,880 coverings).  The cap
-and connectivity are checked on every call, before the cache is consulted.
+Graphs must be connected and have k <= MAX_K = 9, i.e. at most 362,880
+coverings.  Both are checked on every call, before the cache is consulted.
 """
 
 from __future__ import annotations
@@ -33,7 +32,9 @@ import numpy as np
 from .graphs import ColoredGraph, FaceProfile, is_connected
 from .permutations import Perm, identity, inverse
 
-DEFAULT_CAP = 9
+# The largest k a sweep accepts.  A resource limit, not a tuning knob: the
+# sweep costs k!, and k=10 already takes seconds and ~200 MB.
+MAX_K = 9
 
 # Graphs whose pass stays cached.  A bound on memory, not a tuning knob:
 # every consumer of one graph runs back to back, so a few slots suffice.
@@ -63,16 +64,6 @@ class CoveringPass:
 
     histogram: Mapping[tuple[int, ...], int]
     minimal: MinimalCoveringSet
-
-
-def _check_graph(B: ColoredGraph, cap: int):
-    if not is_connected(B):
-        raise ValueError("enumerate_coverings expects a connected graph")
-    if B.k > cap:
-        raise ValueError(
-            f"k={B.k} exceeds the enumeration cap ({cap}): {B.k}! = {math.factorial(B.k)} "
-            "pairings; pass a larger cap explicitly if you really want the full sweep"
-        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,23 +162,21 @@ def _sweep(B: ColoredGraph) -> CoveringPass:
                         minimal=minimal)
 
 
-def covering_pass(B: ColoredGraph, cap: int = DEFAULT_CAP) -> CoveringPass:
+def covering_pass(B: ColoredGraph) -> CoveringPass:
     """The face histogram and minimal coverings of B, from one cached sweep."""
-    _check_graph(B, cap)
+    if not is_connected(B):
+        raise ValueError("covering_pass expects a connected graph")
+    if B.k > MAX_K:
+        raise ValueError(
+            f"k={B.k} exceeds the enumeration cap ({MAX_K}): "
+            f"{B.k}! = {math.factorial(B.k)} pairings"
+        )
     return _sweep(B)
 
 
-def enumerate_coverings(B: ColoredGraph, cap: int = DEFAULT_CAP) -> Iterator[tuple[Perm, FaceProfile]]:
-    """Yield (tau, FaceProfile) for every tau in S_k, in lexicographic order."""
-    _check_graph(B, cap)
-    for taus, faces in _blocks(B):
-        for tau, zero in zip(taus.tolist(), faces.tolist()):
-            yield tuple(tau), FaceProfile(zero_faces=tuple(zero), total=sum(zero))
-
-
-def minimal_coverings(B: ColoredGraph, cap: int = DEFAULT_CAP) -> MinimalCoveringSet:
+def minimal_coverings(B: ColoredGraph) -> MinimalCoveringSet:
     """Every maximizer of the total face count, in lexicographic order."""
-    return covering_pass(B, cap=cap).minimal
+    return covering_pass(B).minimal
 
 
 def check_ratios(c, D: int) -> list[float]:
@@ -209,7 +198,7 @@ def check_ratios(c, D: int) -> list[float]:
     return out
 
 
-def limit_coefficient(B: ColoredGraph, c, cap: int = DEFAULT_CAP) -> float:
+def limit_coefficient(B: ColoredGraph, c) -> float:
     """Sum over minimal coverings of prod_i c_i^zero_faces[i].
 
     With all c_i = 1 this is just the number of minimal coverings; in general
@@ -217,7 +206,7 @@ def limit_coefficient(B: ColoredGraph, c, cap: int = DEFAULT_CAP) -> float:
     c_1 N x ... x c_D N tensor.
     """
     c = check_ratios(c, B.D)
-    mcs = minimal_coverings(B, cap=cap)
+    mcs = minimal_coverings(B)
     return math.fsum(
         math.prod(ci ** f for ci, f in zip(c, profile.zero_faces))
         for _, profile in mcs.members
@@ -296,7 +285,7 @@ def _is_two_color_cycle(B: ColoredGraph) -> bool:
     return B.D == 2 and set(B.sigma) == {identity(k), shift}
 
 
-def narayana_face_distribution(B: ColoredGraph, anchor_color: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
+def narayana_face_distribution(B: ColoredGraph, anchor_color: int) -> dict[int, int]:
     """Histogram {l: count} of zero_faces[anchor_color] over minimal coverings.
 
     Only defined for two-color cycle graphs, where the histogram is the
@@ -307,7 +296,7 @@ def narayana_face_distribution(B: ColoredGraph, anchor_color: int, cap: int = DE
     if anchor_color not in (1, 2):
         raise ValueError(f"anchor color must be 1 or 2, got {anchor_color}")
     hist: dict[int, int] = {}
-    for _, profile in minimal_coverings(B, cap=cap).members:
+    for _, profile in minimal_coverings(B).members:
         l = profile.zero_faces[anchor_color - 1]
         hist[l] = hist.get(l, 0) + 1
     return dict(sorted(hist.items()))

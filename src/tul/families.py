@@ -160,7 +160,7 @@ def split_cycle_graph(R: ColoredGraph, spec: CycleSpec) -> list[tuple[tuple[int,
     return parts
 
 
-def is_melonic(B: ColoredGraph, picker=None) -> bool:
+def is_melonic(B: ColoredGraph) -> bool:
     """True iff B reduces to a dipole by repeatedly deleting a white/black
     pair joined by exactly D-1 parallel edges (undoing a melonic insertion).
 
@@ -168,9 +168,8 @@ def is_melonic(B: ColoredGraph, picker=None) -> bool:
     k >= 2 is a plain matrix-trace cycle and is excluded, since the melonic
     dominance structure (unique minimal covering) does not hold there.
 
-    picker, if given, selects among the eligible (white, black) pairs at each
-    step; the default takes the lexicographically first.  Melonicity does not
-    depend on this choice.
+    Each step deletes the lexicographically first eligible (white, black)
+    pair; melonicity does not depend on this choice.
     """
     if not is_connected(B):
         raise ValueError("is_melonic expects a connected graph")
@@ -192,8 +191,7 @@ def is_melonic(B: ColoredGraph, picker=None) -> bool:
                     eligible.append((w, b))
         if not eligible:
             return False
-        eligible.sort()
-        w, b = picker(eligible) if picker is not None else eligible[0]
+        w, b = min(eligible)
         c = next(i for i in range(D) if sigma[i][w] != b)
         v_bar = sigma[c][w]
         v = sigma[c].index(b)

@@ -14,7 +14,6 @@ enumeration layer refuses them) so that degenerate cases stay unit-testable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -159,12 +158,3 @@ def graph_from_json_dict(data) -> ColoredGraph:
             raise ValueError(f"sigma[{i + 1}] is not a bijection on 1..{k}")
         rows.append(p)
     return ColoredGraph(k=k, sigma=tuple(rows))
-
-
-def load_graph(path) -> ColoredGraph:
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not valid JSON ({e})") from e
-    return graph_from_json_dict(data)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .asymptotics import predict_cycle, predict_generic
-from .enumeration import DEFAULT_CAP, covering_pass
+from .enumeration import covering_pass
 from .families import CycleSpec
 from .graphs import ColoredGraph, is_json_int
 from .permutations import inverse
@@ -199,7 +199,7 @@ def trace_invariant_cycle(T: np.ndarray, spec: CycleSpec) -> float:
     return float(np.sum(eig ** k))
 
 
-def gaussian_exact_mean(B: ColoredGraph, c, N: int, cap: int = DEFAULT_CAP) -> int:
+def gaussian_exact_mean(B: ColoredGraph, c, N: int) -> int:
     """Exact mean of the invariant for complex Gaussian entries: the Wick sum
     over all pairings tau of prod_i (c_i N)^{zero_faces_i(tau)}, taken as a
     sum over distinct face vectors times their multiplicity.
@@ -209,7 +209,7 @@ def gaussian_exact_mean(B: ColoredGraph, c, N: int, cap: int = DEFAULT_CAP) -> i
     """
     dims = side_lengths(c, N, B.D)
     return sum(n * math.prod(d ** f for d, f in zip(dims, zero_faces))
-               for zero_faces, n in covering_pass(B, cap=cap).histogram.items())
+               for zero_faces, n in covering_pass(B).histogram.items())
 
 
 def _evaluator(graph):
@@ -272,14 +272,14 @@ def graph_id(graph) -> str:
     raise TypeError(f"graph must be ColoredGraph or CycleSpec, got {type(graph)}")
 
 
-def universality_scan(spec: TensorSpec, graph, N_list, samples,
-                      cap: int = DEFAULT_CAP) -> UniversalityReport:
+def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityReport:
     """Monte Carlo scan over N with a fixed distribution and side ratios.
 
     spec supplies c, distribution, and seed; its N is replaced by each entry
-    of N_list.  samples may be a single count or a per-N sequence.  A row is
-    flagged when |normalized - predicted| exceeds 4 stderr / N^gamma, i.e.
-    when the subleading terms still dominate the Monte Carlo noise.
+    of N_list.  samples may be a single count or a per-N sequence, each at
+    least 2.  A row is flagged when |normalized - predicted| exceeds
+    4 stderr / N^gamma, i.e. when the subleading terms still dominate the
+    Monte Carlo noise.
     """
     N_list = [int(N) for N in N_list]
     if not N_list:
@@ -290,12 +290,15 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples,
         per_N = [int(s) for s in samples]
         if len(per_N) != len(N_list):
             raise ValueError(f"got {len(per_N)} sample counts for {len(N_list)} values of N")
-    # every row's spec is checked before any row is sampled
+    # every row's spec and sample count is checked before any row is sampled
     row_specs = [replace(spec, N=N) for N in N_list]
+    for N, count in zip(N_list, per_N):
+        if count < 2:
+            raise ValueError(f"need at least 2 samples for a standard error, got {count} at N={N}")
     if isinstance(graph, CycleSpec):
         prediction = predict_cycle(graph, spec.c)
     else:
-        prediction = predict_generic(graph, spec.c, cap=cap)
+        prediction = predict_generic(graph, spec.c)
     rows = []
     for N, row_spec, count in zip(N_list, row_specs, per_N):
         mean, stderr = monte_carlo_mean(row_spec, graph, count)

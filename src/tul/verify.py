@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .asymptotics import CrossCheckError, cross_check
-from .enumeration import DEFAULT_CAP, catalan, minimal_coverings, narayana, narayana_face_distribution
+from .enumeration import MAX_K, catalan, minimal_coverings, narayana, narayana_face_distribution
 from .families import CycleSpec, make_cycle_graph, make_melonic, random_melonic_recipe
 from .tensors import TensorSpec, gaussian_exact_mean, monte_carlo_mean
 
@@ -26,14 +26,13 @@ class VerifySuiteConfig:
     max_D: int = 5
     families: frozenset[str] = field(default_factory=lambda: frozenset(FAMILIES))
     seed: int = 0
-    cap: int = DEFAULT_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "families", frozenset(self.families))
         if self.max_k < 1:
             raise ValueError(f"max_k must be positive, got {self.max_k}")
-        if self.max_k > self.cap:
-            raise ValueError(f"max_k={self.max_k} exceeds the enumeration cap ({self.cap})")
+        if self.max_k > MAX_K:
+            raise ValueError(f"max_k={self.max_k} exceeds the enumeration cap ({MAX_K})")
         if self.max_D < 2:
             raise ValueError(f"max_D must be at least 2, got {self.max_D}")
         unknown = self.families - set(FAMILIES)
@@ -78,12 +77,12 @@ def run_verify_suite(config: VerifySuiteConfig) -> list[CheckResult]:
         for k in range(1, config.max_k + 1):
             spec = CycleSpec(k=k, m_colors=frozenset([1]), n_colors=frozenset([2]))
             B = make_cycle_graph(spec)
-            mcs = minimal_coverings(B, cap=config.cap)
+            mcs = minimal_coverings(B)
             ck = catalan(k)
             ok = mcs.count == ck and mcs.gamma == k + 1
             add(f"cycle_11 catalan k={k}", ok,
                 f"count={mcs.count} expected={ck}, gamma={mcs.gamma} expected={k + 1}")
-            hist = narayana_face_distribution(B, anchor_color=1, cap=config.cap)
+            hist = narayana_face_distribution(B, anchor_color=1)
             row = {l: narayana(k, l) for l in range(1, k + 1)}
             add(f"cycle_11 narayana k={k}", hist == row, f"histogram={hist} expected={row}")
 
@@ -95,7 +94,7 @@ def run_verify_suite(config: VerifySuiteConfig) -> list[CheckResult]:
             c = _random_ratios(rng, spec.D)
             name = (f"{family} k={spec.k} m={sorted(spec.m_colors)} n={sorted(spec.n_colors)}")
             try:
-                report = cross_check(B, spec, c, cap=config.cap)
+                report = cross_check(B, spec, c)
                 add(name, True, f"gamma={report.gamma_enum} count={report.count_enum}")
             except CrossCheckError as err:
                 add(name, False, str(err))
@@ -105,7 +104,7 @@ def run_verify_suite(config: VerifySuiteConfig) -> list[CheckResult]:
             for k in range(1, config.max_k + 1):
                 recipe = random_melonic_recipe(rng, D, k)
                 B = make_melonic(recipe)
-                mcs = minimal_coverings(B, cap=config.cap)
+                mcs = minimal_coverings(B)
                 gamma = 1 + k * (D - 1)
                 ok = mcs.count == 1 and mcs.gamma == gamma
                 add(f"melonic D={D} k={k}", ok,
@@ -114,7 +113,7 @@ def run_verify_suite(config: VerifySuiteConfig) -> list[CheckResult]:
                 if ok:
                     c = _random_ratios(rng, D)
                     try:
-                        cross_check(B, recipe, c, cap=config.cap)
+                        cross_check(B, recipe, c)
                         add(f"melonic coeff D={D} k={k}", True, "closed form matches enumeration")
                     except CrossCheckError as err:
                         add(f"melonic coeff D={D} k={k}", False, str(err))
@@ -123,7 +122,7 @@ def run_verify_suite(config: VerifySuiteConfig) -> list[CheckResult]:
     spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2]))
     B = make_cycle_graph(spec)
     N, samples = 8, 2000
-    exact = gaussian_exact_mean(B, (1, 1), N, cap=config.cap)
+    exact = gaussian_exact_mean(B, (1, 1), N)
     tspec = TensorSpec(D=2, c=(1, 1), N=N, distribution="complex_gaussian", seed=config.seed)
     mean, stderr = monte_carlo_mean(tspec, spec, samples)
     z = abs(mean - exact) / stderr

@@ -85,18 +85,19 @@ def test_enumerate_bad_graph_json(capsys, tmp_path):
     assert "sigma" in err and "'D'" in err
 
 
-def test_enumerate_cap_env(capsys, cycle22_graph, monkeypatch):
-    monkeypatch.setenv("TUL_ENUM_CAP", "1")
-    code = main(["enumerate", "--graph", cycle22_graph])
+def test_enumerate_cap_env(capsys, monkeypatch, tmp_path):
+    # the bound is fixed: no environment variable raises it
+    def no_sweep(*args):
+        raise AssertionError("the S_k sweep ran")
+
+    monkeypatch.setattr("tul.enumeration._sweep", no_sweep)
+    monkeypatch.setenv("TUL_ENUM_CAP", "20")
+    spec = CycleSpec(k=10, m_colors=frozenset([1]), n_colors=frozenset([2]))
+    path = tmp_path / "c10.json"
+    path.write_text(json.dumps(graph_to_json_dict(make_cycle_graph(spec))))
+    code = main(["enumerate", "--graph", str(path)])
     assert code == 2
     assert "cap" in capsys.readouterr().err
-
-
-def test_invalid_cap_env(capsys, cycle22_graph, monkeypatch):
-    monkeypatch.setenv("TUL_ENUM_CAP", "many")
-    code = main(["enumerate", "--graph", cycle22_graph])
-    assert code == 2
-    assert "TUL_ENUM_CAP" in capsys.readouterr().err
 
 
 def test_asym_cycle(capsys, tmp_path):
@@ -243,8 +244,11 @@ def test_verify_bad_family(capsys):
 
 
 def test_verify_k_over_cap(capsys, monkeypatch):
-    monkeypatch.setenv("TUL_ENUM_CAP", "3")
-    code = main(["verify", "--max-k", "4", "--families", "cycle_11"])
+    def no_sweep(*args):
+        raise AssertionError("the S_k sweep ran")
+
+    monkeypatch.setattr("tul.enumeration._sweep", no_sweep)
+    code = main(["verify", "--max-k", "10", "--families", "cycle_11"])
     assert code == 2
     assert "cap" in capsys.readouterr().err
 
@@ -362,6 +366,22 @@ def test_mc_oversized_tensor_exits_2_before_any_draw(capsys, monkeypatch, tmp_pa
     assert code == 2
     err = capsys.readouterr().err
     assert "N=100000" in err and "limit" in err
+
+
+def test_mc_sample_count_below_two_exits_2_before_any_draw(capsys, monkeypatch, tmp_path):
+    def no_draw(*args):
+        raise AssertionError("sample_tensor was called")
+
+    monkeypatch.setattr("tul.tensors.sample_tensor", no_draw)
+    cycle = _write(tmp_path, "cycle.json", json.dumps({"k": 1, "m_colors": [1],
+                                                       "n_colors": [2]}))
+    spec = _write(tmp_path, "tensor.json", json.dumps({"D": 2, "c": [1, 1], "N": 4,
+                                                       "distribution": "complex_gaussian"}))
+    code = main(["mc", "--spec", spec, "--cycle", cycle, "--N-list", "4,8",
+                 "--samples", "3000,1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "at least 2 samples" in err and "N=8" in err
 
 
 @pytest.mark.parametrize("argv, flag", [

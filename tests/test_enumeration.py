@@ -7,9 +7,9 @@ import pytest
 
 from tul import enumeration
 from tul.asymptotics import cross_check
-from tul.enumeration import (DEFAULT_CAP, catalan, covering_pass, enumerate_coverings,
-                             limit_coefficient, minimal_coverings, narayana,
-                             narayana_face_distribution, narayana_recurrence)
+from tul.enumeration import (MAX_K, catalan, covering_pass, limit_coefficient,
+                             minimal_coverings, narayana, narayana_face_distribution,
+                             narayana_recurrence)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic,
                           random_melonic_recipe)
 from tul.graphs import ColoredGraph, CoveringGraph, face_profile, is_connected
@@ -21,39 +21,38 @@ def two_color_cycle(k):
 
 
 def test_enumerate_single_covering_k1():
-    B = make_dipole(3)
-    coverings = list(enumerate_coverings(B))
-    assert len(coverings) == 1
-    tau, profile = coverings[0]
+    result = covering_pass(make_dipole(3))
+    assert dict(result.histogram) == {(1, 1, 1): 1}
+    (tau, profile), = result.minimal.members
     assert tau == (0,)
     assert profile.zero_faces == (1, 1, 1)
 
 
 def test_enumerate_yields_all_pairings_in_order():
-    B = two_color_cycle(3)
-    taus = [tau for tau, _ in enumerate_coverings(B)]
-    assert len(taus) == math.factorial(3)
+    result = covering_pass(two_color_cycle(3))
+    assert sum(result.histogram.values()) == math.factorial(3)
+    taus = [tau for tau, _ in result.minimal.members]
     assert taus == sorted(taus)
 
 
 def test_enumerate_face_totals_k3():
-    B = two_color_cycle(3)
-    totals = sorted(p.total for _, p in enumerate_coverings(B))
+    histogram = covering_pass(two_color_cycle(3)).histogram
+    totals = sorted(sum(zero) for zero, n in histogram.items() for _ in range(n))
     assert totals == [2, 4, 4, 4, 4, 4]
 
 
 def test_enumerate_cap_refusal():
-    B = two_color_cycle(5)
-    with pytest.raises(ValueError, match="cap"):
-        list(enumerate_coverings(B, cap=4))
-    assert len(list(enumerate_coverings(B, cap=5))) == 120
-    assert DEFAULT_CAP == 9
+    assert MAX_K == 9
+    with pytest.raises(ValueError, match=r"k=10 exceeds the enumeration cap \(9\): "
+                                         r"10! = 3628800 pairings"):
+        covering_pass(two_color_cycle(10))
+    assert minimal_coverings(two_color_cycle(9)).count == catalan(9)
 
 
 def test_enumerate_requires_connected():
     B = ColoredGraph(k=2, sigma=((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="connected"):
-        list(enumerate_coverings(B))
+        covering_pass(B)
 
 
 def test_minimal_coverings_cycle_k3():
@@ -81,7 +80,8 @@ def test_minimal_coverings_are_the_maximizers():
     B = two_color_cycle(3)
     mcs = minimal_coverings(B)
     members = {tau for tau, _ in mcs.members}
-    for tau, profile in enumerate_coverings(B):
+    for tau in itertools.permutations(range(B.k)):
+        profile = face_profile(CoveringGraph(base=B, tau=tau))
         if tau in members:
             assert profile.total == mcs.gamma
         else:
@@ -227,7 +227,6 @@ def test_pass_matches_face_profile_for_every_covering():
     for B in PASS_GRAPHS:
         expected = [(tau, face_profile(CoveringGraph(base=B, tau=tau)))
                     for tau in itertools.permutations(range(B.k))]
-        assert list(enumerate_coverings(B)) == expected, B
         result = covering_pass(B)
         assert dict(result.histogram) == Counter(p.zero_faces for _, p in expected), B
         gamma = max(p.total for _, p in expected)
@@ -272,19 +271,13 @@ def test_pass_many_colors():
 def test_pass_errors_come_before_any_sweep():
     enumeration._sweep.cache_clear()
     with pytest.raises(ValueError, match="cap"):
-        minimal_coverings(two_color_cycle(5), cap=4)
+        minimal_coverings(two_color_cycle(10))
     with pytest.raises(ValueError, match="connected"):
         covering_pass(ColoredGraph(k=2, sigma=((0, 1), (0, 1))))
     with pytest.raises(ValueError, match="cap"):
-        gaussian_exact_mean(two_color_cycle(5), (1, 1), 2, cap=4)
+        gaussian_exact_mean(two_color_cycle(10), (1, 1), 2)
     info = enumeration._sweep.cache_info()
     assert (info.hits, info.misses) == (0, 0)
-    # a graph already in the cache is still checked against the caller's cap
-    covering_pass(two_color_cycle(5))
-    with pytest.raises(ValueError, match="cap"):
-        covering_pass(two_color_cycle(5), cap=4)
-    with pytest.raises(ValueError, match="cap"):
-        list(enumerate_coverings(two_color_cycle(5), cap=4))
 
 
 def test_consumers_share_one_sweep():
@@ -296,5 +289,6 @@ def test_consumers_share_one_sweep():
     wick = gaussian_exact_mean(B, (1, 2, 1), 3)
     assert enumeration._sweep.cache_info().misses == 1
     assert (mcs.gamma, report.count_enum) == (2 * 5 + 1, 1)
-    assert wick == sum(math.prod(d ** f for d, f in zip((3, 6, 3), p.zero_faces))
-                       for _, p in enumerate_coverings(B))
+    assert wick == sum(math.prod(d ** f for d, f in zip(
+        (3, 6, 3), face_profile(CoveringGraph(base=B, tau=tau)).zero_faces))
+        for tau in itertools.permutations(range(B.k)))

@@ -88,23 +88,6 @@ def test_is_melonic_requires_connected():
         is_melonic(B)
 
 
-def test_is_melonic_picker_independent():
-    rng = np.random.default_rng(23)
-    for trial in range(15):
-        D = int(rng.integers(3, 6))
-        k = int(rng.integers(2, 6))
-        B = make_melonic(random_melonic_recipe(rng, D, k))
-
-        def pick_last(eligible):
-            return eligible[-1]
-
-        def pick_random(eligible):
-            return eligible[int(rng.integers(len(eligible)))]
-
-        assert is_melonic(B, picker=pick_last)
-        assert is_melonic(B, picker=pick_random)
-
-
 def test_random_melonic_recipe_bounds():
     rng = np.random.default_rng(5)
     for _ in range(30):

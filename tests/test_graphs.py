@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -6,8 +5,7 @@ import pytest
 
 from tul.families import CycleSpec, make_cycle_graph, make_dipole
 from tul.graphs import (ColoredGraph, CoveringGraph, FaceProfile, face_profile, genus,
-                        graph_from_json_dict, graph_to_json_dict, is_connected,
-                        load_graph)
+                        graph_from_json_dict, graph_to_json_dict, is_connected)
 from tul.permutations import identity
 
 
@@ -111,13 +109,6 @@ def test_json_diagnostics_name_fields():
         graph_from_json_dict({"k": 1, "D": 3, "sigma": [[1]]})
     with pytest.raises(ValueError):
         graph_from_json_dict([1, 2, 3])
-
-
-def test_load_graph(tmp_path):
-    B = two_color_cycle(2)
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(graph_to_json_dict(B)))
-    assert load_graph(str(path)) == B
 
 
 def test_face_profile_total_consistency():
