@@ -7,8 +7,8 @@ from .asymptotics import (AsymptoticPrediction, CrossCheckError, CrossCheckRepor
                           predict_cycle_mm, predict_cycle_mn, predict_generic,
                           predict_melonic)
 from .enumeration import (MAX_K, CoveringPass, MinimalCoveringSet, catalan, covering_pass,
-                          limit_coefficient, minimal_coverings, narayana,
-                          narayana_face_distribution, narayana_recurrence)
+                          enumerate_coverings, limit_coefficient, minimal_coverings,
+                          narayana, narayana_face_distribution, narayana_recurrence)
 from .families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict,
                        cycle_spec_to_json_dict, is_melonic, make_cycle_graph,
                        make_dipole, make_melonic, melonic_recipe_from_json_dict,
@@ -31,7 +31,7 @@ __all__ = [
     "Perm", "ScanRow", "TensorSpec", "UniversalityReport", "VerifySuiteConfig",
     "apply_unitaries", "catalan", "compose", "covering_pass", "cross_check", "cycle_count",
     "cycle_spec_from_json_dict", "cycle_spec_to_json_dict", "cycles",
-    "face_profile", "gaussian_exact_mean",
+    "enumerate_coverings", "face_profile", "gaussian_exact_mean",
     "genus", "graph_from_json_dict", "graph_to_json_dict", "identity",
     "inverse", "is_connected", "is_melonic", "limit_coefficient",
     "make_cycle_graph", "make_dipole", "make_melonic",

@@ -13,6 +13,7 @@ once and one color at a time.  The pass keeps two things:
 
 The result is cached per graph, so gamma, the Catalan/Narayana counts, the
 limit coefficient and the exact Wick integer all come from one sweep.
+`enumerate_coverings` reads the same blocks one covering at a time.
 
 Graphs must be connected and have k <= MAX_K = 9, i.e. at most 362,880
 coverings.  Both are checked on every call, before the cache is consulted.
@@ -162,16 +163,28 @@ def _sweep(B: ColoredGraph) -> CoveringPass:
                         minimal=minimal)
 
 
-def covering_pass(B: ColoredGraph) -> CoveringPass:
-    """The face histogram and minimal coverings of B, from one cached sweep."""
+def _check_graph(B: ColoredGraph):
     if not is_connected(B):
-        raise ValueError("covering_pass expects a connected graph")
+        raise ValueError("the covering sweep expects a connected graph")
     if B.k > MAX_K:
         raise ValueError(
             f"k={B.k} exceeds the enumeration cap ({MAX_K}): "
             f"{B.k}! = {math.factorial(B.k)} pairings"
         )
+
+
+def covering_pass(B: ColoredGraph) -> CoveringPass:
+    """The face histogram and minimal coverings of B, from one cached sweep."""
+    _check_graph(B)
     return _sweep(B)
+
+
+def enumerate_coverings(B: ColoredGraph) -> Iterator[tuple[Perm, FaceProfile]]:
+    """Yield (tau, FaceProfile) for every tau in S_k, in lexicographic order."""
+    _check_graph(B)
+    for taus, faces in _blocks(B):
+        for tau, zero in zip(taus.tolist(), faces.tolist()):
+            yield tuple(tau), FaceProfile(zero_faces=tuple(zero), total=sum(zero))
 
 
 def minimal_coverings(B: ColoredGraph) -> MinimalCoveringSet:

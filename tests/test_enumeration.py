@@ -7,9 +7,9 @@ import pytest
 
 from tul import enumeration
 from tul.asymptotics import cross_check
-from tul.enumeration import (MAX_K, catalan, covering_pass, limit_coefficient,
-                             minimal_coverings, narayana, narayana_face_distribution,
-                             narayana_recurrence)
+from tul.enumeration import (MAX_K, catalan, covering_pass, enumerate_coverings,
+                             limit_coefficient, minimal_coverings, narayana,
+                             narayana_face_distribution, narayana_recurrence)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic,
                           random_melonic_recipe)
 from tul.graphs import ColoredGraph, CoveringGraph, face_profile, is_connected
@@ -21,23 +21,24 @@ def two_color_cycle(k):
 
 
 def test_enumerate_single_covering_k1():
-    result = covering_pass(make_dipole(3))
-    assert dict(result.histogram) == {(1, 1, 1): 1}
-    (tau, profile), = result.minimal.members
+    B = make_dipole(3)
+    coverings = list(enumerate_coverings(B))
+    assert len(coverings) == 1
+    tau, profile = coverings[0]
     assert tau == (0,)
     assert profile.zero_faces == (1, 1, 1)
 
 
 def test_enumerate_yields_all_pairings_in_order():
-    result = covering_pass(two_color_cycle(3))
-    assert sum(result.histogram.values()) == math.factorial(3)
-    taus = [tau for tau, _ in result.minimal.members]
+    B = two_color_cycle(3)
+    taus = [tau for tau, _ in enumerate_coverings(B)]
+    assert len(taus) == math.factorial(3)
     assert taus == sorted(taus)
 
 
 def test_enumerate_face_totals_k3():
-    histogram = covering_pass(two_color_cycle(3)).histogram
-    totals = sorted(sum(zero) for zero, n in histogram.items() for _ in range(n))
+    B = two_color_cycle(3)
+    totals = sorted(p.total for _, p in enumerate_coverings(B))
     assert totals == [2, 4, 4, 4, 4, 4]
 
 
@@ -46,11 +47,15 @@ def test_enumerate_cap_refusal():
     with pytest.raises(ValueError, match=r"k=10 exceeds the enumeration cap \(9\): "
                                          r"10! = 3628800 pairings"):
         covering_pass(two_color_cycle(10))
+    with pytest.raises(ValueError, match="cap"):
+        next(enumerate_coverings(two_color_cycle(10)))
     assert minimal_coverings(two_color_cycle(9)).count == catalan(9)
 
 
 def test_enumerate_requires_connected():
     B = ColoredGraph(k=2, sigma=((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="connected"):
+        list(enumerate_coverings(B))
     with pytest.raises(ValueError, match="connected"):
         covering_pass(B)
 
@@ -80,8 +85,7 @@ def test_minimal_coverings_are_the_maximizers():
     B = two_color_cycle(3)
     mcs = minimal_coverings(B)
     members = {tau for tau, _ in mcs.members}
-    for tau in itertools.permutations(range(B.k)):
-        profile = face_profile(CoveringGraph(base=B, tau=tau))
+    for tau, profile in enumerate_coverings(B):
         if tau in members:
             assert profile.total == mcs.gamma
         else:
@@ -227,6 +231,7 @@ def test_pass_matches_face_profile_for_every_covering():
     for B in PASS_GRAPHS:
         expected = [(tau, face_profile(CoveringGraph(base=B, tau=tau)))
                     for tau in itertools.permutations(range(B.k))]
+        assert list(enumerate_coverings(B)) == expected, B
         result = covering_pass(B)
         assert dict(result.histogram) == Counter(p.zero_faces for _, p in expected), B
         gamma = max(p.total for _, p in expected)
@@ -289,6 +294,5 @@ def test_consumers_share_one_sweep():
     wick = gaussian_exact_mean(B, (1, 2, 1), 3)
     assert enumeration._sweep.cache_info().misses == 1
     assert (mcs.gamma, report.count_enum) == (2 * 5 + 1, 1)
-    assert wick == sum(math.prod(d ** f for d, f in zip(
-        (3, 6, 3), face_profile(CoveringGraph(base=B, tau=tau)).zero_faces))
-        for tau in itertools.permutations(range(B.k)))
+    assert wick == sum(math.prod(d ** f for d, f in zip((3, 6, 3), p.zero_faces))
+                       for _, p in enumerate_coverings(B))
