@@ -3,14 +3,14 @@ Gaussian entries, and seeded Monte Carlo universality scans.
 
 Two independent evaluation routes are kept deliberately separate: the naive
 route sums the delta-constrained index contractions term by term for any
-colored graph, while the cycle route matricizes the tensor and takes
-tr((M^H M)^k).  Tests lean on their agreement, so neither may be expressed
-through the other.
+colored graph, in one unoptimized einsum within DEFAULT_NAIVE_BUDGET terms,
+while the cycle route matricizes the tensor and takes tr((M^H M)^k).  Tests
+lean on their agreement, so neither may be expressed through the other.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -105,8 +105,34 @@ def sample_tensor(spec: TensorSpec, sample_index: int = 0) -> np.ndarray:
     return r * np.exp(1j * theta)
 
 
-def naive_term_count(dims, k: int) -> int:
-    return math.prod(dims) ** k
+def _check_naive_contraction(dims, B: ColoredGraph) -> None:
+    """Refuse a naive contraction of a tensor with side lengths dims over B
+    before anything is drawn or summed: the axes must match the colors, and
+    the prod_i dims_i^k scalar terms must fit DEFAULT_NAIVE_BUDGET."""
+    if len(dims) != B.D:
+        raise ValueError(f"tensor has {len(dims)} axes, graph has D={B.D} colors")
+    terms = math.prod(dims) ** B.k
+    if terms > DEFAULT_NAIVE_BUDGET:
+        raise ValueError(
+            f"naive contraction needs {terms:.3e} scalar terms, over the budget "
+            f"{DEFAULT_NAIVE_BUDGET:.1e}; use the matricized cycle route"
+        )
+
+
+# A Monte Carlo mean contracts one graph many times, so a few slots keep
+# the label lists of every graph in use; a bound on memory, not a knob.
+@functools.lru_cache(maxsize=8)
+def _naive_labels(B: ColoredGraph, axes: tuple[int, ...]):
+    """Einsum labels of the white and the black vertices of B, over the tensor
+    axes in axes.  Label j*len(axes) + a is the index of white vertex j on
+    axis axes[a]; black vertex b reads axis i at the white vertex
+    sigma_i^-1(b)."""
+    inv = [inverse(s) for s in B.sigma]
+    width = len(axes)
+    whites = tuple(tuple(j * width + a for a in range(width)) for j in range(B.k))
+    blacks = tuple(tuple(inv[i][b] * width + a for a, i in enumerate(axes))
+                   for b in range(B.k))
+    return whites, blacks
 
 
 def trace_invariant_naive(T: np.ndarray, B: ColoredGraph) -> float:
@@ -114,59 +140,35 @@ def trace_invariant_naive(T: np.ndarray, B: ColoredGraph) -> float:
 
     White vertex j carries one index per color; the color-i edge equates that
     index with slot i of the conjugate copy at black vertex sigma_i(j).  The
-    sum runs over all prod_i dims_i^k assignments.  White vertex 0 is kept as
-    a vectorized grid; the remaining k-1 whites are looped explicitly, and
-    chunk sums are accumulated with exact float summation.
+    sum runs over all prod_i dims_i^k assignments, term by term, in one
+    unoptimized einsum: no pairwise contraction order and no matricization,
+    so this route stays independent of trace_invariant_cycle.
     """
     T = np.asarray(T, dtype=np.complex128)
-    if T.ndim != B.D:
-        raise ValueError(f"tensor has {T.ndim} axes, graph has D={B.D} colors")
-    dims = T.shape
-    k, D = B.k, B.D
-    terms = naive_term_count(dims, k)
-    if terms > DEFAULT_NAIVE_BUDGET:
-        raise ValueError(
-            f"naive contraction needs {terms:.3e} scalar terms, over the budget "
-            f"{DEFAULT_NAIVE_BUDGET:.1e}; use the matricized cycle route"
-        )
-    inv = [inverse(s) for s in B.sigma]
+    _check_naive_contraction(T.shape, B)
+    k = B.k
+    # Size-1 axes carry no index.  Every remaining axis has size >= 2, so the
+    # budget caps the labels at k*D' <= 26 and the operands at 2k <= 52,
+    # within einsum's limits (52 labels, 63 operands).
+    axes = tuple(i for i, d in enumerate(T.shape) if d > 1)
+    if not axes:
+        # a single term: prod_j t * prod_b conj(t)
+        return float(np.abs(T.item()) ** (2 * k))
+    T = T.reshape([T.shape[i] for i in axes])
     Tc = np.conj(T)
-    grid = list(np.ndindex(*dims)) if k > 1 else []
-    reals: list[float] = []
-    imags: list[float] = []
-    for ws in itertools.product(grid, repeat=k - 1):
-        # ws[j-1] holds the color indices of white vertex j (j = 1..k-1)
-        white = complex(1.0)
-        for idx in ws:
-            white *= T[idx]
-        chunk = T  # white vertex 0 contributes the full grid
-        scalar = white
-        for b in range(k):
-            idx = []
-            free = []
-            for i in range(D):
-                j = inv[i][b]
-                if j == 0:
-                    idx.append(slice(None))
-                    free.append(i)
-                else:
-                    idx.append(ws[j - 1][i])
-            if free:
-                bshape = tuple(dims[i] if i in free else 1 for i in range(D))
-                chunk = chunk * Tc[tuple(idx)].reshape(bshape)
-            else:
-                scalar *= Tc[tuple(idx)]
-        total = chunk.sum() * scalar
-        reals.append(total.real)
-        imags.append(total.imag)
-    real = math.fsum(reals)
-    imag = math.fsum(imags)
-    if abs(imag) > 1e-9 * max(1.0, abs(real)):
+    whites, blacks = _naive_labels(B, axes)
+    operands: list = []
+    for labels in whites:
+        operands += (T, labels)
+    for labels in blacks:
+        operands += (Tc, labels)
+    total = complex(np.einsum(*operands, (), optimize=False))
+    if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
         raise ArithmeticError(
-            f"invariant came out non-real: {real!r} + {imag!r}j; "
+            f"invariant came out non-real: {total.real!r} + {total.imag!r}j; "
             "expected the imaginary part to cancel"
         )
-    return real
+    return total.real
 
 
 def _matricize(T: np.ndarray, spec: CycleSpec) -> np.ndarray:
@@ -290,11 +292,15 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
         per_N = [int(s) for s in samples]
         if len(per_N) != len(N_list):
             raise ValueError(f"got {len(per_N)} sample counts for {len(N_list)} values of N")
-    # every row's spec and sample count is checked before any row is sampled
+    # every row's spec, sample count and contraction budget is checked before
+    # any row is sampled
     row_specs = [replace(spec, N=N) for N in N_list]
     for N, count in zip(N_list, per_N):
         if count < 2:
             raise ValueError(f"need at least 2 samples for a standard error, got {count} at N={N}")
+    if isinstance(graph, ColoredGraph):
+        for row_spec in row_specs:
+            _check_naive_contraction(row_spec.dims, graph)
     if isinstance(graph, CycleSpec):
         prediction = predict_cycle(graph, spec.c)
     else:

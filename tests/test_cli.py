@@ -423,3 +423,20 @@ def test_removed_flags_exit_2(capsys, tensor_spec_file, cycle_spec_file, cycle22
         main(argv + inputs[argv[0]])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+def test_mc_naive_budget_exits_2_before_any_draw(capsys, monkeypatch, tmp_path):
+    def no_draw(*args):
+        raise AssertionError("sample_tensor was called")
+
+    monkeypatch.setattr("tul.tensors.sample_tensor", no_draw)
+    spec = CycleSpec(k=4, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
+    graph = _write(tmp_path, "graph.json",
+                   json.dumps(graph_to_json_dict(make_cycle_graph(spec))))
+    tensor = _write(tmp_path, "tensor.json", json.dumps({"D": 3, "c": [1, 1, 1], "N": 2,
+                                                         "distribution": "complex_gaussian"}))
+    code = main(["mc", "--spec", tensor, "--graph", graph, "--N-list", "2,16",
+                 "--samples", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "2.815e+14 scalar terms" in err and "budget" in err

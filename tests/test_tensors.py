@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic
-from tul.tensors import (DISTRIBUTIONS, TensorSpec, apply_unitaries, gaussian_exact_mean,
+from tul.tensors import (DEFAULT_NAIVE_BUDGET, DISTRIBUTIONS, TensorSpec,
+                         _check_naive_contraction, apply_unitaries, gaussian_exact_mean,
                          monte_carlo_mean, random_unitary, sample_tensor,
                          tensor_spec_from_json_dict, trace_invariant_cycle,
                          trace_invariant_naive, unitary_invariance_check,
@@ -89,6 +91,62 @@ def test_naive_budget_refusal():
     T = np.zeros((40, 40), dtype=complex)
     with pytest.raises(ValueError, match="budget"):
         trace_invariant_naive(T, B)
+
+
+def test_naive_budget_boundary():
+    # exactly the budget is accepted; 17 * 5882353 = 10^8 + 1 is refused
+    assert DEFAULT_NAIVE_BUDGET == 100 ** 4
+    _check_naive_contraction((100, 100), make_cycle_graph(cycle_11(2)))
+    with pytest.raises(ValueError, match=r"1\.000e\+08 scalar terms, over the budget"):
+        _check_naive_contraction((17, 5882353), make_cycle_graph(cycle_11(1)))
+
+
+def test_naive_all_sides_one():
+    # one term, t^k conj(t)^k, even where 2k operands would exceed einsum's limit
+    t = 0.9 + 0.35j
+    B = make_cycle_graph(cycle_11(40))
+    value = trace_invariant_naive(np.full((1, 1), t), B)
+    assert value == pytest.approx(abs(t) ** 80, rel=1e-12)
+
+
+def test_naive_size_one_axis_matches_cycle():
+    rng = np.random.default_rng(19)
+    spec = CycleSpec(k=3, m_colors=frozenset([1, 3]), n_colors=frozenset([2]))
+    T = rng.standard_normal((3, 1, 2)) + 1j * rng.standard_normal((3, 1, 2))
+    naive = trace_invariant_naive(T, make_cycle_graph(spec))
+    assert naive == pytest.approx(trace_invariant_cycle(T, spec), rel=1e-9)
+
+
+@st.composite
+def cycle_cases(draw):
+    """A random (m,n)-cycle spec, k <= 4 and sides 1-4, with at most 10^5
+    naive terms, and a complex tensor of those sides."""
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    colors = draw(st.permutations(range(1, m + n + 1)))
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=m + n, max_size=m + n)))
+    k_max = max(k for k in range(1, 5) if math.prod(dims) ** k <= 10 ** 5)
+    spec = CycleSpec(k=draw(st.integers(1, k_max)), m_colors=frozenset(colors[:m]),
+                     n_colors=frozenset(colors[m:]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    T = (rng.standard_normal(dims) + 1j * rng.standard_normal(dims)) * 0.8
+    return spec, T
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(cycle_cases())
+def test_property_naive_matches_cycle(case):
+    spec, T = case
+    naive = trace_invariant_naive(T, make_cycle_graph(spec))
+    assert naive == pytest.approx(trace_invariant_cycle(T, spec), rel=1e-9)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(cycle_cases(), st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0))
+def test_property_naive_homogeneity(case, lam):
+    spec, T = case
+    B = make_cycle_graph(spec)
+    scaled = trace_invariant_naive(lam * T, B)
+    assert scaled == pytest.approx(abs(lam) ** (2 * B.k) * trace_invariant_naive(T, B), rel=1e-9)
 
 
 def test_naive_shape_mismatch():
