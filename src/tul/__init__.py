@@ -12,8 +12,7 @@ from .enumeration import (MAX_K, CoveringPass, MinimalCoveringSet, catalan, cove
 from .families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict,
                        cycle_spec_to_json_dict, is_melonic, make_cycle_graph,
                        make_dipole, make_melonic, melonic_recipe_from_json_dict,
-                       melonic_recipe_to_json_dict, random_melonic_recipe,
-                       split_cycle_graph)
+                       melonic_recipe_to_json_dict, random_melonic_recipe)
 from .graphs import (ColoredGraph, CoveringGraph, FaceProfile, face_profile, genus,
                      graph_from_json_dict, graph_to_json_dict, is_connected)
 from .permutations import Perm, compose, cycle_count, cycles, identity, inverse
@@ -40,7 +39,7 @@ __all__ = [
     "narayana", "narayana_face_distribution", "narayana_recurrence",
     "predict_cycle", "predict_cycle_mm", "predict_cycle_mn", "predict_generic",
     "predict_melonic", "random_melonic_recipe", "random_unitary",
-    "run_verify_suite", "sample_tensor", "split_cycle_graph", "suite_passed",
+    "run_verify_suite", "sample_tensor", "suite_passed",
     "tensor_spec_from_json_dict", "trace_invariant_cycle",
     "trace_invariant_naive", "unitary_invariance_check", "universality_scan",
 ]

@@ -14,7 +14,6 @@ import dataclasses
 import io
 import json
 import sys
-from fractions import Fraction
 
 from .asymptotics import CrossCheckError, predict_cycle, predict_melonic
 from .enumeration import minimal_coverings, narayana_face_distribution
@@ -58,16 +57,6 @@ def _load_json(path: str):
         raise CliError(f"cannot read {path}: {err.strerror or err}") from None
     except json.JSONDecodeError as err:
         raise CliError(f"{path} is not valid JSON: {err}") from None
-
-
-def _parse_ratios(raw: str) -> list[Fraction]:
-    out = []
-    for i, tok in enumerate(raw.split(","), start=1):
-        try:
-            out.append(Fraction(tok.strip()))
-        except (ValueError, ZeroDivisionError):
-            raise CliError(f"--c entry {i} is not a number or 'p/q' ratio: {tok.strip()!r}") from None
-    return out
 
 
 def _emit(args, text: str):
@@ -125,12 +114,10 @@ def _cmd_asym(args) -> int:
     if args.family == "melonic":
         recipe = melonic_recipe_from_json_dict(spec_data)
         B = make_melonic(recipe)
-        c = _parse_ratios(args.c) if args.c else [Fraction(1)] * B.D
-        pred = predict_melonic(B, c)
+        pred = predict_melonic(B, args.c.split(",") if args.c else [1] * B.D)
     else:
         spec = cycle_spec_from_json_dict(spec_data)
-        c = _parse_ratios(args.c) if args.c else [Fraction(1)] * spec.D
-        pred = predict_cycle(spec, c)
+        pred = predict_cycle(spec, args.c.split(",") if args.c else [1] * spec.D)
     if args.format == "csv":
         _emit(args, _csv_text(["family", "gamma", "coefficient"],
                               [[pred.family, pred.gamma, repr(pred.coefficient)]]))

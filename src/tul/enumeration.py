@@ -30,7 +30,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .graphs import ColoredGraph, FaceProfile, is_connected
+from .graphs import ColoredGraph, FaceProfile, is_connected, side_ratios
 from .permutations import Perm, identity, inverse
 
 # The largest k a sweep accepts.  A resource limit, not a tuning knob: the
@@ -193,20 +193,19 @@ def minimal_coverings(B: ColoredGraph) -> MinimalCoveringSet:
 
 
 def check_ratios(c, D: int) -> list[float]:
-    """The D side ratios as floats, each positive and inside the float range."""
-    c = list(c)
-    if len(c) != D:
-        raise ValueError(f"expected {D} side ratios, got {len(c)}")
+    """The D side ratios read by graphs.side_ratios, as floats.
+
+    A library float comes back unchanged.  An exact ratio that a float
+    cannot hold is refused rather than rounded to 0.0 or inf.
+    """
     out = []
-    for i, x in enumerate(c, start=1):
+    for i, x in enumerate(side_ratios(c, D), start=1):
         try:
             f = float(x)
         except OverflowError:
-            raise ValueError(f"side ratio c[{i}] = {x} overflows a float") from None
-        if f == 0.0 and x > 0:
-            raise ValueError(f"side ratio c[{i}] = {x} underflows a float to 0.0")
-        if not 0.0 < f < math.inf:
-            raise ValueError(f"side ratio c[{i}] must be positive and finite, got {x}")
+            raise ValueError(f"side ratio 'c[{i}]' = {x} overflows a float") from None
+        if f == 0.0:
+            raise ValueError(f"side ratio 'c[{i}]' = {x} underflows a float to 0.0")
         out.append(f)
     return out
 

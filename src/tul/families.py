@@ -129,37 +129,6 @@ def make_cycle_graph(spec: CycleSpec) -> ColoredGraph:
     return ColoredGraph(k=k, sigma=tuple(rows))
 
 
-def split_cycle_graph(R: ColoredGraph, spec: CycleSpec) -> list[tuple[tuple[int, ...], ColoredGraph]]:
-    """Split an (m,n)-cycle graph into the component cycle graphs.
-
-    For m=n the result is m (1,1)-cycle graphs pairing the nu-th smallest
-    m-color with the nu-th smallest n-color; for m<n it is m-1 such pairs
-    plus one (1, n-m+1)-cycle graph carrying the last m-color and the n-m+1
-    remaining n-colors.  Each part is returned with the tuple of original
-    colors its rows correspond to (sorted), so that reassembling the rows by
-    color reproduces R exactly.
-    """
-    if R != make_cycle_graph(spec):
-        raise ValueError("graph does not match the cycle spec")
-    m, n = spec.m, spec.n
-    if m > n:
-        raise ValueError(f"split requires m <= n, got m={m} > n={n}")
-    mc = sorted(spec.m_colors)
-    nc = sorted(spec.n_colors)
-    groups: list[list[int]] = []
-    if m == n:
-        groups = [[mc[v], nc[v]] for v in range(m)]
-    else:
-        groups = [[mc[v], nc[v]] for v in range(m - 1)]
-        groups.append([mc[m - 1]] + nc[m - 1:])
-    parts = []
-    for colors in groups:
-        colors = tuple(sorted(colors))
-        rows = tuple(R.sigma[c - 1] for c in colors)
-        parts.append((colors, ColoredGraph(k=spec.k, sigma=rows)))
-    return parts
-
-
 def is_melonic(B: ColoredGraph) -> bool:
     """True iff B reduces to a dipole by repeatedly deleting a white/black
     pair joined by exactly D-1 parallel edges (undoing a melonic insertion).

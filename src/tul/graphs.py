@@ -14,9 +14,8 @@ enumeration layer refuses them) so that degenerate cases stay unit-testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .permutations import Perm, compose, cycle_count, inverse, is_perm
 
@@ -62,29 +61,18 @@ class CoveringGraph:
 
 @dataclass(frozen=True)
 class FaceProfile:
-    """Per-color (0,i)-face counts of a covering, plus optional (i,j) counts."""
+    """Per-color (0,i)-face counts of a covering and their total."""
 
     zero_faces: tuple[int, ...]
     total: int
-    pair_faces: Mapping[tuple[int, int], int] | None = field(default=None, compare=False)
 
 
-def face_profile(G: CoveringGraph, with_pairs: bool = False) -> FaceProfile:
-    """Count (0,i)-faces for every color i; optionally also (i,j)-faces.
-
-    zero_faces[i-1] is the cycle count of tau^-1 * sigma_i; pair_faces maps a
-    1-based color pair (i, j), i < j, to the cycle count of sigma_j^-1 * sigma_i.
-    """
+def face_profile(G: CoveringGraph) -> FaceProfile:
+    """Count (0,i)-faces for every color i: zero_faces[i-1] is the cycle
+    count of tau^-1 * sigma_i."""
     inv_tau = inverse(G.tau)
     zero = tuple(cycle_count(compose(inv_tau, s)) for s in G.base.sigma)
-    pairs = None
-    if with_pairs:
-        pairs = {
-            (i + 1, j + 1): cycle_count(compose(inverse(G.base.sigma[j]), G.base.sigma[i]))
-            for i in range(G.base.D)
-            for j in range(i + 1, G.base.D)
-        }
-    return FaceProfile(zero_faces=zero, total=sum(zero), pair_faces=pairs)
+    return FaceProfile(zero_faces=zero, total=sum(zero))
 
 
 def is_connected(B: ColoredGraph) -> bool:
@@ -114,8 +102,8 @@ def genus(G: CoveringGraph) -> Fraction:
     """
     if G.base.D != 2:
         raise ValueError(f"genus is only supported for D=2 coverings, got D={G.base.D}")
-    profile = face_profile(G, with_pairs=True)
-    faces = profile.total + profile.pair_faces[(1, 2)]
+    sigma = G.base.sigma
+    faces = face_profile(G).total + cycle_count(compose(inverse(sigma[1]), sigma[0]))
     k = G.base.k
     return Fraction(2 - (faces - 3 * k + 2 * k), 2)
 
@@ -128,6 +116,30 @@ def is_json_int(x) -> bool:
     """True for a JSON integer.  bool is an int in Python, but JSON true and
     false are not numbers."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def side_ratios(c, D: int) -> tuple[Fraction, ...]:
+    """The D side ratios c_i of a c_1 N x ... x c_D N tensor, as exact Fractions.
+
+    The one reader of side ratios.  An entry may be an int, a Fraction, a
+    float (read as its exact value) or a decimal or 'p/q' string.  bool,
+    non-finite, zero and negative entries are refused, naming the entry as
+    'c[i]'.
+    """
+    c = tuple(c)
+    if len(c) != D:
+        raise ValueError(f"expected {D} side ratios, got {len(c)}")
+    out = []
+    for i, x in enumerate(c, start=1):
+        try:
+            ratio = None if isinstance(x, bool) else Fraction(x)
+        except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+            ratio = None
+        if ratio is None or ratio <= 0:
+            raise ValueError(f"side ratio 'c[{i}]' must be a positive finite number or "
+                             f"'p/q' ratio, got {x!r}")
+        out.append(ratio)
+    return tuple(out)
 
 
 def graph_to_json_dict(B: ColoredGraph) -> dict:

@@ -20,7 +20,7 @@ import numpy as np
 from .asymptotics import predict_cycle, predict_generic
 from .enumeration import covering_pass
 from .families import CycleSpec
-from .graphs import ColoredGraph, is_json_int
+from .graphs import ColoredGraph, is_json_int, side_ratios
 from .permutations import inverse
 
 DISTRIBUTIONS = ("complex_gaussian", "complex_rademacher", "uniform_disc")
@@ -32,17 +32,16 @@ MAX_TENSOR_ENTRIES = 2 ** 26
 
 
 def side_lengths(c, N: int, D: int) -> tuple[int, ...]:
-    """The side lengths c_i N of a D-tensor, each a positive integer."""
+    """The side lengths c_i N of a D-tensor, each a positive integer.
+
+    The ratios c are read by graphs.side_ratios, so they are exact: a c_i N
+    that is not an integer is refused, never rounded.
+    """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    if len(c) != D:
-        raise ValueError(f"expected {D} side ratios, got {len(c)}")
     dims = []
-    for i, ci in enumerate(c, start=1):
-        ci = Fraction(ci)
+    for i, ci in enumerate(side_ratios(c, D), start=1):
         d = ci * N
-        if ci <= 0:
-            raise ValueError(f"c[{i}] must be positive, got {ci}")
         if d.denominator != 1:
             raise ValueError(f"c[{i}]*N = {ci}*{N} is not an integer")
         dims.append(d.numerator)
@@ -67,7 +66,7 @@ class TensorSpec:
     def __post_init__(self):
         if self.D < 1:
             raise ValueError(f"D must be positive, got {self.D}")
-        object.__setattr__(self, "c", tuple(Fraction(x) for x in self.c))
+        object.__setattr__(self, "c", side_ratios(self.c, self.D))
         dims = side_lengths(self.c, self.N, self.D)
         entries = math.prod(dims)
         if entries > MAX_TENSOR_ENTRIES:
@@ -233,6 +232,8 @@ def monte_carlo_mean(spec: TensorSpec, graph, samples: int) -> tuple[float, floa
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
     evaluate = _evaluator(graph)
+    if isinstance(graph, ColoredGraph):
+        _check_naive_contraction(spec.dims, graph)
     values = np.array([evaluate(sample_tensor(spec, i)) for i in range(samples)])
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples))
@@ -319,7 +320,8 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
 
 
 def tensor_spec_from_json_dict(data) -> TensorSpec:
-    """Build a TensorSpec from its JSON form; ratios may be numbers or 'p/q'."""
+    """Build a TensorSpec from its JSON form; ratios may be numbers, decimal
+    strings or 'p/q' strings."""
     if not isinstance(data, dict):
         raise ValueError("tensor spec JSON must be an object")
     for key in ("D", "c", "N", "distribution"):
@@ -330,22 +332,14 @@ def tensor_spec_from_json_dict(data) -> TensorSpec:
             raise ValueError(f"field '{key}' must be an integer, got {data[key]!r}")
     if not isinstance(data["c"], list):
         raise ValueError("field 'c' must be a list of ratios")
-    ratios = []
-    for i, x in enumerate(data["c"], start=1):
-        if isinstance(x, float) and not math.isfinite(x):
-            raise ValueError(f"field 'c[{i}]' must be a finite number, got {x!r}")
-        if isinstance(x, bool):
-            raise ValueError(f"field 'c[{i}]' is not a number or 'p/q' ratio: {x!r}")
-        try:
-            ratios.append(Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10 ** 9))
-        except (ValueError, TypeError, ZeroDivisionError):
-            raise ValueError(f"field 'c[{i}]' is not a number or 'p/q' ratio: {x!r}") from None
+    # a JSON number is read as its decimal text, as a --c token is: 0.1 is 1/10
+    ratios = tuple(float.__repr__(x) if isinstance(x, float) else x for x in data["c"])
     if not isinstance(data["distribution"], str):
         raise ValueError(f"field 'distribution' must be a string, got {data['distribution']!r}")
     seed = data.get("seed", 0)
     if not is_json_int(seed):
         raise ValueError(f"field 'seed' must be an integer, got {seed!r}")
-    return TensorSpec(D=data["D"], c=tuple(ratios), N=data["N"],
+    return TensorSpec(D=data["D"], c=ratios, N=data["N"],
                       distribution=data["distribution"], seed=seed)
 
 

@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,13 @@ def test_prediction_validation():
         AsymptoticPrediction(gamma=1, coefficient=0.0, family="generic")
     with pytest.raises(ValueError):
         AsymptoticPrediction(gamma=1, coefficient=1.0, family="nonsense")
+
+
+def test_predict_cycle_reads_ratios_like_tensor_spec():
+    spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2]))
+    assert predict_cycle(spec, ("3/2", 1)) == predict_cycle(spec, (Fraction(3, 2), 1))
+    with pytest.raises(ValueError, match=re.escape("'c[1]'")):
+        predict_cycle(spec, (True, 1))
 
 
 def test_predict_melonic_uniform_ratios():

@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tul.asymptotics import predict_cycle
 from tul.cli import main
 from tul.enumeration import catalan
 from tul.families import (CycleSpec, cycle_spec_to_json_dict, make_cycle_graph,
                           melonic_recipe_to_json_dict, MelonicRecipe)
 from tul.graphs import graph_to_json_dict
+from tul.tensors import TensorSpec, tensor_spec_from_json_dict
 
 
 @pytest.fixture
@@ -140,7 +146,7 @@ def test_asym_bad_ratio(capsys, tmp_path):
     path.write_text(json.dumps(cycle_spec_to_json_dict(spec)))
     code = main(["asym", "--family", "cycle", "--spec", str(path), "--c", "1,zap"])
     assert code == 2
-    assert "entry 2" in capsys.readouterr().err
+    assert "'c[2]'" in capsys.readouterr().err
 
 
 def test_asym_csv(capsys, tmp_path):
@@ -275,6 +281,15 @@ def test_mc_non_finite_ratio_exits_2(capsys, tmp_path, cycle_spec_file):
         code = main(["mc", "--spec", spec, "--cycle", cycle_spec_file])
         assert code == 2
         assert "'c[1]'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x", [1e-10, 0.3333333333])
+def test_mc_json_float_ratio_is_its_decimal_text(capsys, tmp_path, cycle_spec_file, x):
+    # read as --c reads the same text: neither 0 nor 1/3, so c_1 N is not an integer
+    spec = _write(tmp_path, "tensor.json", json.dumps({"D": 2, "c": [x, 1], "N": 3,
+                                                       "distribution": "complex_gaussian"}))
+    assert main(["mc", "--spec", spec, "--cycle", cycle_spec_file]) == 2
+    assert f"c[1]*N = {Fraction(repr(x))}*3 is not an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [("D", True), ("N", True), ("seed", False),
@@ -440,3 +455,30 @@ def test_mc_naive_budget_exits_2_before_any_draw(capsys, monkeypatch, tmp_path):
     assert code == 2
     err = capsys.readouterr().err
     assert "2.815e+14 scalar terms" in err and "budget" in err
+
+
+@pytest.fixture(scope="module")
+def cycle11_k3_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ratios") / "cycle.json"
+    path.write_text(json.dumps({"k": 3, "m_colors": [1], "n_colors": [2]}))
+    return str(path)
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 1000), st.integers(1, 1000))
+def test_property_ratio_readers_agree(cycle11_k3_spec, p, q):
+    # one ratio p/q as a --c token, a JSON string and a library Fraction
+    token, exact = f"{p}/{q}", Fraction(p, q)
+    fields = {"D": 2, "N": exact.denominator, "distribution": "complex_gaussian", "seed": 0}
+    library = TensorSpec(c=(exact, 1), **fields)
+    assert tensor_spec_from_json_dict({"c": [token, 1], **fields}).c == library.c
+    assert TensorSpec(c=(token, "1"), **fields).c == library.c == (exact, 1)
+    spec = CycleSpec(k=3, m_colors=frozenset([1]), n_colors=frozenset([2]))
+    prediction = predict_cycle(spec, (exact, 1))
+    assert predict_cycle(spec, (token, "1")) == prediction
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["asym", "--family", "cycle", "--spec", cycle11_k3_spec,
+                     "--c", f"{token},1"])
+    assert code == 0
+    assert json.loads(out.getvalue())["coefficient"] == prediction.coefficient

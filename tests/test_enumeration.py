@@ -4,10 +4,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tul import enumeration
 from tul.asymptotics import cross_check
-from tul.enumeration import (MAX_K, catalan, covering_pass, enumerate_coverings,
+from tul.enumeration import (MAX_K, catalan, check_ratios, covering_pass, enumerate_coverings,
                              limit_coefficient, minimal_coverings, narayana,
                              narayana_face_distribution, narayana_recurrence)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic,
@@ -119,6 +120,12 @@ def test_limit_coefficient_errors():
         limit_coefficient(B, (1.0,))
     with pytest.raises(ValueError):
         limit_coefficient(B, (1.0, -2.0))
+
+
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_property_check_ratios_keeps_library_floats(x):
+    # a positive finite float is read as its exact value, so no rounding
+    assert check_ratios([x], 1) == [x]
 
 
 def test_catalan_values():

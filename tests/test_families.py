@@ -4,8 +4,7 @@ import pytest
 from tul.families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict,
                           cycle_spec_to_json_dict, is_melonic, make_cycle_graph,
                           make_dipole, make_melonic, melonic_recipe_from_json_dict,
-                          melonic_recipe_to_json_dict, random_melonic_recipe,
-                          split_cycle_graph)
+                          melonic_recipe_to_json_dict, random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
 from tul.permutations import identity
 
@@ -118,50 +117,6 @@ def test_make_cycle_graph_rows():
     shift = (1, 2, 0)
     assert B.sigma == (shift, identity(3), shift)
     assert is_connected(B)
-
-
-def test_split_cycle_graph_equal():
-    spec = CycleSpec(k=2, m_colors=frozenset([1, 4]), n_colors=frozenset([2, 3]))
-    R = make_cycle_graph(spec)
-    parts = split_cycle_graph(R, spec)
-    assert [colors for colors, _ in parts] == [(1, 2), (3, 4)]
-    shift = (1, 0)
-    for colors, part in parts:
-        assert part.k == 2
-        assert part.D == 2
-        # each part is itself a two-color cycle graph carrying rows of R
-        assert set(part.sigma) == {identity(2), shift}
-        assert part == ColoredGraph(k=2, sigma=tuple(R.sigma[c - 1] for c in colors))
-    # reassembling rows by color reproduces R
-    rows = [None] * spec.D
-    for colors, part in parts:
-        for pos, color in enumerate(colors):
-            rows[color - 1] = part.sigma[pos]
-    assert ColoredGraph(k=spec.k, sigma=tuple(rows)) == R
-
-
-def test_split_cycle_graph_unequal():
-    spec = CycleSpec(k=3, m_colors=frozenset([1, 2]), n_colors=frozenset([3, 4, 5]))
-    R = make_cycle_graph(spec)
-    parts = split_cycle_graph(R, spec)
-    assert [colors for colors, _ in parts] == [(1, 3), (2, 4, 5)]
-    assert parts[0][1].D == 2
-    assert parts[1][1].D == 3
-    rows = [None] * spec.D
-    for colors, part in parts:
-        for pos, color in enumerate(colors):
-            rows[color - 1] = part.sigma[pos]
-    assert ColoredGraph(k=spec.k, sigma=tuple(rows)) == R
-
-
-def test_split_cycle_graph_errors():
-    spec = CycleSpec(k=2, m_colors=frozenset([1, 2]), n_colors=frozenset([3]))
-    R = make_cycle_graph(spec)
-    with pytest.raises(ValueError, match="m <= n"):
-        split_cycle_graph(R, spec)
-    good = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2]))
-    with pytest.raises(ValueError, match="does not match"):
-        split_cycle_graph(make_cycle_graph(good), spec)
 
 
 def test_cycle_spec_json_round_trip():

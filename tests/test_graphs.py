@@ -6,7 +6,6 @@ import pytest
 from tul.families import CycleSpec, make_cycle_graph, make_dipole
 from tul.graphs import (ColoredGraph, CoveringGraph, FaceProfile, face_profile, genus,
                         graph_from_json_dict, graph_to_json_dict, is_connected)
-from tul.permutations import identity
 
 
 def two_color_cycle(k):
@@ -48,16 +47,6 @@ def test_face_totals_two_color_cycle_k3():
     totals = sorted(face_profile(CoveringGraph(base=B, tau=tau)).total
                     for tau in permutations(range(3)))
     assert totals == [2, 4, 4, 4, 4, 4]
-
-
-def test_pair_faces():
-    B = two_color_cycle(3)
-    profile = face_profile(CoveringGraph(base=B, tau=identity(3)), with_pairs=True)
-    # sigma_2^{-1} sigma_1 is the 3-cycle: one face between colors 1 and 2
-    assert profile.pair_faces == {(1, 2): 1}
-    no_pairs = face_profile(CoveringGraph(base=B, tau=identity(3)))
-    assert no_pairs.pair_faces is None
-    assert no_pairs == profile  # pair_faces is excluded from comparison
 
 
 def test_is_connected():
