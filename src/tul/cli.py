@@ -21,7 +21,7 @@ from .families import (cycle_spec_from_json_dict, make_cycle_graph, make_melonic
                        melonic_recipe_from_json_dict)
 from .graphs import graph_from_json_dict
 from .permutations import cycle_string, to_one_based
-from .tensors import tensor_spec_from_json_dict, universality_scan
+from .tensors import STREAM, tensor_spec_from_json_dict, universality_scan
 from .verify import FAMILIES, VerifySuiteConfig, run_verify_suite, suite_passed
 
 SCHEMA = 1
@@ -148,6 +148,7 @@ def _cmd_mc(args) -> int:
         return 0
     data = {
         "schema": SCHEMA,
+        "stream": STREAM,
         "graph": report.graph_id,
         "distribution": report.distribution,
         "gamma": report.gamma,
@@ -172,7 +173,7 @@ def _cmd_verify(args) -> int:
         rows = [[r.name, r.passed, r.detail] for r in results]
         _emit(args, _csv_text(["check", "passed", "detail"], rows))
     else:
-        data = {"schema": SCHEMA, "passed": passed,
+        data = {"schema": SCHEMA, "stream": STREAM, "passed": passed,
                 "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                            for r in results]}
         _emit(args, _json_text(data))

@@ -196,16 +196,19 @@ def check_ratios(c, D: int) -> list[float]:
     """The D side ratios read by graphs.side_ratios, as floats.
 
     A library float comes back unchanged.  An exact ratio that a float
-    cannot hold is refused rather than rounded to 0.0 or inf.
+    cannot hold is refused rather than rounded to 0.0 or inf; the message
+    gives its power of ten, not its digits.
     """
     out = []
     for i, x in enumerate(side_ratios(c, D), start=1):
         try:
             f = float(x)
         except OverflowError:
-            raise ValueError(f"side ratio 'c[{i}]' = {x} overflows a float") from None
-        if f == 0.0:
-            raise ValueError(f"side ratio 'c[{i}]' = {x} underflows a float to 0.0")
+            f = math.inf
+        if f == 0.0 or f == math.inf:
+            size = f"~1e{round(math.log10(x.numerator) - math.log10(x.denominator))}"
+            lost = "overflows a float" if f else "underflows a float to 0.0"
+            raise ValueError(f"side ratio 'c[{i}]' = {size} {lost}")
         out.append(f)
     return out
 

@@ -1,6 +1,11 @@
 """Random tensor sampling, exact trace-invariant evaluation, Wick sums for
 Gaussian entries, and seeded Monte Carlo universality scans.
 
+Samples come in block substreams of the seed: block b holds the next
+K = max(1, BLOCK_ENTRIES // prod(dims)) samples and is one sequential draw
+from PCG64(seed) advanced by b * 2^64 steps.  Sample i, entry i % K of block
+i // K, depends only on (seed, i), never on how many samples are drawn.
+
 Two independent evaluation routes are kept deliberately separate: the naive
 route sums the delta-constrained index contractions term by term for any
 colored graph, in one unoptimized einsum within DEFAULT_NAIVE_BUDGET terms,
@@ -29,6 +34,14 @@ DEFAULT_NAIVE_BUDGET = 10 ** 8
 
 # TensorSpec refuses tensors with more entries: 1 GiB of complex128
 MAX_TENSOR_ENTRIES = 2 ** 26
+
+# Version of the sampling stream, reported by `tul mc` and `tul verify`.  It
+# is bumped whenever a (seed, sample index) may give a different tensor;
+# BLOCK_ENTRIES is part of the stream, so changing it bumps STREAM.
+STREAM = 2
+BLOCK_ENTRIES = 4096
+
+SQRT_HALF = math.sqrt(0.5)
 
 
 def side_lengths(c, N: int, D: int) -> tuple[int, ...]:
@@ -82,26 +95,63 @@ class TensorSpec:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    # spawn_key makes sample i independent of how many samples are drawn
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def _block_size(dims) -> int:
+    """Samples per block substream for a tensor of side lengths dims."""
+    return max(1, BLOCK_ENTRIES // math.prod(dims))
 
 
-def sample_tensor(spec: TensorSpec, sample_index: int = 0) -> np.ndarray:
-    """One i.i.d. tensor draw; deterministic given (spec.seed, sample_index)."""
-    rng = _substream(spec.seed, sample_index)
-    shape = spec.dims
+def _draw_block(spec: TensorSpec, block: int, count: int) -> np.ndarray:
+    """The first count samples of block substream `block` of spec.seed: one
+    sequential draw from PCG64(seed) advanced by block * 2^64 steps."""
+    bitgen = np.random.PCG64(spec.seed)
+    bitgen.advance(block << 64)
+    rng = np.random.Generator(bitgen)
+    z = np.empty((count, *spec.dims), dtype=np.complex128)
+    x = z.view(np.float64)  # real and imaginary parts, interleaved
     if spec.distribution == "complex_gaussian":
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return z * math.sqrt(0.5)
-    if spec.distribution == "complex_rademacher":
-        re = 2.0 * rng.integers(0, 2, size=shape) - 1.0
-        im = 2.0 * rng.integers(0, 2, size=shape) - 1.0
-        return (re + 1j * im) * math.sqrt(0.5)
-    # uniform on the disc of radius sqrt(2): E|z|^2 = 1
-    r = np.sqrt(2.0 * rng.random(shape))
-    theta = 2.0 * np.pi * rng.random(shape)
-    return r * np.exp(1j * theta)
+        rng.standard_normal(out=x)
+        x *= SQRT_HALF
+    elif spec.distribution == "complex_rademacher":
+        rng.random(out=x)
+        x -= 0.5
+        np.copysign(SQRT_HALF, x, out=x)
+    else:
+        # uniform on the disc of radius sqrt(2), so E|z|^2 = 1: of each pair
+        # of uniforms (v, u), theta = 2 pi v and r = sqrt(2 u)
+        rng.random(out=x)
+        pairs = x.reshape(-1, 2)
+        theta, r = pairs[:, 0], pairs[:, 1]
+        theta *= 2.0 * np.pi
+        r *= 2.0
+        np.sqrt(r, out=r)
+        sin = np.sin(theta)
+        np.cos(theta, out=theta)
+        theta *= r
+        r *= sin
+    return z
+
+
+def sample_tensor(spec: TensorSpec, sample_index: int = 0, count: int | None = None) -> np.ndarray:
+    """I.i.d. tensor draws, deterministic given (spec.seed, sample index).
+
+    Returns sample sample_index, or with count the stack of samples
+    sample_index, ..., sample_index + count - 1.  Sample i is entry i % K of
+    block substream i // K, K = max(1, BLOCK_ENTRIES // prod(dims)); a block
+    is one sequential draw, so a sample does not depend on how many are
+    drawn with it.
+    """
+    n = 1 if count is None else count
+    if sample_index < 0 or n < 1:
+        raise ValueError(f"need sample_index >= 0 and count >= 1, got {sample_index} and {n}")
+    K = _block_size(spec.dims)
+    stop = sample_index + n
+    parts = []
+    for block in range(sample_index // K, (stop - 1) // K + 1):
+        first = block * K
+        drawn = _draw_block(spec, block, min(stop, first + K) - first)
+        parts.append(drawn[max(sample_index - first, 0):])
+    stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return stack[0] if count is None else stack
 
 
 def _check_naive_contraction(dims, B: ColoredGraph) -> None:
@@ -170,34 +220,36 @@ def trace_invariant_naive(T: np.ndarray, B: ColoredGraph) -> float:
     return total.real
 
 
-def _matricize(T: np.ndarray, spec: CycleSpec) -> np.ndarray:
-    if T.ndim != spec.D:
-        raise ValueError(f"tensor has {T.ndim} axes, cycle spec has D={spec.D} colors")
-    order = [i - 1 for i in sorted(spec.m_colors)] + [i - 1 for i in sorted(spec.n_colors)]
-    rows = math.prod(T.shape[i - 1] for i in sorted(spec.m_colors))
-    return np.transpose(T, order).reshape(rows, -1)
+def _cycle_values(T_stack: np.ndarray, spec: CycleSpec) -> np.ndarray:
+    """tr((M^H M)^k) of each tensor in a stack, for the matricization M with
+    row index over the identity colors and column index over the shift colors.
+
+    Works on whichever Gram side is smaller, in one stacked product; sums the
+    Gram's squared entries for k = 2 and takes stacked Hermitian eigenvalues
+    for k >= 3.
+    """
+    T_stack = np.asarray(T_stack, dtype=np.complex128)
+    if T_stack.ndim != spec.D + 1:
+        raise ValueError(f"tensor has {T_stack.ndim - 1} axes, cycle spec has D={spec.D} colors")
+    # color i is axis i of the stack; axis 0 indexes the samples
+    order = [0, *sorted(spec.m_colors), *sorted(spec.n_colors)]
+    rows = math.prod(T_stack.shape[i] for i in spec.m_colors)
+    M = np.transpose(T_stack, order).reshape(len(T_stack), rows, -1)
+    Mh = np.conj(M).transpose(0, 2, 1)
+    G = M @ Mh if rows <= M.shape[2] else Mh @ M
+    k = spec.k
+    if k == 1:
+        return np.trace(G, axis1=1, axis2=2).real
+    if k == 2:
+        flat = G.view(np.float64).reshape(len(G), -1)
+        return np.einsum("bi,bi->b", flat, flat)
+    return np.sum(np.linalg.eigvalsh(G) ** k, axis=1)
 
 
 def trace_invariant_cycle(T: np.ndarray, spec: CycleSpec) -> float:
-    """tr((M^H M)^k) for the matricization M with row index over the identity
-    colors and column index over the shift colors.
-
-    Works on whichever Gram side is smaller; uses a Frobenius inner product
-    for k = 2 and Hermitian eigenvalues otherwise.
-    """
-    T = np.asarray(T, dtype=np.complex128)
-    M = _matricize(T, spec)
-    if M.shape[0] <= M.shape[1]:
-        G = M @ M.conj().T
-    else:
-        G = M.conj().T @ M
-    k = spec.k
-    if k == 1:
-        return float(np.trace(G).real)
-    if k == 2:
-        return float(np.vdot(G, G).real)
-    eig = np.linalg.eigvalsh(G)
-    return float(np.sum(eig ** k))
+    """tr((M^H M)^k) for the matricization M of one tensor: _cycle_values on
+    a stack of one."""
+    return float(_cycle_values(np.asarray(T, dtype=np.complex128)[None], spec)[0])
 
 
 def gaussian_exact_mean(B: ColoredGraph, c, N: int) -> int:
@@ -214,10 +266,11 @@ def gaussian_exact_mean(B: ColoredGraph, c, N: int) -> int:
 
 
 def _evaluator(graph):
+    """The invariant of every tensor in a stack, by graph's route."""
     if isinstance(graph, CycleSpec):
-        return lambda T: trace_invariant_cycle(T, graph)
+        return lambda stack: _cycle_values(stack, graph)
     if isinstance(graph, ColoredGraph):
-        return lambda T: trace_invariant_naive(T, graph)
+        return lambda stack: np.array([trace_invariant_naive(T, graph) for T in stack])
     raise TypeError(f"graph must be ColoredGraph or CycleSpec, got {type(graph)}")
 
 
@@ -225,16 +278,19 @@ def monte_carlo_mean(spec: TensorSpec, graph, samples: int) -> tuple[float, floa
     """Sample mean and standard error of the invariant over independent draws.
 
     graph selects the evaluation route: a ColoredGraph goes through the naive
-    contraction, a CycleSpec through the matricized route.  Sample i always
-    uses substream i of spec.seed, so the first n values do not depend on
-    how many are drawn.
+    contraction, one sample at a time, a CycleSpec through the matricized
+    route, one stacked Gram per block.  Samples 0..samples-1 are drawn one
+    block substream of spec.seed at a time, so the first n values do not
+    depend on how many are drawn.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
     evaluate = _evaluator(graph)
     if isinstance(graph, ColoredGraph):
         _check_naive_contraction(spec.dims, graph)
-    values = np.array([evaluate(sample_tensor(spec, i)) for i in range(samples)])
+    K = _block_size(spec.dims)
+    values = np.concatenate([evaluate(sample_tensor(spec, start, min(K, samples - start)))
+                             for start in range(0, samples, K)])
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples))
     return mean, stderr
@@ -371,9 +427,7 @@ def apply_unitaries(T: np.ndarray, unitaries) -> np.ndarray:
 
 def unitary_invariance_check(T: np.ndarray, graph, unitaries) -> float:
     """Relative change of the invariant under per-slot unitary rotations."""
-    evaluate = _evaluator(graph)
-    base = evaluate(np.asarray(T, dtype=np.complex128))
-    rotated = evaluate(apply_unitaries(T, unitaries))
+    base, rotated = map(float, _evaluator(graph)(np.stack([T, apply_unitaries(T, unitaries)])))
     if base == 0.0:
         return abs(rotated)
     return abs(rotated - base) / abs(base)

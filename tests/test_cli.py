@@ -13,7 +13,7 @@ from tul.enumeration import catalan
 from tul.families import (CycleSpec, cycle_spec_to_json_dict, make_cycle_graph,
                           melonic_recipe_to_json_dict, MelonicRecipe)
 from tul.graphs import graph_to_json_dict
-from tul.tensors import TensorSpec, tensor_spec_from_json_dict
+from tul.tensors import STREAM, TensorSpec, tensor_spec_from_json_dict
 
 
 @pytest.fixture
@@ -166,6 +166,7 @@ def test_mc_json(capsys, tensor_spec_file, cycle_spec_file):
                                    "--samples", "200", "--N-list", "4,8"])
     assert code == 0
     assert data["schema"] == 1
+    assert data["stream"] == STREAM == 2
     assert data["graph"].startswith("cycle(k=2")
     assert data["distribution"] == "complex_gaussian"
     assert data["gamma"] == 3
@@ -237,6 +238,7 @@ def test_verify_passes(capsys):
     code, data = run_json(capsys, ["verify", "--max-k", "2", "--max-D", "3",
                                    "--families", "cycle_11,cycle_mn"])
     assert code == 0
+    assert data["stream"] == STREAM == 2
     assert data["passed"] is True
     assert all(chk["passed"] for chk in data["checks"])
     names = [chk["name"] for chk in data["checks"]]
@@ -365,6 +367,18 @@ def test_asym_ratio_outside_float_range(capsys, tmp_path):
         assert main(["asym", "--family", "cycle", "--spec", spec, "--c", ratios]) == 2
         err = capsys.readouterr().err
         assert word in err and ("c[1]" if word == "underflows" else "c[2]") in err
+
+
+def test_asym_ratio_outside_float_range_is_short(capsys, tmp_path):
+    # the exact ratio 1e-400 has a 401-digit denominator; only its size is printed
+    spec = _write(tmp_path, "cycle.json", json.dumps({"k": 2, "m_colors": [1],
+                                                      "n_colors": [2, 3]}))
+    assert main(["asym", "--family", "cycle", "--spec", spec, "--c", "1e-400,1,1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: side ratio 'c[1]' = ~1e-400 underflows a float to 0.0\n"
+    assert main(["asym", "--family", "cycle", "--spec", spec, "--c", "1,1,3e-401"]) == 2
+    err = capsys.readouterr().err
+    assert "'c[3]' = ~1e-401 underflows" in err and len(err) < 80
 
 
 def test_mc_oversized_tensor_exits_2_before_any_draw(capsys, monkeypatch, tmp_path):

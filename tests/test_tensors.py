@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic
-from tul.tensors import (DEFAULT_NAIVE_BUDGET, DISTRIBUTIONS, TensorSpec,
-                         _check_naive_contraction, apply_unitaries, gaussian_exact_mean,
+from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISTRIBUTIONS, TensorSpec,
+                         _check_naive_contraction, _cycle_values, apply_unitaries,
+                         gaussian_exact_mean,
                          monte_carlo_mean, random_unitary, sample_tensor,
                          tensor_spec_from_json_dict, trace_invariant_cycle,
                          trace_invariant_naive, unitary_invariance_check,
@@ -74,6 +75,78 @@ def test_uniform_disc_stays_in_radius():
     spec = TensorSpec(D=2, c=(1, 1), N=32, distribution="uniform_disc", seed=9)
     T = sample_tensor(spec)
     assert np.all(np.abs(T) <= math.sqrt(2) + 1e-12)
+
+
+def block_size(spec):
+    return max(1, BLOCK_ENTRIES // math.prod(spec.dims))
+
+
+@st.composite
+def stream_cases(draw):
+    """A tensor spec of 1-3 sides of 1-24, and a stack of samples start ..
+    start + count - 1 that may straddle block boundaries."""
+    dims = tuple(draw(st.lists(st.integers(1, 24), min_size=1, max_size=3)))
+    spec = TensorSpec(D=len(dims), c=dims, N=1, distribution=draw(st.sampled_from(DISTRIBUTIONS)),
+                      seed=draw(st.integers(0, 2 ** 64 - 1)))
+    K = block_size(spec)
+    start = draw(st.integers(0, 3)) * K + draw(st.integers(0, K - 1))
+    return spec, start, draw(st.integers(1, 2 * K + 2))
+
+
+@settings(max_examples=60)
+@given(stream_cases())
+def test_property_stack_is_its_samples(case):
+    spec, start, count = case
+    stack = sample_tensor(spec, start, count)
+    assert stack.shape == (count, *spec.dims) and stack.dtype == np.complex128
+    # the two ends, and both sides of every block boundary inside the stack
+    K = block_size(spec)
+    edges = {0, count - 1}
+    for first in range((start // K + 1) * K, start + count, K):
+        edges |= {first - start - 1, first - start}
+    for j in edges:
+        assert np.array_equal(stack[j], sample_tensor(spec, start + j)), j
+
+
+def test_sample_tensor_refuses_bad_range():
+    for index, count in ((-1, None), (0, 0)):
+        with pytest.raises(ValueError, match="sample_index"):
+            sample_tensor(gaussian_spec(2, 4), index, count)
+
+
+def test_rademacher_entries_are_exact():
+    spec = TensorSpec(D=2, c=(1, 1), N=8, distribution="complex_rademacher", seed=9)
+    parts = sample_tensor(spec, 0, 300).view(np.float64)
+    # sqrt(0.5) is the double nearest 1/sqrt(2); 1 / math.sqrt(2) rounds twice
+    assert set(np.unique(parts)) == {-math.sqrt(0.5), math.sqrt(0.5)}
+
+
+def test_uniform_disc_stack_stays_in_radius():
+    spec = TensorSpec(D=2, c=(1, 1), N=8, distribution="uniform_disc", seed=9)
+    assert np.all(np.abs(sample_tensor(spec, 0, 300)) <= math.sqrt(2))
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_second_moment_within_four_sigma(dist):
+    spec = TensorSpec(D=2, c=(1, 1), N=8, distribution=dist, seed=4)
+    sq = np.abs(sample_tensor(spec, 0, 4000)).ravel() ** 2
+    # rademacher |z|^2 is 1 up to rounding, so its sigma is 0
+    assert abs(sq.mean() - 1) <= 4 * sq.std(ddof=1) / math.sqrt(sq.size) + 1e-12
+
+
+@pytest.mark.parametrize("spec, dims", [
+    (cycle_11(1), (3, 5)),
+    (cycle_11(2), (5, 3)),
+    (CycleSpec(k=2, m_colors=frozenset([1, 3]), n_colors=frozenset([2])), (2, 3, 2)),
+    (CycleSpec(k=3, m_colors=frozenset([2]), n_colors=frozenset([1, 3])), (3, 2, 2)),
+    (cycle_11(3), (4, 4)),
+], ids=["k1", "k2-tall", "k2-13-2", "k3-2-13", "k3"])
+def test_cycle_values_stack_is_slice_by_slice(spec, dims):
+    stack = sample_tensor(TensorSpec(D=len(dims), c=dims, N=1, distribution="uniform_disc",
+                                     seed=6), 0, 40)
+    values = _cycle_values(stack, spec)
+    assert values.shape == (40,)
+    assert values.tolist() == [trace_invariant_cycle(T, spec) for T in stack]
 
 
 def test_naive_k1_is_squared_norm():
@@ -244,6 +317,30 @@ def test_monte_carlo_naive_budget_refused_before_any_draw(monkeypatch):
     B = make_cycle_graph(CycleSpec(k=4, m_colors=frozenset([1]), n_colors=frozenset([2, 3])))
     with pytest.raises(ValueError, match="2.815e\\+14 scalar terms, over the budget"):
         monte_carlo_mean(gaussian_spec(3, 16), B, 5)
+
+
+@pytest.mark.parametrize("D, N, graph, n", [
+    (2, 8, cycle_11(2), 200),
+    (2, 8, cycle_11(2), 64),
+    (3, 2, make_melonic(MelonicRecipe(D=3, steps=((1, 1),))), 1100),
+    (2, 64, cycle_11(1), 3),
+], ids=["cycle", "cycle-one-block", "naive", "one-per-block"])
+def test_monte_carlo_draws_one_block_per_call(monkeypatch, D, N, graph, n):
+    # the draw-refusal tests patch tul.tensors.sample_tensor, so that name
+    # must be the path every Monte Carlo draw takes
+    spec = gaussian_spec(D, N, seed=3)
+    expected = monte_carlo_mean(spec, graph, n)
+    calls = []
+
+    def recording(*args):
+        calls.append(args[1:])
+        return sample_tensor(*args)
+
+    monkeypatch.setattr("tul.tensors.sample_tensor", recording)
+    assert monte_carlo_mean(spec, graph, n) == expected
+    K = block_size(spec)
+    assert calls == [(start, min(K, n - start)) for start in range(0, n, K)]
+    assert len(calls) == math.ceil(n / K)
 
 
 def test_monte_carlo_requires_two_samples():
