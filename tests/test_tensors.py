@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic
 from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISTRIBUTIONS, TensorSpec,
                          _check_naive_contraction, _cycle_values, apply_unitaries,
-                         gaussian_exact_mean,
-                         monte_carlo_mean, random_unitary, sample_tensor,
+                         gaussian_exact_mean, monte_carlo_mean, random_unitary, sample_tensor,
                          tensor_spec_from_json_dict, trace_invariant_cycle,
                          trace_invariant_naive, unitary_invariance_check,
                          universality_scan)
