@@ -4,42 +4,35 @@ melonic and cycle families, and seeded Monte Carlo cross-checks."""
 
 from .asymptotics import (AsymptoticPrediction, CrossCheckError, CrossCheckReport,
                           cross_check, melonic_exponents, predict_cycle,
-                          predict_cycle_mm, predict_cycle_mn, predict_generic,
-                          predict_melonic)
+                          predict_generic, predict_melonic)
 from .enumeration import (MAX_K, CoveringPass, MinimalCoveringSet, catalan, covering_pass,
                           enumerate_coverings, limit_coefficient, minimal_coverings,
-                          narayana, narayana_face_distribution, narayana_recurrence)
+                          narayana, narayana_face_distribution)
 from .families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict,
                        cycle_spec_to_json_dict, is_melonic, make_cycle_graph,
                        make_dipole, make_melonic, melonic_recipe_from_json_dict,
                        melonic_recipe_to_json_dict, random_melonic_recipe)
-from .graphs import (ColoredGraph, CoveringGraph, FaceProfile, face_profile, genus,
-                     graph_from_json_dict, graph_to_json_dict, is_connected)
+from .graphs import (ColoredGraph, FaceProfile, graph_from_json_dict, graph_to_json_dict,
+                     is_connected)
 from .permutations import Perm, compose, cycle_count, cycles, identity, inverse
 from .tensors import (DISTRIBUTIONS, ScanRow, TensorSpec, UniversalityReport,
-                      apply_unitaries, gaussian_exact_mean, monte_carlo_mean,
-                      random_unitary, sample_tensor, tensor_spec_from_json_dict,
-                      trace_invariant_cycle, trace_invariant_naive,
-                      unitary_invariance_check, universality_scan)
+                      gaussian_exact_mean, monte_carlo_mean, sample_tensor,
+                      tensor_spec_from_json_dict, trace_invariant_cycle,
+                      trace_invariant_naive, universality_scan)
 from .verify import CheckResult, VerifySuiteConfig, run_verify_suite, suite_passed
 
 __all__ = [
-    "AsymptoticPrediction", "CheckResult", "ColoredGraph", "CoveringGraph", "CoveringPass",
-    "CrossCheckError", "CrossCheckReport", "CycleSpec", "DISTRIBUTIONS",
-    "FaceProfile", "MAX_K", "MelonicRecipe", "MinimalCoveringSet",
-    "Perm", "ScanRow", "TensorSpec", "UniversalityReport", "VerifySuiteConfig",
-    "apply_unitaries", "catalan", "compose", "covering_pass", "cross_check", "cycle_count",
-    "cycle_spec_from_json_dict", "cycle_spec_to_json_dict", "cycles",
-    "enumerate_coverings", "face_profile", "gaussian_exact_mean",
-    "genus", "graph_from_json_dict", "graph_to_json_dict", "identity",
-    "inverse", "is_connected", "is_melonic", "limit_coefficient",
-    "make_cycle_graph", "make_dipole", "make_melonic",
-    "melonic_exponents", "melonic_recipe_from_json_dict",
-    "melonic_recipe_to_json_dict", "minimal_coverings", "monte_carlo_mean",
-    "narayana", "narayana_face_distribution", "narayana_recurrence",
-    "predict_cycle", "predict_cycle_mm", "predict_cycle_mn", "predict_generic",
-    "predict_melonic", "random_melonic_recipe", "random_unitary",
-    "run_verify_suite", "sample_tensor", "suite_passed",
-    "tensor_spec_from_json_dict", "trace_invariant_cycle",
-    "trace_invariant_naive", "unitary_invariance_check", "universality_scan",
+    "AsymptoticPrediction", "CheckResult", "ColoredGraph", "CoveringPass",
+    "CrossCheckError", "CrossCheckReport", "CycleSpec", "DISTRIBUTIONS", "FaceProfile",
+    "MAX_K", "MelonicRecipe", "MinimalCoveringSet", "Perm", "ScanRow", "TensorSpec",
+    "UniversalityReport", "VerifySuiteConfig", "catalan", "compose", "covering_pass",
+    "cross_check", "cycle_count", "cycle_spec_from_json_dict", "cycle_spec_to_json_dict",
+    "cycles", "enumerate_coverings", "gaussian_exact_mean", "graph_from_json_dict",
+    "graph_to_json_dict", "identity", "inverse", "is_connected", "is_melonic",
+    "limit_coefficient", "make_cycle_graph", "make_dipole", "make_melonic",
+    "melonic_exponents", "melonic_recipe_from_json_dict", "melonic_recipe_to_json_dict",
+    "minimal_coverings", "monte_carlo_mean", "narayana", "narayana_face_distribution",
+    "predict_cycle", "predict_generic", "predict_melonic", "random_melonic_recipe",
+    "run_verify_suite", "sample_tensor", "suite_passed", "tensor_spec_from_json_dict",
+    "trace_invariant_cycle", "trace_invariant_naive", "universality_scan",
 ]

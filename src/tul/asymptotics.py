@@ -8,16 +8,21 @@ minimal covering graphs.  The families covered here:
   melonic      gamma = 1 + k(D-1), unique minimal covering
   (m,m)-cycle  gamma = m(k+1), C_k minimal coverings, Narayana-weighted
   (m,n)-cycle  gamma = nk + m for m < n, unique minimal covering
+
+Each closed form is the minimal-covering face histogram it predicts.  A
+coefficient is such a histogram evaluated exactly by enumeration.face_sum,
+then rounded once to the nearest float by _prediction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .enumeration import catalan, check_ratios, limit_coefficient, minimal_coverings, narayana
+from .enumeration import face_sum, limit_coefficient, minimal_coverings, minimal_faces, narayana
 from .families import CycleSpec, MelonicRecipe, is_melonic, make_cycle_graph, make_melonic
-from .graphs import ColoredGraph
+from .graphs import ColoredGraph, side_ratios
 
 _FAMILIES = ("melonic", "cycle_11", "cycle_mm", "cycle_mn", "generic")
 
@@ -39,22 +44,20 @@ class AsymptoticPrediction:
             raise ValueError(f"unknown family tag {self.family!r}")
 
 
-def _prediction(gamma: int, family: str, c, coefficient) -> AsymptoticPrediction:
-    """The prediction with coefficient(), unless floats cannot hold it.
+def _prediction(gamma: int, family: str, exact: Fraction) -> AsymptoticPrediction:
+    """The prediction with the float nearest to the exact, positive coefficient.
 
-    The ratios are positive and finite, so the exact coefficient is too; a
-    float result of 0, inf or nan, or an OverflowError, means it left the
-    double range.
+    The one float conversion and range guard: a float of 0.0 or inf means the
+    coefficient left the double range, and the refusal gives its power of ten.
     """
     try:
-        value = coefficient()
+        value = float(exact)
     except OverflowError:
         value = math.inf
-    if not 0.0 < value < math.inf:
-        raise ValueError(
-            f"the {family} coefficient for side ratios {[str(x) for x in c]} is positive "
-            f"and finite, but float underflow or overflow makes it {value!r}"
-        )
+    if value == 0.0 or value == math.inf:
+        size = round(math.log10(exact.numerator) - math.log10(exact.denominator))
+        raise ValueError(f"the {family} coefficient ~1e{size} "
+                         f"{'overflows' if value else 'underflows'} a float to {value}")
     return AsymptoticPrediction(gamma=gamma, coefficient=value, family=family)
 
 
@@ -64,12 +67,11 @@ def melonic_exponents(B: ColoredGraph) -> tuple[int, ...]:
     There is no closed form for the split of gamma across colors, only for
     the total, so the exponents come from enumeration.
     """
-    mcs = minimal_coverings(B)
-    if mcs.count != 1:
-        raise ValueError(
-            f"expected a unique minimal covering, found {mcs.count}; graph is not melonic"
-        )
-    return mcs.members[0][1].zero_faces
+    faces = minimal_faces(B)
+    if sum(faces.values()) != 1:
+        raise ValueError(f"expected a unique minimal covering, found {sum(faces.values())}; "
+                         "graph is not melonic")
+    return next(iter(faces))
 
 
 def predict_melonic(B: ColoredGraph, c) -> AsymptoticPrediction:
@@ -81,64 +83,46 @@ def predict_melonic(B: ColoredGraph, c) -> AsymptoticPrediction:
     """
     if not is_melonic(B):
         raise ValueError("predict_melonic expects a melonic graph")
-    c = check_ratios(c, B.D)
+    c = side_ratios(c, B.D)
     gamma = 1 + B.k * (B.D - 1)
     if len(set(c)) == 1:
-        return _prediction(gamma, "melonic", c, lambda: c[0] ** gamma)
+        return _prediction(gamma, "melonic", c[0] ** gamma)
     exponents = melonic_exponents(B)
-    if len(exponents) != B.D or sum(exponents) != gamma:
-        raise ValueError(
-            f"face exponents {exponents} do not sum to gamma={gamma} over {B.D} colors"
-        )
-    return _prediction(gamma, "melonic", c,
-                       lambda: math.prod(ci ** f for ci, f in zip(c, exponents)))
+    if sum(exponents) != gamma:
+        raise ValueError(f"face exponents {exponents} do not sum to gamma={gamma}")
+    return _prediction(gamma, "melonic", face_sum({exponents: 1}, c))
 
 
-def predict_cycle_mm(spec: CycleSpec, c) -> AsymptoticPrediction:
-    """m = n case: gamma = m(k+1) and a Narayana-weighted coefficient.
+def cycle_faces(spec: CycleSpec) -> dict[tuple[int, ...], int]:
+    """The minimal-covering face histogram {zero_faces: count} that the
+    closed form predicts for an (m,n)-cycle.
 
-    The coefficient is sum_l N_{k,l} P^l Q^{k-l+1} with P, Q the products of
-    the ratios over the identity-row and shift-row colors; all C_k minimal
-    coverings contribute.
+    m = n: N_{k,l} coverings with l faces on every m-color and k-l+1 on
+    every n-color, for l = 1..k (C_k in all).  m != n: a single covering,
+    with 1 face on every color of the smaller set and k on the larger.
     """
-    if spec.m != spec.n:
-        raise ValueError(f"predict_cycle_mm needs m = n, got m={spec.m}, n={spec.n}")
-    c = check_ratios(c, spec.D)
     k = spec.k
-    P = math.prod(c[i - 1] for i in spec.m_colors)
-    Q = math.prod(c[i - 1] for i in spec.n_colors)
-    family = "cycle_11" if spec.m == 1 else "cycle_mm"
-    return _prediction(spec.m * (k + 1), family, c, lambda: math.fsum(
-        narayana(k, l) * P ** l * Q ** (k - l + 1) for l in range(1, k + 1)))
-
-
-def predict_cycle_mn(spec: CycleSpec, c) -> AsymptoticPrediction:
-    """m < n case: gamma = nk + m, unique minimal covering, coefficient
-    (prod over identity colors of c_i) * (prod over shift colors of c_i^k)."""
-    if spec.m >= spec.n:
-        raise ValueError(f"predict_cycle_mn needs m < n, got m={spec.m}, n={spec.n}")
-    c = check_ratios(c, spec.D)
-    P = math.prod(c[i - 1] for i in spec.m_colors)
-    return _prediction(spec.n * spec.k + spec.m, "cycle_mn", c,
-                       lambda: P * math.prod(c[i - 1] ** spec.k for i in spec.n_colors))
+    if spec.m == spec.n:
+        return {tuple(l if i in spec.m_colors else k - l + 1 for i in range(1, spec.D + 1)):
+                narayana(k, l) for l in range(1, k + 1)}
+    fewer = spec.m_colors if spec.m < spec.n else spec.n_colors
+    return {tuple(1 if i in fewer else k for i in range(1, spec.D + 1)): 1}
 
 
 def predict_cycle(spec: CycleSpec, c) -> AsymptoticPrediction:
-    """Dispatch on the split.  m > n is handled by exchanging the roles of
-    the two color sets, which preserves all per-color face counts."""
-    if spec.m == spec.n:
-        return predict_cycle_mm(spec, c)
-    if spec.m < spec.n:
-        return predict_cycle_mn(spec, c)
-    swapped = CycleSpec(k=spec.k, m_colors=spec.n_colors, n_colors=spec.m_colors)
-    return predict_cycle_mn(swapped, c)
+    """gamma = m(k+1) for m = n and max(m,n) k + min(m,n) otherwise; the
+    coefficient is cycle_faces(spec) evaluated at the side ratios, so for
+    m = n it is sum_l N_{k,l} P^l Q^{k-l+1} with P, Q the products of the
+    ratios over the m- and n-colors."""
+    c = side_ratios(c, spec.D)
+    faces = cycle_faces(spec)
+    family = "cycle_mn" if spec.m != spec.n else "cycle_11" if spec.m == 1 else "cycle_mm"
+    return _prediction(sum(next(iter(faces))), family, face_sum(faces, c))
 
 
 def predict_generic(B: ColoredGraph, c) -> AsymptoticPrediction:
     """Enumeration-backed prediction for graphs outside the named families."""
-    c = check_ratios(c, B.D)
-    return _prediction(minimal_coverings(B).gamma, "generic", c,
-                       lambda: limit_coefficient(B, c))
+    return _prediction(minimal_coverings(B).gamma, "generic", limit_coefficient(B, c))
 
 
 @dataclass(frozen=True)
@@ -170,33 +154,40 @@ def cross_check(B: ColoredGraph, family_spec, c) -> CrossCheckReport:
     coefficient against brute-force enumeration of B.
 
     family_spec is a CycleSpec or MelonicRecipe and must actually produce B.
-    gamma and count must match exactly, the coefficient to relative 1e-12.
-    Success returns the report; any mismatch raises CrossCheckError.
+    gamma, count and the exact coefficient must all match exactly; equal
+    face histograms give equal coefficients, so the enumerated one is only
+    evaluated when they differ.  Success returns the report; any mismatch
+    raises CrossCheckError.
     """
     if isinstance(family_spec, MelonicRecipe):
         if B != make_melonic(family_spec):
             raise ValueError("graph does not match the melonic recipe")
         closed = predict_melonic(B, c)
-        count_closed = 1
+        faces = {melonic_exponents(B): 1}
     elif isinstance(family_spec, CycleSpec):
         if B != make_cycle_graph(family_spec):
             raise ValueError("graph does not match the cycle spec")
         closed = predict_cycle(family_spec, c)
-        count_closed = catalan(family_spec.k) if family_spec.m == family_spec.n else 1
+        faces = cycle_faces(family_spec)
     else:
         raise TypeError(f"family_spec must be CycleSpec or MelonicRecipe, got {type(family_spec)}")
 
     mcs = minimal_coverings(B)
-    coeff_enum = limit_coefficient(B, c)
+    enum = minimal_faces(B)
+    coeff_match, coeff_enum = True, closed.coefficient
+    if enum != faces:
+        c = side_ratios(c, B.D)
+        exact_enum = face_sum(enum, c)
+        if exact_enum != face_sum(faces, c):
+            coeff_match = False
+            coeff_enum = _prediction(mcs.gamma, closed.family, exact_enum).coefficient
     report = CrossCheckReport(
         family=closed.family,
         gamma_closed=closed.gamma, gamma_enum=mcs.gamma,
-        count_closed=count_closed, count_enum=mcs.count,
+        count_closed=sum(faces.values()), count_enum=mcs.count,
         coeff_closed=closed.coefficient, coeff_enum=coeff_enum,
     )
-    ok = (report.gamma_closed == report.gamma_enum
-          and report.count_closed == report.count_enum
-          and math.isclose(report.coeff_closed, report.coeff_enum, rel_tol=1e-12, abs_tol=0.0))
-    if not ok:
+    if not (coeff_match and report.gamma_closed == report.gamma_enum
+            and report.count_closed == report.count_enum):
         raise CrossCheckError(report)
     return report

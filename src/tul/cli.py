@@ -55,8 +55,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as err:
         raise CliError(f"cannot read {path}: {err.strerror or err}") from None
-    except json.JSONDecodeError as err:
-        raise CliError(f"{path} is not valid JSON: {err}") from None
+    except (ValueError, RecursionError) as err:  # bad syntax, encoding, or int size
+        raise CliError(f"{path} cannot be read as JSON: {err}") from None
 
 
 def _emit(args, text: str):

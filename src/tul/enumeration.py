@@ -25,6 +25,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -192,40 +193,35 @@ def minimal_coverings(B: ColoredGraph) -> MinimalCoveringSet:
     return covering_pass(B).minimal
 
 
-def check_ratios(c, D: int) -> list[float]:
-    """The D side ratios read by graphs.side_ratios, as floats.
+def minimal_faces(B: ColoredGraph) -> dict[tuple[int, ...], int]:
+    """{zero_faces: count} over the minimal coverings of B: the face
+    histogram of covering_pass restricted to the vectors of total gamma."""
+    sweep = covering_pass(B)
+    return {zero: n for zero, n in sweep.histogram.items() if sum(zero) == sweep.minimal.gamma}
 
-    A library float comes back unchanged.  An exact ratio that a float
-    cannot hold is refused rather than rounded to 0.0 or inf; the message
-    gives its power of ten, not its digits.
+
+def face_sum(faces: Mapping[tuple[int, ...], int], c) -> Fraction:
+    """sum over faces of count * prod_i c_i^f_i, exactly.
+
+    c holds exact side ratios, or the Wick sum's integer side lengths.  With
+    c_i = p_i/q_i, every term is put over the common denominator
+    prod_i q_i^max(f_i), so the sum is one integer numerator and one division.
     """
-    out = []
-    for i, x in enumerate(side_ratios(c, D), start=1):
-        try:
-            f = float(x)
-        except OverflowError:
-            f = math.inf
-        if f == 0.0 or f == math.inf:
-            size = f"~1e{round(math.log10(x.numerator) - math.log10(x.denominator))}"
-            lost = "overflows a float" if f else "underflows a float to 0.0"
-            raise ValueError(f"side ratio 'c[{i}]' = {size} {lost}")
-        out.append(f)
-    return out
+    top = [max(zero[i] for zero in faces) for i in range(len(c))]
+    numerator = sum(
+        n * math.prod(x.numerator ** f * x.denominator ** (t - f) for x, f, t in zip(c, zero, top))
+        for zero, n in faces.items())
+    return Fraction(numerator, math.prod(x.denominator ** t for x, t in zip(c, top)))
 
 
-def limit_coefficient(B: ColoredGraph, c) -> float:
-    """Sum over minimal coverings of prod_i c_i^zero_faces[i].
+def limit_coefficient(B: ColoredGraph, c) -> Fraction:
+    """Sum over minimal coverings of prod_i c_i^zero_faces[i], exactly.
 
     With all c_i = 1 this is just the number of minimal coverings; in general
     it is the leading coefficient of the averaged invariant for a
     c_1 N x ... x c_D N tensor.
     """
-    c = check_ratios(c, B.D)
-    mcs = minimal_coverings(B)
-    return math.fsum(
-        math.prod(ci ** f for ci, f in zip(c, profile.zero_faces))
-        for _, profile in mcs.members
-    )
+    return face_sum(minimal_faces(B), side_ratios(c, B.D))
 
 
 # ---------------------------------------------------------------------------
@@ -248,52 +244,6 @@ def narayana(k: int, l: int) -> int:
     return math.comb(k, l) * math.comb(k, l - 1) // k
 
 
-def narayana_recurrence(k: int, l: int) -> int:
-    """N_{k,l} by dynamic programming, independent of the closed form.
-
-    Uses the decomposition of a minimal pairing by the blocks hanging off a
-    fixed edge: N_{k,l} = sum over p >= 1 of the p-fold convolution of the
-    table itself evaluated at (k-p, l-1), with base case N_{0,0} = 1.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if not 1 <= l <= k:
-        raise ValueError(f"l={l} out of range 1..{k}")
-    size = k + 1
-    T = [[0] * size for _ in range(size)]
-    T[0][0] = 1
-    for kk in range(1, size):
-        # row kk of T stays zero until the end of this iteration, so the
-        # convolutions only ever see the already-final rows < kk
-        row = [0] * size
-        conv = [r[:] for r in T]
-        for p in range(1, kk + 1):
-            if p > 1:
-                conv = _conv2(conv, T, size)
-            for ll in range(1, kk + 1):
-                row[ll] += conv[kk - p][ll - 1]
-        T[kk] = row
-    return T[k][l]
-
-
-def _conv2(A, B, size):
-    C = [[0] * size for _ in range(size)]
-    for a1 in range(size):
-        rowA = A[a1]
-        for b1 in range(size):
-            v = rowA[b1]
-            if v == 0:
-                continue
-            for a2 in range(size - a1):
-                rowB = B[a2]
-                out = C[a1 + a2]
-                for b2 in range(size - b1):
-                    w = rowB[b2]
-                    if w:
-                        out[b1 + b2] += v * w
-    return C
-
-
 def _is_two_color_cycle(B: ColoredGraph) -> bool:
     k = B.k
     shift = tuple((j + 1) % k for j in range(k))
@@ -310,8 +260,7 @@ def narayana_face_distribution(B: ColoredGraph, anchor_color: int) -> dict[int, 
         raise ValueError("narayana_face_distribution expects a two-color cycle graph")
     if anchor_color not in (1, 2):
         raise ValueError(f"anchor color must be 1 or 2, got {anchor_color}")
-    hist: dict[int, int] = {}
-    for _, profile in minimal_coverings(B).members:
-        l = profile.zero_faces[anchor_color - 1]
-        hist[l] = hist.get(l, 0) + 1
+    hist: Counter = Counter()
+    for zero, n in minimal_faces(B).items():
+        hist[zero[anchor_color - 1]] += n
     return dict(sorted(hist.items()))

@@ -14,10 +14,11 @@ enumeration layer refuses them) so that degenerate cases stay unit-testable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .permutations import Perm, compose, cycle_count, inverse, is_perm
+from .permutations import Perm, is_perm
 
 
 @dataclass(frozen=True)
@@ -45,34 +46,11 @@ class ColoredGraph:
 
 
 @dataclass(frozen=True)
-class CoveringGraph:
-    """A colored graph plus the pairing permutation tau (color-0 edges)."""
-
-    base: ColoredGraph
-    tau: Perm
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau", tuple(self.tau))
-        if len(self.tau) != self.base.k:
-            raise ValueError(f"tau has length {len(self.tau)}, expected k={self.base.k}")
-        if not is_perm(self.tau):
-            raise ValueError("tau is not a bijection")
-
-
-@dataclass(frozen=True)
 class FaceProfile:
     """Per-color (0,i)-face counts of a covering and their total."""
 
     zero_faces: tuple[int, ...]
     total: int
-
-
-def face_profile(G: CoveringGraph) -> FaceProfile:
-    """Count (0,i)-faces for every color i: zero_faces[i-1] is the cycle
-    count of tau^-1 * sigma_i."""
-    inv_tau = inverse(G.tau)
-    zero = tuple(cycle_count(compose(inv_tau, s)) for s in G.base.sigma)
-    return FaceProfile(zero_faces=zero, total=sum(zero))
 
 
 def is_connected(B: ColoredGraph) -> bool:
@@ -95,19 +73,6 @@ def is_connected(B: ColoredGraph) -> bool:
     return all(find(v) == root for v in range(2 * k))
 
 
-def genus(G: CoveringGraph) -> Fraction:
-    """Genus of a D=2 covering via Euler's relation on the 3-colored ribbon graph.
-
-    Faces are all (i,j)-faces over colors {0,1,2}, edges 3k, vertices 2k.
-    """
-    if G.base.D != 2:
-        raise ValueError(f"genus is only supported for D=2 coverings, got D={G.base.D}")
-    sigma = G.base.sigma
-    faces = face_profile(G).total + cycle_count(compose(inverse(sigma[1]), sigma[0]))
-    k = G.base.k
-    return Fraction(2 - (faces - 3 * k + 2 * k), 2)
-
-
 # ---------------------------------------------------------------------------
 # JSON interface: {"k": int, "D": int, "sigma": [[1-based images], ...]}
 # ---------------------------------------------------------------------------
@@ -118,19 +83,31 @@ def is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# A ratio's text may not carry a decimal exponent beyond Python's own limit on
+# the digits of an int read from text (sys.int_info.default_max_str_digits):
+# Fraction('1e9999999') would build 10^9999999 before anything could refuse it.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?[0_]*([\d_]*)\s*\Z", re.IGNORECASE)  # digits past sign and 0s
+
+
 def side_ratios(c, D: int) -> tuple[Fraction, ...]:
     """The D side ratios c_i of a c_1 N x ... x c_D N tensor, as exact Fractions.
 
     The one reader of side ratios.  An entry may be an int, a Fraction, a
     float (read as its exact value) or a decimal or 'p/q' string.  bool,
     non-finite, zero and negative entries are refused, naming the entry as
-    'c[i]'.
+    'c[i]', and so is text whose decimal exponent is beyond MAX_DECIMAL_EXPONENT.
     """
     c = tuple(c)
     if len(c) != D:
         raise ValueError(f"expected {D} side ratios, got {len(c)}")
     out = []
     for i, x in enumerate(c, start=1):
+        exponent = _EXPONENT.search(x) if isinstance(x, str) else None
+        digits = exponent[1].replace("_", "") if exponent else ""
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"side ratio 'c[{i}]' has a decimal exponent outside "
+                             f"-{MAX_DECIMAL_EXPONENT}..{MAX_DECIMAL_EXPONENT}")
         try:
             ratio = None if isinstance(x, bool) else Fraction(x)
         except (ValueError, TypeError, ZeroDivisionError, OverflowError):

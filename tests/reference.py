@@ -1,0 +1,156 @@
+"""Independent reference implementations that only the tests use.
+
+Each one recomputes a quantity the package computes another way, or checks an
+invariant of it, so it stays outside `tul`: Narayana numbers by dynamic
+programming, face counts and the genus of one covering by plain cycle
+counting, Haar unitaries and the relative change of an invariant under them,
+and the margins of a universality scan.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from tul.families import CycleSpec
+from tul.graphs import ColoredGraph, FaceProfile
+from tul.permutations import Perm, compose, cycle_count, inverse, is_perm
+from tul.tensors import UniversalityReport, trace_invariant_cycle, trace_invariant_naive
+
+
+# ---------------------------------------------------------------------------
+# Narayana numbers
+# ---------------------------------------------------------------------------
+
+def narayana_recurrence(k: int, l: int) -> int:
+    """N_{k,l} by dynamic programming, independent of the closed form.
+
+    Uses the decomposition of a minimal pairing by the blocks hanging off a
+    fixed edge: N_{k,l} = sum over p >= 1 of the p-fold convolution of the
+    table itself evaluated at (k-p, l-1), with base case N_{0,0} = 1.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if not 1 <= l <= k:
+        raise ValueError(f"l={l} out of range 1..{k}")
+    size = k + 1
+    T = [[0] * size for _ in range(size)]
+    T[0][0] = 1
+    for kk in range(1, size):
+        # row kk of T stays zero until the end of this iteration, so the
+        # convolutions only ever see the already-final rows < kk
+        row = [0] * size
+        conv = [r[:] for r in T]
+        for p in range(1, kk + 1):
+            if p > 1:
+                conv = _conv2(conv, T, size)
+            for ll in range(1, kk + 1):
+                row[ll] += conv[kk - p][ll - 1]
+        T[kk] = row
+    return T[k][l]
+
+
+def _conv2(A, B, size):
+    C = [[0] * size for _ in range(size)]
+    for a1 in range(size):
+        rowA = A[a1]
+        for b1 in range(size):
+            v = rowA[b1]
+            if v == 0:
+                continue
+            for a2 in range(size - a1):
+                rowB = B[a2]
+                out = C[a1 + a2]
+                for b2 in range(size - b1):
+                    w = rowB[b2]
+                    if w:
+                        out[b1 + b2] += v * w
+    return C
+
+
+# ---------------------------------------------------------------------------
+# One covering at a time
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CoveringGraph:
+    """A colored graph plus the pairing permutation tau (color-0 edges)."""
+
+    base: ColoredGraph
+    tau: Perm
+
+    def __post_init__(self):
+        object.__setattr__(self, "tau", tuple(self.tau))
+        if len(self.tau) != self.base.k:
+            raise ValueError(f"tau has length {len(self.tau)}, expected k={self.base.k}")
+        if not is_perm(self.tau):
+            raise ValueError("tau is not a bijection")
+
+
+def face_profile(G: CoveringGraph) -> FaceProfile:
+    """Count (0,i)-faces for every color i: zero_faces[i-1] is the cycle
+    count of tau^-1 * sigma_i."""
+    inv_tau = inverse(G.tau)
+    zero = tuple(cycle_count(compose(inv_tau, s)) for s in G.base.sigma)
+    return FaceProfile(zero_faces=zero, total=sum(zero))
+
+
+def genus(G: CoveringGraph) -> Fraction:
+    """Genus of a D=2 covering via Euler's relation on the 3-colored ribbon graph.
+
+    Faces are all (i,j)-faces over colors {0,1,2}, edges 3k, vertices 2k.
+    """
+    if G.base.D != 2:
+        raise ValueError(f"genus is only supported for D=2 coverings, got D={G.base.D}")
+    sigma = G.base.sigma
+    faces = face_profile(G).total + cycle_count(compose(inverse(sigma[1]), sigma[0]))
+    k = G.base.k
+    return Fraction(2 - (faces - 3 * k + 2 * k), 2)
+
+
+# ---------------------------------------------------------------------------
+# Unitary invariance
+# ---------------------------------------------------------------------------
+
+def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * math.sqrt(0.5)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def apply_unitaries(T: np.ndarray, unitaries) -> np.ndarray:
+    """Rotate slot i of T by unitaries[i] for every color."""
+    T = np.asarray(T, dtype=np.complex128)
+    if len(unitaries) != T.ndim:
+        raise ValueError(f"got {len(unitaries)} unitaries for {T.ndim} tensor slots")
+    for i, U in enumerate(unitaries):
+        U = np.asarray(U, dtype=np.complex128)
+        if U.shape != (T.shape[i],) * 2:
+            raise ValueError(f"unitary {i + 1} has shape {U.shape}, "
+                             f"slot needs {(T.shape[i],) * 2}")
+        T = np.moveaxis(np.tensordot(U, T, axes=(1, i)), 0, i)
+    return T
+
+
+def unitary_invariance_check(T: np.ndarray, graph, unitaries) -> float:
+    """Relative change of the invariant under per-slot unitary rotations, by
+    the cycle route for a CycleSpec and the naive route for a ColoredGraph."""
+    evaluate = trace_invariant_cycle if isinstance(graph, CycleSpec) else trace_invariant_naive
+    base, rotated = evaluate(T, graph), evaluate(apply_unitaries(T, unitaries), graph)
+    if base == 0.0:
+        return abs(rotated)
+    return abs(rotated - base) / abs(base)
+
+
+# ---------------------------------------------------------------------------
+# Universality scans
+# ---------------------------------------------------------------------------
+
+def margins(report: UniversalityReport) -> list[float]:
+    """|normalized - predicted| for every row of a scan."""
+    return [abs(r.normalized - report.predicted) for r in report.rows]

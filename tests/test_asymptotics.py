@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tul.asymptotics import (AsymptoticPrediction, CrossCheckError, CrossCheckReport,
-                             cross_check, melonic_exponents, predict_cycle,
-                             predict_cycle_mm, predict_cycle_mn, predict_generic,
-                             predict_melonic)
-from tul.enumeration import catalan, limit_coefficient, minimal_coverings
+                             cross_check, cycle_faces, melonic_exponents, predict_cycle,
+                             predict_generic, predict_melonic)
+from tul.enumeration import catalan, limit_coefficient, minimal_coverings, minimal_faces
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole,
                           make_melonic, random_melonic_recipe)
 
@@ -64,45 +64,33 @@ def test_predict_melonic_coefficient_at_unequal_ratios():
 
 def test_predict_cycle_mm_values():
     spec = CycleSpec(k=3, m_colors=frozenset([1]), n_colors=frozenset([2]))
-    assert predict_cycle_mm(spec, (1, 1)).coefficient == pytest.approx(catalan(3))
-    assert predict_cycle_mm(spec, (1, 1)).gamma == 4
+    assert predict_cycle(spec, (1, 1)).coefficient == pytest.approx(catalan(3))
+    assert predict_cycle(spec, (1, 1)).gamma == 4
 
     k2 = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2]))
     c1, c2 = 0.8, 2.5
     expect = c1 * c2 ** 2 + c1 ** 2 * c2
-    pred = predict_cycle_mm(k2, (c1, c2))
+    pred = predict_cycle(k2, (c1, c2))
     assert pred.coefficient == pytest.approx(expect, rel=1e-13)
     assert pred.family == "cycle_11"
 
     pairs = CycleSpec(k=1, m_colors=frozenset([1, 2]), n_colors=frozenset([3, 4]))
-    pred = predict_cycle_mm(pairs, (1.5, 2.0, 0.5, 3.0))
+    pred = predict_cycle(pairs, (1.5, 2.0, 0.5, 3.0))
     assert pred.gamma == 4
     assert pred.coefficient == pytest.approx(1.5 * 2.0 * 0.5 * 3.0, rel=1e-13)
     assert pred.family == "cycle_mm"
 
 
-def test_predict_cycle_mm_rejects_unequal():
-    spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
-    with pytest.raises(ValueError, match="m = n"):
-        predict_cycle_mm(spec, (1, 1, 1))
-
-
 def test_predict_cycle_mn_values():
     spec = CycleSpec(k=2, m_colors=frozenset([1, 2]), n_colors=frozenset([3, 4, 5]))
-    pred = predict_cycle_mn(spec, (1, 1, 1, 1, 1))
+    pred = predict_cycle(spec, (1, 1, 1, 1, 1))
     assert pred.gamma == 3 * 2 + 2
     assert pred.coefficient == 1.0
-    pred = predict_cycle_mn(spec, (2, 3, 1, 1, 1))
+    pred = predict_cycle(spec, (2, 3, 1, 1, 1))
     assert pred.coefficient == pytest.approx(6.0, rel=1e-14)
 
     one_n = CycleSpec(k=4, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
-    assert predict_cycle_mn(one_n, (1, 1, 1)).gamma == 2 * 4 + 1
-
-
-def test_predict_cycle_mn_rejects_m_ge_n():
-    spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2]))
-    with pytest.raises(ValueError, match="m < n"):
-        predict_cycle_mn(spec, (1, 1))
+    assert predict_cycle(one_n, (1, 1, 1)).gamma == 2 * 4 + 1
 
 
 def test_predict_cycle_swaps_roles_when_m_exceeds_n():
@@ -189,3 +177,39 @@ def test_gamma_overlap_between_families():
     for k in (1, 2, 3):
         spec = CycleSpec(k=k, m_colors=frozenset([1]), n_colors=frozenset([2]))
         assert predict_cycle(spec, (1, 1)).gamma == k + 1 == 1 + k * (2 - 1)
+
+
+def test_cycle_faces_are_the_predicted_histograms():
+    k3 = CycleSpec(k=3, m_colors=frozenset([2]), n_colors=frozenset([1]))
+    assert cycle_faces(k3) == {(3, 1): 1, (2, 2): 3, (1, 3): 1}
+    # m > n: one face on each color of the smaller set, k on the larger
+    spec = CycleSpec(k=2, m_colors=frozenset([1, 3]), n_colors=frozenset([2]))
+    assert cycle_faces(spec) == {(2, 1, 2): 1}
+    assert cycle_faces(spec) == minimal_faces(make_cycle_graph(spec))
+
+
+@settings(max_examples=200)
+@given(st.floats(1e-50, 1e50), st.floats(1e-50, 1e50))
+def test_property_coefficient_is_the_rounded_exact_value(x, y):
+    # k=2 (1,1)-cycle: N_{2,1} = N_{2,2} = 1, so the coefficient is x y^2 + x^2 y
+    spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2]))
+    X, Y = Fraction(x), Fraction(y)
+    exact = X * Y ** 2 + X ** 2 * Y
+    assert predict_cycle(spec, (x, y)).coefficient == float(exact)
+    assert limit_coefficient(make_cycle_graph(spec), (x, y)) == exact
+
+
+def test_cross_check_compares_exact_coefficients(monkeypatch):
+    # a wrong histogram with the right gamma and count, equal to the true one
+    # at c = (1, 1) and off by c2 (c2 - 1)^2 elsewhere
+    spec = CycleSpec(k=3, m_colors=frozenset([1]), n_colors=frozenset([2]))
+    B = make_cycle_graph(spec)
+    monkeypatch.setattr("tul.asymptotics.cycle_faces",
+                        lambda spec: {(1, 3): 2, (2, 2): 1, (3, 1): 2})
+    assert cross_check(B, spec, (1, 1)).coeff_enum == 5.0
+    with pytest.raises(CrossCheckError) as err:
+        cross_check(B, spec, (1, Fraction(10 ** 15 + 1, 10 ** 15)))
+    # the coefficients differ by 1e-30, far below any float tolerance
+    assert err.value.report.coeff_closed == err.value.report.coeff_enum
+    with pytest.raises(CrossCheckError):
+        cross_check(B, spec, (1, 2))

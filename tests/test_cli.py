@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,19 @@ def test_enumerate_csv(capsys, cycle22_graph):
 def test_enumerate_missing_file(capsys, tmp_path):
     code = main(["enumerate", "--graph", str(tmp_path / "nope.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("content, problem", [
+    (b"[" * 100_000, "maximum recursion depth"),
+    (b'{"k": "\xff"}', "can't decode byte 0xff"),
+    (b'{"k": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+], ids=["deep", "not-utf8", "long-int"])
+def test_unreadable_json_exits_2_naming_the_file(capsys, tmp_path, content, problem):
+    path = tmp_path / "graph.json"
+    path.write_bytes(content)
+    assert main(["enumerate", "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} cannot be read as JSON: ") and problem in err
 
 
 def test_enumerate_bad_graph_json(capsys, tmp_path):
@@ -351,34 +365,60 @@ def test_threads_below_one_exits_2(capsys, tensor_spec_file, cycle_spec_file, th
 @pytest.mark.parametrize("ratios, value", [("1e-200,1e-200", "0.0"),
                                            ("1e200,1e200", "inf")])
 def test_asym_float_range_is_not_a_ratio_error(capsys, tmp_path, ratios, value):
+    # each ratio fits a float, but the coefficient 5 c^4 does not
     spec = _write(tmp_path, "cycle.json", json.dumps({"k": 3, "m_colors": [1],
                                                       "n_colors": [2]}))
     code = main(["asym", "--family", "cycle", "--spec", spec, "--c", ratios])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "underflow or overflow" in err and value in err
-    assert "must be positive" not in err
+    size, lost = {"0.0": ("-799", "underflows"), "inf": ("801", "overflows")}[value]
+    assert capsys.readouterr().err == (f"error: the cycle_11 coefficient ~1e{size} "
+                                       f"{lost} a float to {value}\n")
+
+
+def test_huge_decimal_exponent_exits_2_at_once(capsys, tmp_path, cycle_spec_file):
+    # Fraction("1e99999999") would build a 10^99999999 first
+    spec = _write(tmp_path, "cycle.json", json.dumps({"k": 1, "m_colors": [1],
+                                                      "n_colors": [2]}))
+    tensor = _write(tmp_path, "tensor.json", json.dumps(
+        {"D": 2, "c": [1, "1e-99999999"], "N": 4, "distribution": "complex_gaussian"}))
+    start = time.perf_counter()
+    assert main(["asym", "--family", "cycle", "--spec", spec, "--c", "1e99999999,1"]) == 2
+    assert "side ratio 'c[1]' has a decimal exponent outside" in capsys.readouterr().err
+    assert main(["mc", "--spec", tensor, "--cycle", cycle_spec_file]) == 2
+    assert "side ratio 'c[2]' has a decimal exponent outside" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_asym_ratio_outside_float_range(capsys, tmp_path):
     spec = _write(tmp_path, "cycle.json", json.dumps({"k": 1, "m_colors": [1],
                                                       "n_colors": [2]}))
-    for ratios, word in (("1e-400,1", "underflows"), ("1,1e400", "overflows")):
+    for ratios, lost in (("1e-400,1", "~1e-400 underflows"), ("1,1e400", "~1e400 overflows")):
         assert main(["asym", "--family", "cycle", "--spec", spec, "--c", ratios]) == 2
-        err = capsys.readouterr().err
-        assert word in err and ("c[1]" if word == "underflows" else "c[2]") in err
+        assert f"the cycle_11 coefficient {lost} a float" in capsys.readouterr().err
 
 
 def test_asym_ratio_outside_float_range_is_short(capsys, tmp_path):
-    # the exact ratio 1e-400 has a 401-digit denominator; only its size is printed
+    # the exact ratio 1e-400 has a 401-digit denominator; only the
+    # coefficient's size is printed
     spec = _write(tmp_path, "cycle.json", json.dumps({"k": 2, "m_colors": [1],
                                                       "n_colors": [2, 3]}))
     assert main(["asym", "--family", "cycle", "--spec", spec, "--c", "1e-400,1,1"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: side ratio 'c[1]' = ~1e-400 underflows a float to 0.0\n"
+    assert err == "error: the cycle_mn coefficient ~1e-400 underflows a float to 0.0\n"
     assert main(["asym", "--family", "cycle", "--spec", spec, "--c", "1,1,3e-401"]) == 2
     err = capsys.readouterr().err
-    assert "'c[3]' = ~1e-401 underflows" in err and len(err) < 80
+    assert "the cycle_mn coefficient ~1e-801 underflows" in err and len(err) < 80
+
+
+@pytest.mark.parametrize("k, ratios, coefficient", [(3, "1.1,1.1", 7.3205),
+                                                    (1, "1e-400,1e400", 1.0)])
+def test_asym_coefficient_is_exact_then_rounded(capsys, tmp_path, k, ratios, coefficient):
+    # 5 * 1.1^4 = 7.3205 exactly; 1e-400 * 1e400 = 1, though neither ratio
+    # is a float
+    spec = _write(tmp_path, "cycle.json", json.dumps({"k": k, "m_colors": [1],
+                                                      "n_colors": [2]}))
+    assert main(["asym", "--family", "cycle", "--spec", spec, "--c", ratios]) == 0
+    assert f'"coefficient": {coefficient!r}\n' in capsys.readouterr().out
 
 
 def test_mc_oversized_tensor_exits_2_before_any_draw(capsys, monkeypatch, tmp_path):

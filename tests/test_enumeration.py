@@ -1,19 +1,21 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from reference import CoveringGraph, face_profile, narayana_recurrence
 from tul import enumeration
 from tul.asymptotics import cross_check
-from tul.enumeration import (MAX_K, catalan, check_ratios, covering_pass, enumerate_coverings,
+from tul.enumeration import (MAX_K, catalan, covering_pass, enumerate_coverings,
                              limit_coefficient, minimal_coverings, narayana,
-                             narayana_face_distribution, narayana_recurrence)
+                             narayana_face_distribution)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic,
                           random_melonic_recipe)
-from tul.graphs import ColoredGraph, CoveringGraph, face_profile, is_connected
+from tul.graphs import ColoredGraph, is_connected
 from tul.tensors import gaussian_exact_mean
 
 
@@ -123,9 +125,10 @@ def test_limit_coefficient_errors():
 
 
 @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-def test_property_check_ratios_keeps_library_floats(x):
-    # a positive finite float is read as its exact value, so no rounding
-    assert check_ratios([x], 1) == [x]
+def test_property_library_floats_are_read_exactly(x):
+    # a positive finite float is read as its exact value, so no rounding: the
+    # dipole's coefficient is c itself
+    assert limit_coefficient(make_dipole(1), [x]) == Fraction(x)
 
 
 def test_catalan_values():

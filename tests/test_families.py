@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tul.families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict,
                           cycle_spec_to_json_dict, is_melonic, make_cycle_graph,
@@ -135,3 +138,30 @@ def test_melonic_recipe_json_round_trip():
         melonic_recipe_from_json_dict({"D": 3, "steps": [[1]]})
     with pytest.raises(ValueError, match="'D'"):
         melonic_recipe_from_json_dict({"steps": []})
+
+
+@st.composite
+def cycle_specs(draw):
+    """A split of colors 1..D, D = 2-7, into two nonempty sets; k = 1-50."""
+    colors = draw(st.permutations(range(1, draw(st.integers(2, 7)) + 1)))
+    m = draw(st.integers(1, len(colors) - 1))
+    return CycleSpec(k=draw(st.integers(1, 50)), m_colors=frozenset(colors[:m]),
+                     n_colors=frozenset(colors[m:]))
+
+
+@st.composite
+def melonic_recipes(draw):
+    """D = 1-6 colors; up to 7 steps, each on an edge of the graph so far."""
+    D = draw(st.integers(1, 6))
+    count = draw(st.integers(0, 7)) if D >= 3 else 0
+    return MelonicRecipe(D=D, steps=tuple((draw(st.integers(1, D)), draw(st.integers(1, t)))
+                                          for t in range(1, count + 1)))
+
+
+@settings(max_examples=100)
+@given(cycle_specs(), melonic_recipes())
+def test_property_family_json_round_trips(spec, recipe):
+    text = json.dumps(cycle_spec_to_json_dict(spec))
+    assert cycle_spec_from_json_dict(json.loads(text)) == spec
+    text = json.dumps(melonic_recipe_to_json_dict(recipe))
+    assert melonic_recipe_from_json_dict(json.loads(text)) == recipe

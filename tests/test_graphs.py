@@ -1,11 +1,14 @@
+import json
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tul.families import CycleSpec, make_cycle_graph, make_dipole
-from tul.graphs import (ColoredGraph, CoveringGraph, FaceProfile, face_profile, genus,
-                        graph_from_json_dict, graph_to_json_dict, is_connected)
+from reference import CoveringGraph, face_profile, genus
+from tul.graphs import (MAX_DECIMAL_EXPONENT, ColoredGraph, FaceProfile, graph_from_json_dict,
+                        graph_to_json_dict, is_connected, side_ratios)
 
 
 def two_color_cycle(k):
@@ -111,3 +114,27 @@ def test_face_profile_total_consistency():
 def test_face_profile_type():
     p = FaceProfile(zero_faces=(2, 1), total=3)
     assert p.total == 3
+
+
+def test_side_ratios_bound_the_decimal_exponent():
+    assert MAX_DECIMAL_EXPONENT == 4300
+    assert side_ratios(["1e-4300", "2E+0004300", " 1e01 "], 3) == (
+        Fraction(1, 10 ** 4300), 2 * 10 ** 4300, 10)
+    for text in ("1e4301", "1e-4301", "3.5e99999999", "1e1_0000"):
+        with pytest.raises(ValueError, match=r"'c\[2\]' has a decimal exponent outside "
+                                             r"-4300\.\.4300"):
+            side_ratios([1, text], 2)
+
+
+@st.composite
+def colored_graphs(draw):
+    """A graph of 1-4 colors on 1-6 white vertices, connected or not."""
+    k = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.permutations(range(k)), min_size=1, max_size=4))
+    return ColoredGraph(k=k, sigma=tuple(tuple(row) for row in rows))
+
+
+@settings(max_examples=100)
+@given(colored_graphs())
+def test_property_graph_json_round_trip(B):
+    assert graph_from_json_dict(json.loads(json.dumps(graph_to_json_dict(B)))) == B

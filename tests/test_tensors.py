@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from fractions import Fraction
@@ -6,13 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import apply_unitaries, margins, random_unitary, unitary_invariance_check
 from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic
 from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISTRIBUTIONS, TensorSpec,
-                         _check_naive_contraction, _cycle_values, apply_unitaries,
-                         gaussian_exact_mean, monte_carlo_mean, random_unitary, sample_tensor,
-                         tensor_spec_from_json_dict, trace_invariant_cycle,
-                         trace_invariant_naive, unitary_invariance_check,
-                         universality_scan)
+                         _check_naive_contraction, _cycle_values, gaussian_exact_mean,
+                         monte_carlo_mean, sample_tensor, tensor_spec_from_json_dict,
+                         trace_invariant_cycle, trace_invariant_naive, universality_scan)
 
 
 def cycle_11(k):
@@ -381,7 +381,7 @@ def test_universality_scan_report():
         assert row.N == N
         assert row.samples == 500
         assert row.normalized == pytest.approx(row.mean / N ** 3, rel=1e-15)
-    assert len(report.margins()) == 2
+    assert len(margins(report)) == 2
     assert "cycle" in report.graph_id
 
 
@@ -483,3 +483,63 @@ def test_tensor_spec_json():
     with pytest.raises(ValueError, match="'seed'"):
         tensor_spec_from_json_dict({"D": 1, "c": [1], "N": 2,
                                     "distribution": "uniform_disc", "seed": "a"})
+
+
+@st.composite
+def tensor_spec_dicts(draw):
+    """The JSON form of a valid tensor spec and the exact ratios it holds.
+    Each ratio in [1/4, 4] is written as a JSON integer, a 'p/q' string or,
+    when its decimal is finite, a JSON number; N is a multiple of every
+    denominator, and seed may be left out."""
+    ratios = draw(st.lists(st.fractions(Fraction(1, 4), 4, max_denominator=4),
+                           min_size=1, max_size=3))
+    written = []
+    for x in ratios:
+        forms = [f"{x.numerator}/{x.denominator}"]
+        if x.denominator == 1:
+            forms.append(x.numerator)
+        elif x.denominator != 3:
+            forms.append(float(x))
+        written.append(draw(st.sampled_from(forms)))
+    N = math.lcm(*(x.denominator for x in ratios)) * draw(st.integers(1, 3))
+    data = {"D": len(ratios), "c": written, "N": N,
+            "distribution": draw(st.sampled_from(DISTRIBUTIONS))}
+    if draw(st.booleans()):
+        data["seed"] = draw(st.integers(0, 2 ** 64 - 1))
+    return data, tuple(ratios)
+
+
+@settings(max_examples=100)
+@given(tensor_spec_dicts())
+def test_property_tensor_spec_json_is_read_exactly(case):
+    data, ratios = case
+    spec = tensor_spec_from_json_dict(json.loads(json.dumps(data)))
+    assert spec == TensorSpec(D=len(ratios), c=ratios, N=data["N"],
+                              distribution=data["distribution"], seed=data.get("seed", 0))
+    assert spec.c == ratios and spec.dims == tuple(int(x * data["N"]) for x in ratios)
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=2)
+# decimal texts, some with exponents far beyond what a Fraction can build quickly
+RATIO_TEXTS = st.from_regex(r"\A-?[0-9]{1,3}(\.[0-9]{1,3})?([eE][-+]?[0-9]{1,9})?\Z")
+
+
+@settings(max_examples=100)
+@given(tensor_spec_dicts(), st.sampled_from([None, "D", "c", "N", "distribution", "seed"]),
+       JSON_VALUES | RATIO_TEXTS)
+def test_property_tensor_spec_json_is_read_or_refused(case, field, junk):
+    # a valid spec, as is or with one field or its first ratio replaced by
+    # any JSON value, gives a tensor spec or a ValueError, never another
+    # exception
+    data, _ = case
+    if field == "c":
+        data["c"][0] = junk
+    elif field:
+        data[field] = junk
+    try:
+        spec = tensor_spec_from_json_dict(data)
+    except ValueError:
+        return
+    assert (spec.D, spec.N, spec.distribution) == (data["D"], data["N"], data["distribution"])
+    assert spec.seed == data.get("seed", 0) and len(spec.c) == len(spec.dims) == spec.D
