@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .enumeration import face_sum, limit_coefficient, minimal_coverings, minimal_faces, narayana
+from .enumeration import face_sum, minimal_coverings, minimal_faces, narayana
 from .families import CycleSpec, MelonicRecipe, is_melonic, make_cycle_graph, make_melonic
 from .graphs import ColoredGraph, side_ratios
 
@@ -44,19 +43,43 @@ class AsymptoticPrediction:
             raise ValueError(f"unknown family tag {self.family!r}")
 
 
-def _prediction(gamma: int, family: str, exact: Fraction) -> AsymptoticPrediction:
-    """The prediction with the float nearest to the exact, positive coefficient.
+# A coefficient whose estimated log10 lies 20 decades outside the double
+# range (subnormals included) is refused before its exact sum is built: for
+# the (1,1)-cycle at k=2000 and c_i = 1e200 that sum multiplies 400,000-digit
+# integers for minutes.
+_LOG10_RANGE = (-324 - 20, 308 + 20)
+
+
+def _log10_size(faces, c) -> float:
+    """log10 of face_sum(faces, c), in floats: the terms are positive, so
+    their logs are summed as max + log10 sum 10^(term - max)."""
+    logs = [math.log10(x.numerator) - math.log10(x.denominator) for x in c]
+    terms = [math.log10(n) + math.fsum(f * x for f, x in zip(zero, logs))
+             for zero, n in faces.items()]
+    top = max(terms)
+    return top + math.log10(math.fsum(10.0 ** (t - top) for t in terms))
+
+
+def _prediction(gamma: int, family: str, faces, c) -> AsymptoticPrediction:
+    """The prediction with the float nearest to the exact, positive
+    coefficient face_sum(faces, c).
 
     The one float conversion and range guard: a float of 0.0 or inf means the
     coefficient left the double range, and the refusal gives its power of ten.
+    Far outside that range the float estimate of log10 decides alone.
     """
-    try:
-        value = float(exact)
-    except OverflowError:
+    size = _log10_size(faces, c)
+    if size > _LOG10_RANGE[1]:
         value = math.inf
+    elif size < _LOG10_RANGE[0]:
+        value = 0.0
+    else:
+        try:
+            value = float(face_sum(faces, c))
+        except OverflowError:
+            value = math.inf
     if value == 0.0 or value == math.inf:
-        size = round(math.log10(exact.numerator) - math.log10(exact.denominator))
-        raise ValueError(f"the {family} coefficient ~1e{size} "
+        raise ValueError(f"the {family} coefficient ~1e{round(size)} "
                          f"{'overflows' if value else 'underflows'} a float to {value}")
     return AsymptoticPrediction(gamma=gamma, coefficient=value, family=family)
 
@@ -86,11 +109,11 @@ def predict_melonic(B: ColoredGraph, c) -> AsymptoticPrediction:
     c = side_ratios(c, B.D)
     gamma = 1 + B.k * (B.D - 1)
     if len(set(c)) == 1:
-        return _prediction(gamma, "melonic", c[0] ** gamma)
+        return _prediction(gamma, "melonic", {(gamma,): 1}, c[:1])  # c^gamma
     exponents = melonic_exponents(B)
     if sum(exponents) != gamma:
         raise ValueError(f"face exponents {exponents} do not sum to gamma={gamma}")
-    return _prediction(gamma, "melonic", face_sum({exponents: 1}, c))
+    return _prediction(gamma, "melonic", {exponents: 1}, c)
 
 
 def cycle_faces(spec: CycleSpec) -> dict[tuple[int, ...], int]:
@@ -117,12 +140,13 @@ def predict_cycle(spec: CycleSpec, c) -> AsymptoticPrediction:
     c = side_ratios(c, spec.D)
     faces = cycle_faces(spec)
     family = "cycle_mn" if spec.m != spec.n else "cycle_11" if spec.m == 1 else "cycle_mm"
-    return _prediction(sum(next(iter(faces))), family, face_sum(faces, c))
+    return _prediction(sum(next(iter(faces))), family, faces, c)
 
 
 def predict_generic(B: ColoredGraph, c) -> AsymptoticPrediction:
     """Enumeration-backed prediction for graphs outside the named families."""
-    return _prediction(minimal_coverings(B).gamma, "generic", limit_coefficient(B, c))
+    return _prediction(minimal_coverings(B).gamma, "generic", minimal_faces(B),
+                       side_ratios(c, B.D))
 
 
 @dataclass(frozen=True)
@@ -177,10 +201,9 @@ def cross_check(B: ColoredGraph, family_spec, c) -> CrossCheckReport:
     coeff_match, coeff_enum = True, closed.coefficient
     if enum != faces:
         c = side_ratios(c, B.D)
-        exact_enum = face_sum(enum, c)
-        if exact_enum != face_sum(faces, c):
+        if face_sum(enum, c) != face_sum(faces, c):
             coeff_match = False
-            coeff_enum = _prediction(mcs.gamma, closed.family, exact_enum).coefficient
+            coeff_enum = _prediction(mcs.gamma, closed.family, enum, c).coefficient
     report = CrossCheckReport(
         family=closed.family,
         gamma_closed=closed.gamma, gamma_enum=mcs.gamma,

@@ -11,12 +11,16 @@ once and one color at a time.  The pass keeps two things:
   histogram  {zero_faces: multiplicity}, the whole finite-N Wick sum
   minimal    the face-maximizing coverings, which carry its leading term
 
-The result is cached per graph, so gamma, the Catalan/Narayana counts, the
-limit coefficient and the exact Wick integer all come from one sweep.
+Relabeling the colors only permutes each face vector, so the sweep is run
+on the graph with its sigma rows sorted and cached per sorted graph, then
+read back in the graph's own colors.  Gamma, the Catalan/Narayana counts,
+the limit coefficient and the exact Wick integer of every graph that is
+equal up to the order of its colors (the color splits of one (m,n)-cycle,
+say) all come from one sweep.
 `enumerate_coverings` reads the same blocks one covering at a time.
 
 Graphs must be connected and have k <= MAX_K = 9, i.e. at most 362,880
-coverings.  Both are checked on every call, before the cache is consulted.
+coverings.  Both are checked before any sweep.
 """
 
 from __future__ import annotations
@@ -38,8 +42,9 @@ from .permutations import Perm, identity, inverse
 # sweep costs k!, and k=10 already takes seconds and ~200 MB.
 MAX_K = 9
 
-# Graphs whose pass stays cached.  A bound on memory, not a tuning knob:
-# every consumer of one graph runs back to back, so a few slots suffice.
+# Passes that stay cached, per color-sorted graph and per graph.  A bound on
+# memory, not a tuning knob: every consumer of one graph, and every color
+# split of one cycle, runs back to back, so a few slots suffice.
 _CACHED_GRAPHS = 4
 
 
@@ -174,10 +179,28 @@ def _check_graph(B: ColoredGraph):
         )
 
 
+@functools.lru_cache(maxsize=_CACHED_GRAPHS)
 def covering_pass(B: ColoredGraph) -> CoveringPass:
-    """The face histogram and minimal coverings of B, from one cached sweep."""
+    """The face histogram and minimal coverings of B, from one cached sweep
+    per color-sorted graph.
+
+    B is swept with its colors sorted by sigma row; every face vector is then
+    put back in B's color order.  gamma, the taus and their order do not
+    depend on the order of the colors.  The result is cached per graph as
+    well, since the consumers of one graph call this back to back.
+    """
     _check_graph(B)
-    return _sweep(B)
+    order = sorted(range(B.D), key=B.sigma.__getitem__)
+    sweep = _sweep(ColoredGraph(k=B.k, sigma=tuple(B.sigma[i] for i in order)))
+    back = inverse(order)  # face i of B is face back[i] of the sorted graph
+    gamma = sweep.minimal.gamma
+    histogram = {tuple(zero[j] for j in back): n for zero, n in sweep.histogram.items()}
+    profiles = {zero: FaceProfile(zero_faces=tuple(zero[j] for j in back), total=gamma)
+                for zero in sweep.histogram if sum(zero) == gamma}
+    minimal = MinimalCoveringSet(gamma=gamma, members=tuple(
+        (tau, profiles[p.zero_faces]) for tau, p in sweep.minimal.members))
+    return CoveringPass(histogram=MappingProxyType(dict(sorted(histogram.items()))),
+                        minimal=minimal)
 
 
 def enumerate_coverings(B: ColoredGraph) -> Iterator[tuple[Perm, FaceProfile]]:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -8,12 +9,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import CoveringGraph, face_profile
 from tul.asymptotics import predict_cycle
 from tul.cli import main
 from tul.enumeration import catalan
 from tul.families import (CycleSpec, cycle_spec_to_json_dict, make_cycle_graph,
                           melonic_recipe_to_json_dict, MelonicRecipe)
-from tul.graphs import graph_to_json_dict
+from tul.graphs import ColoredGraph, graph_to_json_dict
 from tul.tensors import STREAM, TensorSpec, tensor_spec_from_json_dict
 
 
@@ -65,6 +67,22 @@ def test_enumerate_faces_and_histogram(capsys, cycle22_graph):
         assert sum(member["zero_faces"]) == member["total"] == 3
         assert sorted(member["tau"]) == [1, 2]
     assert data["histogram"] == {"1": 1, "2": 1}
+
+
+def test_enumerate_faces_of_a_graph_with_unsorted_colors(capsys, tmp_path):
+    # the pass sweeps this graph with its rows sorted, then puts every face
+    # vector back in these colors; each member is checked covering by covering
+    B = ColoredGraph(k=4, sigma=((1, 2, 3, 0), (0, 1, 2, 3), (2, 3, 0, 1), (0, 1, 2, 3)))
+    path = _write(tmp_path, "graph.json", json.dumps(graph_to_json_dict(B)))
+    code, data = run_json(capsys, ["enumerate", "--graph", path, "--faces"])
+    assert code == 0
+    profiles = {tau: face_profile(CoveringGraph(base=B, tau=tau))
+                for tau in itertools.permutations(range(4))}
+    gamma = max(p.total for p in profiles.values())
+    expected = [{"tau": [j + 1 for j in tau], "zero_faces": list(p.zero_faces), "total": gamma}
+                for tau, p in profiles.items() if p.total == gamma]
+    assert (data["gamma"], data["count"], data["members"]) == (gamma, len(expected), expected)
+    assert len({tuple(m["zero_faces"]) for m in data["members"]}) > 1
 
 
 def test_enumerate_csv(capsys, cycle22_graph):
@@ -387,6 +405,18 @@ def test_huge_decimal_exponent_exits_2_at_once(capsys, tmp_path, cycle_spec_file
     assert main(["mc", "--spec", tensor, "--cycle", cycle_spec_file]) == 2
     assert "side ratio 'c[2]' has a decimal exponent outside" in capsys.readouterr().err
     assert time.perf_counter() - start < 1.0
+
+
+def test_asym_far_out_of_range_coefficient_exits_2_at_once(capsys, tmp_path):
+    # the exact sum would multiply 400,000-digit integers for minutes; the
+    # float estimate of its log10 refuses it first, in the usual words
+    spec = _write(tmp_path, "cycle.json", json.dumps({"k": 2000, "m_colors": [1],
+                                                      "n_colors": [2]}))
+    start = time.perf_counter()
+    assert main(["asym", "--family", "cycle", "--spec", spec, "--c", "1e200,1e200"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == ("error: the cycle_11 coefficient ~1e401399 "
+                                       "overflows a float to inf\n")
 
 
 def test_asym_ratio_outside_float_range(capsys, tmp_path):

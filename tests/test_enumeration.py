@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from reference import CoveringGraph, face_profile, narayana_recurrence
 from tul import enumeration
@@ -299,6 +299,7 @@ def test_consumers_share_one_sweep():
     spec = CycleSpec(k=5, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
     B = make_cycle_graph(spec)
     enumeration._sweep.cache_clear()
+    enumeration.covering_pass.cache_clear()
     mcs = minimal_coverings(B)
     report = cross_check(B, spec, (1.5, 0.5, 2.0))
     wick = gaussian_exact_mean(B, (1, 2, 1), 3)
@@ -306,3 +307,45 @@ def test_consumers_share_one_sweep():
     assert (mcs.gamma, report.count_enum) == (2 * 5 + 1, 1)
     assert wick == sum(math.prod(d ** f for d, f in zip((3, 6, 3), p.zero_faces))
                        for _, p in enumerate_coverings(B))
+
+
+def test_color_splits_share_one_sweep():
+    # every split of 5 colors into 2 identities and 3 shifts is the same
+    # graph once its colors are sorted, so all ten splits cost one sweep
+    enumeration._sweep.cache_clear()
+    enumeration.covering_pass.cache_clear()
+    for m_colors in itertools.combinations(range(1, 6), 2):
+        spec = CycleSpec(k=5, m_colors=frozenset(m_colors),
+                         n_colors=frozenset(range(1, 6)) - set(m_colors))
+        report = cross_check(make_cycle_graph(spec), spec, (2, 1, 3, 0.5, 1.5))
+        assert (report.gamma_enum, report.count_enum) == (3 * 5 + 2, 1)
+    assert enumeration._sweep.cache_info().misses == 1
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected graph with k = 1-6 and D = 1-5 random sigma rows."""
+    k, D = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    B = ColoredGraph(k=k, sigma=tuple(draw(st.permutations(range(k))) for _ in range(D)))
+    assume(is_connected(B))
+    return B
+
+
+@settings(max_examples=60)
+@given(connected_graphs(), st.data())
+def test_property_relabeling_colors_permutes_the_pass(B, data):
+    # color i of B_pi is color pi[i] of B, so its face vectors are B's read through pi
+    pi = data.draw(st.permutations(range(B.D)))
+    B_pi = ColoredGraph(k=B.k, sigma=tuple(B.sigma[j] for j in pi))
+    a, b = covering_pass(B), covering_pass(B_pi)
+
+    def permuted(zero):
+        return tuple(zero[j] for j in pi)
+
+    assert dict(b.histogram) == {permuted(zero): n for zero, n in a.histogram.items()}
+    assert list(b.histogram) == sorted(b.histogram)
+    assert b.minimal.gamma == a.minimal.gamma
+    assert [tau for tau, _ in b.minimal.members] == [tau for tau, _ in a.minimal.members]
+    for (tau, p), (_, q) in zip(b.minimal.members, a.minimal.members):
+        assert p.zero_faces == permuted(q.zero_faces)
+        assert p == face_profile(CoveringGraph(base=B_pi, tau=tau))

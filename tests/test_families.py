@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tul.enumeration import minimal_coverings
 from tul.families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict,
                           cycle_spec_to_json_dict, is_melonic, make_cycle_graph,
                           make_dipole, make_melonic, melonic_recipe_from_json_dict,
@@ -88,6 +89,16 @@ def test_is_melonic_requires_connected():
     B = ColoredGraph(k=2, sigma=((0, 1), (0, 1)))
     with pytest.raises(ValueError):
         is_melonic(B)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 6), st.integers(1, 6))
+def test_property_random_melonic_recipes_are_melonic(seed, D, k):
+    # a melonic graph has one minimal covering, with gamma = 1 + k(D-1)
+    B = make_melonic(random_melonic_recipe(np.random.default_rng(seed), D, k))
+    assert is_melonic(B)
+    mcs = minimal_coverings(B)
+    assert (mcs.count, mcs.gamma) == (1, 1 + k * (D - 1))
 
 
 def test_random_melonic_recipe_bounds():
