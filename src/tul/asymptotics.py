@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .enumeration import face_sum, minimal_coverings, minimal_faces, narayana
+from .enumeration import face_sum, minimal_coverings, minimal_faces, narayana_row
 from .families import CycleSpec, MelonicRecipe, is_melonic, make_cycle_graph, make_melonic
 from .graphs import ColoredGraph, side_ratios
 
@@ -126,8 +126,8 @@ def cycle_faces(spec: CycleSpec) -> dict[tuple[int, ...], int]:
     """
     k = spec.k
     if spec.m == spec.n:
-        return {tuple(l if i in spec.m_colors else k - l + 1 for i in range(1, spec.D + 1)):
-                narayana(k, l) for l in range(1, k + 1)}
+        return {tuple(l if i in spec.m_colors else k - l + 1 for i in range(1, spec.D + 1)): n
+                for l, n in enumerate(narayana_row(k), start=1)}
     fewer = spec.m_colors if spec.m < spec.n else spec.n_colors
     return {tuple(1 if i in fewer else k for i in range(1, spec.D + 1)): 1}
 

@@ -267,6 +267,18 @@ def narayana(k: int, l: int) -> int:
     return math.comb(k, l) * math.comb(k, l - 1) // k
 
 
+def narayana_row(k: int) -> list[int]:
+    """[N_{k,1}, ..., N_{k,k}] by N_{k,1} = 1 and
+    N_{k,l+1} = N_{k,l} (k-l)(k-l+1) / (l(l+1)), one exact integer division
+    per entry where narayana(k, l) takes two binomials."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    row = [1]
+    for l in range(1, k):
+        row.append(row[-1] * (k - l) * (k - l + 1) // (l * (l + 1)))
+    return row
+
+
 def _is_two_color_cycle(B: ColoredGraph) -> bool:
     k = B.k
     shift = tuple((j + 1) % k for j in range(k))

@@ -11,6 +11,12 @@ route sums the delta-constrained index contractions term by term for any
 colored graph, in one unoptimized einsum within DEFAULT_NAIVE_BUDGET terms,
 while the cycle route matricizes the tensor and takes tr((M^H M)^k).  Tests
 lean on their agreement, so neither may be expressed through the other.
+
+The cycle route gets each Gram G from one real matrix product R S^T on the
+tensor's float view, with no conjugate copy and no complex product: R holds
+the real and imaginary parts of the matricization as column pairs (a, b), S
+holds (a - b, a + b) in their place, and R S^T = Re G + Im G is the sum of a
+symmetric and an antisymmetric matrix, so both parts of G are read off it.
 """
 
 from __future__ import annotations
@@ -225,25 +231,42 @@ def _cycle_values(T_stack: np.ndarray, spec: CycleSpec) -> np.ndarray:
     """tr((M^H M)^k) of each tensor in a stack, for the matricization M with
     row index over the identity colors and column index over the shift colors.
 
-    Works on whichever Gram side is smaller, in one stacked product; sums the
-    Gram's squared entries for k = 2 and takes stacked Hermitian eigenvalues
-    for k >= 3.
+    k = 1 is the squared Frobenius norm of the stack's float view.  Otherwise
+    the smaller side's colors come first, so the matrix A is M or M^T and the
+    p x p Gram G = A A^H is M M^H or conj(M^H M): the same spectrum.  G comes
+    from one real product on the float view R of A, whose columns are the
+    pairs (a_j, b_j) of real and imaginary parts: with S the copy of R holding
+    (a_j - b_j, a_j + b_j) in their place,
+
+        X = R S^T = (a a^T + b b^T) + (b a^T - a b^T) = Re G + Im G,
+
+    half the real multiply-adds of a complex product and no conjugate copy.
+    Re G is symmetric and Im G antisymmetric, so they are orthogonal:
+    tr(G^2) = |G|_F^2 = |X|_F^2 for k = 2, and for k >= 3 the Hermitian
+    G = (X + X^T)/2 + i (X - X^T)/2 goes to a stacked eigvalsh.
     """
     T_stack = np.asarray(T_stack, dtype=np.complex128)
     if T_stack.ndim != spec.D + 1:
         raise ValueError(f"tensor has {T_stack.ndim - 1} axes, cycle spec has D={spec.D} colors")
-    # color i is axis i of the stack; axis 0 indexes the samples
-    order = [0, *sorted(spec.m_colors), *sorted(spec.n_colors)]
-    rows = math.prod(T_stack.shape[i] for i in spec.m_colors)
-    M = np.transpose(T_stack, order).reshape(len(T_stack), rows, -1)
-    Mh = np.conj(M).transpose(0, 2, 1)
-    G = M @ Mh if rows <= M.shape[2] else Mh @ M
-    k = spec.k
+    count, k = len(T_stack), spec.k
     if k == 1:
-        return np.trace(G, axis1=1, axis2=2).real
-    if k == 2:
-        flat = G.view(np.float64).reshape(len(G), -1)
+        flat = np.ascontiguousarray(T_stack).view(np.float64).reshape(count, -1)
         return np.einsum("bi,bi->b", flat, flat)
+    # color i is axis i of the stack; axis 0 indexes the samples
+    sides = sorted(spec.m_colors), sorted(spec.n_colors)
+    p, q = (math.prod(T_stack.shape[i] for i in side) for side in sides)
+    small, large = sides if p <= q else sides[::-1]
+    A = np.ascontiguousarray(np.transpose(T_stack, [0, *small, *large]))
+    R = A.view(np.float64).reshape(count, min(p, q), -1)
+    S = np.empty_like(R)
+    np.subtract(R[..., 0::2], R[..., 1::2], out=S[..., 0::2])
+    np.add(R[..., 0::2], R[..., 1::2], out=S[..., 1::2])
+    X = R @ S.transpose(0, 2, 1)
+    if k == 2:
+        flat = X.reshape(count, -1)
+        return np.einsum("bi,bi->b", flat, flat)
+    Xt = X.transpose(0, 2, 1)
+    G = 0.5 * (X + Xt) + 0.5j * (X - Xt)
     return np.sum(np.linalg.eigvalsh(G) ** k, axis=1)
 
 

@@ -3,8 +3,9 @@
 Each one recomputes a quantity the package computes another way, or checks an
 invariant of it, so it stays outside `tul`: Narayana numbers by dynamic
 programming, face counts and the genus of one covering by plain cycle
-counting, Haar unitaries and the relative change of an invariant under them,
-and the margins of a universality scan.
+counting, the cycle invariant by complex matrix powers, Haar unitaries and
+the relative change of an invariant under them, and the margins of a
+universality scan.
 """
 
 from __future__ import annotations
@@ -109,6 +110,21 @@ def genus(G: CoveringGraph) -> Fraction:
     faces = face_profile(G).total + cycle_count(compose(inverse(sigma[1]), sigma[0]))
     k = G.base.k
     return Fraction(2 - (faces - 3 * k + 2 * k), 2)
+
+
+# ---------------------------------------------------------------------------
+# The (m,n)-cycle invariant by complex matrix powers
+# ---------------------------------------------------------------------------
+
+def cycle_value_reference(T: np.ndarray, spec: CycleSpec) -> float:
+    """tr((M M^H)^k) for the matricization M of T with rows over the identity
+    colors and columns over the shift colors: a complex Gram and k - 1
+    complex products, with no choice of the smaller side and no float view."""
+    T = np.asarray(T, dtype=np.complex128)
+    order = [i - 1 for i in (*sorted(spec.m_colors), *sorted(spec.n_colors))]
+    rows = math.prod(T.shape[i - 1] for i in spec.m_colors)
+    M = np.transpose(T, order).reshape(rows, -1)
+    return float(np.trace(np.linalg.matrix_power(M @ M.conj().T, spec.k)).real)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from tul import enumeration
 from tul.asymptotics import cross_check
 from tul.enumeration import (MAX_K, catalan, covering_pass, enumerate_coverings,
                              limit_coefficient, minimal_coverings, narayana,
-                             narayana_face_distribution)
+                             narayana_face_distribution, narayana_row)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic,
                           random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
@@ -152,6 +152,15 @@ def test_narayana_values():
 def test_narayana_rows_sum_to_catalan():
     for k in range(1, 21):
         assert sum(narayana(k, l) for l in range(1, k + 1)) == catalan(k)
+
+
+def test_narayana_row_matches_closed_form():
+    for k in range(1, 61):
+        row = narayana_row(k)
+        assert row == [narayana(k, l) for l in range(1, k + 1)]
+        assert sum(row) == catalan(k)
+    with pytest.raises(ValueError, match="positive"):
+        narayana_row(0)
 
 
 def test_narayana_symmetry():

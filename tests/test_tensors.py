@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from reference import apply_unitaries, margins, random_unitary, unitary_invariance_check
+from reference import (apply_unitaries, cycle_value_reference, margins, random_unitary,
+                       unitary_invariance_check)
 from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic
+from tul.graphs import ColoredGraph, is_connected
 from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISTRIBUTIONS, TensorSpec,
                          _check_naive_contraction, _cycle_values, gaussian_exact_mean,
                          monte_carlo_mean, sample_tensor, tensor_spec_from_json_dict,
@@ -146,6 +148,35 @@ def test_cycle_values_stack_is_slice_by_slice(spec, dims):
     values = _cycle_values(stack, spec)
     assert values.shape == (40,)
     assert values.tolist() == [trace_invariant_cycle(T, spec) for T in stack]
+
+
+@st.composite
+def gram_cases(draw):
+    """A random (m,n)-cycle spec with D = 2-4 and k = 1-5, sides 1-5 that
+    make the identity side the taller or the wider one, and a stack of 1-3
+    complex tensors of those sides."""
+    colors = draw(st.permutations(range(1, draw(st.integers(2, 4)) + 1)))
+    m = draw(st.integers(1, len(colors) - 1))
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=len(colors), max_size=len(colors))))
+    m_colors, n_colors = frozenset(colors[:m]), frozenset(colors[m:])
+    p, q = (math.prod(dims[i - 1] for i in side) for side in (m_colors, n_colors))
+    if draw(st.booleans()) != (p > q):
+        m_colors, n_colors = n_colors, m_colors
+    # hypothesis leans to the first value; k = 2 is the scan's Gram
+    spec = CycleSpec(k=draw(st.sampled_from((2, 3, 1, 4, 5))), m_colors=m_colors,
+                     n_colors=n_colors)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (draw(st.integers(1, 3)), *dims)
+    return spec, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=80)
+@given(gram_cases())
+def test_property_cycle_values_match_complex_gram(case):
+    spec, stack = case
+    rel = 1e-12 if spec.k <= 2 else 1e-10
+    expected = [cycle_value_reference(T, spec) for T in stack]
+    assert _cycle_values(stack, spec).tolist() == pytest.approx(expected, rel=rel)
 
 
 def test_naive_k1_is_squared_norm():
@@ -465,6 +496,34 @@ def test_unitary_invariance_naive_route():
     T = sample_tensor(spec)
     Us = [random_unitary(rng, 3) for _ in range(3)]
     assert unitary_invariance_check(T, B, Us) < 1e-8
+
+
+@st.composite
+def rotated_graphs(draw):
+    """A connected graph with k = 1-3 and D = 1-3, a complex tensor of sides
+    1-3, and a Haar unitary for every side."""
+    k, D = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    B = ColoredGraph(k=k, sigma=tuple(draw(st.permutations(range(k))) for _ in range(D)))
+    assume(is_connected(B))
+    dims = draw(st.lists(st.integers(1, 3), min_size=D, max_size=D))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    T = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    return B, T, [random_unitary(rng, d) for d in dims]
+
+
+@settings(max_examples=100)
+@given(rotated_graphs())
+def test_property_unitary_invariance_naive_route(case):
+    B, T, Us = case
+    assert unitary_invariance_check(T, B, Us) < 1e-8
+
+
+@settings(max_examples=60)
+@given(cycle_cases(), st.integers(0, 2 ** 32 - 1))
+def test_property_unitary_invariance_cycle_route(case, seed):
+    spec, T = case
+    rng = np.random.default_rng(seed)
+    assert unitary_invariance_check(T, spec, [random_unitary(rng, d) for d in T.shape]) < 1e-8
 
 
 def test_tensor_spec_json():
