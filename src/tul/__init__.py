@@ -3,15 +3,14 @@ tensors: exact enumeration of covering graphs, closed-form asymptotics for
 melonic and cycle families, and seeded Monte Carlo cross-checks."""
 
 from .asymptotics import (AsymptoticPrediction, CrossCheckError, CrossCheckReport,
-                          cross_check, melonic_exponents, predict_cycle,
-                          predict_generic, predict_melonic)
+                          cross_check, predict_cycle, predict_generic, predict_melonic)
 from .enumeration import (MAX_K, CoveringPass, MinimalCoveringSet, catalan, covering_pass,
                           enumerate_coverings, limit_coefficient, minimal_coverings,
                           narayana, narayana_face_distribution)
 from .families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict,
-                       cycle_spec_to_json_dict, is_melonic, make_cycle_graph,
-                       make_dipole, make_melonic, melonic_recipe_from_json_dict,
-                       melonic_recipe_to_json_dict, random_melonic_recipe)
+                       cycle_spec_to_json_dict, make_cycle_graph, make_dipole, make_melonic,
+                       melonic_recipe_from_json_dict, melonic_recipe_to_json_dict,
+                       random_melonic_recipe)
 from .graphs import (ColoredGraph, FaceProfile, graph_from_json_dict, graph_to_json_dict,
                      is_connected)
 from .permutations import Perm, compose, cycle_count, cycles, identity, inverse
@@ -28,11 +27,11 @@ __all__ = [
     "UniversalityReport", "VerifySuiteConfig", "catalan", "compose", "covering_pass",
     "cross_check", "cycle_count", "cycle_spec_from_json_dict", "cycle_spec_to_json_dict",
     "cycles", "enumerate_coverings", "gaussian_exact_mean", "graph_from_json_dict",
-    "graph_to_json_dict", "identity", "inverse", "is_connected", "is_melonic",
-    "limit_coefficient", "make_cycle_graph", "make_dipole", "make_melonic",
-    "melonic_exponents", "melonic_recipe_from_json_dict", "melonic_recipe_to_json_dict",
-    "minimal_coverings", "monte_carlo_mean", "narayana", "narayana_face_distribution",
-    "predict_cycle", "predict_generic", "predict_melonic", "random_melonic_recipe",
-    "run_verify_suite", "sample_tensor", "suite_passed", "tensor_spec_from_json_dict",
-    "trace_invariant_cycle", "trace_invariant_naive", "universality_scan",
+    "graph_to_json_dict", "identity", "inverse", "is_connected", "limit_coefficient",
+    "make_cycle_graph", "make_dipole", "make_melonic", "melonic_recipe_from_json_dict",
+    "melonic_recipe_to_json_dict", "minimal_coverings", "monte_carlo_mean", "narayana",
+    "narayana_face_distribution", "predict_cycle", "predict_generic", "predict_melonic",
+    "random_melonic_recipe", "run_verify_suite", "sample_tensor", "suite_passed",
+    "tensor_spec_from_json_dict", "trace_invariant_cycle", "trace_invariant_naive",
+    "universality_scan",
 ]

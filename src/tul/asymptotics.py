@@ -5,22 +5,26 @@ For a D-colored graph B with k white vertices the averaged invariant grows
 like coefficient * N^gamma; gamma and the coefficient depend only on the
 minimal covering graphs.  The families covered here:
 
-  melonic      gamma = 1 + k(D-1), unique minimal covering
+  melonic      gamma = 1 + k(D-1), unique minimal covering with
+               k - (cuts of color i) faces on color i
   (m,m)-cycle  gamma = m(k+1), C_k minimal coverings, Narayana-weighted
   (m,n)-cycle  gamma = nk + m for m < n, unique minimal covering
 
-Each closed form is the minimal-covering face histogram it predicts.  A
-coefficient is such a histogram evaluated exactly by enumeration.face_sum,
-then rounded once to the nearest float by _prediction.
+Each closed form is the minimal-covering face histogram it predicts, built
+from the family spec alone (melonic_faces, cycle_faces) with no covering
+sweep.  gamma is the total of any of its face vectors.  A coefficient is such
+a histogram evaluated exactly by enumeration.face_sum, then rounded once to
+the nearest float by _prediction.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
-from .enumeration import face_sum, minimal_coverings, minimal_faces, narayana_row
-from .families import CycleSpec, MelonicRecipe, is_melonic, make_cycle_graph, make_melonic
+from .enumeration import face_sum, minimal_faces, narayana_row
+from .families import CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic
 from .graphs import ColoredGraph, side_ratios
 
 _FAMILIES = ("melonic", "cycle_11", "cycle_mm", "cycle_mn", "generic")
@@ -60,9 +64,10 @@ def _log10_size(faces, c) -> float:
     return top + math.log10(math.fsum(10.0 ** (t - top) for t in terms))
 
 
-def _prediction(gamma: int, family: str, faces, c) -> AsymptoticPrediction:
+def _prediction(family: str, faces, c) -> AsymptoticPrediction:
     """The prediction with the float nearest to the exact, positive
-    coefficient face_sum(faces, c).
+    coefficient face_sum(faces, c).  faces is a minimal-covering histogram,
+    so its vectors share one total, gamma.
 
     The one float conversion and range guard: a float of 0.0 or inf means the
     coefficient left the double range, and the refusal gives its power of ten.
@@ -81,39 +86,26 @@ def _prediction(gamma: int, family: str, faces, c) -> AsymptoticPrediction:
     if value == 0.0 or value == math.inf:
         raise ValueError(f"the {family} coefficient ~1e{round(size)} "
                          f"{'overflows' if value else 'underflows'} a float to {value}")
-    return AsymptoticPrediction(gamma=gamma, coefficient=value, family=family)
+    return AsymptoticPrediction(gamma=sum(next(iter(faces))), coefficient=value, family=family)
 
 
-def melonic_exponents(B: ColoredGraph) -> tuple[int, ...]:
-    """Per-color zero-face counts of the unique minimal covering.
+def melonic_faces(recipe: MelonicRecipe) -> dict[tuple[int, ...], int]:
+    """The minimal-covering face histogram {zero_faces: 1} that the closed
+    form predicts for make_melonic(recipe).
 
-    There is no closed form for the split of gamma across colors, only for
-    the total, so the exponents come from enumeration.
+    The dipole has one face on every color.  A cut of color c inserts a
+    melon whose two vertices the dominant covering pairs, which adds one
+    face on every color but c; so f_i = k - (cuts of color i), with total
+    Dk - (k-1) = 1 + k(D-1) = gamma.
     """
-    faces = minimal_faces(B)
-    if sum(faces.values()) != 1:
-        raise ValueError(f"expected a unique minimal covering, found {sum(faces.values())}; "
-                         "graph is not melonic")
-    return next(iter(faces))
+    cuts = Counter(color for color, _ in recipe.steps)
+    return {tuple(recipe.k - cuts[i] for i in range(1, recipe.D + 1)): 1}
 
 
-def predict_melonic(B: ColoredGraph, c) -> AsymptoticPrediction:
-    """gamma = 1 + k(D-1); coefficient = prod_i c_i^f_i over the unique
-    minimal covering's per-color face counts.
-
-    The exponents come from melonic_exponents.  With all ratios equal they
-    are not needed at all, since the coefficient collapses to c^gamma.
-    """
-    if not is_melonic(B):
-        raise ValueError("predict_melonic expects a melonic graph")
-    c = side_ratios(c, B.D)
-    gamma = 1 + B.k * (B.D - 1)
-    if len(set(c)) == 1:
-        return _prediction(gamma, "melonic", {(gamma,): 1}, c[:1])  # c^gamma
-    exponents = melonic_exponents(B)
-    if sum(exponents) != gamma:
-        raise ValueError(f"face exponents {exponents} do not sum to gamma={gamma}")
-    return _prediction(gamma, "melonic", {exponents: 1}, c)
+def predict_melonic(recipe: MelonicRecipe, c) -> AsymptoticPrediction:
+    """gamma = 1 + k(D-1); the coefficient is prod_i c_i^f_i over the face
+    counts of melonic_faces(recipe)."""
+    return _prediction("melonic", melonic_faces(recipe), side_ratios(c, recipe.D))
 
 
 def cycle_faces(spec: CycleSpec) -> dict[tuple[int, ...], int]:
@@ -138,15 +130,13 @@ def predict_cycle(spec: CycleSpec, c) -> AsymptoticPrediction:
     m = n it is sum_l N_{k,l} P^l Q^{k-l+1} with P, Q the products of the
     ratios over the m- and n-colors."""
     c = side_ratios(c, spec.D)
-    faces = cycle_faces(spec)
     family = "cycle_mn" if spec.m != spec.n else "cycle_11" if spec.m == 1 else "cycle_mm"
-    return _prediction(sum(next(iter(faces))), family, faces, c)
+    return _prediction(family, cycle_faces(spec), c)
 
 
 def predict_generic(B: ColoredGraph, c) -> AsymptoticPrediction:
     """Enumeration-backed prediction for graphs outside the named families."""
-    return _prediction(minimal_coverings(B).gamma, "generic", minimal_faces(B),
-                       side_ratios(c, B.D))
+    return _prediction("generic", minimal_faces(B), side_ratios(c, B.D))
 
 
 @dataclass(frozen=True)
@@ -186,8 +176,8 @@ def cross_check(B: ColoredGraph, family_spec, c) -> CrossCheckReport:
     if isinstance(family_spec, MelonicRecipe):
         if B != make_melonic(family_spec):
             raise ValueError("graph does not match the melonic recipe")
-        closed = predict_melonic(B, c)
-        faces = {melonic_exponents(B): 1}
+        closed = predict_melonic(family_spec, c)
+        faces = melonic_faces(family_spec)
     elif isinstance(family_spec, CycleSpec):
         if B != make_cycle_graph(family_spec):
             raise ValueError("graph does not match the cycle spec")
@@ -196,18 +186,17 @@ def cross_check(B: ColoredGraph, family_spec, c) -> CrossCheckReport:
     else:
         raise TypeError(f"family_spec must be CycleSpec or MelonicRecipe, got {type(family_spec)}")
 
-    mcs = minimal_coverings(B)
     enum = minimal_faces(B)
     coeff_match, coeff_enum = True, closed.coefficient
     if enum != faces:
         c = side_ratios(c, B.D)
         if face_sum(enum, c) != face_sum(faces, c):
             coeff_match = False
-            coeff_enum = _prediction(mcs.gamma, closed.family, enum, c).coefficient
+            coeff_enum = _prediction(closed.family, enum, c).coefficient
     report = CrossCheckReport(
         family=closed.family,
-        gamma_closed=closed.gamma, gamma_enum=mcs.gamma,
-        count_closed=sum(faces.values()), count_enum=mcs.count,
+        gamma_closed=closed.gamma, gamma_enum=sum(next(iter(enum))),
+        count_closed=sum(faces.values()), count_enum=sum(enum.values()),
         coeff_closed=closed.coefficient, coeff_enum=coeff_enum,
     )
     if not (coeff_match and report.gamma_closed == report.gamma_enum

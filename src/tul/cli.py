@@ -17,8 +17,7 @@ import sys
 
 from .asymptotics import CrossCheckError, predict_cycle, predict_melonic
 from .enumeration import minimal_coverings, narayana_face_distribution
-from .families import (cycle_spec_from_json_dict, make_cycle_graph, make_melonic,
-                       melonic_recipe_from_json_dict)
+from .families import cycle_spec_from_json_dict, melonic_recipe_from_json_dict
 from .graphs import graph_from_json_dict
 from .permutations import cycle_string, to_one_based
 from .tensors import STREAM, tensor_spec_from_json_dict, universality_scan
@@ -112,12 +111,10 @@ def _cmd_enumerate(args) -> int:
 def _cmd_asym(args) -> int:
     spec_data = _load_json(args.spec)
     if args.family == "melonic":
-        recipe = melonic_recipe_from_json_dict(spec_data)
-        B = make_melonic(recipe)
-        pred = predict_melonic(B, args.c.split(",") if args.c else [1] * B.D)
+        spec, predict = melonic_recipe_from_json_dict(spec_data), predict_melonic
     else:
-        spec = cycle_spec_from_json_dict(spec_data)
-        pred = predict_cycle(spec, args.c.split(",") if args.c else [1] * spec.D)
+        spec, predict = cycle_spec_from_json_dict(spec_data), predict_cycle
+    pred = predict(spec, args.c.split(",") if args.c else [1] * spec.D)
     if args.format == "csv":
         _emit(args, _csv_text(["family", "gamma", "coefficient"],
                               [[pred.family, pred.gamma, repr(pred.coefficient)]]))

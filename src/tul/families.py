@@ -3,16 +3,18 @@ cycle graphs with multiple edges.
 
 Melonic graphs are grown from a dipole by repeatedly cutting an edge and
 splicing in a two-vertex remnant joined by the remaining D-1 colors; a
-recipe records the cut sequence so construction is reproducible.  Cycle
-graphs alternate m-dipoles and n-dipoles around a ring, realized as identity
-permutations for the m-colors and the cyclic shift for the n-colors.
+recipe records the cut sequence so construction is reproducible.  The recipe
+alone fixes the closed form (asymptotics.melonic_faces), so no graph is
+tested for melonicity here.  Cycle graphs alternate m-dipoles and n-dipoles
+around a ring, realized as identity permutations for the m-colors and the
+cyclic shift for the n-colors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ColoredGraph, is_connected, is_json_int
+from .graphs import ColoredGraph, is_json_int
 from .permutations import identity
 
 Step = tuple[int, int]  # (color, white vertex), both 1-based
@@ -127,49 +129,6 @@ def make_cycle_graph(spec: CycleSpec) -> ColoredGraph:
     for color in range(1, spec.D + 1):
         rows.append(identity(k) if color in spec.m_colors else shift)
     return ColoredGraph(k=k, sigma=tuple(rows))
-
-
-def is_melonic(B: ColoredGraph) -> bool:
-    """True iff B reduces to a dipole by repeatedly deleting a white/black
-    pair joined by exactly D-1 parallel edges (undoing a melonic insertion).
-
-    Only defined as a useful predicate for D >= 3: a connected D=2 graph with
-    k >= 2 is a plain matrix-trace cycle and is excluded, since the melonic
-    dominance structure (unique minimal covering) does not hold there.
-
-    Each step deletes the lexicographically first eligible (white, black)
-    pair; melonicity does not depend on this choice.
-    """
-    if not is_connected(B):
-        raise ValueError("is_melonic expects a connected graph")
-    if B.k == 1:
-        return True
-    if B.D < 3:
-        return False
-    D = B.D
-    sigma = [list(s) for s in B.sigma]
-    k = B.k
-    while k > 1:
-        eligible = []
-        for w in range(k):
-            hits: dict[int, int] = {}
-            for i in range(D):
-                hits[sigma[i][w]] = hits.get(sigma[i][w], 0) + 1
-            for b, cnt in hits.items():
-                if cnt == D - 1:
-                    eligible.append((w, b))
-        if not eligible:
-            return False
-        w, b = min(eligible)
-        c = next(i for i in range(D) if sigma[i][w] != b)
-        v_bar = sigma[c][w]
-        v = sigma[c].index(b)
-        sigma[c][v] = v_bar
-        for i in range(D):
-            del sigma[i][w]
-            sigma[i] = [y - 1 if y > b else y for y in sigma[i]]
-        k -= 1
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,8 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
     for N, count in zip(N_list, per_N):
         if count < 2:
             raise ValueError(f"need at least 2 samples for a standard error, got {count} at N={N}")
+    if graph.D != spec.D:
+        raise ValueError(f"tensor has {spec.D} axes, graph has D={graph.D} colors")
     if isinstance(graph, ColoredGraph):
         for row_spec in row_specs:
             _check_naive_contraction(row_spec.dims, graph)

@@ -3,9 +3,9 @@
 Each one recomputes a quantity the package computes another way, or checks an
 invariant of it, so it stays outside `tul`: Narayana numbers by dynamic
 programming, face counts and the genus of one covering by plain cycle
-counting, the cycle invariant by complex matrix powers, Haar unitaries and
-the relative change of an invariant under them, and the margins of a
-universality scan.
+counting, melonic membership by dipole contraction, the cycle invariant by
+complex matrix powers, Haar unitaries and the relative change of an invariant
+under them, and the margins of a universality scan.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from tul.families import CycleSpec
-from tul.graphs import ColoredGraph, FaceProfile
+from tul.graphs import ColoredGraph, FaceProfile, is_connected
 from tul.permutations import Perm, compose, cycle_count, inverse, is_perm
 from tul.tensors import UniversalityReport, trace_invariant_cycle, trace_invariant_naive
 
@@ -110,6 +110,53 @@ def genus(G: CoveringGraph) -> Fraction:
     faces = face_profile(G).total + cycle_count(compose(inverse(sigma[1]), sigma[0]))
     k = G.base.k
     return Fraction(2 - (faces - 3 * k + 2 * k), 2)
+
+
+# ---------------------------------------------------------------------------
+# Melonic membership
+# ---------------------------------------------------------------------------
+
+def is_melonic(B: ColoredGraph) -> bool:
+    """True iff B reduces to a dipole by repeatedly deleting a white/black
+    pair joined by exactly D-1 parallel edges (undoing a melonic insertion).
+
+    Only defined as a useful predicate for D >= 3: a connected D=2 graph with
+    k >= 2 is a plain matrix-trace cycle and is excluded, since the melonic
+    dominance structure (unique minimal covering) does not hold there.
+
+    Each step deletes the lexicographically first eligible (white, black)
+    pair; melonicity does not depend on this choice.
+    """
+    if not is_connected(B):
+        raise ValueError("is_melonic expects a connected graph")
+    if B.k == 1:
+        return True
+    if B.D < 3:
+        return False
+    D = B.D
+    sigma = [list(s) for s in B.sigma]
+    k = B.k
+    while k > 1:
+        eligible = []
+        for w in range(k):
+            hits: dict[int, int] = {}
+            for i in range(D):
+                hits[sigma[i][w]] = hits.get(sigma[i][w], 0) + 1
+            for b, cnt in hits.items():
+                if cnt == D - 1:
+                    eligible.append((w, b))
+        if not eligible:
+            return False
+        w, b = min(eligible)
+        c = next(i for i in range(D) if sigma[i][w] != b)
+        v_bar = sigma[c][w]
+        v = sigma[c].index(b)
+        sigma[c][v] = v_bar
+        for i in range(D):
+            del sigma[i][w]
+            sigma[i] = [y - 1 if y > b else y for y in sigma[i]]
+        k -= 1
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tul.asymptotics import (AsymptoticPrediction, CrossCheckError, CrossCheckReport,
-                             cross_check, cycle_faces, melonic_exponents, predict_cycle,
+                             cross_check, cycle_faces, melonic_faces, predict_cycle,
                              predict_generic, predict_melonic)
-from tul.enumeration import catalan, limit_coefficient, minimal_coverings, minimal_faces
+from tul.enumeration import (MAX_K, catalan, covering_pass, limit_coefficient,
+                             minimal_coverings, minimal_faces)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole,
                           make_melonic, random_melonic_recipe)
+from tul.permutations import cycle_count
 
 
 def test_prediction_validation():
@@ -31,35 +33,66 @@ def test_predict_cycle_reads_ratios_like_tensor_spec():
 
 
 def test_predict_melonic_uniform_ratios():
-    B = make_melonic(MelonicRecipe(D=3, steps=((1, 1),)))
-    pred = predict_melonic(B, (1, 1, 1))
+    pred = predict_melonic(MelonicRecipe(D=3, steps=((1, 1),)), (1, 1, 1))
     assert pred.family == "melonic"
     assert pred.gamma == 1 + 2 * (3 - 1)
     assert pred.coefficient == 1.0
 
 
 def test_predict_melonic_exponents_from_enumeration():
-    B = make_melonic(MelonicRecipe(D=3, steps=((1, 1),)))
-    exponents = melonic_exponents(B)
+    # the recipe's face counts are exactly the unique minimal covering's
+    recipe = MelonicRecipe(D=3, steps=((1, 1),))
+    B = make_melonic(recipe)
+    assert melonic_faces(recipe) == minimal_faces(B)
+    (exponents,) = melonic_faces(recipe)
     assert sum(exponents) == 5
-    pred = predict_melonic(B, (2, 1, 1))
+    pred = predict_melonic(recipe, (2, 1, 1))
     assert pred.coefficient == pytest.approx(2.0 ** exponents[0], rel=1e-13)
-    # the exponents are exactly the unique minimal covering's face counts
     assert pred.coefficient == pytest.approx(limit_coefficient(B, (2, 1, 1)), rel=1e-12)
 
 
-def test_predict_melonic_rejects_non_melonic():
-    spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2]))
-    with pytest.raises(ValueError, match="melonic"):
-        predict_melonic(make_cycle_graph(spec), (1, 1))
-
-
 def test_predict_melonic_coefficient_at_unequal_ratios():
-    # the enumerated exponents of this graph are (1, 2, 2), so c=(2,1,1) gives 2^1
-    B = make_melonic(MelonicRecipe(D=3, steps=((1, 1),)))
-    assert melonic_exponents(B) == (1, 2, 2)
-    pred = predict_melonic(B, (2, 1, 1))
+    # one cut of color 1 at k=2 leaves faces (1, 2, 2), so c=(2,1,1) gives 2^1
+    recipe = MelonicRecipe(D=3, steps=((1, 1),))
+    assert melonic_faces(recipe) == {(1, 2, 2): 1}
+    pred = predict_melonic(recipe, (2, 1, 1))
     assert pred.coefficient == pytest.approx(2.0, rel=1e-14)
+
+
+@st.composite
+def melonic_recipes(draw, max_k):
+    """A random melonic recipe with D = 3-6 and k <= max_k."""
+    D, k = draw(st.integers(3, 6)), draw(st.integers(1, max_k))
+    return MelonicRecipe(D=D, steps=tuple((draw(st.integers(1, D)), draw(st.integers(1, t)))
+                                          for t in range(1, k)))
+
+
+@settings(max_examples=60)
+@given(melonic_recipes(7))
+def test_property_melonic_faces_are_the_minimal_faces(recipe):
+    assert melonic_faces(recipe) == minimal_faces(make_melonic(recipe))
+
+
+@settings(max_examples=60)
+@given(melonic_recipes(40))
+def test_property_melonic_faces_are_the_identity_coverings(recipe):
+    # make_melonic gives each inserted white vertex its own black one, so the
+    # dominant covering is the identity and its faces are the cycles of sigma_i
+    B = make_melonic(recipe)
+    assert melonic_faces(recipe) == {tuple(cycle_count(s) for s in B.sigma): 1}
+
+
+def test_predict_melonic_past_the_sweep_cap():
+    # three cuts of color 1 at k=12: f_1 = 9, so c=(2,1,1) gives 2^9; a sweep
+    # of this graph is refused, so the closed form reads none
+    recipe = MelonicRecipe(D=3, steps=((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2),
+                                       (1, 3), (2, 3), (3, 3), (2, 4), (3, 4)))
+    assert recipe.k > MAX_K
+    with pytest.raises(ValueError, match="enumeration cap"):
+        covering_pass(make_melonic(recipe))
+    assert melonic_faces(recipe) == {(9, 8, 8): 1}
+    pred = predict_melonic(recipe, (2, 1, 1))
+    assert (pred.gamma, pred.coefficient) == (1 + 12 * 2, 512.0)
 
 
 def test_predict_cycle_mm_values():
@@ -119,9 +152,8 @@ def test_all_c_one_collapses_to_count():
     rng = np.random.default_rng(2)
     for D in (3, 4):
         recipe = random_melonic_recipe(rng, D, 3)
-        B = make_melonic(recipe)
-        pred = predict_melonic(B, [1] * D)
-        assert pred.coefficient == pytest.approx(minimal_coverings(B).count)
+        pred = predict_melonic(recipe, [1] * D)
+        assert pred.coefficient == pytest.approx(minimal_coverings(make_melonic(recipe)).count)
 
 
 def test_cross_check_families_pass():
@@ -213,3 +245,14 @@ def test_cross_check_compares_exact_coefficients(monkeypatch):
     assert err.value.report.coeff_closed == err.value.report.coeff_enum
     with pytest.raises(CrossCheckError):
         cross_check(B, spec, (1, 2))
+
+
+def test_cross_check_melonic_compares_the_recipe_with_the_sweep(monkeypatch):
+    # a wrong split of the right gamma: equal coefficients at c = (1, 1, 1)
+    # only, so the check fails at unequal ratios
+    recipe = MelonicRecipe(D=3, steps=((1, 1),))
+    B = make_melonic(recipe)
+    monkeypatch.setattr("tul.asymptotics.melonic_faces", lambda recipe: {(2, 1, 2): 1})
+    assert cross_check(B, recipe, (1, 1, 1)).gamma_enum == 5
+    with pytest.raises(CrossCheckError):
+        cross_check(B, recipe, (2, 1, 1))

@@ -172,6 +172,18 @@ def test_asym_melonic(capsys, tmp_path):
     assert data["coefficient"] == pytest.approx(1.0)
 
 
+def test_asym_melonic_past_the_sweep_cap(capsys, tmp_path):
+    # k=12 with three cuts of color 1: the coefficient is 2^9 at c=(2,1,1),
+    # from the recipe alone, although no sweep accepts k > 9
+    recipe = MelonicRecipe(D=3, steps=((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2),
+                                       (1, 3), (2, 3), (3, 3), (2, 4), (3, 4)))
+    path = _write(tmp_path, "recipe.json", json.dumps(melonic_recipe_to_json_dict(recipe)))
+    code, data = run_json(capsys, ["asym", "--family", "melonic", "--spec", path,
+                                   "--c", "2,1,1"])
+    assert code == 0
+    assert (data["gamma"], data["coefficient"]) == (1 + 12 * 2, 512.0)
+
+
 def test_asym_bad_ratio(capsys, tmp_path):
     spec = CycleSpec(k=1, m_colors=frozenset([1]), n_colors=frozenset([2]))
     path = tmp_path / "spec.json"
@@ -315,6 +327,17 @@ def test_mc_non_finite_ratio_exits_2(capsys, tmp_path, cycle_spec_file):
         code = main(["mc", "--spec", spec, "--cycle", cycle_spec_file])
         assert code == 2
         assert "'c[1]'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["--cycle", "--graph"])
+def test_mc_color_count_mismatch_names_the_graph(capsys, tmp_path, cycle_spec_file,
+                                                  cycle22_graph, kind):
+    # a D=4 tensor with a D=2 graph: the colors are at fault, not the ratios
+    spec = _write(tmp_path, "tensor.json", json.dumps(
+        {"D": 4, "c": [1, 1, 1, 1], "N": 2, "distribution": "complex_gaussian"}))
+    graph = cycle_spec_file if kind == "--cycle" else cycle22_graph
+    assert main(["mc", "--spec", spec, kind, graph]) == 2
+    assert capsys.readouterr().err == "error: tensor has 4 axes, graph has D=2 colors\n"
 
 
 @pytest.mark.parametrize("x", [1e-10, 0.3333333333])

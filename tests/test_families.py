@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import is_melonic
 from tul.enumeration import minimal_coverings
 from tul.families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict,
-                          cycle_spec_to_json_dict, is_melonic, make_cycle_graph,
-                          make_dipole, make_melonic, melonic_recipe_from_json_dict,
+                          cycle_spec_to_json_dict, make_cycle_graph, make_dipole,
+                          make_melonic, melonic_recipe_from_json_dict,
                           melonic_recipe_to_json_dict, random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
 from tul.permutations import identity
