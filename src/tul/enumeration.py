@@ -35,7 +35,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .graphs import ColoredGraph, FaceProfile, is_connected, side_ratios
+from .graphs import ColoredGraph, FaceProfile, e_notation, is_connected, side_ratios
 from .permutations import Perm, identity, inverse
 
 # The largest k a sweep accepts.  A resource limit, not a tuning knob: the
@@ -175,7 +175,7 @@ def _check_graph(B: ColoredGraph):
     if B.k > MAX_K:
         raise ValueError(
             f"k={B.k} exceeds the enumeration cap ({MAX_K}): "
-            f"{B.k}! = {math.factorial(B.k)} pairings"
+            f"{B.k}! = {e_notation(math.lgamma(B.k + 1) / math.log(10))} pairings"
         )
 
 

@@ -14,6 +14,7 @@ enumeration layer refuses them) so that degenerate cases stay unit-testable.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,6 +82,16 @@ def is_json_int(x) -> bool:
     """True for a JSON integer.  bool is an int in Python, but JSON true and
     false are not numbers."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def e_notation(log10: float) -> str:
+    """10^log10 in the form f"{x:.3e}" gives, from the logarithm alone: a
+    count in a refusal may be too large for a float, or for str of an int."""
+    exponent = math.floor(log10)
+    mantissa = round(10.0 ** (log10 - exponent), 3)
+    if mantissa >= 10.0:
+        mantissa, exponent = 1.0, exponent + 1
+    return f"{mantissa:.3f}e{exponent:+03d}"
 
 
 # A ratio's text may not carry a decimal exponent beyond Python's own limit on

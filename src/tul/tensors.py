@@ -17,6 +17,11 @@ tensor's float view, with no conjugate copy and no complex product: R holds
 the real and imaginary parts of the matricization as column pairs (a, b), S
 holds (a - b, a + b) in their place, and R S^T = Re G + Im G is the sum of a
 symmetric and an antisymmetric matrix, so both parts of G are read off it.
+A Monte Carlo mean on the cycle route holds, per block, the draw, one
+transposed copy A of it and the Grams: S is written over the draw, which is
+not needed once A holds it, and A and the Grams are kept from block to block
+of one mean.  For one large tensor that is at most 2.5 tensor sizes: the
+real p x p Gram of a p x q matricization, p <= q, is at most half of one.
 """
 
 from __future__ import annotations
@@ -31,14 +36,16 @@ import numpy as np
 from .asymptotics import predict_cycle, predict_generic
 from .enumeration import covering_pass, face_sum
 from .families import CycleSpec
-from .graphs import ColoredGraph, is_json_int, side_ratios
+from .graphs import ColoredGraph, e_notation, is_json_int, side_ratios
 from .permutations import inverse
 
 DISTRIBUTIONS = ("complex_gaussian", "complex_rademacher", "uniform_disc")
 
 DEFAULT_NAIVE_BUDGET = 10 ** 8
 
-# TensorSpec refuses tensors with more entries: 1 GiB of complex128
+# TensorSpec refuses tensors with more entries: 1 GiB of complex128.  The
+# cycle route holds the draw, one transposed copy and the Gram, at most 2.5
+# tensor sizes, so 2.5 GiB at the limit.
 MAX_TENSOR_ENTRIES = 2 ** 26
 
 # Version of the sampling stream, reported by `tul mc` and `tul verify`.  It
@@ -46,6 +53,11 @@ MAX_TENSOR_ENTRIES = 2 ** 26
 # BLOCK_ENTRIES is part of the stream, so changing it bumps STREAM.
 STREAM = 2
 BLOCK_ENTRIES = 4096
+
+# Pairs of uniforms per step of the in-place uniform-disc transform, each
+# with one chunk-sized sin buffer: a bound on memory like BLOCK_ENTRIES, not
+# a knob, and not part of the stream, since every pair is transformed alone.
+DISC_CHUNK = 2 ** 15
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -123,17 +135,21 @@ def _draw_block(spec: TensorSpec, block: int, count: int) -> np.ndarray:
         np.copysign(SQRT_HALF, x, out=x)
     else:
         # uniform on the disc of radius sqrt(2), so E|z|^2 = 1: of each pair
-        # of uniforms (v, u), theta = 2 pi v and r = sqrt(2 u)
+        # of uniforms (v, u), theta = 2 pi v and r = sqrt(2 u), transformed
+        # in place DISC_CHUNK pairs at a time with one chunk of sin
         rng.random(out=x)
         pairs = x.reshape(-1, 2)
-        theta, r = pairs[:, 0], pairs[:, 1]
-        theta *= 2.0 * np.pi
-        r *= 2.0
-        np.sqrt(r, out=r)
-        sin = np.sin(theta)
-        np.cos(theta, out=theta)
-        theta *= r
-        r *= sin
+        sin = np.empty(min(len(pairs), DISC_CHUNK))
+        for start in range(0, len(pairs), DISC_CHUNK):
+            chunk = pairs[start:start + DISC_CHUNK]
+            theta, r, s = chunk[:, 0], chunk[:, 1], sin[:len(chunk)]
+            theta *= 2.0 * np.pi
+            r *= 2.0
+            np.sqrt(r, out=r)
+            np.sin(theta, out=s)
+            np.cos(theta, out=theta)
+            theta *= r
+            r *= s
     return z
 
 
@@ -167,11 +183,11 @@ def _check_naive_contraction(dims, B: ColoredGraph) -> None:
     the prod_i dims_i^k scalar terms must fit DEFAULT_NAIVE_BUDGET."""
     if len(dims) != B.D:
         raise ValueError(f"tensor has {len(dims)} axes, graph has D={B.D} colors")
-    terms = math.prod(dims) ** B.k
-    if terms > DEFAULT_NAIVE_BUDGET:
+    entries = math.prod(dims)
+    if entries ** B.k > DEFAULT_NAIVE_BUDGET:
         raise ValueError(
-            f"naive contraction needs {terms:.3e} scalar terms, over the budget "
-            f"{DEFAULT_NAIVE_BUDGET:.1e}; use the matricized cycle route"
+            f"naive contraction needs {e_notation(B.k * math.log10(entries))} scalar terms, "
+            f"over the budget {DEFAULT_NAIVE_BUDGET:.1e}; use the matricized cycle route"
         )
 
 
@@ -227,41 +243,53 @@ def trace_invariant_naive(T: np.ndarray, B: ColoredGraph) -> float:
     return total.real
 
 
-def _cycle_values(T_stack: np.ndarray, spec: CycleSpec) -> np.ndarray:
+def _cycle_values(T_stack: np.ndarray, spec: CycleSpec, work: dict | None = None) -> np.ndarray:
     """tr((M^H M)^k) of each tensor in a stack, for the matricization M with
     row index over the identity colors and column index over the shift colors.
+
+    The stack is consumed: a C-ordered complex128 stack may be overwritten,
+    so a caller that still needs it passes a copy.  work, if given, keeps the
+    transposed copy and the Gram of each stack shape for the next call with
+    that shape, so a Monte Carlo mean allocates them once.
 
     k = 1 is the squared Frobenius norm of the stack's float view.  Otherwise
     the smaller side's colors come first, so the matrix A is M or M^T and the
     p x p Gram G = A A^H is M M^H or conj(M^H M): the same spectrum.  G comes
     from one real product on the float view R of A, whose columns are the
-    pairs (a_j, b_j) of real and imaginary parts: with S the copy of R holding
-    (a_j - b_j, a_j + b_j) in their place,
+    pairs (a_j, b_j) of real and imaginary parts: with S the float view of
+    A (1 + i), which holds (a_j - b_j, a_j + b_j) in their place,
 
         X = R S^T = (a a^T + b b^T) + (b a^T - a b^T) = Re G + Im G,
 
     half the real multiply-adds of a complex product and no conjugate copy.
-    Re G is symmetric and Im G antisymmetric, so they are orthogonal:
-    tr(G^2) = |G|_F^2 = |X|_F^2 for k = 2, and for k >= 3 the Hermitian
-    G = (X + X^T)/2 + i (X - X^T)/2 goes to a stacked eigvalsh.
+    A (1 + i) is one contiguous complex multiply, exact in both parts, and is
+    written over the stack, whose entries A already holds.  Re G is symmetric
+    and Im G antisymmetric, so they are orthogonal: tr(G^2) = |G|_F^2 =
+    |X|_F^2 for k = 2, and for k >= 3 the Hermitian G = (X + X^T)/2 +
+    i (X - X^T)/2 goes to a stacked eigvalsh.
     """
-    T_stack = np.asarray(T_stack, dtype=np.complex128)
+    T_stack = np.ascontiguousarray(T_stack, dtype=np.complex128)
     if T_stack.ndim != spec.D + 1:
         raise ValueError(f"tensor has {T_stack.ndim - 1} axes, cycle spec has D={spec.D} colors")
     count, k = len(T_stack), spec.k
     if k == 1:
-        flat = np.ascontiguousarray(T_stack).view(np.float64).reshape(count, -1)
+        flat = T_stack.view(np.float64).reshape(count, -1)
         return np.einsum("bi,bi->b", flat, flat)
     # color i is axis i of the stack; axis 0 indexes the samples
     sides = sorted(spec.m_colors), sorted(spec.n_colors)
     p, q = (math.prod(T_stack.shape[i] for i in side) for side in sides)
     small, large = sides if p <= q else sides[::-1]
-    A = np.ascontiguousarray(np.transpose(T_stack, [0, *small, *large]))
-    R = A.view(np.float64).reshape(count, min(p, q), -1)
-    S = np.empty_like(R)
-    np.subtract(R[..., 0::2], R[..., 1::2], out=S[..., 0::2])
-    np.add(R[..., 0::2], R[..., 1::2], out=S[..., 1::2])
-    X = R @ S.transpose(0, 2, 1)
+    rows = min(p, q)
+    order = [0, *small, *large]
+    work = {} if work is None else work
+    if T_stack.shape not in work:
+        work[T_stack.shape] = (np.empty([T_stack.shape[i] for i in order], dtype=np.complex128),
+                               np.empty((count, rows, rows)))
+    A, X = work[T_stack.shape]
+    np.copyto(A, np.transpose(T_stack, order))
+    S = np.multiply(A, 1 + 1j, out=T_stack.reshape(A.shape))
+    R, S = (Z.view(np.float64).reshape(count, rows, -1) for Z in (A, S))
+    np.matmul(R, S.transpose(0, 2, 1), out=X)
     if k == 2:
         flat = X.reshape(count, -1)
         return np.einsum("bi,bi->b", flat, flat)
@@ -272,8 +300,8 @@ def _cycle_values(T_stack: np.ndarray, spec: CycleSpec) -> np.ndarray:
 
 def trace_invariant_cycle(T: np.ndarray, spec: CycleSpec) -> float:
     """tr((M^H M)^k) for the matricization M of one tensor: _cycle_values on
-    a stack of one."""
-    return float(_cycle_values(np.asarray(T, dtype=np.complex128)[None], spec)[0])
+    a stack of one copy, so T is left as it was."""
+    return float(_cycle_values(np.array(T, dtype=np.complex128, order="C")[None], spec)[0])
 
 
 def gaussian_exact_mean(B: ColoredGraph, c, N: int) -> int:
@@ -291,7 +319,8 @@ def gaussian_exact_mean(B: ColoredGraph, c, N: int) -> int:
 def _evaluator(graph):
     """The invariant of every tensor in a stack, by graph's route."""
     if isinstance(graph, CycleSpec):
-        return lambda stack: _cycle_values(stack, graph)
+        work: dict = {}  # one transposed copy and Gram per stack shape
+        return lambda stack: _cycle_values(stack, graph, work)
     if isinstance(graph, ColoredGraph):
         return lambda stack: np.array([trace_invariant_naive(T, graph) for T in stack])
     raise TypeError(f"graph must be ColoredGraph or CycleSpec, got {type(graph)}")

@@ -5,7 +5,10 @@ invariant of it, so it stays outside `tul`: Narayana numbers by dynamic
 programming, face counts and the genus of one covering by plain cycle
 counting, melonic membership by dipole contraction, the cycle invariant by
 complex matrix powers, Haar unitaries and the relative change of an invariant
-under them, and the margins of a universality scan.
+under them, and the margins of a universality scan.  Two more keep earlier
+forms of package code verbatim, as bitwise oracles for the buffers that
+replaced them: the stacked cycle kernel with fresh buffers, and the uniform
+disc draw transformed in one pass.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import numpy as np
 from tul.families import CycleSpec
 from tul.graphs import ColoredGraph, FaceProfile, is_connected
 from tul.permutations import Perm, compose, cycle_count, inverse, is_perm
-from tul.tensors import UniversalityReport, trace_invariant_cycle, trace_invariant_naive
+from tul.tensors import (TensorSpec, UniversalityReport, trace_invariant_cycle,
+                         trace_invariant_naive)
 
 
 # ---------------------------------------------------------------------------
@@ -217,3 +221,61 @@ def unitary_invariance_check(T: np.ndarray, graph, unitaries) -> float:
 def margins(report: UniversalityReport) -> list[float]:
     """|normalized - predicted| for every row of a scan."""
     return [abs(r.normalized - report.predicted) for r in report.rows]
+
+
+# ---------------------------------------------------------------------------
+# The stacked cycle kernel and the disc draw before their buffers were reused
+# ---------------------------------------------------------------------------
+
+def cycle_values_fresh(T_stack: np.ndarray, spec: CycleSpec) -> np.ndarray:
+    """tul.tensors._cycle_values as it was before it reused its buffers: S
+    built by two stride-2 ufuncs, fresh A, S and Gram on every call, and the
+    stack left as it was.  The kernel must match it bit for bit."""
+    T_stack = np.asarray(T_stack, dtype=np.complex128)
+    if T_stack.ndim != spec.D + 1:
+        raise ValueError(f"tensor has {T_stack.ndim - 1} axes, cycle spec has D={spec.D} colors")
+    count, k = len(T_stack), spec.k
+    if k == 1:
+        flat = np.ascontiguousarray(T_stack).view(np.float64).reshape(count, -1)
+        return np.einsum("bi,bi->b", flat, flat)
+    # color i is axis i of the stack; axis 0 indexes the samples
+    sides = sorted(spec.m_colors), sorted(spec.n_colors)
+    p, q = (math.prod(T_stack.shape[i] for i in side) for side in sides)
+    small, large = sides if p <= q else sides[::-1]
+    A = np.ascontiguousarray(np.transpose(T_stack, [0, *small, *large]))
+    R = A.view(np.float64).reshape(count, min(p, q), -1)
+    S = np.empty_like(R)
+    np.subtract(R[..., 0::2], R[..., 1::2], out=S[..., 0::2])
+    np.add(R[..., 0::2], R[..., 1::2], out=S[..., 1::2])
+    X = R @ S.transpose(0, 2, 1)
+    if k == 2:
+        flat = X.reshape(count, -1)
+        return np.einsum("bi,bi->b", flat, flat)
+    Xt = X.transpose(0, 2, 1)
+    G = 0.5 * (X + Xt) + 0.5j * (X - Xt)
+    return np.sum(np.linalg.eigvalsh(G) ** k, axis=1)
+
+
+def uniform_disc_block(spec: TensorSpec, block: int, count: int) -> np.ndarray:
+    """The first count samples of block substream `block` of a uniform_disc
+    spec, with the disc transform done in one pass over the whole block and
+    one block-sized sin temporary, as tul.tensors._draw_block did before it
+    ran in chunks.  The draw must match it bit for bit."""
+    bitgen = np.random.PCG64(spec.seed)
+    bitgen.advance(block << 64)
+    rng = np.random.Generator(bitgen)
+    z = np.empty((count, *spec.dims), dtype=np.complex128)
+    x = z.view(np.float64)  # real and imaginary parts, interleaved
+    # uniform on the disc of radius sqrt(2), so E|z|^2 = 1: of each pair
+    # of uniforms (v, u), theta = 2 pi v and r = sqrt(2 u)
+    rng.random(out=x)
+    pairs = x.reshape(-1, 2)
+    theta, r = pairs[:, 0], pairs[:, 1]
+    theta *= 2.0 * np.pi
+    r *= 2.0
+    np.sqrt(r, out=r)
+    sin = np.sin(theta)
+    np.cos(theta, out=theta)
+    theta *= r
+    r *= sin
+    return z

@@ -138,6 +138,28 @@ def test_enumerate_cap_env(capsys, monkeypatch, tmp_path):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.fixture
+def cycle11_k2000_graph(tmp_path):
+    spec = CycleSpec(k=2000, m_colors=frozenset([1]), n_colors=frozenset([2]))
+    return _write(tmp_path, "c2000.json", json.dumps(graph_to_json_dict(make_cycle_graph(spec))))
+
+
+def test_enumerate_far_over_the_cap_gives_the_cap(capsys, cycle11_k2000_graph):
+    # 2000! has 5,736 digits, more than str of an int may print
+    assert main(["enumerate", "--graph", cycle11_k2000_graph]) == 2
+    err = capsys.readouterr().err
+    assert "k=2000 exceeds the enumeration cap (9): 2000! = 3.316e+5735 pairings" in err
+
+
+def test_mc_naive_far_over_the_budget_gives_the_budget(capsys, tmp_path, cycle11_k2000_graph):
+    # 4^2000 terms overflow a float
+    tensor = _write(tmp_path, "tensor.json", json.dumps({"D": 2, "c": [1, 1], "N": 2,
+                                                         "distribution": "complex_gaussian"}))
+    assert main(["mc", "--spec", tensor, "--graph", cycle11_k2000_graph]) == 2
+    err = capsys.readouterr().err
+    assert "naive contraction needs 1.318e+1204 scalar terms, over the budget 1.0e+08" in err
+
+
 def test_asym_cycle(capsys, tmp_path):
     spec = CycleSpec(k=3, m_colors=frozenset([1]), n_colors=frozenset([2]))
     path = tmp_path / "spec.json"

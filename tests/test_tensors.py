@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -7,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reference import (apply_unitaries, cycle_value_reference, margins, random_unitary,
-                       unitary_invariance_check)
+from reference import (apply_unitaries, cycle_value_reference, cycle_values_fresh, margins,
+                       random_unitary, uniform_disc_block, unitary_invariance_check)
 from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic
 from tul.graphs import ColoredGraph, is_connected
-from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISTRIBUTIONS, TensorSpec,
-                         _check_naive_contraction, _cycle_values, gaussian_exact_mean,
+from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISC_CHUNK, DISTRIBUTIONS,
+                         TensorSpec, _check_naive_contraction, _cycle_values, gaussian_exact_mean,
                          monte_carlo_mean, sample_tensor, tensor_spec_from_json_dict,
                          trace_invariant_cycle, trace_invariant_naive, universality_scan)
 
@@ -109,6 +110,44 @@ def test_property_stack_is_its_samples(case):
         assert np.array_equal(stack[j], sample_tensor(spec, start + j)), j
 
 
+# (D, N, count): a small shape whose block holds every sample, and the scan's
+# D=4, N=16 tensor of 65,536 entries, one per block, two disc chunks each
+STREAM_SHAPES = [(2, 3, 5), (4, 16, 3)]
+STREAM_DIGESTS = {
+    ("complex_gaussian", 2): "02b946b646c25d41fa263fb1e76884a4d22e1024d671d935e46d263df6cdbfbf",
+    ("complex_gaussian", 4): "366491d022d6e80c09dcae66c540837f9fa2bb3921537eb5dd632475ce4d6b4f",
+    ("complex_rademacher", 2): "3a49a7b18577e5297ec1dfcd1c3fb1341ab432058be936c658cace2bad90a280",
+    ("complex_rademacher", 4): "9a6ccfd630472089133440953ab0f7a59cff87b40af746a15e31f19de0b3d421",
+}
+
+
+def stream_spec(dist, D, N):
+    return TensorSpec(D=D, c=(2, 1) if D == 2 else (1,) * D, N=N, distribution=dist, seed=12)
+
+
+@pytest.mark.parametrize("dist", ["complex_gaussian", "complex_rademacher"])
+@pytest.mark.parametrize("D, N, count", STREAM_SHAPES)
+def test_stream_is_pinned(dist, D, N, count):
+    # any change to these bytes is a new STREAM
+    stack = sample_tensor(stream_spec(dist, D, N), 0, count)
+    assert hashlib.sha256(stack.tobytes()).hexdigest() == STREAM_DIGESTS[dist, D]
+
+
+@pytest.mark.parametrize("D, N, count, chunks", [(*STREAM_SHAPES[0], 1), (*STREAM_SHAPES[1], 2),
+                                                 (2, 200, 1, 3)],
+                         ids=["one-chunk", "two-chunks", "partial-chunk"])
+def test_uniform_disc_matches_the_one_pass_transform(D, N, count, chunks):
+    # sin and cos may round differently on another CPU, so the draw is held
+    # to the one-pass transform on this machine rather than to a digest
+    spec = stream_spec("uniform_disc", D, N)
+    assert -(-math.prod(spec.dims) // DISC_CHUNK) == chunks
+    K = block_size(spec)
+    expected = np.concatenate([uniform_disc_block(spec, b, min(K, count - b * K))
+                               for b in range(-(-count // K))])
+    stack = sample_tensor(spec, 0, count)
+    assert np.array_equal(stack.view(np.uint64), expected.view(np.uint64))
+
+
 def test_sample_tensor_refuses_bad_range():
     for index, count in ((-1, None), (0, 0)):
         with pytest.raises(ValueError, match="sample_index"):
@@ -145,9 +184,51 @@ def test_second_moment_within_four_sigma(dist):
 def test_cycle_values_stack_is_slice_by_slice(spec, dims):
     stack = sample_tensor(TensorSpec(D=len(dims), c=dims, N=1, distribution="uniform_disc",
                                      seed=6), 0, 40)
+    # _cycle_values consumes the stack, so the slices are contracted first
+    slices = [trace_invariant_cycle(T, spec) for T in stack]
     values = _cycle_values(stack, spec)
     assert values.shape == (40,)
-    assert values.tolist() == [trace_invariant_cycle(T, spec) for T in stack]
+    assert values.tolist() == slices
+
+
+# (m_colors, n_colors, dims, K): the scan's (2,2)-cycle at N=16, one tensor
+# per block, and Wick-sized blocks of the (1,1)-cycle and of a (2,1)-cycle
+# whose identity side is the larger one
+KERNEL_SHAPES = [
+    ((1, 3), (2, 4), (16, 16, 16, 16), 1),
+    ((1,), (2,), (8, 8), 64),
+    ((2, 3), (1,), (4, 4, 4), 64),
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("m, n, dims, K", KERNEL_SHAPES, ids=["scan", "wick-11", "wick-21"])
+def test_cycle_values_match_the_fresh_buffer_kernel(k, m, n, dims, K):
+    # three blocks through one workspace, the last one shorter where K > 1,
+    # as a Monte Carlo mean draws them
+    spec = CycleSpec(k=k, m_colors=frozenset(m), n_colors=frozenset(n))
+    tensor = TensorSpec(D=len(dims), c=dims, N=1, distribution="uniform_disc", seed=k)
+    work = {}
+    for start, count in ((0, K), (K, K), (2 * K, max(1, K // 3))):
+        stack = sample_tensor(tensor, start, count)
+        expected = cycle_values_fresh(stack, spec)
+        assert np.array_equal(_cycle_values(stack, spec, work), expected)
+    assert len(work) == (0 if k == 1 else 1 if K == 1 else 2)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "real"])
+def test_trace_invariant_cycle_leaves_its_tensor(layout):
+    spec = CycleSpec(k=2, m_colors=frozenset([1, 3]), n_colors=frozenset([2]))
+    T = sample_tensor(TensorSpec(D=3, c=(3, 4, 2), N=1, distribution="complex_gaussian",
+                                 seed=8))
+    if layout == "F":
+        T = np.asfortranarray(T)
+    elif layout == "real":
+        T = T.real.copy()
+    before = T.copy()
+    value = trace_invariant_cycle(T, spec)
+    assert np.array_equal(T, before) and T.flags.f_contiguous == (layout == "F")
+    assert value == cycle_values_fresh(before[None], spec)[0]
 
 
 @st.composite
