@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .enumeration import face_sum, minimal_faces, narayana_row
 from .families import CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic
-from .graphs import ColoredGraph, side_ratios
+from .graphs import ColoredGraph, e_notation, side_ratios
 
 _FAMILIES = ("melonic", "cycle_11", "cycle_mm", "cycle_mn", "generic")
 
@@ -70,8 +70,9 @@ def _prediction(family: str, faces, c) -> AsymptoticPrediction:
     so its vectors share one total, gamma.
 
     The one float conversion and range guard: a float of 0.0 or inf means the
-    coefficient left the double range, and the refusal gives its power of ten.
-    Far outside that range the float estimate of log10 decides alone.
+    coefficient left the double range, and the refusal gives its size in
+    graphs.e_notation, as the enumeration cap does.  Far outside that range
+    the float estimate of log10 decides alone.
     """
     size = _log10_size(faces, c)
     if size > _LOG10_RANGE[1]:
@@ -84,7 +85,7 @@ def _prediction(family: str, faces, c) -> AsymptoticPrediction:
         except OverflowError:
             value = math.inf
     if value == 0.0 or value == math.inf:
-        raise ValueError(f"the {family} coefficient ~1e{round(size)} "
+        raise ValueError(f"the {family} coefficient ~{e_notation(size)} "
                          f"{'overflows' if value else 'underflows'} a float to {value}")
     return AsymptoticPrediction(gamma=sum(next(iter(faces))), coefficient=value, family=family)
 

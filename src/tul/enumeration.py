@@ -2,25 +2,23 @@
 Catalan/Narayana combinatorics.
 
 A covering of a D-colored graph B is a pairing tau in S_k, and its
-(0,i)-faces are the cycles of tau^-1 sigma_i.  `covering_pass` sweeps S_k
-once per graph in numpy.  The k! pairings come in lexicographic blocks, one
-per value of tau[0], each made of (k-1)! rows from one cached array of
-S_{k-1}.  Faces are counted by pointer jumping, for all rows of a block at
-once and one color at a time.  The pass keeps two things:
+(0,i)-faces are the cycles of tau^-1 sigma_i: they depend on k and sigma_i
+alone.  `_face_column` counts them for all k! pairings of lexicographic S_k
+at once, in numpy, by pointer jumping over (k-1)! rows at a time, and caches
+the int8 column per sigma_i.  A pass stacks the columns of B's colors in
+B's own order, and `covering_pass` reads two things off the stack:
 
   histogram  {zero_faces: multiplicity}, the whole finite-N Wick sum
   minimal    the face-maximizing coverings, which carry its leading term
 
-Relabeling the colors only permutes each face vector, so the sweep is run
-on the graph with its sigma rows sorted and cached per sorted graph, then
-read back in the graph's own colors.  Gamma, the Catalan/Narayana counts,
-the limit coefficient and the exact Wick integer of every graph that is
-equal up to the order of its colors (the color splits of one (m,n)-cycle,
-say) all come from one sweep.
-`enumerate_coverings` reads the same blocks one covering at a time.
+Graphs whose sigma rows repeat share columns: every (m,n)-cycle of one k
+stacks the same two, the identity and the shift.  Gamma, the
+Catalan/Narayana counts, the limit coefficient and the exact Wick integer
+all come from the one cached pass per graph.  `enumerate_coverings` reads
+the same stack one covering at a time.
 
 Graphs must be connected and have k <= MAX_K = 9, i.e. at most 362,880
-coverings.  Both are checked before any sweep.
+coverings.  Both are checked before any column is computed.
 """
 
 from __future__ import annotations
@@ -38,14 +36,17 @@ import numpy as np
 from .graphs import ColoredGraph, FaceProfile, e_notation, is_connected, side_ratios
 from .permutations import Perm, identity, inverse
 
-# The largest k a sweep accepts.  A resource limit, not a tuning knob: the
-# sweep costs k!, and k=10 already takes seconds and ~200 MB.
+# The largest k a pass accepts.  A resource limit, not a tuning knob: a
+# pass costs k!, and k=10 already takes seconds and ~200 MB.
 MAX_K = 9
 
-# Passes that stay cached, per color-sorted graph and per graph.  A bound on
-# memory, not a tuning knob: every consumer of one graph, and every color
-# split of one cycle, runs back to back, so a few slots suffice.
+# Passes that stay cached, per graph.  A bound on memory, not a tuning knob:
+# every consumer of one graph runs back to back, so a few slots suffice.
 _CACHED_GRAPHS = 4
+
+# Face columns that stay cached, per sigma_i.  A bound on memory, not a
+# tuning knob: a column holds k! bytes, so at most 32 * 9! bytes = 11.6 MB.
+_CACHED_COLUMNS = 32
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class MinimalCoveringSet:
 
 @dataclass(frozen=True)
 class CoveringPass:
-    """What one sweep over S_k yields for a graph.
+    """What one pass over S_k yields for a graph.
 
     histogram maps each per-color zero-face vector to the number of pairings
     that have it, so its values sum to k!; minimal holds the pairings of
@@ -75,57 +76,60 @@ class CoveringPass:
 
 @functools.lru_cache(maxsize=None)
 def _lex_perms(m: int) -> np.ndarray:
-    """S_m as the rows of a read-only (m!, m) array, in lexicographic order."""
+    """S_m as the rows of a read-only int8 (m!, m) array, in lexicographic
+    order."""
     if m == 0:
-        return np.zeros((1, 0), dtype=np.intp)
+        return np.zeros((1, 0), dtype=np.int8)
     sub = _lex_perms(m - 1)
-    out = np.empty((m, len(sub), m), dtype=np.intp)
+    out = np.empty((m, len(sub), m), dtype=np.int8)
     for first in range(m):
         out[first, :, 0] = first
-        out[first, :, 1:] = np.delete(np.arange(m), first)[sub]
+        out[first, :, 1:] = np.delete(np.arange(m, dtype=np.int8), first)[sub]
     out = out.reshape(-1, m)
     out.flags.writeable = False
     return out
 
 
-def _blocks(B: ColoredGraph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (taus, faces) for each value of tau[0] in turn: the ((k-1)!, k)
-    pairings of the block in lexicographic order, and their ((k-1)!, D)
-    per-color zero-face counts."""
-    k = B.k
-    sub = _lex_perms(k - 1)
-    rows = len(sub)
-    # tau^-1 sigma_i has the cycles of its inverse sigma_i^-1 tau, which is a
-    # gather of tau through a fixed table; equal colors share one count
-    tables, color_of = np.unique(np.array([inverse(s) for s in B.sigma]), axis=0,
-                                 return_inverse=True)
+@functools.lru_cache(maxsize=_CACHED_COLUMNS)
+def _face_column(table: Perm) -> np.ndarray:
+    """The cycle count of tau^-1 sigma_i for every tau of S_k, in
+    lexicographic order, as a read-only int8 (k!,) column; table is
+    sigma_i^-1, and its length is k.
+
+    tau^-1 sigma_i has the cycles of its inverse sigma_i^-1 tau, a gather of
+    tau through table.  The cycles are counted by pointer jumping over the
+    (k-1)! pairings that share tau[0], one block at a time.
+    """
+    k = len(table)
+    perms = _lex_perms(k)
+    rows = len(perms) // k
+    table = np.array(table, dtype=np.intp)
     # pointers index the flattened (rows, k) block, so that one gather
     # follows every row at once; labels are positions within a row
     offset = np.arange(0, rows * k, k).reshape(rows, 1)
     position = np.arange(k, dtype=np.int8)
     start = np.tile(position, rows)
     rounds = (k - 1).bit_length()  # ceil(log2 k): enough to span a k-cycle
+    column = np.empty((k, rows), dtype=np.int8)
     for first in range(k):
-        rest = np.delete(np.arange(k), first)
-        taus = np.empty((rows, k), dtype=np.int8)
-        taus[:, 0] = first
-        taus[:, 1:] = rest[sub]
-        faces = np.empty((rows, len(tables)), dtype=np.int64)
-        for j, table in enumerate(tables):
-            step = np.empty((rows, k), dtype=np.intp)
-            step[:, 0] = table[first]
-            step[:, 1:] = table[rest][sub]
-            step += offset
-            step = step.ravel()
-            # after round r, label[x] is the least position among the 2^r
-            # points from x on its cycle, so after all rounds it names the cycle
-            label = start
-            for r in range(rounds):
-                label = np.minimum(label, label[step])
-                if r + 1 < rounds:
-                    step = step[step]
-            faces[:, j] = (label.reshape(rows, k) == position).sum(axis=1)
-        yield taus, faces[:, color_of]
+        step = (table[perms[first * rows:(first + 1) * rows]] + offset).ravel()
+        # after round r, label[x] is the least position among the 2^r
+        # points from x on its cycle, so after all rounds it names the cycle
+        label = start
+        for r in range(rounds):
+            label = np.minimum(label, label[step])
+            if r + 1 < rounds:
+                step = step[step]
+        column[first] = (label.reshape(rows, k) == position).sum(axis=1)
+    column = column.ravel()
+    column.flags.writeable = False
+    return column
+
+
+def _faces(B: ColoredGraph) -> np.ndarray:
+    """The (k!, D) int8 zero-face counts of every pairing, one cached column
+    per color in B's own order."""
+    return np.stack([_face_column(inverse(s)) for s in B.sigma], axis=1)
 
 
 def _profile_keys(faces: np.ndarray, k: int) -> np.ndarray:
@@ -142,33 +146,6 @@ def _profile_keys(faces: np.ndarray, k: int) -> np.ndarray:
     return key
 
 
-@functools.lru_cache(maxsize=_CACHED_GRAPHS)
-def _sweep(B: ColoredGraph) -> CoveringPass:
-    """Fold the blocks into the face histogram and the minimal coverings."""
-    histogram: Counter = Counter()
-    gamma = -1
-    members: list[tuple[list[int], list[int]]] = []
-    for taus, faces in _blocks(B):
-        _, first, counts = np.unique(_profile_keys(faces, B.k), return_index=True,
-                                     return_counts=True)
-        for zero, n in zip(faces[first].tolist(), counts.tolist()):
-            histogram[tuple(zero)] += n
-        totals = faces.sum(axis=1)
-        best = int(totals.max())
-        if best > gamma:
-            gamma, members = best, []
-        if best == gamma:
-            hit = totals == best
-            members += zip(taus[hit].tolist(), faces[hit].tolist())
-    # members with equal face vectors share one FaceProfile
-    profiles = {zero: FaceProfile(zero_faces=zero, total=gamma)
-                for zero in {tuple(zero) for _, zero in members}}
-    minimal = MinimalCoveringSet(gamma=gamma, members=tuple(
-        (tuple(tau), profiles[tuple(zero)]) for tau, zero in members))
-    return CoveringPass(histogram=MappingProxyType(dict(sorted(histogram.items()))),
-                        minimal=minimal)
-
-
 def _check_graph(B: ColoredGraph):
     if not is_connected(B):
         raise ValueError("the covering sweep expects a connected graph")
@@ -181,33 +158,39 @@ def _check_graph(B: ColoredGraph):
 
 @functools.lru_cache(maxsize=_CACHED_GRAPHS)
 def covering_pass(B: ColoredGraph) -> CoveringPass:
-    """The face histogram and minimal coverings of B, from one cached sweep
-    per color-sorted graph.
+    """The face histogram and minimal coverings of B, read off its stacked
+    face columns.
 
-    B is swept with its colors sorted by sigma row; every face vector is then
-    put back in B's color order.  gamma, the taus and their order do not
-    depend on the order of the colors.  The result is cached per graph as
-    well, since the consumers of one graph call this back to back.
+    Each color's column is cached by sigma_i alone, so graphs that share a
+    sigma row at one k share its column: all (m,n)-cycles of one k read the
+    same two.  The result is cached per graph as well, since the consumers of
+    one graph call this back to back.
     """
     _check_graph(B)
-    order = sorted(range(B.D), key=B.sigma.__getitem__)
-    sweep = _sweep(ColoredGraph(k=B.k, sigma=tuple(B.sigma[i] for i in order)))
-    back = inverse(order)  # face i of B is face back[i] of the sorted graph
-    gamma = sweep.minimal.gamma
-    histogram = {tuple(zero[j] for j in back): n for zero, n in sweep.histogram.items()}
-    profiles = {zero: FaceProfile(zero_faces=tuple(zero[j] for j in back), total=gamma)
-                for zero in sweep.histogram if sum(zero) == gamma}
+    faces = _faces(B)
+    _, first, counts = np.unique(_profile_keys(faces, B.k), return_index=True,
+                                 return_counts=True)
+    histogram = dict(sorted(zip(map(tuple, faces[first].tolist()), counts.tolist())))
+    totals = faces.sum(axis=1, dtype=np.int64)  # int8 would overflow past 127
+    gamma = int(totals.max())
+    hit = totals == gamma
+    # members with equal face vectors share one FaceProfile
+    profiles = {zero: FaceProfile(zero_faces=zero, total=gamma)
+                for zero in histogram if sum(zero) == gamma}
     minimal = MinimalCoveringSet(gamma=gamma, members=tuple(
-        (tau, profiles[p.zero_faces]) for tau, p in sweep.minimal.members))
-    return CoveringPass(histogram=MappingProxyType(dict(sorted(histogram.items()))),
-                        minimal=minimal)
+        (tuple(tau), profiles[tuple(zero)])
+        for tau, zero in zip(_lex_perms(B.k)[hit].tolist(), faces[hit].tolist())))
+    return CoveringPass(histogram=MappingProxyType(histogram), minimal=minimal)
 
 
 def enumerate_coverings(B: ColoredGraph) -> Iterator[tuple[Perm, FaceProfile]]:
     """Yield (tau, FaceProfile) for every tau in S_k, in lexicographic order."""
     _check_graph(B)
-    for taus, faces in _blocks(B):
-        for tau, zero in zip(taus.tolist(), faces.tolist()):
+    perms, faces = _lex_perms(B.k), _faces(B)
+    rows = len(perms) // B.k  # converted to lists (k-1)! rows at a time
+    for start in range(0, len(perms), rows):
+        block = slice(start, start + rows)
+        for tau, zero in zip(perms[block].tolist(), faces[block].tolist()):
             yield tuple(tau), FaceProfile(zero_faces=tuple(zero), total=sum(zero))
 
 

@@ -15,8 +15,8 @@ from tul.cli import main
 from tul.enumeration import catalan
 from tul.families import (CycleSpec, cycle_spec_to_json_dict, make_cycle_graph,
                           melonic_recipe_to_json_dict, MelonicRecipe)
-from tul.graphs import ColoredGraph, graph_to_json_dict
-from tul.tensors import STREAM, TensorSpec, tensor_spec_from_json_dict
+from tul.graphs import ColoredGraph, graph_from_json_dict, graph_to_json_dict
+from tul.tensors import STREAM, TensorSpec, gaussian_exact_mean, tensor_spec_from_json_dict
 
 
 @pytest.fixture
@@ -125,10 +125,10 @@ def test_enumerate_bad_graph_json(capsys, tmp_path):
 
 def test_enumerate_cap_env(capsys, monkeypatch, tmp_path):
     # the bound is fixed: no environment variable raises it
-    def no_sweep(*args):
-        raise AssertionError("the S_k sweep ran")
+    def no_column(*args):
+        raise AssertionError("a face column was computed")
 
-    monkeypatch.setattr("tul.enumeration._sweep", no_sweep)
+    monkeypatch.setattr("tul.enumeration._face_column", no_column)
     monkeypatch.setenv("TUL_ENUM_CAP", "20")
     spec = CycleSpec(k=10, m_colors=frozenset([1]), n_colors=frozenset([2]))
     path = tmp_path / "c10.json"
@@ -278,6 +278,26 @@ def test_mc_graph_route(capsys, tensor_spec_file, cycle22_graph):
     assert data["gamma"] == 3
 
 
+def test_mc_graph_route_with_a_complex_invariant(capsys, tmp_path):
+    # this graph is not isomorphic to its white/black mirror, so each draw's
+    # invariant is complex (2941.07 + 126.93j on one tensor); its mean is the
+    # Wick integer 1152, and the mean of the real part is checked against it.
+    # About 1.2 s: three seeds of 2000 samples.
+    spec = {"k": 3, "D": 4, "sigma": [[2, 3, 1], [1, 2, 3], [1, 3, 2], [3, 2, 1]]}
+    exact = gaussian_exact_mean(graph_from_json_dict(spec), (1, 1, 1, 1), 2)
+    assert exact == 1152
+    graph = _write(tmp_path, "graph.json", json.dumps(spec))
+    tensor = _write(tmp_path, "tensor.json", json.dumps(
+        {"D": 4, "c": [1, 1, 1, 1], "N": 2, "distribution": "complex_gaussian", "seed": 1}))
+    for seed in (1, 2, 3):
+        code, data = run_json(capsys, ["mc", "--spec", tensor, "--graph", graph,
+                                       "--N-list", "2", "--samples", "2000",
+                                       "--seed", str(seed)])
+        assert code == 0
+        row = data["rows"][0]
+        assert abs(row["mean"] - exact) < 4 * row["stderr"], (seed, row)
+
+
 def test_mc_graph_and_cycle_conflict(tensor_spec_file, cycle_spec_file, cycle22_graph):
     with pytest.raises(SystemExit) as exc:
         main(["mc", "--spec", tensor_spec_file, "--graph", cycle22_graph,
@@ -318,10 +338,10 @@ def test_verify_bad_family(capsys):
 
 
 def test_verify_k_over_cap(capsys, monkeypatch):
-    def no_sweep(*args):
-        raise AssertionError("the S_k sweep ran")
+    def no_column(*args):
+        raise AssertionError("a face column was computed")
 
-    monkeypatch.setattr("tul.enumeration._sweep", no_sweep)
+    monkeypatch.setattr("tul.enumeration._face_column", no_column)
     code = main(["verify", "--max-k", "10", "--families", "cycle_11"])
     assert code == 2
     assert "cap" in capsys.readouterr().err
@@ -433,8 +453,8 @@ def test_asym_float_range_is_not_a_ratio_error(capsys, tmp_path, ratios, value):
                                                       "n_colors": [2]}))
     code = main(["asym", "--family", "cycle", "--spec", spec, "--c", ratios])
     assert code == 2
-    size, lost = {"0.0": ("-799", "underflows"), "inf": ("801", "overflows")}[value]
-    assert capsys.readouterr().err == (f"error: the cycle_11 coefficient ~1e{size} "
+    size, lost = {"0.0": ("5.000e-800", "underflows"), "inf": ("5.000e+800", "overflows")}[value]
+    assert capsys.readouterr().err == (f"error: the cycle_11 coefficient ~{size} "
                                        f"{lost} a float to {value}\n")
 
 
@@ -460,14 +480,15 @@ def test_asym_far_out_of_range_coefficient_exits_2_at_once(capsys, tmp_path):
     start = time.perf_counter()
     assert main(["asym", "--family", "cycle", "--spec", spec, "--c", "1e200,1e200"]) == 2
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == ("error: the cycle_11 coefficient ~1e401399 "
+    assert capsys.readouterr().err == ("error: the cycle_11 coefficient ~8.310e+401398 "
                                        "overflows a float to inf\n")
 
 
 def test_asym_ratio_outside_float_range(capsys, tmp_path):
     spec = _write(tmp_path, "cycle.json", json.dumps({"k": 1, "m_colors": [1],
                                                       "n_colors": [2]}))
-    for ratios, lost in (("1e-400,1", "~1e-400 underflows"), ("1,1e400", "~1e400 overflows")):
+    for ratios, lost in (("1e-400,1", "~1.000e-400 underflows"),
+                         ("1,1e400", "~1.000e+400 overflows")):
         assert main(["asym", "--family", "cycle", "--spec", spec, "--c", ratios]) == 2
         assert f"the cycle_11 coefficient {lost} a float" in capsys.readouterr().err
 
@@ -479,10 +500,10 @@ def test_asym_ratio_outside_float_range_is_short(capsys, tmp_path):
                                                       "n_colors": [2, 3]}))
     assert main(["asym", "--family", "cycle", "--spec", spec, "--c", "1e-400,1,1"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: the cycle_mn coefficient ~1e-400 underflows a float to 0.0\n"
+    assert err == "error: the cycle_mn coefficient ~1.000e-400 underflows a float to 0.0\n"
     assert main(["asym", "--family", "cycle", "--spec", spec, "--c", "1,1,3e-401"]) == 2
     err = capsys.readouterr().err
-    assert "the cycle_mn coefficient ~1e-801 underflows" in err and len(err) < 80
+    assert "the cycle_mn coefficient ~9.000e-802 underflows" in err and len(err) < 80
 
 
 @pytest.mark.parametrize("k, ratios, coefficient", [(3, "1.1,1.1", 7.3205),

@@ -281,54 +281,85 @@ def test_pass_k1():
 
 def test_pass_many_colors():
     # with this many colors a base-k key over all of them overflows int64,
-    # so the pass re-ranks the key part way
-    B = ColoredGraph(k=2, sigma=tuple((0, 1) if i % 3 else (1, 0) for i in range(64)))
-    expected = Counter(face_profile(CoveringGraph(base=B, tau=tau)).zero_faces
-                       for tau in itertools.permutations(range(2)))
-    assert dict(covering_pass(B).histogram) == expected
-    B = ColoredGraph(k=3, sigma=tuple(p for p in itertools.permutations(range(3))) * 7)
-    expected = Counter(face_profile(CoveringGraph(base=B, tau=tau)).zero_faces
-                       for tau in itertools.permutations(range(3)))
-    assert dict(covering_pass(B).histogram) == expected
+    # so the pass re-ranks the key part way; in the last graph the identity
+    # pairing has 62 * 3 + 2 = 188 faces, past what an int8 total holds
+    graphs = (ColoredGraph(k=2, sigma=tuple((0, 1) if i % 3 else (1, 0) for i in range(64))),
+              ColoredGraph(k=3, sigma=tuple(p for p in itertools.permutations(range(3))) * 7),
+              ColoredGraph(k=3, sigma=((0, 1, 2),) * 62 + ((1, 2, 0), (2, 0, 1))))
+    for B in graphs:
+        expected = [(tau, face_profile(CoveringGraph(base=B, tau=tau)))
+                    for tau in itertools.permutations(range(B.k))]
+        result = covering_pass(B)
+        assert dict(result.histogram) == Counter(p.zero_faces for _, p in expected)
+        gamma = max(p.total for _, p in expected)
+        assert result.minimal.gamma == gamma
+        assert result.minimal.members == tuple((tau, p) for tau, p in expected
+                                               if p.total == gamma)
+    assert covering_pass(graphs[-1]).minimal.gamma == 188
 
 
 def test_pass_errors_come_before_any_sweep():
-    enumeration._sweep.cache_clear()
+    enumeration._face_column.cache_clear()
+    enumeration._lex_perms.cache_clear()
     with pytest.raises(ValueError, match="cap"):
         minimal_coverings(two_color_cycle(10))
     with pytest.raises(ValueError, match="connected"):
         covering_pass(ColoredGraph(k=2, sigma=((0, 1), (0, 1))))
     with pytest.raises(ValueError, match="cap"):
         gaussian_exact_mean(two_color_cycle(10), (1, 1), 2)
-    info = enumeration._sweep.cache_info()
-    assert (info.hits, info.misses) == (0, 0)
+    with pytest.raises(ValueError, match="cap"):
+        next(enumerate_coverings(two_color_cycle(10)))
+    for cached in (enumeration._face_column, enumeration._lex_perms):
+        info = cached.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
 
 
 def test_consumers_share_one_sweep():
+    # one pass for the graph, one column for each of its two distinct rows
     spec = CycleSpec(k=5, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
     B = make_cycle_graph(spec)
-    enumeration._sweep.cache_clear()
+    enumeration._face_column.cache_clear()
     enumeration.covering_pass.cache_clear()
     mcs = minimal_coverings(B)
     report = cross_check(B, spec, (1.5, 0.5, 2.0))
     wick = gaussian_exact_mean(B, (1, 2, 1), 3)
-    assert enumeration._sweep.cache_info().misses == 1
+    assert enumeration.covering_pass.cache_info().misses == 1
+    assert enumeration._face_column.cache_info().misses == 2
     assert (mcs.gamma, report.count_enum) == (2 * 5 + 1, 1)
     assert wick == sum(math.prod(d ** f for d, f in zip((3, 6, 3), p.zero_faces))
                        for _, p in enumerate_coverings(B))
+    assert enumeration._face_column.cache_info().misses == 2
 
 
 def test_color_splits_share_one_sweep():
-    # every split of 5 colors into 2 identities and 3 shifts is the same
-    # graph once its colors are sorted, so all ten splits cost one sweep
-    enumeration._sweep.cache_clear()
+    # every split of 5 colors into 2 identities and 3 shifts stacks the same
+    # two columns, so all ten splits compute two
+    enumeration._face_column.cache_clear()
     enumeration.covering_pass.cache_clear()
     for m_colors in itertools.combinations(range(1, 6), 2):
         spec = CycleSpec(k=5, m_colors=frozenset(m_colors),
                          n_colors=frozenset(range(1, 6)) - set(m_colors))
         report = cross_check(make_cycle_graph(spec), spec, (2, 1, 3, 0.5, 1.5))
         assert (report.gamma_enum, report.count_enum) == (3 * 5 + 2, 1)
-    assert enumeration._sweep.cache_info().misses == 1
+    assert enumeration.covering_pass.cache_info().misses == 10
+    assert enumeration._face_column.cache_info().misses == 2
+
+
+def test_cycles_of_one_k_share_two_columns():
+    # the identity and the shift are the only rows of every (m,n)-cycle
+    enumeration._face_column.cache_clear()
+    enumeration.covering_pass.cache_clear()
+    for m, n in ((1, 1), (2, 2), (1, 3)):
+        spec = CycleSpec(k=5, m_colors=frozenset(range(1, m + 1)),
+                         n_colors=frozenset(range(m + 1, m + n + 1)))
+        gamma = m * 6 if m == n else n * 5 + m
+        assert minimal_coverings(make_cycle_graph(spec)).gamma == gamma
+    info = enumeration._face_column.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    for column in map(enumeration._face_column, ((0, 1, 2, 3, 4), (4, 0, 1, 2, 3))):
+        assert column.dtype == np.int8 and column.shape == (120,)
+        assert not column.flags.writeable
+    assert enumeration._face_column.cache_info().misses == 2  # the identity's and the shift's
 
 
 @st.composite
