@@ -17,7 +17,7 @@ from .permutations import Perm, compose, cycle_count, cycles, identity, inverse
 from .tensors import (DISTRIBUTIONS, ScanRow, TensorSpec, UniversalityReport,
                       gaussian_exact_mean, monte_carlo_mean, sample_tensor,
                       tensor_spec_from_json_dict, trace_invariant_cycle,
-                      trace_invariant_naive, universality_scan)
+                      trace_invariant_naive, trace_invariant_network, universality_scan)
 from .verify import CheckResult, VerifySuiteConfig, run_verify_suite, suite_passed
 
 __all__ = [
@@ -33,5 +33,5 @@ __all__ = [
     "narayana_face_distribution", "predict_cycle", "predict_generic", "predict_melonic",
     "random_melonic_recipe", "run_verify_suite", "sample_tensor", "suite_passed",
     "tensor_spec_from_json_dict", "trace_invariant_cycle", "trace_invariant_naive",
-    "universality_scan",
+    "trace_invariant_network", "universality_scan",
 ]

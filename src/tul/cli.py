@@ -211,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seeded Monte Carlo scan of normalized invariant means")
     p.add_argument("--spec", required=True, help="tensor spec JSON file")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--graph", help="colored graph JSON (naive contraction route)")
+    group.add_argument("--graph", help="colored graph JSON (network contraction route)")
     group.add_argument("--cycle", help="cycle spec JSON (matricized route)")
     p.add_argument("--samples", type=_int_list, default="1000",
                    help="sample count, or one count per N as a comma list")

@@ -103,16 +103,19 @@ def _face_column(table: Perm) -> np.ndarray:
     k = len(table)
     perms = _lex_perms(k)
     rows = len(perms) // k
-    table = np.array(table, dtype=np.intp)
+    table = np.array(table, dtype=np.int32)
     # pointers index the flattened (rows, k) block, so that one gather
-    # follows every row at once; labels are positions within a row
+    # follows every row at once; labels are positions within a row.  The
+    # int8 rows go through table by np.take into int32, a quarter of the
+    # cost of an intp fancy index, and the intp offset makes the pointers
+    # intp, which the jumping gathers below take without a cast.
     offset = np.arange(0, rows * k, k).reshape(rows, 1)
     position = np.arange(k, dtype=np.int8)
     start = np.tile(position, rows)
     rounds = (k - 1).bit_length()  # ceil(log2 k): enough to span a k-cycle
     column = np.empty((k, rows), dtype=np.int8)
     for first in range(k):
-        step = (table[perms[first * rows:(first + 1) * rows]] + offset).ravel()
+        step = (np.take(table, perms[first * rows:(first + 1) * rows]) + offset).ravel()
         # after round r, label[x] is the least position among the 2^r
         # points from x on its cycle, so after all rounds it names the cycle
         label = start

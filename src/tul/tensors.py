@@ -6,11 +6,18 @@ K = max(1, BLOCK_ENTRIES // prod(dims)) samples and is one sequential draw
 from PCG64(seed) advanced by b * 2^64 steps.  Sample i, entry i % K of block
 i // K, depends only on (seed, i), never on how many samples are drawn.
 
-Two independent evaluation routes are kept deliberately separate: the naive
-route sums the delta-constrained index contractions term by term for any
-colored graph, in one unoptimized einsum within DEFAULT_NAIVE_BUDGET terms,
-while the cycle route matricizes the tensor and takes tr((M^H M)^k).  Tests
-lean on their agreement, so neither may be expressed through the other.
+Three independent evaluation routes are kept deliberately separate:
+  naive    sums the delta-constrained index contractions term by term for
+           any colored graph, in one unoptimized einsum within
+           DEFAULT_NAIVE_BUDGET terms; an oracle only, never run by Monte Carlo
+  network  contracts a stack of tensors over any colored graph pairwise, in
+           one einsum per block along a cached greedy order, with a sample
+           label first in every operand; Monte Carlo on a ColoredGraph
+  cycle    matricizes each tensor of a stack and takes tr((M^H M)^k);
+           Monte Carlo on a CycleSpec
+The naive and network routes share only the einsum label lists of the
+graph's vertices.  Tests lean on the routes' agreement, so none may be
+expressed through another.
 
 The cycle route gets each Gram G from one real matrix product R S^T on the
 tensor's float view, with no conjugate copy and no complex product: R holds
@@ -42,6 +49,11 @@ from .permutations import inverse
 DISTRIBUTIONS = ("complex_gaussian", "complex_rademacher", "uniform_disc")
 
 DEFAULT_NAIVE_BUDGET = 10 ** 8
+
+# The distinct labels one einsum call takes (a-z, A-Z): a network
+# contraction uses one for the sample axis and, per tensor axis of size
+# > 1, one for each of the graph's k white vertices.
+EINSUM_LABELS = 52
 
 # TensorSpec refuses tensors with more entries: 1 GiB of complex128.  The
 # cycle route holds the draw, one transposed copy and the Gram, at most 2.5
@@ -214,7 +226,8 @@ def trace_invariant_naive(T: np.ndarray, B: ColoredGraph) -> float:
     index with slot i of the conjugate copy at black vertex sigma_i(j).  The
     sum runs over all prod_i dims_i^k assignments, term by term, in one
     unoptimized einsum: no pairwise contraction order and no matricization,
-    so this route stays independent of trace_invariant_cycle.
+    so this route stays independent of trace_invariant_network and
+    trace_invariant_cycle.  It is an oracle only: Monte Carlo never runs it.
 
     Swapping white and black conjugates the sum, so it is real when B is
     isomorphic to its mirror, as every cycle and melonic graph is; otherwise
@@ -239,6 +252,109 @@ def trace_invariant_naive(T: np.ndarray, B: ColoredGraph) -> float:
     for labels in blacks:
         operands += (Tc, labels)
     return complex(np.einsum(*operands, (), optimize=False)).real
+
+
+def _network_plan(shape, B: ColoredGraph):
+    """The labeled tensor axes and the pairwise path of a network contraction
+    of a (count, *dims) stack over B, refused before anything is drawn or
+    contracted: the axes must match the colors, the k*D' + 1 labels (D'
+    sides > 1) must fit einsum's EINSUM_LABELS, and the largest step of the
+    path must fit MAX_TENSOR_ENTRIES.  The label count is checked first, so a
+    graph with too many vertices is refused before any path search."""
+    if len(shape) != B.D + 1:
+        raise ValueError(f"tensor has {len(shape) - 1} axes, graph has D={B.D} colors")
+    axes = tuple(i for i, d in enumerate(shape[1:]) if d > 1)
+    labels = B.k * len(axes) + 1
+    if labels > EINSUM_LABELS:
+        raise ValueError(
+            f"network contraction needs {labels} einsum labels (k={B.k} times "
+            f"{len(axes)} sides > 1, plus one per sample), over the limit {EINSUM_LABELS}"
+        )
+    if not axes:
+        return axes, None
+    path, largest = _greedy_path(B, tuple(shape))
+    if largest > MAX_TENSOR_ENTRIES:
+        raise ValueError(
+            f"network contraction of {shape[0]} sample(s) of a {'x'.join(map(str, shape[1:]))} "
+            f"tensor needs a contraction step of {largest:.3e} entries, over the limit of "
+            f"{MAX_TENSOR_ENTRIES}"
+        )
+    return axes, path
+
+
+def _network_operands(T_stack, Tc_stack, B: ColoredGraph, axes):
+    """einsum's interleaved operands for a stack of tensors over B: the
+    white labels on T_stack and the black ones on its conjugate, each after
+    the sample label k*len(axes), which alone is kept."""
+    whites, blacks = _naive_labels(B, axes)
+    sample = B.k * len(axes)
+    operands: list = []
+    for labels in whites:
+        operands += (T_stack, (sample, *labels))
+    for labels in blacks:
+        operands += (Tc_stack, (sample, *labels))
+    return operands + [(sample,)]
+
+
+# A Monte Carlo mean contracts blocks of at most two shapes, the full one
+# and a shorter last one, so a few slots hold the paths of every graph in
+# use; a bound on memory, not a knob.
+@functools.lru_cache(maxsize=8)
+def _greedy_path(B: ColoredGraph, shape: tuple[int, ...]):
+    """einsum's greedy pairwise path for a (count, *dims) stack over B, and
+    the entries of the largest intermediate it makes.
+
+    The path is planned on zero-stride probes, so planning allocates nothing
+    of tensor size, with MAX_TENSOR_ENTRIES as greedy's memory limit: its
+    default, the largest operand, would make it fall back to one
+    term-by-term step on a graph whose adjacent vertices share fewer than
+    half their colors, as on K_{3,3} with one color per perfect matching.  The
+    intermediate sizes come from a walk of the path over the label sets:
+    each step pops its operands, as einsum does, and appends what it keeps,
+    the labels that another operand or the output still carries.  A step of
+    more than two operands is einsum's term-by-term fallback, for when no
+    pair fits the limit, and is charged its whole index space."""
+    axes = tuple(i for i, d in enumerate(shape[1:]) if d > 1)
+    dims = [shape[1 + i] for i in axes]
+    probe = np.broadcast_to(np.zeros((), dtype=np.complex128), [shape[0], *dims])
+    operands = _network_operands(probe, probe, B, axes)
+    path = np.einsum_path(*operands, optimize=("greedy", MAX_TENSOR_ENTRIES))[0]
+    size = {j * len(dims) + a: d for j in range(B.k) for a, d in enumerate(dims)}
+    size[B.k * len(dims)] = shape[0]
+    live = [set(labels) for labels in operands[1:-1:2]]
+    output = set(operands[-1])
+    largest = 0
+    for step in path[1:]:
+        merged = set().union(*(live.pop(i) for i in sorted(step, reverse=True)))
+        kept = merged & set().union(output, *live)
+        charged = kept if len(step) <= 2 else merged
+        largest = max(largest, math.prod(size[label] for label in charged))
+        live.append(kept)
+    return path, largest
+
+
+def _network_values(T_stack: np.ndarray, B: ColoredGraph) -> np.ndarray:
+    """Real part of the invariant of B for each tensor in a stack, by one
+    einsum along the greedy pairwise path of _greedy_path, with the sample
+    label first in every operand and the conjugate stack taken once.
+
+    Size-1 axes carry no label; when every axis has size 1 the invariant of
+    each tensor is the single term |t|^(2k).
+    """
+    T_stack = np.asarray(T_stack, dtype=np.complex128)
+    axes, path = _network_plan(T_stack.shape, B)
+    count = len(T_stack)
+    if not axes:
+        return np.abs(T_stack.reshape(count)) ** (2 * B.k)
+    T_stack = T_stack.reshape(count, *(T_stack.shape[1 + i] for i in axes))
+    operands = _network_operands(T_stack, np.conj(T_stack), B, axes)
+    return np.einsum(*operands, optimize=path).real
+
+
+def trace_invariant_network(T: np.ndarray, B: ColoredGraph) -> float:
+    """Real part of the invariant of B for one tensor: _network_values on a
+    stack of one."""
+    return float(_network_values(np.asarray(T, dtype=np.complex128)[None], B)[0])
 
 
 def _cycle_values(T_stack: np.ndarray, spec: CycleSpec, work: dict | None = None) -> np.ndarray:
@@ -320,18 +436,20 @@ def _evaluator(graph):
         work: dict = {}  # one transposed copy and Gram per stack shape
         return lambda stack: _cycle_values(stack, graph, work)
     if isinstance(graph, ColoredGraph):
-        return lambda stack: np.array([trace_invariant_naive(T, graph) for T in stack])
+        return lambda stack: _network_values(stack, graph)
     raise TypeError(f"graph must be ColoredGraph or CycleSpec, got {type(graph)}")
 
 
 def monte_carlo_mean(spec: TensorSpec, graph, samples: int) -> tuple[float, float]:
     """Sample mean and standard error of the invariant over independent draws.
 
-    graph selects the evaluation route: a ColoredGraph goes through the naive
-    contraction, one sample at a time, a CycleSpec through the matricized
-    route, one stacked Gram per block.  Samples 0..samples-1 are drawn one
-    block substream of spec.seed at a time, so the first n values do not
-    depend on how many are drawn.
+    graph selects the evaluation route: a ColoredGraph goes through the
+    network contraction, one greedy-ordered einsum per block, a CycleSpec
+    through the matricized route, one stacked Gram per block.  Samples
+    0..samples-1 are drawn one block substream of spec.seed at a time, so
+    the first n values do not depend on how many are drawn.  A network
+    contraction that einsum's labels or MAX_TENSOR_ENTRIES refuses is
+    refused before anything is drawn.
 
     The invariant of a graph that is not isomorphic to its mirror is complex
     for each draw, but its mean is the real Wick sum, so the imaginary part
@@ -341,9 +459,9 @@ def monte_carlo_mean(spec: TensorSpec, graph, samples: int) -> tuple[float, floa
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
     evaluate = _evaluator(graph)
-    if isinstance(graph, ColoredGraph):
-        _check_naive_contraction(spec.dims, graph)
     K = _block_size(spec.dims)
+    if isinstance(graph, ColoredGraph):
+        _network_plan((min(K, samples), *spec.dims), graph)
     values = np.concatenate([evaluate(sample_tensor(spec, start, min(K, samples - start)))
                              for start in range(0, samples, K)])
     mean = float(values.mean())
@@ -410,8 +528,8 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
     if graph.D != spec.D:
         raise ValueError(f"tensor has {spec.D} axes, graph has D={graph.D} colors")
     if isinstance(graph, ColoredGraph):
-        for row_spec in row_specs:
-            _check_naive_contraction(row_spec.dims, graph)
+        for row_spec, count in zip(row_specs, per_N):
+            _network_plan((min(_block_size(row_spec.dims), count), *row_spec.dims), graph)
     if isinstance(graph, CycleSpec):
         prediction = predict_cycle(graph, spec.c)
     else:

@@ -151,13 +151,20 @@ def test_enumerate_far_over_the_cap_gives_the_cap(capsys, cycle11_k2000_graph):
     assert "k=2000 exceeds the enumeration cap (9): 2000! = 3.316e+5735 pairings" in err
 
 
-def test_mc_naive_far_over_the_budget_gives_the_budget(capsys, tmp_path, cycle11_k2000_graph):
-    # 4^2000 terms overflow a float
+def test_mc_graph_over_the_label_limit_exits_2_before_any_draw(capsys, monkeypatch, tmp_path,
+                                                               cycle11_k2000_graph):
+    # refused by its label count, before a path search over 4000 operands
+    def no_draw(*args):
+        raise AssertionError("sample_tensor was called")
+
+    monkeypatch.setattr("tul.tensors.sample_tensor", no_draw)
     tensor = _write(tmp_path, "tensor.json", json.dumps({"D": 2, "c": [1, 1], "N": 2,
                                                          "distribution": "complex_gaussian"}))
+    t0 = time.perf_counter()
     assert main(["mc", "--spec", tensor, "--graph", cycle11_k2000_graph]) == 2
+    assert time.perf_counter() - t0 < 1
     err = capsys.readouterr().err
-    assert "naive contraction needs 1.318e+1204 scalar terms, over the budget 1.0e+08" in err
+    assert "network contraction needs 4001 einsum labels" in err and "over the limit 52" in err
 
 
 def test_asym_cycle(capsys, tmp_path):
@@ -590,21 +597,43 @@ def test_removed_flags_exit_2(capsys, tensor_spec_file, cycle_spec_file, cycle22
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
-def test_mc_naive_budget_exits_2_before_any_draw(capsys, monkeypatch, tmp_path):
+def test_mc_network_budget_exits_2_before_any_draw(capsys, monkeypatch, tmp_path):
+    # K_{3,3} with one color per perfect matching: every pairwise step at
+    # N=128 holds 128^4 = 2^28 entries, so the whole scan is refused
     def no_draw(*args):
         raise AssertionError("sample_tensor was called")
 
     monkeypatch.setattr("tul.tensors.sample_tensor", no_draw)
-    spec = CycleSpec(k=4, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
-    graph = _write(tmp_path, "graph.json",
-                   json.dumps(graph_to_json_dict(make_cycle_graph(spec))))
+    graph = _write(tmp_path, "graph.json", json.dumps(
+        {"k": 3, "D": 3, "sigma": [[1, 2, 3], [2, 3, 1], [3, 1, 2]]}))
     tensor = _write(tmp_path, "tensor.json", json.dumps({"D": 3, "c": [1, 1, 1], "N": 2,
                                                          "distribution": "complex_gaussian"}))
-    code = main(["mc", "--spec", tensor, "--graph", graph, "--N-list", "2,16",
+    code = main(["mc", "--spec", tensor, "--graph", graph, "--N-list", "2,128",
                  "--samples", "5"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "2.815e+14 scalar terms" in err and "budget" in err
+    assert "128x128x128 tensor needs a contraction step of 9.223e+18 entries" in err
+    assert "Traceback" not in err
+
+
+def test_mc_graph_runs_past_the_naive_budget(capsys, tmp_path):
+    # the (1,2)-cycle at k=4 and N=16 needs 2.815e+14 naive terms per sample
+    spec = CycleSpec(k=4, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
+    graph = _write(tmp_path, "graph.json",
+                   json.dumps(graph_to_json_dict(make_cycle_graph(spec))))
+    cycle = _write(tmp_path, "cycle.json", json.dumps(cycle_spec_to_json_dict(spec)))
+    tensor = _write(tmp_path, "tensor.json", json.dumps({"D": 3, "c": [1, 1, 1], "N": 2,
+                                                         "distribution": "complex_gaussian"}))
+    rows = {}
+    for flag, path in (("--graph", graph), ("--cycle", cycle)):
+        code, data = run_json(capsys, ["mc", "--spec", tensor, flag, path, "--N-list", "2,16",
+                                       "--samples", "5"])
+        assert code == 0
+        rows[flag] = data["rows"]
+    assert [r["N"] for r in rows["--graph"]] == [2, 16]
+    for a, b in zip(rows["--graph"], rows["--cycle"]):
+        assert a["mean"] == pytest.approx(b["mean"], rel=1e-9)
+        assert a["flagged"] == b["flagged"]
 
 
 @pytest.fixture(scope="module")

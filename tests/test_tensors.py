@@ -6,16 +6,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from reference import (apply_unitaries, cycle_value_reference, cycle_values_fresh, margins,
                        random_unitary, uniform_disc_block, unitary_invariance_check)
 from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic
 from tul.graphs import ColoredGraph, is_connected
 from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISC_CHUNK, DISTRIBUTIONS,
-                         TensorSpec, _check_naive_contraction, _cycle_values, gaussian_exact_mean,
-                         monte_carlo_mean, sample_tensor, tensor_spec_from_json_dict,
-                         trace_invariant_cycle, trace_invariant_naive, universality_scan)
+                         EINSUM_LABELS, MAX_TENSOR_ENTRIES, TensorSpec, _check_naive_contraction,
+                         _cycle_values, _greedy_path, _network_plan, _network_values,
+                         gaussian_exact_mean, monte_carlo_mean, sample_tensor,
+                         tensor_spec_from_json_dict, trace_invariant_cycle, trace_invariant_naive,
+                         trace_invariant_network, universality_scan)
 
 
 def cycle_11(k):
@@ -423,14 +425,118 @@ def test_monte_carlo_mean_wick():
     assert stderr > 0
 
 
-def test_monte_carlo_naive_budget_refused_before_any_draw(monkeypatch):
+# K_{3,3} with one color per perfect matching: adjacent vertices share one
+# color of three, so every pairwise step of a 3-tensor network holds N^4
+# entries, 2^28 at N=128
+K33 = ColoredGraph(k=3, sigma=((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+
+
+def test_monte_carlo_network_budget_refused_before_any_draw(monkeypatch):
     def no_draw(*args):
         raise AssertionError("sample_tensor was called")
 
     monkeypatch.setattr("tul.tensors.sample_tensor", no_draw)
-    B = make_cycle_graph(CycleSpec(k=4, m_colors=frozenset([1]), n_colors=frozenset([2, 3])))
-    with pytest.raises(ValueError, match="2.815e\\+14 scalar terms, over the budget"):
-        monte_carlo_mean(gaussian_spec(3, 16), B, 5)
+    with pytest.raises(ValueError, match="needs a contraction step of 9.223e\\+18 entries, "
+                                         f"over the limit of {MAX_TENSOR_ENTRIES}"):
+        monte_carlo_mean(gaussian_spec(3, 128), K33, 5)
+    B = make_cycle_graph(cycle_11(26))
+    with pytest.raises(ValueError, match="needs 53 einsum labels"):
+        monte_carlo_mean(gaussian_spec(2, 2), B, 5)
+
+
+def test_monte_carlo_network_route_runs_past_the_naive_budget():
+    # 2.815e+14 naive terms per sample; the network route agrees with the
+    # cycle route on the same draws
+    spec = CycleSpec(k=4, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
+    tensor = gaussian_spec(3, 16, seed=9)
+    network = monte_carlo_mean(tensor, make_cycle_graph(spec), 5)
+    assert network == pytest.approx(monte_carlo_mean(tensor, spec, 5), rel=1e-9)
+
+
+def test_network_label_limit():
+    # k * D' + 1 labels, D' counting the sides > 1: a size-1 side frees k
+    assert EINSUM_LABELS == 52
+    _network_plan((1, 2, 2), make_cycle_graph(cycle_11(25)))
+    with pytest.raises(ValueError, match="needs 53 einsum labels"):
+        _network_plan((1, 2, 2), make_cycle_graph(cycle_11(26)))
+    _network_plan((1, 2, 1), make_cycle_graph(cycle_11(51)))
+    with pytest.raises(ValueError, match="needs 2001 einsum labels"):
+        _network_plan((1, 2, 1), make_cycle_graph(cycle_11(2000)))
+
+
+def test_network_step_limit():
+    # one sample: pairwise steps of 64^4 = 2^24 entries fit; five: no pair
+    # fits, and greedy's one term-by-term step over 5 * 64^9 is charged
+    assert _greedy_path(K33, (1, 64, 64, 64))[1] == 2 ** 24
+    assert all(len(step) == 2 for step in _network_plan((1, 64, 64, 64), K33)[1][1:])
+    assert _greedy_path(K33, (5, 64, 64, 64))[0][1:] == [tuple(range(6))]
+    with pytest.raises(ValueError, match="5 sample\\(s\\) of a 64x64x64 tensor needs a "
+                                         "contraction step of 9.007e\\+16 entries"):
+        _network_plan((5, 64, 64, 64), K33)
+
+
+def test_network_shape_mismatch():
+    with pytest.raises(ValueError, match="tensor has 2 axes, graph has D=3 colors"):
+        trace_invariant_network(np.zeros((2, 2)), K33)
+
+
+def test_network_all_sides_one():
+    t = 0.6 - 0.8j
+    assert trace_invariant_network(np.full((1, 1, 1), t), K33) == abs(t) ** 6
+
+
+@pytest.mark.parametrize("graph, dims", [
+    (make_melonic(MelonicRecipe(D=3, steps=((1, 1),))), (2, 2, 2)),
+    (make_melonic(MelonicRecipe(D=3, steps=((1, 1), (2, 1)))), (3, 1, 2)),
+    (make_cycle_graph(CycleSpec(k=3, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))),
+     (2, 3, 2)),
+    (K33, (3, 3, 3)),
+    (make_cycle_graph(cycle_11(1)), (4, 5)),
+], ids=["melonic-k2", "melonic-k3-size-1", "cycle-12", "k33", "k1"])
+def test_network_values_stack_is_slice_by_slice(graph, dims):
+    stack = sample_tensor(TensorSpec(D=len(dims), c=dims, N=1, distribution="uniform_disc",
+                                     seed=4), 0, 30)
+    values = _network_values(stack, graph)
+    assert values.shape == (30,)
+    assert values.tolist() == [trace_invariant_network(T, graph) for T in stack]
+    assert values.tolist() == pytest.approx(
+        [trace_invariant_naive(T, graph) for T in stack], rel=1e-9)
+
+
+@st.composite
+def network_cases(draw):
+    """A connected graph with k = 1-3 and D = 1-3, and a stack of 1-3
+    complex tensors of sides 1-3 within 10^5 naive terms each."""
+    k, D = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    B = ColoredGraph(k=k, sigma=tuple(draw(st.permutations(range(k))) for _ in range(D)))
+    assume(is_connected(B))
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=D, max_size=D)))
+    assume(math.prod(dims) ** k <= 10 ** 5)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (draw(st.integers(1, 3)), *dims)
+    return B, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# not isomorphic to its white/black mirror, so each invariant is complex
+MIRRORLESS = ColoredGraph(k=3, sigma=((1, 2, 0), (0, 1, 2), (0, 2, 1), (2, 1, 0)))
+
+
+@settings(max_examples=80)
+@given(network_cases())
+@example((MIRRORLESS, np.exp(0.3j * np.arange(2 * 16)).reshape(2, 2, 2, 2, 2)))
+@example((MIRRORLESS, np.exp(0.3j * np.arange(2 * 4)).reshape(2, 2, 1, 2, 1)))
+def test_property_network_matches_naive(case):
+    B, stack = case
+    expected = [trace_invariant_naive(T, B) for T in stack]
+    assert _network_values(stack, B).tolist() == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=60)
+@given(cycle_cases())
+def test_property_network_matches_cycle(case):
+    spec, T = case
+    network = trace_invariant_network(T, make_cycle_graph(spec))
+    assert network == pytest.approx(trace_invariant_cycle(T, spec), rel=1e-9)
 
 
 @pytest.mark.parametrize("D, N, graph, n", [
