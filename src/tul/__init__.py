@@ -11,8 +11,7 @@ from .families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict,
                        cycle_spec_to_json_dict, make_cycle_graph, make_dipole, make_melonic,
                        melonic_recipe_from_json_dict, melonic_recipe_to_json_dict,
                        random_melonic_recipe)
-from .graphs import (ColoredGraph, FaceProfile, graph_from_json_dict, graph_to_json_dict,
-                     is_connected)
+from .graphs import ColoredGraph, graph_from_json_dict, graph_to_json_dict, is_connected
 from .permutations import Perm, compose, cycle_count, cycles, identity, inverse
 from .tensors import (DISTRIBUTIONS, ScanRow, TensorSpec, UniversalityReport,
                       gaussian_exact_mean, monte_carlo_mean, sample_tensor,
@@ -22,8 +21,8 @@ from .verify import CheckResult, VerifySuiteConfig, run_verify_suite, suite_pass
 
 __all__ = [
     "AsymptoticPrediction", "CheckResult", "ColoredGraph", "CoveringPass",
-    "CrossCheckError", "CrossCheckReport", "CycleSpec", "DISTRIBUTIONS", "FaceProfile",
-    "MAX_K", "MelonicRecipe", "MinimalCoveringSet", "Perm", "ScanRow", "TensorSpec",
+    "CrossCheckError", "CrossCheckReport", "CycleSpec", "DISTRIBUTIONS", "MAX_K",
+    "MelonicRecipe", "MinimalCoveringSet", "Perm", "ScanRow", "TensorSpec",
     "UniversalityReport", "VerifySuiteConfig", "catalan", "compose", "covering_pass",
     "cross_check", "cycle_count", "cycle_spec_from_json_dict", "cycle_spec_to_json_dict",
     "cycles", "enumerate_coverings", "gaussian_exact_mean", "graph_from_json_dict",

@@ -15,7 +15,7 @@ import io
 import json
 import sys
 
-from .asymptotics import CrossCheckError, predict_cycle, predict_melonic
+from .asymptotics import predict_cycle, predict_melonic
 from .enumeration import minimal_coverings, narayana_face_distribution
 from .families import cycle_spec_from_json_dict, melonic_recipe_from_json_dict
 from .graphs import graph_from_json_dict
@@ -90,16 +90,14 @@ def _cmd_enumerate(args) -> int:
     mcs = minimal_coverings(B)
     if args.format == "csv":
         header = ["tau"] + [f"f_{i}" for i in range(1, B.D + 1)] + ["total"]
-        rows = [[cycle_string(tau), *profile.zero_faces, profile.total]
-                for tau, profile in mcs.members]
+        rows = [[cycle_string(tau), *zero, mcs.gamma] for tau, zero in mcs.members]
         _emit(args, _csv_text(header, rows))
         return 0
     data = {"schema": SCHEMA, "gamma": mcs.gamma, "count": mcs.count}
     if args.faces:
         data["members"] = [
-            {"tau": list(to_one_based(tau)), "zero_faces": list(profile.zero_faces),
-             "total": profile.total}
-            for tau, profile in mcs.members
+            {"tau": list(to_one_based(tau)), "zero_faces": list(zero), "total": mcs.gamma}
+            for tau, zero in mcs.members
         ]
     if args.histogram is not None:
         hist = narayana_face_distribution(B, anchor_color=args.histogram)
@@ -236,7 +234,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (CliError, ValueError, CrossCheckError) as err:
+    except (CliError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .graphs import ColoredGraph, FaceProfile, e_notation, is_connected, side_ratios
+from .graphs import ColoredGraph, e_notation, is_connected, side_ratios
 from .permutations import Perm, identity, inverse
 
 # The largest k a pass accepts.  A resource limit, not a tuning knob: a
@@ -51,10 +51,11 @@ _CACHED_COLUMNS = 32
 
 @dataclass(frozen=True)
 class MinimalCoveringSet:
-    """All pairings attaining the maximal total face count gamma."""
+    """All pairings attaining the maximal total face count gamma, as pairs
+    (tau, zero_faces); every zero_faces tuple sums to gamma."""
 
     gamma: int
-    members: tuple[tuple[Perm, FaceProfile], ...]
+    members: tuple[tuple[Perm, tuple[int, ...]], ...]
 
     @property
     def count(self) -> int:
@@ -177,24 +178,21 @@ def covering_pass(B: ColoredGraph) -> CoveringPass:
     totals = faces.sum(axis=1, dtype=np.int64)  # int8 would overflow past 127
     gamma = int(totals.max())
     hit = totals == gamma
-    # members with equal face vectors share one FaceProfile
-    profiles = {zero: FaceProfile(zero_faces=zero, total=gamma)
-                for zero in histogram if sum(zero) == gamma}
     minimal = MinimalCoveringSet(gamma=gamma, members=tuple(
-        (tuple(tau), profiles[tuple(zero)])
+        (tuple(tau), tuple(zero))
         for tau, zero in zip(_lex_perms(B.k)[hit].tolist(), faces[hit].tolist())))
     return CoveringPass(histogram=MappingProxyType(histogram), minimal=minimal)
 
 
-def enumerate_coverings(B: ColoredGraph) -> Iterator[tuple[Perm, FaceProfile]]:
-    """Yield (tau, FaceProfile) for every tau in S_k, in lexicographic order."""
+def enumerate_coverings(B: ColoredGraph) -> Iterator[tuple[Perm, tuple[int, ...]]]:
+    """Yield (tau, zero_faces) for every tau in S_k, in lexicographic order."""
     _check_graph(B)
     perms, faces = _lex_perms(B.k), _faces(B)
     rows = len(perms) // B.k  # converted to lists (k-1)! rows at a time
     for start in range(0, len(perms), rows):
         block = slice(start, start + rows)
         for tau, zero in zip(perms[block].tolist(), faces[block].tolist()):
-            yield tuple(tau), FaceProfile(zero_faces=tuple(zero), total=sum(zero))
+            yield tuple(tau), tuple(zero)
 
 
 def minimal_coverings(B: ColoredGraph) -> MinimalCoveringSet:

@@ -46,14 +46,6 @@ class ColoredGraph:
         return len(self.sigma)
 
 
-@dataclass(frozen=True)
-class FaceProfile:
-    """Per-color (0,i)-face counts of a covering and their total."""
-
-    zero_faces: tuple[int, ...]
-    total: int
-
-
 def is_connected(B: ColoredGraph) -> bool:
     """Union-find over the 2k vertices with edges (white j, black sigma_i(j))."""
     k = B.k

@@ -199,7 +199,9 @@ def _check_naive_contraction(dims, B: ColoredGraph) -> None:
     if entries ** B.k > DEFAULT_NAIVE_BUDGET:
         raise ValueError(
             f"naive contraction needs {e_notation(B.k * math.log10(entries))} scalar terms, "
-            f"over the budget {DEFAULT_NAIVE_BUDGET:.1e}; use the matricized cycle route"
+            f"over the budget {DEFAULT_NAIVE_BUDGET:.1e}; use the network route "
+            f"(trace_invariant_network, tul mc --graph) or, for a cycle, the matricized "
+            f"route (trace_invariant_cycle, tul mc --cycle)"
         )
 
 
@@ -254,34 +256,6 @@ def trace_invariant_naive(T: np.ndarray, B: ColoredGraph) -> float:
     return complex(np.einsum(*operands, (), optimize=False)).real
 
 
-def _network_plan(shape, B: ColoredGraph):
-    """The labeled tensor axes and the pairwise path of a network contraction
-    of a (count, *dims) stack over B, refused before anything is drawn or
-    contracted: the axes must match the colors, the k*D' + 1 labels (D'
-    sides > 1) must fit einsum's EINSUM_LABELS, and the largest step of the
-    path must fit MAX_TENSOR_ENTRIES.  The label count is checked first, so a
-    graph with too many vertices is refused before any path search."""
-    if len(shape) != B.D + 1:
-        raise ValueError(f"tensor has {len(shape) - 1} axes, graph has D={B.D} colors")
-    axes = tuple(i for i, d in enumerate(shape[1:]) if d > 1)
-    labels = B.k * len(axes) + 1
-    if labels > EINSUM_LABELS:
-        raise ValueError(
-            f"network contraction needs {labels} einsum labels (k={B.k} times "
-            f"{len(axes)} sides > 1, plus one per sample), over the limit {EINSUM_LABELS}"
-        )
-    if not axes:
-        return axes, None
-    path, largest = _greedy_path(B, tuple(shape))
-    if largest > MAX_TENSOR_ENTRIES:
-        raise ValueError(
-            f"network contraction of {shape[0]} sample(s) of a {'x'.join(map(str, shape[1:]))} "
-            f"tensor needs a contraction step of {largest:.3e} entries, over the limit of "
-            f"{MAX_TENSOR_ENTRIES}"
-        )
-    return axes, path
-
-
 def _network_operands(T_stack, Tc_stack, B: ColoredGraph, axes):
     """einsum's interleaved operands for a stack of tensors over B: the
     white labels on T_stack and the black ones on its conjugate, each after
@@ -297,12 +271,19 @@ def _network_operands(T_stack, Tc_stack, B: ColoredGraph, axes):
 
 
 # A Monte Carlo mean contracts blocks of at most two shapes, the full one
-# and a shorter last one, so a few slots hold the paths of every graph in
+# and a shorter last one, so a few slots hold the plans of every graph in
 # use; a bound on memory, not a knob.
 @functools.lru_cache(maxsize=8)
-def _greedy_path(B: ColoredGraph, shape: tuple[int, ...]):
-    """einsum's greedy pairwise path for a (count, *dims) stack over B, and
-    the entries of the largest intermediate it makes.
+def _network_plan(shape: tuple[int, ...], B: ColoredGraph):
+    """The labeled tensor axes, einsum's greedy pairwise path and the entries
+    of its largest intermediate, for a network contraction of a (count,
+    *dims) stack over B; with every side 1 there is no path and no step.
+
+    It is refused before anything is drawn or contracted: the axes must
+    match the colors, the k*D' + 1 labels (D' sides > 1) must fit einsum's
+    EINSUM_LABELS, and the largest step of the path must fit
+    MAX_TENSOR_ENTRIES.  The label count is checked first, so a graph with
+    too many vertices is refused before any path search.
 
     The path is planned on zero-stride probes, so planning allocates nothing
     of tensor size, with MAX_TENSOR_ENTRIES as greedy's memory limit: its
@@ -314,7 +295,17 @@ def _greedy_path(B: ColoredGraph, shape: tuple[int, ...]):
     the labels that another operand or the output still carries.  A step of
     more than two operands is einsum's term-by-term fallback, for when no
     pair fits the limit, and is charged its whole index space."""
+    if len(shape) != B.D + 1:
+        raise ValueError(f"tensor has {len(shape) - 1} axes, graph has D={B.D} colors")
     axes = tuple(i for i, d in enumerate(shape[1:]) if d > 1)
+    labels = B.k * len(axes) + 1
+    if labels > EINSUM_LABELS:
+        raise ValueError(
+            f"network contraction needs {labels} einsum labels (k={B.k} times "
+            f"{len(axes)} sides > 1, plus one per sample), over the limit {EINSUM_LABELS}"
+        )
+    if not axes:
+        return axes, None, 0
     dims = [shape[1 + i] for i in axes]
     probe = np.broadcast_to(np.zeros((), dtype=np.complex128), [shape[0], *dims])
     operands = _network_operands(probe, probe, B, axes)
@@ -330,19 +321,25 @@ def _greedy_path(B: ColoredGraph, shape: tuple[int, ...]):
         charged = kept if len(step) <= 2 else merged
         largest = max(largest, math.prod(size[label] for label in charged))
         live.append(kept)
-    return path, largest
+    if largest > MAX_TENSOR_ENTRIES:
+        raise ValueError(
+            f"network contraction of {shape[0]} sample(s) of a {'x'.join(map(str, shape[1:]))} "
+            f"tensor needs a contraction step of {largest:.3e} entries, over the limit of "
+            f"{MAX_TENSOR_ENTRIES}"
+        )
+    return axes, path, largest
 
 
 def _network_values(T_stack: np.ndarray, B: ColoredGraph) -> np.ndarray:
     """Real part of the invariant of B for each tensor in a stack, by one
-    einsum along the greedy pairwise path of _greedy_path, with the sample
+    einsum along the greedy pairwise path of _network_plan, with the sample
     label first in every operand and the conjugate stack taken once.
 
     Size-1 axes carry no label; when every axis has size 1 the invariant of
     each tensor is the single term |t|^(2k).
     """
     T_stack = np.asarray(T_stack, dtype=np.complex128)
-    axes, path = _network_plan(T_stack.shape, B)
+    axes, path, _ = _network_plan(T_stack.shape, B)
     count = len(T_stack)
     if not axes:
         return np.abs(T_stack.reshape(count)) ** (2 * B.k)
@@ -430,12 +427,23 @@ def gaussian_exact_mean(B: ColoredGraph, c, N: int) -> int:
     return face_sum(covering_pass(B).histogram, dims).numerator
 
 
-def _evaluator(graph):
-    """The invariant of every tensor in a stack, by graph's route."""
+def _route(graph, dims, count: int):
+    """The contraction of graph's route for stacks of up to count tensors of
+    side lengths dims, after every refusal that can come before a draw.
+
+    The one place that maps a graph kind to its route: a CycleSpec takes the
+    matricized route, whose transposed copy and Gram per stack shape the
+    returned function keeps, and a ColoredGraph the network route, planned
+    here, so that its colors, einsum's labels or MAX_TENSOR_ENTRIES refuse
+    it before anything is drawn.
+    """
     if isinstance(graph, CycleSpec):
-        work: dict = {}  # one transposed copy and Gram per stack shape
+        if len(dims) != graph.D:
+            raise ValueError(f"tensor has {len(dims)} axes, graph has D={graph.D} colors")
+        work: dict = {}
         return lambda stack: _cycle_values(stack, graph, work)
     if isinstance(graph, ColoredGraph):
+        _network_plan((count, *dims), graph)
         return lambda stack: _network_values(stack, graph)
     raise TypeError(f"graph must be ColoredGraph or CycleSpec, got {type(graph)}")
 
@@ -447,9 +455,8 @@ def monte_carlo_mean(spec: TensorSpec, graph, samples: int) -> tuple[float, floa
     network contraction, one greedy-ordered einsum per block, a CycleSpec
     through the matricized route, one stacked Gram per block.  Samples
     0..samples-1 are drawn one block substream of spec.seed at a time, so
-    the first n values do not depend on how many are drawn.  A network
-    contraction that einsum's labels or MAX_TENSOR_ENTRIES refuses is
-    refused before anything is drawn.
+    the first n values do not depend on how many are drawn.  Everything
+    _route refuses is refused before anything is drawn.
 
     The invariant of a graph that is not isomorphic to its mirror is complex
     for each draw, but its mean is the real Wick sum, so the imaginary part
@@ -458,10 +465,8 @@ def monte_carlo_mean(spec: TensorSpec, graph, samples: int) -> tuple[float, floa
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
-    evaluate = _evaluator(graph)
     K = _block_size(spec.dims)
-    if isinstance(graph, ColoredGraph):
-        _network_plan((min(K, samples), *spec.dims), graph)
+    evaluate = _route(graph, spec.dims, min(K, samples))
     values = np.concatenate([evaluate(sample_tensor(spec, start, min(K, samples - start)))
                              for start in range(0, samples, K)])
     mean = float(values.mean())
@@ -492,13 +497,13 @@ class UniversalityReport:
 
 
 def graph_id(graph) -> str:
-    if isinstance(graph, CycleSpec):
-        m = ",".join(str(i) for i in sorted(graph.m_colors))
-        n = ",".join(str(i) for i in sorted(graph.n_colors))
-        return f"cycle(k={graph.k}, m_colors=[{m}], n_colors=[{n}])"
+    """The report's name of a ColoredGraph or CycleSpec, which _route has
+    already told apart from anything else."""
     if isinstance(graph, ColoredGraph):
         return f"graph(k={graph.k}, D={graph.D})"
-    raise TypeError(f"graph must be ColoredGraph or CycleSpec, got {type(graph)}")
+    m = ",".join(str(i) for i in sorted(graph.m_colors))
+    n = ",".join(str(i) for i in sorted(graph.n_colors))
+    return f"cycle(k={graph.k}, m_colors=[{m}], n_colors=[{n}])"
 
 
 def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityReport:
@@ -519,17 +524,14 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
         per_N = [int(s) for s in samples]
         if len(per_N) != len(N_list):
             raise ValueError(f"got {len(per_N)} sample counts for {len(N_list)} values of N")
-    # every row's spec, sample count and contraction budget is checked before
-    # any row is sampled
+    # every row's spec, sample count and route is checked before any row is
+    # sampled
     row_specs = [replace(spec, N=N) for N in N_list]
     for N, count in zip(N_list, per_N):
         if count < 2:
             raise ValueError(f"need at least 2 samples for a standard error, got {count} at N={N}")
-    if graph.D != spec.D:
-        raise ValueError(f"tensor has {spec.D} axes, graph has D={graph.D} colors")
-    if isinstance(graph, ColoredGraph):
-        for row_spec, count in zip(row_specs, per_N):
-            _network_plan((min(_block_size(row_spec.dims), count), *row_spec.dims), graph)
+    for row_spec, count in zip(row_specs, per_N):
+        _route(graph, row_spec.dims, min(_block_size(row_spec.dims), count))
     if isinstance(graph, CycleSpec):
         prediction = predict_cycle(graph, spec.c)
     else:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from tul.families import CycleSpec
-from tul.graphs import ColoredGraph, FaceProfile, is_connected
+from tul.graphs import ColoredGraph, is_connected
 from tul.permutations import Perm, compose, cycle_count, inverse, is_perm
 from tul.tensors import (TensorSpec, UniversalityReport, trace_invariant_cycle,
                          trace_invariant_naive)
@@ -95,12 +95,11 @@ class CoveringGraph:
             raise ValueError("tau is not a bijection")
 
 
-def face_profile(G: CoveringGraph) -> FaceProfile:
-    """Count (0,i)-faces for every color i: zero_faces[i-1] is the cycle
-    count of tau^-1 * sigma_i."""
+def face_profile(G: CoveringGraph) -> tuple[int, ...]:
+    """Count (0,i)-faces for every color i: entry i-1 is the cycle count of
+    tau^-1 * sigma_i."""
     inv_tau = inverse(G.tau)
-    zero = tuple(cycle_count(compose(inv_tau, s)) for s in G.base.sigma)
-    return FaceProfile(zero_faces=zero, total=sum(zero))
+    return tuple(cycle_count(compose(inv_tau, s)) for s in G.base.sigma)
 
 
 def genus(G: CoveringGraph) -> Fraction:
@@ -111,7 +110,7 @@ def genus(G: CoveringGraph) -> Fraction:
     if G.base.D != 2:
         raise ValueError(f"genus is only supported for D=2 coverings, got D={G.base.D}")
     sigma = G.base.sigma
-    faces = face_profile(G).total + cycle_count(compose(inverse(sigma[1]), sigma[0]))
+    faces = sum(face_profile(G)) + cycle_count(compose(inverse(sigma[1]), sigma[0]))
     k = G.base.k
     return Fraction(2 - (faces - 3 * k + 2 * k), 2)
 

@@ -78,9 +78,9 @@ def test_enumerate_faces_of_a_graph_with_unsorted_colors(capsys, tmp_path):
     assert code == 0
     profiles = {tau: face_profile(CoveringGraph(base=B, tau=tau))
                 for tau in itertools.permutations(range(4))}
-    gamma = max(p.total for p in profiles.values())
-    expected = [{"tau": [j + 1 for j in tau], "zero_faces": list(p.zero_faces), "total": gamma}
-                for tau, p in profiles.items() if p.total == gamma]
+    gamma = max(sum(zero) for zero in profiles.values())
+    expected = [{"tau": [j + 1 for j in tau], "zero_faces": list(zero), "total": gamma}
+                for tau, zero in profiles.items() if sum(zero) == gamma]
     assert (data["gamma"], data["count"], data["members"]) == (gamma, len(expected), expected)
     assert len({tuple(m["zero_faces"]) for m in data["members"]}) > 1
 
@@ -94,6 +94,131 @@ def test_enumerate_csv(capsys, cycle22_graph):
     assert {r[0] for r in rows[1:]} == {"(1)(2)", "(1 2)"}
     for r in rows[1:]:
         assert int(r[1]) + int(r[2]) == int(r[3]) == 3
+
+
+# The exact stdout of `tul enumerate`, captured from the command, on the
+# README's k=2 graph and on the unsorted-color k=4 graph above; --histogram
+# takes two-color cycle graphs only, so on the k=4 graph it exits 2.
+README_GRAPH = {"k": 2, "D": 2, "sigma": [[1, 2], [2, 1]]}
+UNSORTED_GRAPH = {"k": 4, "D": 4,
+                  "sigma": [[2, 3, 4, 1], [1, 2, 3, 4], [3, 4, 1, 2], [1, 2, 3, 4]]}
+
+README_JSON = """\
+{
+  "schema": 1,
+  "gamma": 3,
+  "count": 2,
+  "members": [
+    {
+      "tau": [
+        1,
+        2
+      ],
+      "zero_faces": [
+        2,
+        1
+      ],
+      "total": 3
+    },
+    {
+      "tau": [
+        2,
+        1
+      ],
+      "zero_faces": [
+        1,
+        2
+      ],
+      "total": 3
+    }
+  ],
+  "histogram": {
+    "1": 1,
+    "2": 1
+  }
+}
+"""
+
+README_CSV = """\
+tau,f_1,f_2,total
+(1)(2),2,1,3
+(1 2),1,2,3
+"""
+
+UNSORTED_JSON = """\
+{
+  "schema": 1,
+  "gamma": 11,
+  "count": 3,
+  "members": [
+    {
+      "tau": [
+        1,
+        2,
+        3,
+        4
+      ],
+      "zero_faces": [
+        1,
+        4,
+        2,
+        4
+      ],
+      "total": 11
+    },
+    {
+      "tau": [
+        1,
+        4,
+        3,
+        2
+      ],
+      "zero_faces": [
+        2,
+        3,
+        3,
+        3
+      ],
+      "total": 11
+    },
+    {
+      "tau": [
+        3,
+        2,
+        1,
+        4
+      ],
+      "zero_faces": [
+        2,
+        3,
+        3,
+        3
+      ],
+      "total": 11
+    }
+  ]
+}
+"""
+
+UNSORTED_CSV = """\
+tau,f_1,f_2,f_3,f_4,total
+(1)(2)(3)(4),1,4,2,4,11
+(1)(2 4)(3),2,3,3,3,11
+(1 3)(2)(4),2,3,3,3,11
+"""
+
+
+@pytest.mark.parametrize("graph, flags, code, out", [
+    (README_GRAPH, ["--faces", "--histogram", "1"], 0, README_JSON),
+    (README_GRAPH, ["--faces", "--format", "csv"], 0, README_CSV),
+    (UNSORTED_GRAPH, ["--faces"], 0, UNSORTED_JSON),
+    (UNSORTED_GRAPH, ["--faces", "--histogram", "1"], 2, ""),
+    (UNSORTED_GRAPH, ["--faces", "--format", "csv"], 0, UNSORTED_CSV),
+], ids=["readme-json", "readme-csv", "unsorted-json", "unsorted-histogram", "unsorted-csv"])
+def test_enumerate_stdout_is_pinned(capsys, tmp_path, graph, flags, code, out):
+    path = _write(tmp_path, "graph.json", json.dumps(graph))
+    assert main(["enumerate", "--graph", path, *flags]) == code
+    assert capsys.readouterr().out == out
 
 
 def test_enumerate_missing_file(capsys, tmp_path):

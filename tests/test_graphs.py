@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tul.families import CycleSpec, make_cycle_graph, make_dipole
 from reference import CoveringGraph, face_profile, genus
-from tul.graphs import (MAX_DECIMAL_EXPONENT, ColoredGraph, FaceProfile, graph_from_json_dict,
+from tul.graphs import (MAX_DECIMAL_EXPONENT, ColoredGraph, graph_from_json_dict,
                         graph_to_json_dict, is_connected, side_ratios)
 
 
@@ -40,14 +40,14 @@ def test_covering_graph_validation():
 def test_dipole_face_profile():
     B = make_dipole(3)
     profile = face_profile(CoveringGraph(base=B, tau=(0,)))
-    assert profile.zero_faces == (1, 1, 1)
-    assert profile.total == 3
+    assert profile == (1, 1, 1)
+    assert sum(profile) == 3
 
 
 def test_face_totals_two_color_cycle_k3():
     # over all 6 pairings the face totals are five 4s and one 2
     B = two_color_cycle(3)
-    totals = sorted(face_profile(CoveringGraph(base=B, tau=tau)).total
+    totals = sorted(sum(face_profile(CoveringGraph(base=B, tau=tau)))
                     for tau in permutations(range(3)))
     assert totals == [2, 4, 4, 4, 4, 4]
 
@@ -107,13 +107,8 @@ def test_face_profile_total_consistency():
     B = two_color_cycle(4)
     for tau in permutations(range(4)):
         profile = face_profile(CoveringGraph(base=B, tau=tau))
-        assert profile.total == sum(profile.zero_faces)
-        assert all(f >= 1 for f in profile.zero_faces)
-
-
-def test_face_profile_type():
-    p = FaceProfile(zero_faces=(2, 1), total=3)
-    assert p.total == 3
+        assert len(profile) == B.D
+        assert all(f >= 1 for f in profile)
 
 
 def test_side_ratios_bound_the_decimal_exponent():

@@ -14,7 +14,7 @@ from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole
 from tul.graphs import ColoredGraph, is_connected
 from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISC_CHUNK, DISTRIBUTIONS,
                          EINSUM_LABELS, MAX_TENSOR_ENTRIES, TensorSpec, _check_naive_contraction,
-                         _cycle_values, _greedy_path, _network_plan, _network_values,
+                         _cycle_values, _network_plan, _network_values,
                          gaussian_exact_mean, monte_carlo_mean, sample_tensor,
                          tensor_spec_from_json_dict, trace_invariant_cycle, trace_invariant_naive,
                          trace_invariant_network, universality_scan)
@@ -444,6 +444,22 @@ def test_monte_carlo_network_budget_refused_before_any_draw(monkeypatch):
         monte_carlo_mean(gaussian_spec(2, 2), B, 5)
 
 
+def test_monte_carlo_cycle_colors_refused_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("sample_tensor was called")
+
+    monkeypatch.setattr("tul.tensors.sample_tensor", no_draw)
+    spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
+    with pytest.raises(ValueError, match="tensor has 2 axes, graph has D=3 colors"):
+        monte_carlo_mean(gaussian_spec(2, 4), spec, 10)
+    # a recipe names a graph but is neither kind that has a route
+    recipe = MelonicRecipe(D=3, steps=((1, 1),))
+    with pytest.raises(TypeError, match="graph must be ColoredGraph or CycleSpec"):
+        monte_carlo_mean(gaussian_spec(3, 2), recipe, 10)
+    with pytest.raises(TypeError, match="graph must be ColoredGraph or CycleSpec"):
+        universality_scan(gaussian_spec(3, 2), recipe, [2], 10)
+
+
 def test_monte_carlo_network_route_runs_past_the_naive_budget():
     # 2.815e+14 naive terms per sample; the network route agrees with the
     # cycle route on the same draws
@@ -466,10 +482,12 @@ def test_network_label_limit():
 
 def test_network_step_limit():
     # one sample: pairwise steps of 64^4 = 2^24 entries fit; five: no pair
-    # fits, and greedy's one term-by-term step over 5 * 64^9 is charged
-    assert _greedy_path(K33, (1, 64, 64, 64))[1] == 2 ** 24
-    assert all(len(step) == 2 for step in _network_plan((1, 64, 64, 64), K33)[1][1:])
-    assert _greedy_path(K33, (5, 64, 64, 64))[0][1:] == [tuple(range(6))]
+    # fits, and greedy's one term-by-term step over 5 * 64^9 = 9.007e+16 is
+    # charged: a pairwise step keeps at most 6 of the 9 tensor labels, so
+    # no pairwise path reaches that size
+    axes, path, largest = _network_plan((1, 64, 64, 64), K33)
+    assert (axes, largest) == ((0, 1, 2), 2 ** 24)
+    assert all(len(step) == 2 for step in path[1:])
     with pytest.raises(ValueError, match="5 sample\\(s\\) of a 64x64x64 tensor needs a "
                                          "contraction step of 9.007e\\+16 entries"):
         _network_plan((5, 64, 64, 64), K33)
@@ -570,8 +588,8 @@ def test_monte_carlo_requires_two_samples():
 
 @pytest.mark.parametrize("D, N, graph, contract", [
     (2, 4, cycle_11(2), trace_invariant_cycle),
-    (3, 2, make_melonic(MelonicRecipe(D=3, steps=((1, 1),))), trace_invariant_naive),
-], ids=["cycle", "naive"])
+    (3, 2, make_melonic(MelonicRecipe(D=3, steps=((1, 1),))), trace_invariant_network),
+], ids=["cycle", "network"])
 def test_monte_carlo_is_one_serial_loop(D, N, graph, contract):
     # sample i is a pure function of (seed, i): the estimate is the plain
     # mean over substreams 0..n-1, and drawing 2n keeps the first n
