@@ -87,20 +87,23 @@ def _csv_text(header, rows) -> str:
 
 def _cmd_enumerate(args) -> int:
     B = graph_from_json_dict(_load_json(args.graph))
-    mcs = minimal_coverings(B)
     if args.format == "csv":
+        mcs = minimal_coverings(B)
         header = ["tau"] + [f"f_{i}" for i in range(1, B.D + 1)] + ["total"]
         rows = [[cycle_string(tau), *zero, mcs.gamma] for tau, zero in mcs.members]
         _emit(args, _csv_text(header, rows))
         return 0
+    # the histogram refuses a graph or color it does not take before any pass
+    hist = (None if args.histogram is None
+            else narayana_face_distribution(B, anchor_color=args.histogram))
+    mcs = minimal_coverings(B)
     data = {"schema": SCHEMA, "gamma": mcs.gamma, "count": mcs.count}
     if args.faces:
         data["members"] = [
             {"tau": list(to_one_based(tau)), "zero_faces": list(zero), "total": mcs.gamma}
             for tau, zero in mcs.members
         ]
-    if args.histogram is not None:
-        hist = narayana_face_distribution(B, anchor_color=args.histogram)
+    if hist is not None:
         data["histogram"] = {str(l): n for l, n in hist.items()}
     _emit(args, _json_text(data))
     return 0

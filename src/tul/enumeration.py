@@ -13,9 +13,9 @@ B's own order, and `covering_pass` reads two things off the stack:
 
 Graphs whose sigma rows repeat share columns: every (m,n)-cycle of one k
 stacks the same two, the identity and the shift.  Gamma, the
-Catalan/Narayana counts, the limit coefficient and the exact Wick integer
-all come from the one cached pass per graph.  `enumerate_coverings` reads
-the same stack one covering at a time.
+Catalan/Narayana counts, the exact leading coefficient (`face_sum` over
+`minimal_faces`) and the exact Wick integer all come from the one cached
+pass per graph.
 
 Graphs must be connected and have k <= MAX_K = 9, i.e. at most 362,880
 coverings.  Both are checked before any column is computed.
@@ -29,11 +29,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .graphs import ColoredGraph, e_notation, is_connected, side_ratios
+from .graphs import ColoredGraph, e_notation, is_connected
 from .permutations import Perm, identity, inverse
 
 # The largest k a pass accepts.  A resource limit, not a tuning knob: a
@@ -184,17 +184,6 @@ def covering_pass(B: ColoredGraph) -> CoveringPass:
     return CoveringPass(histogram=MappingProxyType(histogram), minimal=minimal)
 
 
-def enumerate_coverings(B: ColoredGraph) -> Iterator[tuple[Perm, tuple[int, ...]]]:
-    """Yield (tau, zero_faces) for every tau in S_k, in lexicographic order."""
-    _check_graph(B)
-    perms, faces = _lex_perms(B.k), _faces(B)
-    rows = len(perms) // B.k  # converted to lists (k-1)! rows at a time
-    for start in range(0, len(perms), rows):
-        block = slice(start, start + rows)
-        for tau, zero in zip(perms[block].tolist(), faces[block].tolist()):
-            yield tuple(tau), tuple(zero)
-
-
 def minimal_coverings(B: ColoredGraph) -> MinimalCoveringSet:
     """Every maximizer of the total face count, in lexicographic order."""
     return covering_pass(B).minimal
@@ -221,16 +210,6 @@ def face_sum(faces: Mapping[tuple[int, ...], int], c) -> Fraction:
     return Fraction(numerator, math.prod(x.denominator ** t for x, t in zip(c, top)))
 
 
-def limit_coefficient(B: ColoredGraph, c) -> Fraction:
-    """Sum over minimal coverings of prod_i c_i^zero_faces[i], exactly.
-
-    With all c_i = 1 this is just the number of minimal coverings; in general
-    it is the leading coefficient of the averaged invariant for a
-    c_1 N x ... x c_D N tensor.
-    """
-    return face_sum(minimal_faces(B), side_ratios(c, B.D))
-
-
 # ---------------------------------------------------------------------------
 # Catalan / Narayana combinatorics (exact integers)
 # ---------------------------------------------------------------------------
@@ -242,19 +221,10 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
-def narayana(k: int, l: int) -> int:
-    """N_{k,l} = (1/k) binom(k, l) binom(k, l-1), exact; requires 1 <= l <= k."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if not 1 <= l <= k:
-        raise ValueError(f"l={l} out of range 1..{k}")
-    return math.comb(k, l) * math.comb(k, l - 1) // k
-
-
 def narayana_row(k: int) -> list[int]:
-    """[N_{k,1}, ..., N_{k,k}] by N_{k,1} = 1 and
-    N_{k,l+1} = N_{k,l} (k-l)(k-l+1) / (l(l+1)), one exact integer division
-    per entry where narayana(k, l) takes two binomials."""
+    """The Narayana row [N_{k,1}, ..., N_{k,k}], N_{k,l} = (1/k) binom(k, l)
+    binom(k, l-1), by N_{k,1} = 1 and N_{k,l+1} = N_{k,l} (k-l)(k-l+1) /
+    (l(l+1)), one exact integer division per entry."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     row = [1]

@@ -13,7 +13,8 @@ from itertools import combinations
 import numpy as np
 
 from .asymptotics import CrossCheckError, cross_check
-from .enumeration import MAX_K, catalan, minimal_coverings, narayana, narayana_face_distribution
+from .enumeration import (MAX_K, catalan, minimal_coverings, narayana_face_distribution,
+                          narayana_row)
 from .families import CycleSpec, make_cycle_graph, make_melonic, random_melonic_recipe
 from .tensors import TensorSpec, gaussian_exact_mean, monte_carlo_mean
 
@@ -83,7 +84,7 @@ def run_verify_suite(config: VerifySuiteConfig) -> list[CheckResult]:
             add(f"cycle_11 catalan k={k}", ok,
                 f"count={mcs.count} expected={ck}, gamma={mcs.gamma} expected={k + 1}")
             hist = narayana_face_distribution(B, anchor_color=1)
-            row = {l: narayana(k, l) for l in range(1, k + 1)}
+            row = dict(enumerate(narayana_row(k), start=1))
             add(f"cycle_11 narayana k={k}", hist == row, f"histogram={hist} expected={row}")
 
     for family, want_equal in (("cycle_mm", True), ("cycle_mn", False)):

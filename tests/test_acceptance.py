@@ -5,23 +5,23 @@ PASS/FAIL lines.  Every random draw is seeded, so the whole gate is
 reproducible bit for bit.
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from reference import (CoveringGraph, genus, margins, narayana_recurrence, random_unitary,
-                       unitary_invariance_check)
+from reference import (CoveringGraph, face_profile, genus, margins, narayana_recurrence,
+                       random_unitary, trace_invariant_naive, unitary_invariance_check)
 from tul.asymptotics import cross_check
-from tul.enumeration import (catalan, enumerate_coverings, minimal_coverings, narayana,
-                             narayana_face_distribution)
+from tul.enumeration import (catalan, minimal_coverings, narayana_face_distribution,
+                             narayana_row)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole,
                           make_melonic, random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
 from tul.tensors import (TensorSpec, gaussian_exact_mean, monte_carlo_mean,
-                         trace_invariant_cycle, trace_invariant_naive, trace_invariant_network,
-                         universality_scan)
+                         trace_invariant_cycle, trace_invariant_network, universality_scan)
 
 CATALAN = (1, 2, 5, 14, 42, 132)
 
@@ -53,9 +53,9 @@ def test_criterion_2_narayana_refinement():
     for k in range(1, 7):
         B = make_cycle_graph(cyc(k, [1], [2]))
         hist = narayana_face_distribution(B, anchor_color=1)
-        hist_ok = hist_ok and hist == {l: narayana(k, l) for l in range(1, k + 1)}
-    rec_ok = all(narayana_recurrence(k, l) == narayana(k, l)
-                 for k in range(1, 13) for l in range(1, k + 1))
+        hist_ok = hist_ok and hist == dict(enumerate(narayana_row(k), start=1))
+    rec_ok = all(narayana_recurrence(k, l) == n
+                 for k in range(1, 13) for l, n in enumerate(narayana_row(k), start=1))
     ok = hist_ok and rec_ok
     report(2, ok, "face histograms match Narayana rows for k<=6, "
                   "recurrence matches closed form for k<=12")
@@ -193,9 +193,9 @@ def test_criterion_6_universality():
 
 
 def test_criterion_7_contraction_equivalence():
-    # three routes that share only the vertex label lists: naive = cycle and
-    # network = cycle on random cycle specs, network = naive on random
-    # connected graphs within the naive budget
+    # three routes that share no code (the naive one lives in the tests'
+    # reference module): naive = cycle and network = cycle on random cycle
+    # specs, network = naive on random connected graphs within the naive budget
     rng = np.random.default_rng(1234)
     worst = 0.0
     count = 0
@@ -241,13 +241,17 @@ def test_criterion_8_genus_gate():
     bad = []
     for k in range(1, 7):
         B = make_cycle_graph(cyc(k, [1], [2]))
+        minimal = {tau for tau, _ in minimal_coverings(B).members}
         planar = 0
-        for tau, zero in enumerate_coverings(B):
-            g = genus(CoveringGraph(base=B, tau=tau))
+        for tau in itertools.permutations(range(k)):
+            G = CoveringGraph(base=B, tau=tau)
+            g, zero = genus(G), face_profile(G)
             if g.denominator != 1 or g < 0:
                 bad.append((k, tau, g))
             if (g == 0) != (sum(zero) == k + 1):
                 bad.append((k, tau, g, sum(zero)))
+            if (g == 0) != (tau in minimal):
+                bad.append((k, tau, g, "minimal"))
             planar += g == 0
         if planar != CATALAN[k - 1]:
             bad.append((k, "planar count", planar))

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from tul.asymptotics import (AsymptoticPrediction, CrossCheckError, CrossCheckReport,
                              cross_check, cycle_faces, melonic_faces, predict_cycle,
                              predict_generic, predict_melonic)
-from tul.enumeration import (MAX_K, catalan, covering_pass, limit_coefficient,
-                             minimal_coverings, minimal_faces)
+from tul.enumeration import (MAX_K, catalan, covering_pass, face_sum, minimal_coverings,
+                             minimal_faces)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole,
                           make_melonic, random_melonic_recipe)
+from tul.graphs import side_ratios
 from tul.permutations import cycle_count
 
 
@@ -48,7 +49,8 @@ def test_predict_melonic_exponents_from_enumeration():
     assert sum(exponents) == 5
     pred = predict_melonic(recipe, (2, 1, 1))
     assert pred.coefficient == pytest.approx(2.0 ** exponents[0], rel=1e-13)
-    assert pred.coefficient == pytest.approx(limit_coefficient(B, (2, 1, 1)), rel=1e-12)
+    exact = face_sum(minimal_faces(B), side_ratios((2, 1, 1), B.D))
+    assert pred.coefficient == pytest.approx(exact, rel=1e-12)
 
 
 def test_predict_melonic_coefficient_at_unequal_ratios():
@@ -135,7 +137,8 @@ def test_predict_cycle_swaps_roles_when_m_exceeds_n():
     B = make_cycle_graph(spec)
     mcs = minimal_coverings(B)
     assert mcs.gamma == pred.gamma
-    assert limit_coefficient(B, (2.0, 1.5, 3.0)) == pytest.approx(pred.coefficient, rel=1e-12)
+    exact = face_sum(minimal_faces(B), side_ratios((2.0, 1.5, 3.0), B.D))
+    assert exact == pytest.approx(pred.coefficient, rel=1e-12)
 
 
 def test_predict_generic_matches_enumeration():
@@ -144,7 +147,8 @@ def test_predict_generic_matches_enumeration():
     pred = predict_generic(B, c)
     mcs = minimal_coverings(B)
     assert pred.gamma == mcs.gamma
-    assert pred.coefficient == pytest.approx(limit_coefficient(B, c), rel=1e-14)
+    assert pred.coefficient == pytest.approx(face_sum(minimal_faces(B), side_ratios(c, B.D)),
+                                             rel=1e-14)
     assert pred.family == "generic"
 
 
@@ -228,7 +232,7 @@ def test_property_coefficient_is_the_rounded_exact_value(x, y):
     X, Y = Fraction(x), Fraction(y)
     exact = X * Y ** 2 + X ** 2 * Y
     assert predict_cycle(spec, (x, y)).coefficient == float(exact)
-    assert limit_coefficient(make_cycle_graph(spec), (x, y)) == exact
+    assert face_sum(minimal_faces(make_cycle_graph(spec)), side_ratios((x, y), 2)) == exact
 
 
 def test_cross_check_compares_exact_coefficients(monkeypatch):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import CoveringGraph, face_profile
+from tul import enumeration
 from tul.asymptotics import predict_cycle
 from tul.cli import main
 from tul.enumeration import catalan
@@ -219,6 +221,33 @@ def test_enumerate_stdout_is_pinned(capsys, tmp_path, graph, flags, code, out):
     path = _write(tmp_path, "graph.json", json.dumps(graph))
     assert main(["enumerate", "--graph", path, *flags]) == code
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("sigma, color, message", [
+    ([list(range(1, 10)), [*range(2, 10), 1], [9, *range(1, 9)]], "1",
+     "error: narayana_face_distribution expects a two-color cycle graph\n"),
+    ([list(range(1, 10)), [*range(2, 10), 1]], "3", "error: anchor color must be 1 or 2, got 3\n"),
+], ids=["not-a-two-color-cycle", "anchor-color"])
+def test_enumerate_histogram_errors_come_before_any_sweep(capsys, tmp_path, sigma, color,
+                                                          message):
+    # k=9: a pass would compute 9! rows of each color's face column first
+    path = _write(tmp_path, "graph.json", json.dumps({"k": 9, "D": len(sigma), "sigma": sigma}))
+    enumeration._face_column.cache_clear()
+    enumeration.covering_pass.cache_clear()
+    assert main(["enumerate", "--graph", path, "--histogram", color]) == 2
+    assert capsys.readouterr().err == message
+    assert enumeration._face_column.cache_info().misses == 0
+
+
+# The sha256 of the stdout of `tul verify --seed 0` at its defaults, 23,493
+# bytes of JSON, captured from the command.
+VERIFY_SHA256 = "eb6170d583ab54bebdbcff061bb1e311241994e60cddbd1fc983f3b28c50b3e0"
+
+
+def test_verify_stdout_is_pinned(capsys):
+    assert main(["verify", "--seed", "0"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (23_493, VERIFY_SHA256)
 
 
 def test_enumerate_missing_file(capsys, tmp_path):

@@ -10,12 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 from reference import CoveringGraph, face_profile, narayana_recurrence
 from tul import enumeration
 from tul.asymptotics import cross_check
-from tul.enumeration import (MAX_K, catalan, covering_pass, enumerate_coverings,
-                             limit_coefficient, minimal_coverings, narayana,
-                             narayana_face_distribution, narayana_row)
+from tul.enumeration import (MAX_K, catalan, covering_pass, face_sum, minimal_coverings,
+                             minimal_faces, narayana_face_distribution, narayana_row)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic,
                           random_melonic_recipe)
-from tul.graphs import ColoredGraph, is_connected
+from tul.graphs import ColoredGraph, is_connected, side_ratios
 from tul.tensors import gaussian_exact_mean
 
 
@@ -24,24 +23,21 @@ def two_color_cycle(k):
 
 
 def test_enumerate_single_covering_k1():
-    B = make_dipole(3)
-    coverings = list(enumerate_coverings(B))
-    assert len(coverings) == 1
-    tau, zero = coverings[0]
-    assert tau == (0,)
-    assert zero == (1, 1, 1)
+    # the pass's stack has one row per pairing of S_k
+    assert enumeration._lex_perms(1).tolist() == [[0]]
+    assert enumeration._faces(make_dipole(3)).tolist() == [[1, 1, 1]]
 
 
 def test_enumerate_yields_all_pairings_in_order():
     B = two_color_cycle(3)
-    taus = [tau for tau, _ in enumerate_coverings(B)]
-    assert len(taus) == math.factorial(3)
-    assert taus == sorted(taus)
+    taus = [tuple(tau) for tau in enumeration._lex_perms(3).tolist()]
+    assert len(taus) == len(enumeration._faces(B)) == math.factorial(3)
+    assert taus == sorted(taus) == list(itertools.permutations(range(3)))
 
 
 def test_enumerate_face_totals_k3():
     B = two_color_cycle(3)
-    totals = sorted(sum(zero) for _, zero in enumerate_coverings(B))
+    totals = sorted(enumeration._faces(B).sum(axis=1).tolist())
     assert totals == [2, 4, 4, 4, 4, 4]
 
 
@@ -51,14 +47,14 @@ def test_enumerate_cap_refusal():
                                          r"10! = 3\.629e\+06 pairings"):
         covering_pass(two_color_cycle(10))
     with pytest.raises(ValueError, match="cap"):
-        next(enumerate_coverings(two_color_cycle(10)))
+        minimal_coverings(two_color_cycle(10))
     assert minimal_coverings(two_color_cycle(9)).count == catalan(9)
 
 
 def test_enumerate_requires_connected():
     B = ColoredGraph(k=2, sigma=((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="connected"):
-        list(enumerate_coverings(B))
+        minimal_coverings(B)
     with pytest.raises(ValueError, match="connected"):
         covering_pass(B)
 
@@ -88,7 +84,8 @@ def test_minimal_coverings_are_the_maximizers():
     B = two_color_cycle(3)
     mcs = minimal_coverings(B)
     members = {tau for tau, _ in mcs.members}
-    for tau, zero in enumerate_coverings(B):
+    for tau in itertools.permutations(range(B.k)):
+        zero = face_profile(CoveringGraph(base=B, tau=tau))
         if tau in members:
             assert sum(zero) == mcs.gamma
         else:
@@ -98,14 +95,15 @@ def test_minimal_coverings_are_the_maximizers():
 def test_limit_coefficient_reduces_to_count():
     for B in (two_color_cycle(3), make_melonic(MelonicRecipe(D=3, steps=((2, 1),)))):
         mcs = minimal_coverings(B)
-        assert limit_coefficient(B, [1.0] * B.D) == pytest.approx(mcs.count, rel=1e-15)
+        exact = face_sum(minimal_faces(B), side_ratios([1.0] * B.D, B.D))
+        assert exact == pytest.approx(mcs.count, rel=1e-15)
 
 
 def test_limit_coefficient_two_color_k2():
     B = two_color_cycle(2)
     c1, c2 = 1.7, 0.6
     expect = c1 * c2 ** 2 + c1 ** 2 * c2
-    assert limit_coefficient(B, (c1, c2)) == pytest.approx(expect, rel=1e-13)
+    assert face_sum(minimal_faces(B), side_ratios((c1, c2), 2)) == pytest.approx(expect, rel=1e-13)
 
 
 def test_limit_coefficient_23_cycle():
@@ -113,22 +111,22 @@ def test_limit_coefficient_23_cycle():
     B = make_cycle_graph(spec)
     c = (2.0, 3.0, 1.5, 0.5, 1.25)
     expect = c[0] * c[1] * (c[2] * c[3] * c[4]) ** 2
-    assert limit_coefficient(B, c) == pytest.approx(expect, rel=1e-13)
+    assert face_sum(minimal_faces(B), side_ratios(c, 5)) == pytest.approx(expect, rel=1e-13)
 
 
 def test_limit_coefficient_errors():
-    B = two_color_cycle(2)
+    # the ratios are read, and refused, by side_ratios
     with pytest.raises(ValueError):
-        limit_coefficient(B, (1.0,))
+        side_ratios((1.0,), 2)
     with pytest.raises(ValueError):
-        limit_coefficient(B, (1.0, -2.0))
+        side_ratios((1.0, -2.0), 2)
 
 
 @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
 def test_property_library_floats_are_read_exactly(x):
     # a positive finite float is read as its exact value, so no rounding: the
     # dipole's coefficient is c itself
-    assert limit_coefficient(make_dipole(1), [x]) == Fraction(x)
+    assert face_sum(minimal_faces(make_dipole(1)), side_ratios([x], 1)) == Fraction(x)
 
 
 def test_catalan_values():
@@ -140,24 +138,24 @@ def test_catalan_values():
 
 
 def test_narayana_values():
-    assert [narayana(3, l) for l in (1, 2, 3)] == [1, 3, 1]
-    assert narayana(4, 2) == 6
-    assert narayana(1, 1) == 1
+    assert narayana_row(3) == [1, 3, 1]
+    assert narayana_row(4)[1] == 6
+    assert narayana_row(1) == [1]
     with pytest.raises(ValueError):
-        narayana(3, 0)
+        narayana_row(0)
     with pytest.raises(ValueError):
-        narayana(3, 4)
+        narayana_row(-4)
 
 
 def test_narayana_rows_sum_to_catalan():
     for k in range(1, 21):
-        assert sum(narayana(k, l) for l in range(1, k + 1)) == catalan(k)
+        assert sum(narayana_row(k)) == catalan(k)
 
 
 def test_narayana_row_matches_closed_form():
     for k in range(1, 61):
         row = narayana_row(k)
-        assert row == [narayana(k, l) for l in range(1, k + 1)]
+        assert row == [math.comb(k, l) * math.comb(k, l - 1) // k for l in range(1, k + 1)]
         assert sum(row) == catalan(k)
     with pytest.raises(ValueError, match="positive"):
         narayana_row(0)
@@ -165,8 +163,8 @@ def test_narayana_row_matches_closed_form():
 
 def test_narayana_symmetry():
     for k in range(1, 13):
-        for l in range(1, k + 1):
-            assert narayana(k, l) == narayana(k, k + 1 - l)
+        row = narayana_row(k)
+        assert row == row[::-1]
 
 
 def test_narayana_recurrence_matches_closed_form():
@@ -174,8 +172,8 @@ def test_narayana_recurrence_matches_closed_form():
     assert narayana_recurrence(3, 2) == 3
     assert narayana_recurrence(4, 4) == 1
     for k in range(1, 13):
-        for l in range(1, k + 1):
-            assert narayana_recurrence(k, l) == narayana(k, l), (k, l)
+        for l, n in enumerate(narayana_row(k), start=1):
+            assert narayana_recurrence(k, l) == n, (k, l)
 
 
 def test_narayana_face_distribution():
@@ -250,7 +248,9 @@ def test_pass_matches_face_profile_for_every_covering():
     for B in PASS_GRAPHS:
         expected = [(tau, face_profile(CoveringGraph(base=B, tau=tau)))
                     for tau in itertools.permutations(range(B.k))]
-        assert list(enumerate_coverings(B)) == expected, B
+        # the stack row by row: pairing i of lexicographic S_k and its faces
+        assert enumeration._lex_perms(B.k).tolist() == [list(tau) for tau, _ in expected]
+        assert enumeration._faces(B).tolist() == [list(zero) for _, zero in expected], B
         result = covering_pass(B)
         assert dict(result.histogram) == Counter(zero for _, zero in expected), B
         gamma = max(sum(zero) for _, zero in expected)
@@ -308,7 +308,7 @@ def test_pass_errors_come_before_any_sweep():
     with pytest.raises(ValueError, match="cap"):
         gaussian_exact_mean(two_color_cycle(10), (1, 1), 2)
     with pytest.raises(ValueError, match="cap"):
-        next(enumerate_coverings(two_color_cycle(10)))
+        narayana_face_distribution(two_color_cycle(10), 1)
     for cached in (enumeration._face_column, enumeration._lex_perms):
         info = cached.cache_info()
         assert (info.hits, info.misses) == (0, 0)
@@ -327,7 +327,7 @@ def test_consumers_share_one_sweep():
     assert enumeration._face_column.cache_info().misses == 2
     assert (mcs.gamma, report.count_enum) == (2 * 5 + 1, 1)
     assert wick == sum(math.prod(d ** f for d, f in zip((3, 6, 3), zero))
-                       for _, zero in enumerate_coverings(B))
+                       for zero in enumeration._faces(B).tolist())
     assert enumeration._face_column.cache_info().misses == 2
 
 
