@@ -6,15 +6,18 @@ K = max(1, BLOCK_ENTRIES // prod(dims)) samples and is one sequential draw
 from PCG64(seed) advanced by b * 2^64 steps.  Sample i, entry i % K of block
 i // K, depends only on (seed, i), never on how many samples are drawn.
 
-Two evaluation routes are kept deliberately separate:
+Three independent evaluation routes are kept deliberately separate:
+  naive    sums the delta-constrained index contractions term by term for
+           any colored graph, in one unoptimized einsum within
+           DEFAULT_NAIVE_BUDGET terms; an oracle only, never run by Monte Carlo
   network  contracts a stack of tensors over any colored graph pairwise, in
            one einsum per block along a cached greedy order, with a sample
            label first in every operand; Monte Carlo on a ColoredGraph
   cycle    matricizes each tensor of a stack and takes tr((M^H M)^k);
            Monte Carlo on a CycleSpec
-Tests lean on their agreement with each other and with a third route, the
-term-by-term sum in tests/reference.py, so none may be expressed through
-another.
+The naive and network routes share only the einsum label lists of the
+graph's vertices.  Tests lean on the routes' agreement, so none may be
+expressed through another.
 
 The cycle route gets each Gram G from one real matrix product R S^T on the
 tensor's float view, with no conjugate copy and no complex product: R holds
@@ -40,10 +43,12 @@ import numpy as np
 from .asymptotics import predict_cycle, predict_generic
 from .enumeration import covering_pass, face_sum
 from .families import CycleSpec
-from .graphs import ColoredGraph, is_json_int, side_ratios
+from .graphs import ColoredGraph, e_notation, is_json_int, side_ratios
 from .permutations import inverse
 
 DISTRIBUTIONS = ("complex_gaussian", "complex_rademacher", "uniform_disc")
+
+DEFAULT_NAIVE_BUDGET = 10 ** 8
 
 # The distinct labels one einsum call takes (a-z, A-Z): a network
 # contraction uses one for the sample axis and, per tensor axis of size
@@ -184,6 +189,22 @@ def sample_tensor(spec: TensorSpec, sample_index: int = 0, count: int | None = N
     return stack[0] if count is None else stack
 
 
+def _check_naive_contraction(dims, B: ColoredGraph) -> None:
+    """Refuse a naive contraction of a tensor with side lengths dims over B
+    before anything is drawn or summed: the axes must match the colors, and
+    the prod_i dims_i^k scalar terms must fit DEFAULT_NAIVE_BUDGET."""
+    if len(dims) != B.D:
+        raise ValueError(f"tensor has {len(dims)} axes, graph has D={B.D} colors")
+    entries = math.prod(dims)
+    if entries ** B.k > DEFAULT_NAIVE_BUDGET:
+        raise ValueError(
+            f"naive contraction needs {e_notation(B.k * math.log10(entries))} scalar terms, "
+            f"over the budget {DEFAULT_NAIVE_BUDGET:.1e}; use the network route "
+            f"(trace_invariant_network, tul mc --graph) or, for a cycle, the matricized "
+            f"route (trace_invariant_cycle, tul mc --cycle)"
+        )
+
+
 # A Monte Carlo mean contracts one graph many times, so a few slots keep
 # the label lists of every graph in use; a bound on memory, not a knob.
 @functools.lru_cache(maxsize=8)
@@ -198,6 +219,43 @@ def _vertex_labels(B: ColoredGraph, axes: tuple[int, ...]):
     blacks = tuple(tuple(inv[i][b] * width + a for a, i in enumerate(axes))
                    for b in range(B.k))
     return whites, blacks
+
+
+def trace_invariant_naive(T: np.ndarray, B: ColoredGraph) -> float:
+    """Real part of the exact delta-contraction sum over all free indices.
+
+    White vertex j carries one index per color; the color-i edge equates that
+    index with slot i of the conjugate copy at black vertex sigma_i(j).  The
+    sum runs over all prod_i dims_i^k assignments, term by term, in one
+    unoptimized einsum: no pairwise contraction order and no matricization,
+    so this route stays independent of trace_invariant_network and
+    trace_invariant_cycle.  It is an oracle only: Monte Carlo never runs it,
+    and tul does not export it.  It stays in this module because the
+    benchmark harness traces it here by name (ROADMAP item 1).
+
+    Swapping white and black conjugates the sum, so it is real when B is
+    isomorphic to its mirror, as every cycle and melonic graph is; otherwise
+    it is complex, and its real part is returned.
+    """
+    T = np.asarray(T, dtype=np.complex128)
+    _check_naive_contraction(T.shape, B)
+    k = B.k
+    # Size-1 axes carry no index.  Every remaining axis has size >= 2, so the
+    # budget caps the labels at k*D' <= 26 and the operands at 2k <= 52,
+    # within einsum's limits (52 labels, 63 operands).
+    axes = tuple(i for i, d in enumerate(T.shape) if d > 1)
+    if not axes:
+        # a single term: prod_j t * prod_b conj(t)
+        return float(np.abs(T.item()) ** (2 * k))
+    T = T.reshape([T.shape[i] for i in axes])
+    Tc = np.conj(T)
+    whites, blacks = _vertex_labels(B, axes)
+    operands: list = []
+    for labels in whites:
+        operands += (T, labels)
+    for labels in blacks:
+        operands += (Tc, labels)
+    return complex(np.einsum(*operands, (), optimize=False)).real
 
 
 def _network_operands(T_stack, Tc_stack, B: ColoredGraph, axes):

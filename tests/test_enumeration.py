@@ -10,11 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 from reference import CoveringGraph, face_profile, narayana_recurrence
 from tul import enumeration
 from tul.asymptotics import cross_check
-from tul.enumeration import (MAX_K, catalan, covering_pass, face_sum, minimal_coverings,
-                             minimal_faces, narayana_face_distribution, narayana_row)
+from tul.enumeration import (MAX_K, catalan, covering_pass, enumerate_coverings,
+                             limit_coefficient, minimal_coverings, narayana_face_distribution,
+                             narayana_row)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic,
                           random_melonic_recipe)
-from tul.graphs import ColoredGraph, is_connected, side_ratios
+from tul.graphs import ColoredGraph, is_connected
 from tul.tensors import gaussian_exact_mean
 
 
@@ -95,15 +96,14 @@ def test_minimal_coverings_are_the_maximizers():
 def test_limit_coefficient_reduces_to_count():
     for B in (two_color_cycle(3), make_melonic(MelonicRecipe(D=3, steps=((2, 1),)))):
         mcs = minimal_coverings(B)
-        exact = face_sum(minimal_faces(B), side_ratios([1.0] * B.D, B.D))
-        assert exact == pytest.approx(mcs.count, rel=1e-15)
+        assert limit_coefficient(B, [1.0] * B.D) == pytest.approx(mcs.count, rel=1e-15)
 
 
 def test_limit_coefficient_two_color_k2():
     B = two_color_cycle(2)
     c1, c2 = 1.7, 0.6
     expect = c1 * c2 ** 2 + c1 ** 2 * c2
-    assert face_sum(minimal_faces(B), side_ratios((c1, c2), 2)) == pytest.approx(expect, rel=1e-13)
+    assert limit_coefficient(B, (c1, c2)) == pytest.approx(expect, rel=1e-13)
 
 
 def test_limit_coefficient_23_cycle():
@@ -111,22 +111,22 @@ def test_limit_coefficient_23_cycle():
     B = make_cycle_graph(spec)
     c = (2.0, 3.0, 1.5, 0.5, 1.25)
     expect = c[0] * c[1] * (c[2] * c[3] * c[4]) ** 2
-    assert face_sum(minimal_faces(B), side_ratios(c, 5)) == pytest.approx(expect, rel=1e-13)
+    assert limit_coefficient(B, c) == pytest.approx(expect, rel=1e-13)
 
 
 def test_limit_coefficient_errors():
-    # the ratios are read, and refused, by side_ratios
+    B = two_color_cycle(2)
     with pytest.raises(ValueError):
-        side_ratios((1.0,), 2)
+        limit_coefficient(B, (1.0,))
     with pytest.raises(ValueError):
-        side_ratios((1.0, -2.0), 2)
+        limit_coefficient(B, (1.0, -2.0))
 
 
 @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
 def test_property_library_floats_are_read_exactly(x):
     # a positive finite float is read as its exact value, so no rounding: the
     # dipole's coefficient is c itself
-    assert face_sum(minimal_faces(make_dipole(1)), side_ratios([x], 1)) == Fraction(x)
+    assert limit_coefficient(make_dipole(1), [x]) == Fraction(x)
 
 
 def test_catalan_values():
@@ -141,10 +141,6 @@ def test_narayana_values():
     assert narayana_row(3) == [1, 3, 1]
     assert narayana_row(4)[1] == 6
     assert narayana_row(1) == [1]
-    with pytest.raises(ValueError):
-        narayana_row(0)
-    with pytest.raises(ValueError):
-        narayana_row(-4)
 
 
 def test_narayana_rows_sum_to_catalan():
@@ -157,8 +153,9 @@ def test_narayana_row_matches_closed_form():
         row = narayana_row(k)
         assert row == [math.comb(k, l) * math.comb(k, l - 1) // k for l in range(1, k + 1)]
         assert sum(row) == catalan(k)
-    with pytest.raises(ValueError, match="positive"):
-        narayana_row(0)
+    for k in (0, -4):
+        with pytest.raises(ValueError, match="positive"):
+            narayana_row(k)
 
 
 def test_narayana_symmetry():
@@ -251,6 +248,7 @@ def test_pass_matches_face_profile_for_every_covering():
         # the stack row by row: pairing i of lexicographic S_k and its faces
         assert enumeration._lex_perms(B.k).tolist() == [list(tau) for tau, _ in expected]
         assert enumeration._faces(B).tolist() == [list(zero) for _, zero in expected], B
+        assert list(enumerate_coverings(B)) == expected, B
         result = covering_pass(B)
         assert dict(result.histogram) == Counter(zero for _, zero in expected), B
         gamma = max(sum(zero) for _, zero in expected)

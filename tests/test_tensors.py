@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from reference import (DEFAULT_NAIVE_BUDGET, _check_naive_contraction, apply_unitaries,
-                       cycle_value_reference, cycle_values_fresh, margins, random_unitary,
-                       trace_invariant_naive, uniform_disc_block, unitary_invariance_check)
+from reference import (apply_unitaries, cycle_value_reference, cycle_values_fresh, margins,
+                       random_unitary, uniform_disc_block, unitary_invariance_check)
 from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic
 from tul.graphs import ColoredGraph, is_connected
-from tul.tensors import (BLOCK_ENTRIES, DISC_CHUNK, DISTRIBUTIONS, EINSUM_LABELS,
-                         MAX_TENSOR_ENTRIES, TensorSpec, _cycle_values, _network_plan,
-                         _network_values, gaussian_exact_mean, monte_carlo_mean, sample_tensor,
-                         tensor_spec_from_json_dict, trace_invariant_cycle,
+from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISC_CHUNK, DISTRIBUTIONS,
+                         EINSUM_LABELS, MAX_TENSOR_ENTRIES, TensorSpec, _check_naive_contraction,
+                         _cycle_values, _network_plan, _network_values,
+                         gaussian_exact_mean, monte_carlo_mean, sample_tensor,
+                         tensor_spec_from_json_dict, trace_invariant_cycle, trace_invariant_naive,
                          trace_invariant_network, universality_scan)
 
 
