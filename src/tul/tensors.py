@@ -24,17 +24,27 @@ tensor's float view, with no conjugate copy and no complex product: R holds
 the real and imaginary parts of the matricization as column pairs (a, b), S
 holds (a - b, a + b) in their place, and R S^T = Re G + Im G is the sum of a
 symmetric and an antisymmetric matrix, so both parts of G are read off it.
+For k >= 3 the cycle route raises the Hermitian Grams to P = G^(k//2) by
+binary powering in stacked matmuls and reads tr(G^k) off P, with no LAPACK.
 A Monte Carlo mean on the cycle route holds, per block, the draw, one
-transposed copy A of it and the Grams: S is written over the draw, which is
-not needed once A holds it, and A and the Grams are kept from block to block
-of one mean.  For one large tensor that is at most 2.5 tensor sizes: the
-real p x p Gram of a p x q matricization, p <= q, is at most half of one.
+transposed copy A of it and the real Grams X: S is written over the draw,
+which is not needed once A holds it, and A and X are kept from block to
+block of one mean.  For k >= 3 the complex Grams G are written over A and
+their first power over the draw, both spent once X is formed, and only
+k >= 5 keeps one more complex p x p buffer per block for the powers.  For
+one large tensor that is at most 2.5 tensor sizes for k <= 4 and 3.5 for
+k >= 5: the real p x p Gram of a p x q matricization, p <= q, is at most
+half of one, and a complex p x p buffer at most one.  BLAS adds its own
+packing buffers: on the (2,2)-cycle at N=32 (16 MiB tensors) with 4
+samples, `tul mc` peaks at 80 MB at k=2, 96 MB at k=3 and k=4, and 112 MB
+at k=5 (2 vCPUs, numpy 2.4.6, OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -56,8 +66,9 @@ DEFAULT_NAIVE_BUDGET = 10 ** 8
 EINSUM_LABELS = 52
 
 # TensorSpec refuses tensors with more entries: 1 GiB of complex128.  The
-# cycle route holds the draw, one transposed copy and the Gram, at most 2.5
-# tensor sizes, so 2.5 GiB at the limit.
+# cycle route holds the draw, one transposed copy and the real Gram, at most
+# 2.5 tensor sizes, and for k >= 5 one more complex Gram-sized power buffer,
+# at most 3.5: so 2.5 GiB at the limit, or 3.5 GiB for k >= 5.
 MAX_TENSOR_ENTRIES = 2 ** 26
 
 # Version of the sampling stream, reported by `tul mc` and `tul verify`.  It
@@ -72,6 +83,13 @@ BLOCK_ENTRIES = 4096
 DISC_CHUNK = 2 ** 15
 
 SQRT_HALF = math.sqrt(0.5)
+
+# A scan row is refused before anything is drawn unless the square of its
+# predicted mean N^gamma * coefficient, and of N^gamma, lies this many decades
+# inside the double range.  The standard error sums squares of deviations
+# about the mean, so it needs the square; the margin leaves room for draws
+# some decades above the mean and for the sum over the samples.
+FLOAT_MARGIN = 16
 
 
 def side_lengths(c, N: int, D: int) -> tuple[int, ...]:
@@ -362,8 +380,9 @@ def _cycle_values(T_stack: np.ndarray, spec: CycleSpec, work: dict | None = None
 
     The stack is consumed: a C-ordered complex128 stack may be overwritten,
     so a caller that still needs it passes a copy.  work, if given, keeps the
-    transposed copy and the Gram of each stack shape for the next call with
-    that shape, so a Monte Carlo mean allocates them once.
+    transposed copy, the Gram and, for k >= 5, a power buffer of each stack
+    shape for the next call with that shape, so a Monte Carlo mean allocates
+    them once.
 
     k = 1 is the squared Frobenius norm of the stack's float view.  Otherwise
     the smaller side's colors come first, so the matrix A is M or M^T and the
@@ -378,8 +397,11 @@ def _cycle_values(T_stack: np.ndarray, spec: CycleSpec, work: dict | None = None
     A (1 + i) is one contiguous complex multiply, exact in both parts, and is
     written over the stack, whose entries A already holds.  Re G is symmetric
     and Im G antisymmetric, so they are orthogonal: tr(G^2) = |G|_F^2 =
-    |X|_F^2 for k = 2, and for k >= 3 the Hermitian G = (X + X^T)/2 +
-    i (X - X^T)/2 goes to a stacked eigvalsh.
+    |X|_F^2 for k = 2.  For k >= 3 the Hermitian G = (X + X^T)/2 +
+    i (X - X^T)/2 is raised to P = G^(k//2) by binary powering from the top
+    bit, one stacked complex matmul per squaring and per set bit.  P is
+    Hermitian too, so tr(G^k) is |P|_F^2 for even k and Re <P, G P> for odd
+    k, each one dot product of float views, as for k = 2.
     """
     T_stack = np.ascontiguousarray(T_stack, dtype=np.complex128)
     if T_stack.ndim != spec.D + 1:
@@ -396,9 +418,10 @@ def _cycle_values(T_stack: np.ndarray, spec: CycleSpec, work: dict | None = None
     order = [0, *small, *large]
     work = {} if work is None else work
     if T_stack.shape not in work:
+        spare = np.empty((count, rows, rows), dtype=np.complex128) if k >= 5 else None
         work[T_stack.shape] = (np.empty([T_stack.shape[i] for i in order], dtype=np.complex128),
-                               np.empty((count, rows, rows)))
-    A, X = work[T_stack.shape]
+                               np.empty((count, rows, rows)), spare)
+    A, X, spare = work[T_stack.shape]
     np.copyto(A, np.transpose(T_stack, order))
     S = np.multiply(A, 1 + 1j, out=T_stack.reshape(A.shape))
     R, S = (Z.view(np.float64).reshape(count, rows, -1) for Z in (A, S))
@@ -406,9 +429,26 @@ def _cycle_values(T_stack: np.ndarray, spec: CycleSpec, work: dict | None = None
     if k == 2:
         flat = X.reshape(count, -1)
         return np.einsum("bi,bi->b", flat, flat)
-    Xt = X.transpose(0, 2, 1)
-    G = 0.5 * (X + Xt) + 0.5j * (X - Xt)
-    return np.sum(np.linalg.eigvalsh(G) ** k, axis=1)
+    # A and the stack are spent once X holds the Grams: G is written over A,
+    # and the products of P = G^(k//2), by binary powering from the top bit,
+    # over the stack and spare, each to the one that holds neither P nor G
+    G, other = (Z.reshape(-1)[:X.size].reshape(X.shape) for Z in (A, T_stack))
+    Xt, Gf = X.transpose(0, 2, 1), G.view(np.float64)
+    np.add(X, Xt, out=Gf[..., 0::2])
+    np.subtract(X, Xt, out=Gf[..., 1::2])
+    Gf *= 0.5
+    P = G
+    for bit in f"{k // 2:b}"[1:]:
+        np.matmul(P, P, out=other)
+        P, other = other, spare if P is G else P
+        if bit == "1":
+            np.matmul(P, G, out=other)
+            P, other = other, P
+    Pf = P.view(np.float64).reshape(count, -1)
+    if k % 2 == 0:
+        return np.einsum("bi,bi->b", Pf, Pf)
+    Yf = np.matmul(G, P, out=other).view(np.float64).reshape(count, -1)
+    return np.einsum("bi,bi->b", Pf, Yf)
 
 
 def trace_invariant_cycle(T: np.ndarray, spec: CycleSpec) -> float:
@@ -515,7 +555,10 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
     of N_list.  samples may be a single count or a per-N sequence, each at
     least 2.  A row is flagged when |normalized - predicted| exceeds
     4 stderr / N^gamma, i.e. when the subleading terms still dominate the
-    Monte Carlo noise.
+    Monte Carlo noise.  Before anything is drawn, a row whose predicted mean
+    or N^gamma would come within FLOAT_MARGIN decades of the double range
+    when squared is refused; a mean or standard error that still overflows
+    in the draws is refused, never reported.
     """
     N_list = [int(N) for N in N_list]
     if not N_list:
@@ -538,9 +581,22 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
         prediction = predict_cycle(graph, spec.c)
     else:
         prediction = predict_generic(graph, spec.c)
+    limit = (math.log10(sys.float_info.max) - FLOAT_MARGIN) / 2
+    for N in N_list:
+        size = prediction.gamma * math.log10(N) + max(math.log10(prediction.coefficient), 0.0)
+        if size > limit:
+            raise ValueError(
+                f"at N={N} the predicted mean N^{prediction.gamma} * coefficient, or N^"
+                f"{prediction.gamma}, is ~{e_notation(size)}, over 1e{math.floor(limit)}: its "
+                f"square must stay {FLOAT_MARGIN} decades inside the double range"
+            )
     rows = []
     for N, row_spec, count in zip(N_list, row_specs, per_N):
-        mean, stderr = monte_carlo_mean(row_spec, graph, count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, stderr = monte_carlo_mean(row_spec, graph, count)
+        if not (math.isfinite(mean) and math.isfinite(stderr)):
+            raise ValueError(f"at N={N} the draws left the double range: mean {mean!r}, "
+                             f"standard error {stderr!r}")
         scale = float(N) ** prediction.gamma
         normalized = mean / scale
         flagged = abs(normalized - prediction.coefficient) > 4.0 * stderr / scale

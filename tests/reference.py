@@ -4,11 +4,11 @@ Each one recomputes a quantity the package computes another way, or checks an
 invariant of it, so it stays outside `tul`: Narayana numbers by dynamic
 programming, face counts and the genus of one covering by plain cycle
 counting, melonic membership by dipole contraction, the cycle invariant by
-complex matrix powers, Haar unitaries and the relative change of an invariant
-under them, and the margins of a universality scan.  Two more keep earlier
-forms of package code verbatim, as bitwise oracles for the buffers that
-replaced them: the stacked cycle kernel with fresh buffers, and the uniform
-disc draw transformed in one pass.
+complex matrix powers and by the Gram spectrum, Haar unitaries and the
+relative change of an invariant under them, and the margins of a universality
+scan.  Two more keep package code in a plain form, as bitwise oracles for the
+buffers the package reuses: the stacked cycle kernel with fresh buffers, and
+the uniform disc draw transformed in one pass.
 """
 
 from __future__ import annotations
@@ -177,6 +177,18 @@ def cycle_value_reference(T: np.ndarray, spec: CycleSpec) -> float:
     return float(np.trace(np.linalg.matrix_power(M @ M.conj().T, spec.k)).real)
 
 
+def cycle_values_spectral(T_stack: np.ndarray, spec: CycleSpec) -> np.ndarray:
+    """sum_j lambda_j^k over the eigenvalues of M M^H, for the matricization M
+    of each tensor in a stack: a complex Gram and a stacked eigvalsh, with
+    no matrix power, so it stays independent of the cycle route's powers."""
+    T_stack = np.asarray(T_stack, dtype=np.complex128)
+    order = [0, *sorted(spec.m_colors), *sorted(spec.n_colors)]
+    rows = math.prod(T_stack.shape[i] for i in spec.m_colors)
+    M = np.transpose(T_stack, order).reshape(len(T_stack), rows, -1)
+    G = M @ M.conj().transpose(0, 2, 1)
+    return np.sum(np.linalg.eigvalsh(G) ** spec.k, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Unitary invariance
 # ---------------------------------------------------------------------------
@@ -223,12 +235,12 @@ def margins(report: UniversalityReport) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# The stacked cycle kernel and the disc draw before their buffers were reused
+# The stacked cycle kernel and the disc draw with fresh buffers
 # ---------------------------------------------------------------------------
 
 def cycle_values_fresh(T_stack: np.ndarray, spec: CycleSpec) -> np.ndarray:
-    """tul.tensors._cycle_values as it was before it reused its buffers: S
-    built by two stride-2 ufuncs, fresh A, S and Gram on every call, and the
+    """tul.tensors._cycle_values with fresh buffers: S built by two stride-2
+    ufuncs, fresh A, S, Gram and powers of the Gram on every call, and the
     stack left as it was.  The kernel must match it bit for bit."""
     T_stack = np.asarray(T_stack, dtype=np.complex128)
     if T_stack.ndim != spec.D + 1:
@@ -250,9 +262,19 @@ def cycle_values_fresh(T_stack: np.ndarray, spec: CycleSpec) -> np.ndarray:
     if k == 2:
         flat = X.reshape(count, -1)
         return np.einsum("bi,bi->b", flat, flat)
+    # G^(k//2) from the top bit, then |P|_F^2 or Re<P, G P> on float views
     Xt = X.transpose(0, 2, 1)
     G = 0.5 * (X + Xt) + 0.5j * (X - Xt)
-    return np.sum(np.linalg.eigvalsh(G) ** k, axis=1)
+    P = G
+    for bit in f"{k // 2:b}"[1:]:
+        P = P @ P
+        if bit == "1":
+            P = P @ G
+    Pf = P.view(np.float64).reshape(count, -1)
+    if k % 2 == 0:
+        return np.einsum("bi,bi->b", Pf, Pf)
+    Yf = (G @ P).view(np.float64).reshape(count, -1)
+    return np.einsum("bi,bi->b", Pf, Yf)
 
 
 def uniform_disc_block(spec: TensorSpec, block: int, count: int) -> np.ndarray:

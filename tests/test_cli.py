@@ -321,6 +321,40 @@ def test_mc_graph_over_the_label_limit_exits_2_before_any_draw(capsys, monkeypat
     assert "network contraction needs 4001 einsum labels" in err and "over the limit 52" in err
 
 
+@pytest.mark.parametrize("k, size", [(200, "5.644e+479"), (128, "4.443e+306")])
+def test_mc_past_the_double_range_exits_2_before_any_draw(capsys, monkeypatch, tmp_path, k,
+                                                          size):
+    # the (1,1)-cycle at N=64: N^(k+1) itself overflows a double at k=200;
+    # at k=128 the predicted mean fits, but its square does not
+    def no_draw(*args):
+        raise AssertionError("sample_tensor was called")
+
+    monkeypatch.setattr("tul.tensors.sample_tensor", no_draw)
+    cycle = _write(tmp_path, "cycle.json", json.dumps({"k": k, "m_colors": [1], "n_colors": [2]}))
+    tensor = _write(tmp_path, "tensor.json", json.dumps({"D": 2, "c": [1, 1], "N": 64,
+                                                         "distribution": "complex_gaussian"}))
+    assert main(["mc", "--spec", tensor, "--cycle", cycle, "--samples", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: at N=64 the predicted mean N^{k + 1} * coefficient, or N^{k + 1}, "
+                   f"is ~{size}, over 1e146: its square must stay 16 decades inside the double "
+                   f"range\n")
+
+
+def test_mc_draws_past_the_double_range_exit_2(capsys, tmp_path):
+    # the (1,2)-cycle at N=1 predicts a mean of 1, but each draw is |t|^600
+    # for one complex Gaussian t, so the squares of 100 draws overflow
+    cycle = _write(tmp_path, "cycle.json", json.dumps({"k": 300, "m_colors": [1],
+                                                       "n_colors": [2, 3]}))
+    tensor = _write(tmp_path, "tensor.json", json.dumps({"D": 3, "c": [1, 1, 1], "N": 1,
+                                                         "distribution": "complex_gaussian"}))
+    assert main(["mc", "--spec", tensor, "--cycle", cycle, "--samples", "100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: at N=1 the draws left the double range: mean ")
+    assert err.endswith(", standard error inf\n") and err.count("\n") == 1
+
+
 def test_asym_cycle(capsys, tmp_path):
     spec = CycleSpec(k=3, m_colors=frozenset([1]), n_colors=frozenset([2]))
     path = tmp_path / "spec.json"

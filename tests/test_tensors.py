@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from reference import (apply_unitaries, cycle_value_reference, cycle_values_fresh, margins,
-                       random_unitary, uniform_disc_block, unitary_invariance_check)
+from reference import (apply_unitaries, cycle_value_reference, cycle_values_fresh,
+                       cycle_values_spectral, margins, random_unitary, uniform_disc_block,
+                       unitary_invariance_check)
 from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic
 from tul.graphs import ColoredGraph, is_connected
 from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISC_CHUNK, DISTRIBUTIONS,
@@ -182,7 +183,9 @@ def test_second_moment_within_four_sigma(dist):
     (CycleSpec(k=2, m_colors=frozenset([1, 3]), n_colors=frozenset([2])), (2, 3, 2)),
     (CycleSpec(k=3, m_colors=frozenset([2]), n_colors=frozenset([1, 3])), (3, 2, 2)),
     (cycle_11(3), (4, 4)),
-], ids=["k1", "k2-tall", "k2-13-2", "k3-2-13", "k3"])
+    (cycle_11(4), (4, 4)),
+    (CycleSpec(k=5, m_colors=frozenset([1, 3]), n_colors=frozenset([2])), (2, 3, 2)),
+], ids=["k1", "k2-tall", "k2-13-2", "k3-2-13", "k3", "k4", "k5-13-2"])
 def test_cycle_values_stack_is_slice_by_slice(spec, dims):
     stack = sample_tensor(TensorSpec(D=len(dims), c=dims, N=1, distribution="uniform_disc",
                                      seed=6), 0, 40)
@@ -203,7 +206,7 @@ KERNEL_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("m, n, dims, K", KERNEL_SHAPES, ids=["scan", "wick-11", "wick-21"])
 def test_cycle_values_match_the_fresh_buffer_kernel(k, m, n, dims, K):
     # three blocks through one workspace, the last one shorter where K > 1,
@@ -216,6 +219,21 @@ def test_cycle_values_match_the_fresh_buffer_kernel(k, m, n, dims, K):
         expected = cycle_values_fresh(stack, spec)
         assert np.array_equal(_cycle_values(stack, spec, work), expected)
     assert len(work) == (0 if k == 1 else 1 if K == 1 else 2)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 9, 64])
+@pytest.mark.parametrize("m, n, dims, K", [
+    ((1,), (2,), (4, 4), 256),
+    ((1,), (2,), (8, 8), 64),
+    ((1, 3), (2, 4), (16, 16, 16, 16), 1),
+], ids=["wick-4", "wick-8", "scan-256"])
+def test_cycle_values_match_the_spectral_sum(k, m, n, dims, K):
+    # the powers of the Gram against sum_j lambda_j^k of a stacked eigvalsh
+    spec = CycleSpec(k=k, m_colors=frozenset(m), n_colors=frozenset(n))
+    stack = sample_tensor(TensorSpec(D=len(dims), c=dims, N=1, distribution="complex_gaussian",
+                                     seed=k), 0, K)
+    expected = cycle_values_spectral(stack, spec)
+    assert _cycle_values(stack, spec).tolist() == pytest.approx(expected.tolist(), rel=1e-12)
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "real"])
