@@ -4,6 +4,11 @@ Every subcommand is a pure function of its flags, input files, and seed, so
 identical invocations produce byte-identical output.  Outputs are JSON by
 default (with a schema version field) or CSV via --format csv; malformed
 inputs exit with status 2 and a diagnostic naming the offending field.
+
+`asym`, `mc` and `verify` build each result once, as dicts whose keys are both
+the JSON keys and the CSV columns; the rows of `mc` and `verify` are their
+`ScanRow` and `CheckResult` fields, so a new field needs no edit here.
+`enumerate`'s CSV is a table of its own: one row per minimal covering.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from .enumeration import minimal_coverings, narayana_face_distribution
 from .families import cycle_spec_from_json_dict, melonic_recipe_from_json_dict
 from .graphs import graph_from_json_dict
 from .permutations import cycle_string, to_one_based
-from .tensors import STREAM, tensor_spec_from_json_dict, universality_scan
-from .verify import FAMILIES, VerifySuiteConfig, run_verify_suite, suite_passed
+from .tensors import STREAM, ScanRow, tensor_spec_from_json_dict, universality_scan
+from .verify import FAMILIES, CheckResult, run_verify_suite
 
 SCHEMA = 1
 
@@ -58,7 +63,14 @@ def _load_json(path: str):
         raise CliError(f"{path} cannot be read as JSON: {err}") from None
 
 
-def _emit(args, text: str):
+def _report(args, data, header=None, rows=None):
+    """Write header + rows as CSV under --format csv, else data as JSON; to --out or stdout."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        text = buf.getvalue()
+    else:
+        text = json.dumps({"schema": SCHEMA, **data}, indent=2) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -67,18 +79,6 @@ def _emit(args, text: str):
             raise CliError(f"cannot write {args.out}: {err.strerror or err}") from None
     else:
         sys.stdout.write(text)
-
-
-def _json_text(data) -> str:
-    return json.dumps(data, indent=2) + "\n"
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -91,21 +91,19 @@ def _cmd_enumerate(args) -> int:
         mcs = minimal_coverings(B)
         header = ["tau"] + [f"f_{i}" for i in range(1, B.D + 1)] + ["total"]
         rows = [[cycle_string(tau), *zero, mcs.gamma] for tau, zero in mcs.members]
-        _emit(args, _csv_text(header, rows))
+        _report(args, None, header, rows)
         return 0
     # the histogram refuses a graph or color it does not take before any pass
     hist = (None if args.histogram is None
             else narayana_face_distribution(B, anchor_color=args.histogram))
     mcs = minimal_coverings(B)
-    data = {"schema": SCHEMA, "gamma": mcs.gamma, "count": mcs.count}
+    data = {"gamma": mcs.gamma, "count": mcs.count}
     if args.faces:
-        data["members"] = [
-            {"tau": list(to_one_based(tau)), "zero_faces": list(zero), "total": mcs.gamma}
-            for tau, zero in mcs.members
-        ]
+        data["members"] = [{"tau": list(to_one_based(tau)), "zero_faces": list(zero),
+                             "total": mcs.gamma} for tau, zero in mcs.members]
     if hist is not None:
         data["histogram"] = {str(l): n for l, n in hist.items()}
-    _emit(args, _json_text(data))
+    _report(args, data)
     return 0
 
 
@@ -116,12 +114,8 @@ def _cmd_asym(args) -> int:
     else:
         spec, predict = cycle_spec_from_json_dict(spec_data), predict_cycle
     pred = predict(spec, args.c.split(",") if args.c else [1] * spec.D)
-    if args.format == "csv":
-        _emit(args, _csv_text(["family", "gamma", "coefficient"],
-                              [[pred.family, pred.gamma, repr(pred.coefficient)]]))
-        return 0
-    _emit(args, _json_text({"schema": SCHEMA, "family": pred.family,
-                            "gamma": pred.gamma, "coefficient": pred.coefficient}))
+    data = {"family": pred.family, "gamma": pred.gamma, "coefficient": pred.coefficient}
+    _report(args, data, list(data), [list(data.values())])
     return 0
 
 
@@ -129,48 +123,29 @@ def _cmd_mc(args) -> int:
     tspec = tensor_spec_from_json_dict(_load_json(args.spec))
     if args.seed is not None:
         tspec = dataclasses.replace(tspec, seed=args.seed)
-    if args.cycle:
-        graph = cycle_spec_from_json_dict(_load_json(args.cycle))
-    else:
-        graph = graph_from_json_dict(_load_json(args.graph))
+    graph = (cycle_spec_from_json_dict(_load_json(args.cycle)) if args.cycle
+             else graph_from_json_dict(_load_json(args.graph)))
     samples = args.samples[0] if len(args.samples) == 1 else args.samples
     report = universality_scan(tspec, graph, args.N_list or [tspec.N], samples)
-    if args.format == "csv":
-        header = ["graph", "distribution", "gamma", "predicted", "N", "samples",
-                  "mean", "stderr", "normalized", "flagged"]
-        rows = [[report.graph_id, report.distribution, report.gamma,
-                 repr(report.predicted), r.N, r.samples, repr(r.mean),
-                 repr(r.stderr), repr(r.normalized), r.flagged]
-                for r in report.rows]
-        _emit(args, _csv_text(header, rows))
-        return 0
-    data = {
-        "schema": SCHEMA,
-        "stream": STREAM,
-        "graph": report.graph_id,
-        "distribution": report.distribution,
-        "gamma": report.gamma,
-        "predicted": report.predicted,
-        "rows": [{"N": r.N, "samples": r.samples, "mean": r.mean, "stderr": r.stderr,
-                  "normalized": r.normalized, "flagged": r.flagged} for r in report.rows],
-    }
-    _emit(args, _json_text(data))
+    head = {"graph": report.graph_id, "distribution": report.distribution,
+            "gamma": report.gamma, "predicted": report.predicted}
+    rows = [dataclasses.asdict(r) for r in report.rows]
+    header = [*head, *(f.name for f in dataclasses.fields(ScanRow))]
+    _report(args, {"stream": STREAM, **head, "rows": rows}, header,
+            [[*head.values(), *r.values()] for r in rows])
     return 0
 
 
 def _cmd_verify(args) -> int:
-    families = frozenset(args.families.split(",")) if args.families else frozenset(FAMILIES)
-    results = run_verify_suite(VerifySuiteConfig(max_k=args.max_k, max_D=args.max_D,
-                                                 families=families, seed=args.seed))
-    passed = suite_passed(results)
-    if args.format == "csv":
-        rows = [[r.name, r.passed, r.detail] for r in results]
-        _emit(args, _csv_text(["check", "passed", "detail"], rows))
-    else:
-        data = {"schema": SCHEMA, "stream": STREAM, "passed": passed,
-                "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                           for r in results]}
-        _emit(args, _json_text(data))
+    results = run_verify_suite(max_k=args.max_k, max_D=args.max_D,
+                               families=args.families.split(",") if args.families else FAMILIES,
+                               seed=args.seed)
+    passed = all(r.passed for r in results)
+    checks = [dataclasses.asdict(r) for r in results]
+    # the CSV heads CheckResult's first field, its name, "check"
+    header = ["check", *(f.name for f in dataclasses.fields(CheckResult)[1:])]
+    _report(args, {"stream": STREAM, "passed": passed, "checks": checks},
+            header, [list(c.values()) for c in checks])
     return 0 if passed else 1
 
 
@@ -197,7 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="include every minimal covering with its face profile")
     p.add_argument("--histogram", type=int, metavar="COLOR",
                    help="face-count histogram over minimal coverings for this color "
-                        "(two-color cycle graphs only)")
+                        "(two-color cycle graphs only; JSON only, CSV lists the members "
+                        "alone)")
     p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("asym", parents=[common],
@@ -233,8 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (CliError, ValueError) as err:

@@ -503,21 +503,29 @@ def monte_carlo_mean(spec: TensorSpec, graph, samples: int) -> tuple[float, floa
     The invariant of a graph that is not isomorphic to its mirror is complex
     for each draw, but its mean is the real Wick sum, so the imaginary part
     averages to 0 and the real part alone is averaged; for a mirror-symmetric
-    graph the real part is the whole invariant.
+    graph the real part is the whole invariant.  A mean or standard error
+    that leaves the double range is a ValueError, with no numpy warning.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
     K = _block_size(spec.dims)
     evaluate = _route(graph, spec.dims, min(K, samples))
-    values = np.concatenate([evaluate(sample_tensor(spec, start, min(K, samples - start)))
-                             for start in range(0, samples, K)])
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(samples))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.concatenate([evaluate(sample_tensor(spec, start, min(K, samples - start)))
+                                 for start in range(0, samples, K)])
+        mean = float(values.mean())
+        stderr = float(values.std(ddof=1) / math.sqrt(samples))
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise ValueError(f"the draws left the double range: mean {mean!r}, "
+                         f"standard error {stderr!r}")
     return mean, stderr
 
 
 @dataclass(frozen=True)
 class ScanRow:
+    """One N of a scan.  The field order is `tul mc`'s JSON key and CSV column
+    order, so adding or reordering a field changes stdout and bumps cli.SCHEMA."""
+
     N: int
     samples: int
     mean: float
@@ -558,7 +566,7 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
     Monte Carlo noise.  Before anything is drawn, a row whose predicted mean
     or N^gamma would come within FLOAT_MARGIN decades of the double range
     when squared is refused; a mean or standard error that still overflows
-    in the draws is refused, never reported.
+    in the draws is refused by monte_carlo_mean, and named with its N here.
     """
     N_list = [int(N) for N in N_list]
     if not N_list:
@@ -577,10 +585,8 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
             raise ValueError(f"need at least 2 samples for a standard error, got {count} at N={N}")
     for row_spec, count in zip(row_specs, per_N):
         _route(graph, row_spec.dims, min(_block_size(row_spec.dims), count))
-    if isinstance(graph, CycleSpec):
-        prediction = predict_cycle(graph, spec.c)
-    else:
-        prediction = predict_generic(graph, spec.c)
+    predict = predict_cycle if isinstance(graph, CycleSpec) else predict_generic
+    prediction = predict(graph, spec.c)
     limit = (math.log10(sys.float_info.max) - FLOAT_MARGIN) / 2
     for N in N_list:
         size = prediction.gamma * math.log10(N) + max(math.log10(prediction.coefficient), 0.0)
@@ -592,11 +598,10 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
             )
     rows = []
     for N, row_spec, count in zip(N_list, row_specs, per_N):
-        with np.errstate(over="ignore", invalid="ignore"):
+        try:
             mean, stderr = monte_carlo_mean(row_spec, graph, count)
-        if not (math.isfinite(mean) and math.isfinite(stderr)):
-            raise ValueError(f"at N={N} the draws left the double range: mean {mean!r}, "
-                             f"standard error {stderr!r}")
+        except ValueError as err:
+            raise ValueError(f"at N={N} {err}") from None
         scale = float(N) ** prediction.gamma
         normalized = mean / scale
         flagged = abs(normalized - prediction.coefficient) > 4.0 * stderr / scale

@@ -2,12 +2,13 @@
 enumeration, the Wick sum, and a small Monte Carlo run.
 
 Each check produces a CheckResult; the suite passes iff every check does.
-The CLI turns the results into an exit status and a JSON summary.
+The CLI, whose flag defaults are the suite's only defaults, turns the results
+into an exit status and a JSON or CSV report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -22,29 +23,10 @@ FAMILIES = ("cycle_11", "cycle_mm", "cycle_mn", "melonic")
 
 
 @dataclass(frozen=True)
-class VerifySuiteConfig:
-    max_k: int = 5
-    max_D: int = 5
-    families: frozenset[str] = field(default_factory=lambda: frozenset(FAMILIES))
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "families", frozenset(self.families))
-        if self.max_k < 1:
-            raise ValueError(f"max_k must be positive, got {self.max_k}")
-        if self.max_k > MAX_K:
-            raise ValueError(f"max_k={self.max_k} exceeds the enumeration cap ({MAX_K})")
-        if self.max_D < 2:
-            raise ValueError(f"max_D must be at least 2, got {self.max_D}")
-        unknown = self.families - set(FAMILIES)
-        if unknown:
-            raise ValueError(f"unknown families: {sorted(unknown)}; choose from {FAMILIES}")
-        if not self.families:
-            raise ValueError("families must not be empty")
-
-
-@dataclass(frozen=True)
 class CheckResult:
+    """One check.  The field order is `tul verify`'s JSON key and CSV column
+    order, so adding or reordering a field changes stdout and bumps cli.SCHEMA."""
+
     name: str
     passed: bool
     detail: str
@@ -67,15 +49,30 @@ def _cycle_specs(max_k: int, max_D: int, want_equal: bool):
                                     n_colors=frozenset(n_colors))
 
 
-def run_verify_suite(config: VerifySuiteConfig) -> list[CheckResult]:
-    rng = np.random.default_rng(config.seed)
+def run_verify_suite(*, max_k: int, max_D: int, families, seed: int) -> list[CheckResult]:
+    """The checks of the families named in families (from FAMILIES) for k up
+    to max_k and D up to max_D, then the Wick gate, all drawn from seed.
+    Before any check, refuses max_k < 1, max_k > MAX_K, max_D < 2, an unknown
+    family and an empty family set, in that order, with a ValueError."""
+    families = frozenset(families)
+    if max_k < 1:
+        raise ValueError(f"max_k must be positive, got {max_k}")
+    if max_k > MAX_K:
+        raise ValueError(f"max_k={max_k} exceeds the enumeration cap ({MAX_K})")
+    if max_D < 2:
+        raise ValueError(f"max_D must be at least 2, got {max_D}")
+    if unknown := families - set(FAMILIES):
+        raise ValueError(f"unknown families: {sorted(unknown)}; choose from {FAMILIES}")
+    if not families:
+        raise ValueError("families must not be empty")
+    rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 
     def add(name: str, passed: bool, detail: str):
         results.append(CheckResult(name=name, passed=passed, detail=detail))
 
-    if "cycle_11" in config.families:
-        for k in range(1, config.max_k + 1):
+    if "cycle_11" in families:
+        for k in range(1, max_k + 1):
             spec = CycleSpec(k=k, m_colors=frozenset([1]), n_colors=frozenset([2]))
             B = make_cycle_graph(spec)
             mcs = minimal_coverings(B)
@@ -88,9 +85,9 @@ def run_verify_suite(config: VerifySuiteConfig) -> list[CheckResult]:
             add(f"cycle_11 narayana k={k}", hist == row, f"histogram={hist} expected={row}")
 
     for family, want_equal in (("cycle_mm", True), ("cycle_mn", False)):
-        if family not in config.families:
+        if family not in families:
             continue
-        for spec in _cycle_specs(config.max_k, config.max_D, want_equal):
+        for spec in _cycle_specs(max_k, max_D, want_equal):
             B = make_cycle_graph(spec)
             c = _random_ratios(rng, spec.D)
             name = (f"{family} k={spec.k} m={sorted(spec.m_colors)} n={sorted(spec.n_colors)}")
@@ -100,9 +97,9 @@ def run_verify_suite(config: VerifySuiteConfig) -> list[CheckResult]:
             except CrossCheckError as err:
                 add(name, False, str(err))
 
-    if "melonic" in config.families:
-        for D in range(3, max(config.max_D, 3) + 1):
-            for k in range(1, config.max_k + 1):
+    if "melonic" in families:
+        for D in range(3, max(max_D, 3) + 1):
+            for k in range(1, max_k + 1):
                 recipe = random_melonic_recipe(rng, D, k)
                 B = make_melonic(recipe)
                 mcs = minimal_coverings(B)
@@ -124,7 +121,7 @@ def run_verify_suite(config: VerifySuiteConfig) -> list[CheckResult]:
     B = make_cycle_graph(spec)
     N, samples = 8, 2000
     exact = gaussian_exact_mean(B, (1, 1), N)
-    tspec = TensorSpec(D=2, c=(1, 1), N=N, distribution="complex_gaussian", seed=config.seed)
+    tspec = TensorSpec(D=2, c=(1, 1), N=N, distribution="complex_gaussian", seed=seed)
     mean, stderr = monte_carlo_mean(tspec, spec, samples)
     z = abs(mean - exact) / stderr
     add("wick gaussian cycle_11 k=2 N=8", z < 4.0,
@@ -132,6 +129,3 @@ def run_verify_suite(config: VerifySuiteConfig) -> list[CheckResult]:
 
     return results
 
-
-def suite_passed(results: list[CheckResult]) -> bool:
-    return all(r.passed for r in results)

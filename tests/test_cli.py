@@ -250,6 +250,132 @@ def test_verify_stdout_is_pinned(capsys):
     assert (len(out), hashlib.sha256(out).hexdigest()) == (23_493, VERIFY_SHA256)
 
 
+# The same for `tul verify --seed 0 --format csv`, 11,357 bytes of CSV.
+VERIFY_CSV_SHA256 = "5ef6a18a273c66330f85d178eb7d02ae8b30abedfb22f253c17b25c61d7e83b0"
+
+
+def test_verify_csv_stdout_is_pinned(capsys):
+    assert main(["verify", "--seed", "0", "--format", "csv"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (11_357, VERIFY_CSV_SHA256)
+
+
+# The stdout of `tul mc` on the (1,1)-cycle at k=2 and on a D=3 melonic graph
+# at k=3, captured from the command.
+MC_CYCLE_JSON = """\
+{
+  "schema": 1,
+  "stream": 2,
+  "graph": "cycle(k=2, m_colors=[1], n_colors=[2])",
+  "distribution": "complex_gaussian",
+  "gamma": 3,
+  "predicted": 2.0,
+  "rows": [
+    {
+      "N": 2,
+      "samples": 100,
+      "mean": 15.270702911015752,
+      "stderr": 1.6571227215327817,
+      "normalized": 1.908837863876969,
+      "flagged": false
+    },
+    {
+      "N": 4,
+      "samples": 50,
+      "mean": 127.71261617287543,
+      "stderr": 9.816276996291688,
+      "normalized": 1.9955096277011786,
+      "flagged": false
+    }
+  ]
+}
+"""
+
+MC_CYCLE_CSV = """\
+graph,distribution,gamma,predicted,N,samples,mean,stderr,normalized,flagged
+"cycle(k=2, m_colors=[1], n_colors=[2])",complex_gaussian,3,2.0,2,100,15.270702911015752,\
+1.6571227215327817,1.908837863876969,False
+"cycle(k=2, m_colors=[1], n_colors=[2])",complex_gaussian,3,2.0,4,50,127.71261617287543,\
+9.816276996291688,1.9955096277011786,False
+"""
+
+MC_GRAPH_JSON = """\
+{
+  "schema": 1,
+  "stream": 2,
+  "graph": "graph(k=3, D=3)",
+  "distribution": "uniform_disc",
+  "gamma": 7,
+  "predicted": 1.0,
+  "rows": [
+    {
+      "N": 4,
+      "samples": 20,
+      "mean": 25575.220711931797,
+      "stderr": 1448.7372549502334,
+      "normalized": 1.5609875922809935,
+      "flagged": true
+    },
+    {
+      "N": 8,
+      "samples": 4,
+      "mean": 2735324.7796820444,
+      "stderr": 158947.94079627065,
+      "normalized": 1.304304494706175,
+      "flagged": true
+    }
+  ]
+}
+"""
+
+MC_GRAPH_CSV = """\
+graph,distribution,gamma,predicted,N,samples,mean,stderr,normalized,flagged
+"graph(k=3, D=3)",uniform_disc,7,1.0,4,20,25575.220711931797,1448.7372549502334,\
+1.5609875922809935,True
+"graph(k=3, D=3)",uniform_disc,7,1.0,8,4,2735324.7796820444,158947.94079627065,\
+1.304304494706175,True
+"""
+
+
+@pytest.fixture
+def melonic_mc_args(tmp_path):
+    graph = _write(tmp_path, "graph.json", json.dumps(
+        {"k": 3, "D": 3, "sigma": [[2, 1, 3], [3, 2, 1], [1, 2, 3]]}))
+    tensor = _write(tmp_path, "tensor3.json", json.dumps(
+        {"D": 3, "c": [1, 1, 1], "N": 4, "distribution": "uniform_disc", "seed": 7}))
+    return ["--spec", tensor, "--graph", graph, "--N-list", "4,8", "--samples", "20,4"]
+
+
+@pytest.mark.parametrize("route, fmt, out", [
+    ("cycle", "json", MC_CYCLE_JSON), ("cycle", "csv", MC_CYCLE_CSV),
+    ("graph", "json", MC_GRAPH_JSON), ("graph", "csv", MC_GRAPH_CSV),
+], ids=["cycle-json", "cycle-csv", "graph-json", "graph-csv"])
+def test_mc_stdout_is_pinned(capsys, tensor_spec_file, cycle_spec_file, melonic_mc_args,
+                             route, fmt, out):
+    if route == "cycle":
+        args = ["--spec", tensor_spec_file, "--cycle", cycle_spec_file,
+                "--N-list", "2,4", "--samples", "100,50"]
+    else:
+        args = melonic_mc_args
+    assert main(["mc", *args, "--format", fmt]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_mc_json_and_csv_rows_hold_the_same_values(capsys, tensor_spec_file, cycle_spec_file):
+    argv = ["mc", "--spec", tensor_spec_file, "--cycle", cycle_spec_file,
+            "--N-list", "2,4,8", "--samples", "100,50,20"]
+    code, data = run_json(capsys, argv)
+    assert code == 0
+    assert main([*argv, "--format", "csv"]) == 0
+    table = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    head = {key: data[key] for key in ("graph", "distribution", "gamma", "predicted")}
+    assert len(table) == len(data["rows"]) == 3
+    for csv_row, json_row in zip(table, data["rows"]):
+        assert list(csv_row) == [*head, *json_row]
+        # JSON reads each float back to the same double, whose str is its CSV text
+        assert csv_row == {key: str(value) for key, value in {**head, **json_row}.items()}
+
+
 def test_enumerate_missing_file(capsys, tmp_path):
     code = main(["enumerate", "--graph", str(tmp_path / "nope.json")])
     assert code == 2
@@ -408,6 +534,20 @@ def test_asym_bad_ratio(capsys, tmp_path):
     code = main(["asym", "--family", "cycle", "--spec", str(path), "--c", "1,zap"])
     assert code == 2
     assert "'c[2]'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, spec, ratios, out", [
+    ("cycle", {"k": 2, "m_colors": [1], "n_colors": [2, 3]}, "2,1,1/2",
+     "family,gamma,coefficient\ncycle_mn,5,0.5\n"),
+    ("melonic", {"D": 3, "steps": [[1, 1], [2, 1], [3, 1], [1, 2], [2, 2], [3, 2], [1, 3],
+                                   [2, 3], [3, 3], [2, 4], [3, 4]]}, "2,1,1",
+     "family,gamma,coefficient\nmelonic,25,512.0\n"),
+], ids=["cycle", "melonic"])
+def test_asym_csv_stdout_is_pinned(capsys, tmp_path, family, spec, ratios, out):
+    path = _write(tmp_path, "spec.json", json.dumps(spec))
+    assert main(["asym", "--family", family, "--spec", path, "--c", ratios,
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_asym_csv(capsys, tmp_path):

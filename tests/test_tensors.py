@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -447,6 +448,17 @@ def test_monte_carlo_mean_wick():
 # color of three, so every pairwise step of a 3-tensor network holds N^4
 # entries, 2^28 at N=128
 K33 = ColoredGraph(k=3, sigma=((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+
+
+def test_monte_carlo_mean_refuses_draws_past_the_double_range():
+    # the (1,1)-cycle at k=128, N=64: each draw is near N^129 ~ 1e233, so the
+    # power of the Gram overflows to inf, and the standard error is inf - inf
+    spec = CycleSpec(k=128, m_colors=frozenset([1]), n_colors=frozenset([2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            monte_carlo_mean(gaussian_spec(2, 64), spec, 4)
+    assert str(exc.value) == "the draws left the double range: mean inf, standard error nan"
 
 
 def test_monte_carlo_network_budget_refused_before_any_draw(monkeypatch):
