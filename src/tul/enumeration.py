@@ -6,10 +6,11 @@ A covering of a D-colored graph B is a pairing tau in S_k, and its
 alone.  `_face_column` counts them for all k! pairings of lexicographic S_k
 at once, in numpy, by pointer jumping over (k-1)! rows at a time, and caches
 the int8 column per sigma_i.  A pass stacks the columns of B's colors in
-B's own order, and `covering_pass` reads two things off the stack:
+B's own order, and `covering_pass` reads one record, `CoveringPass`, off it:
 
   histogram  {zero_faces: multiplicity}, the whole finite-N Wick sum
-  minimal    the face-maximizing coverings, which carry its leading term
+  gamma      the maximal total face count, the leading power of N
+  members    the face-maximizing coverings, which carry the leading term
 
 Graphs whose sigma rows repeat share columns: every (m,n)-cycle of one k
 stacks the same two, the identity and the shift.  Gamma, the
@@ -50,29 +51,22 @@ _CACHED_COLUMNS = 32
 
 
 @dataclass(frozen=True)
-class MinimalCoveringSet:
-    """All pairings attaining the maximal total face count gamma, as pairs
-    (tau, zero_faces); every zero_faces tuple sums to gamma."""
+class CoveringPass:
+    """What one pass over S_k yields for a graph.
 
+    histogram maps each per-color zero-face vector to the number of pairings
+    that have it, so its values sum to k!.  gamma is the maximal total face
+    count, and members holds every pairing that attains it as a pair (tau,
+    zero_faces), in lexicographic order; each zero_faces sums to gamma.
+    """
+
+    histogram: Mapping[tuple[int, ...], int]
     gamma: int
     members: tuple[tuple[Perm, tuple[int, ...]], ...]
 
     @property
     def count(self) -> int:
         return len(self.members)
-
-
-@dataclass(frozen=True)
-class CoveringPass:
-    """What one pass over S_k yields for a graph.
-
-    histogram maps each per-color zero-face vector to the number of pairings
-    that have it, so its values sum to k!; minimal holds the pairings of
-    maximal total, in lexicographic order.
-    """
-
-    histogram: Mapping[tuple[int, ...], int]
-    minimal: MinimalCoveringSet
 
 
 @functools.lru_cache(maxsize=None)
@@ -178,10 +172,9 @@ def covering_pass(B: ColoredGraph) -> CoveringPass:
     totals = faces.sum(axis=1, dtype=np.int64)  # int8 would overflow past 127
     gamma = int(totals.max())
     hit = totals == gamma
-    minimal = MinimalCoveringSet(gamma=gamma, members=tuple(
-        (tuple(tau), tuple(zero))
-        for tau, zero in zip(_lex_perms(B.k)[hit].tolist(), faces[hit].tolist())))
-    return CoveringPass(histogram=MappingProxyType(histogram), minimal=minimal)
+    members = tuple((tuple(tau), tuple(zero))
+                    for tau, zero in zip(_lex_perms(B.k)[hit].tolist(), faces[hit].tolist()))
+    return CoveringPass(histogram=MappingProxyType(histogram), gamma=gamma, members=members)
 
 
 # enumerate_coverings and limit_coefficient are run by no consumer and are
@@ -198,16 +191,16 @@ def enumerate_coverings(B: ColoredGraph) -> Iterator[tuple[Perm, tuple[int, ...]
             yield tuple(tau), tuple(zero)
 
 
-def minimal_coverings(B: ColoredGraph) -> MinimalCoveringSet:
-    """Every maximizer of the total face count, in lexicographic order."""
-    return covering_pass(B).minimal
+def minimal_coverings(B: ColoredGraph) -> CoveringPass:
+    """covering_pass(B) itself, whose members are the face-maximizing coverings."""
+    return covering_pass(B)
 
 
 def minimal_faces(B: ColoredGraph) -> dict[tuple[int, ...], int]:
     """{zero_faces: count} over the minimal coverings of B: the face
     histogram of covering_pass restricted to the vectors of total gamma."""
     sweep = covering_pass(B)
-    return {zero: n for zero, n in sweep.histogram.items() if sum(zero) == sweep.minimal.gamma}
+    return {zero: n for zero, n in sweep.histogram.items() if sum(zero) == sweep.gamma}
 
 
 def face_sum(faces: Mapping[tuple[int, ...], int], c) -> Fraction:

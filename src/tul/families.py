@@ -1,13 +1,13 @@
-"""Constructors for the named graph families: dipoles, melonic graphs, and
-cycle graphs with multiple edges.
+"""Constructors for the named graph families: melonic graphs and cycle
+graphs with multiple edges.
 
-Melonic graphs are grown from a dipole by repeatedly cutting an edge and
-splicing in a two-vertex remnant joined by the remaining D-1 colors; a
-recipe records the cut sequence so construction is reproducible.  The recipe
-alone fixes the closed form (asymptotics.melonic_faces), so no graph is
-tested for melonicity here.  Cycle graphs alternate m-dipoles and n-dipoles
-around a ring, realized as identity permutations for the m-colors and the
-cyclic shift for the n-colors.
+Melonic graphs are grown from the D-dipole, make_melonic(MelonicRecipe(D=D)),
+by repeatedly cutting an edge and splicing in a two-vertex remnant joined by
+the remaining D-1 colors; a recipe records the cut sequence so construction
+is reproducible.  The recipe alone fixes the closed form
+(asymptotics.melonic_faces), so no graph is tested for melonicity here.
+Cycle graphs alternate m-dipoles and n-dipoles around a ring, realized as
+identity permutations for the m-colors and the cyclic shift for the n-colors.
 """
 
 from __future__ import annotations
@@ -85,13 +85,6 @@ class CycleSpec:
     @property
     def D(self) -> int:
         return self.m + self.n
-
-
-def make_dipole(D: int) -> ColoredGraph:
-    """The unique D-colored graph on two vertices: D parallel edges."""
-    if D < 1:
-        raise ValueError(f"D must be positive, got {D}")
-    return ColoredGraph(k=1, sigma=tuple(identity(1) for _ in range(D)))
 
 
 def make_melonic(recipe: MelonicRecipe) -> ColoredGraph:

@@ -21,13 +21,6 @@ def identity(k: int) -> Perm:
     return tuple(range(k))
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """p after q: result[i] = p[q[i]]."""
-    if len(p) != len(q):
-        raise ValueError(f"cannot compose permutations of lengths {len(p)} and {len(q)}")
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
 def inverse(p: Perm) -> Perm:
     inv = [0] * len(p)
     for i, j in enumerate(p):
@@ -51,20 +44,6 @@ def cycles(p: Perm) -> tuple[tuple[int, ...], ...]:
             j = p[j]
         out.append(tuple(cyc))
     return tuple(out)
-
-
-def cycle_count(p: Perm) -> int:
-    seen = [False] * len(p)
-    count = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        count += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-    return count
 
 
 def to_one_based(p: Perm) -> tuple[int, ...]:

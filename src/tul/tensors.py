@@ -12,7 +12,7 @@ Three independent evaluation routes are kept deliberately separate:
            DEFAULT_NAIVE_BUDGET terms; an oracle only, never run by Monte Carlo
   network  contracts a stack of tensors over any colored graph pairwise, in
            one einsum per block along a cached greedy order, with a sample
-           label first in every operand; Monte Carlo on a ColoredGraph
+           label unless the block holds one; Monte Carlo on a ColoredGraph
   cycle    matricizes each tensor of a stack and takes tr((M^H M)^k);
            Monte Carlo on a CycleSpec
 The naive and network routes share only the einsum label lists of the
@@ -61,8 +61,8 @@ DISTRIBUTIONS = ("complex_gaussian", "complex_rademacher", "uniform_disc")
 DEFAULT_NAIVE_BUDGET = 10 ** 8
 
 # The distinct labels one einsum call takes (a-z, A-Z): a network
-# contraction uses one for the sample axis and, per tensor axis of size
-# > 1, one for each of the graph's k white vertices.
+# contraction counts one for the sample axis, even where a block of one drops
+# it, and one per white vertex on each tensor axis of size > 1.
 EINSUM_LABELS = 52
 
 # TensorSpec refuses tensors with more entries: 1 GiB of complex128.  The
@@ -279,15 +279,20 @@ def trace_invariant_naive(T: np.ndarray, B: ColoredGraph) -> float:
 def _network_operands(T_stack, Tc_stack, B: ColoredGraph, axes):
     """einsum's interleaved operands for a stack of tensors over B: the
     white labels on T_stack and the black ones on its conjugate, each after
-    the sample label k*len(axes), which alone is kept."""
+    the sample label k*len(axes), which alone is kept.  A stack of one is
+    contracted as its one tensor, with no sample label and a scalar output,
+    so that a pairwise step can reach BLAS instead of a batched loop."""
     whites, blacks = _vertex_labels(B, axes)
-    sample = B.k * len(axes)
+    if len(T_stack) == 1:
+        T_stack, Tc_stack, head = T_stack[0], Tc_stack[0], ()
+    else:
+        head = (B.k * len(axes),)
     operands: list = []
     for labels in whites:
-        operands += (T_stack, (sample, *labels))
+        operands += (T_stack, (*head, *labels))
     for labels in blacks:
-        operands += (Tc_stack, (sample, *labels))
-    return operands + [(sample,)]
+        operands += (Tc_stack, (*head, *labels))
+    return operands + [head]
 
 
 # A Monte Carlo mean contracts blocks of at most two shapes, the full one
@@ -352,8 +357,8 @@ def _network_plan(shape: tuple[int, ...], B: ColoredGraph):
 
 def _network_values(T_stack: np.ndarray, B: ColoredGraph) -> np.ndarray:
     """Real part of the invariant of B for each tensor in a stack, by one
-    einsum along the greedy pairwise path of _network_plan, with the sample
-    label first in every operand and the conjugate stack taken once.
+    einsum along the greedy pairwise path of _network_plan, on the operands of
+    _network_operands with the conjugate stack taken once.
 
     Size-1 axes carry no label; when every axis has size 1 the invariant of
     each tensor is the single term |t|^(2k).
@@ -365,7 +370,7 @@ def _network_values(T_stack: np.ndarray, B: ColoredGraph) -> np.ndarray:
         return np.abs(T_stack.reshape(count)) ** (2 * B.k)
     T_stack = T_stack.reshape(count, *(T_stack.shape[1 + i] for i in axes))
     operands = _network_operands(T_stack, np.conj(T_stack), B, axes)
-    return np.einsum(*operands, optimize=path).real
+    return np.einsum(*operands, optimize=path).real.reshape(count)
 
 
 def trace_invariant_network(T: np.ndarray, B: ColoredGraph) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from tul.families import CycleSpec
 from tul.graphs import ColoredGraph, is_connected
-from tul.permutations import Perm, compose, cycle_count, inverse, is_perm
+from tul.permutations import Perm, cycles, inverse, is_perm
 from tul.tensors import (TensorSpec, UniversalityReport, trace_invariant_cycle,
                          trace_invariant_naive)
 
@@ -99,7 +99,7 @@ def face_profile(G: CoveringGraph) -> tuple[int, ...]:
     """Count (0,i)-faces for every color i: entry i-1 is the cycle count of
     tau^-1 * sigma_i."""
     inv_tau = inverse(G.tau)
-    return tuple(cycle_count(compose(inv_tau, s)) for s in G.base.sigma)
+    return tuple(len(cycles(tuple(inv_tau[j] for j in s))) for s in G.base.sigma)
 
 
 def genus(G: CoveringGraph) -> Fraction:
@@ -110,7 +110,8 @@ def genus(G: CoveringGraph) -> Fraction:
     if G.base.D != 2:
         raise ValueError(f"genus is only supported for D=2 coverings, got D={G.base.D}")
     sigma = G.base.sigma
-    faces = sum(face_profile(G)) + cycle_count(compose(inverse(sigma[1]), sigma[0]))
+    inv_sigma = inverse(sigma[1])
+    faces = sum(face_profile(G)) + len(cycles(tuple(inv_sigma[j] for j in sigma[0])))
     k = G.base.k
     return Fraction(2 - (faces - 3 * k + 2 * k), 2)
 

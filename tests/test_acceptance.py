@@ -17,8 +17,8 @@ from reference import (CoveringGraph, face_profile, genus, margins, narayana_rec
 from tul.asymptotics import cross_check
 from tul.enumeration import (catalan, minimal_coverings, narayana_face_distribution,
                              narayana_row)
-from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole,
-                          make_melonic, random_melonic_recipe)
+from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic,
+                          random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
 from tul.tensors import (TensorSpec, gaussian_exact_mean, monte_carlo_mean,
                          trace_invariant_cycle, trace_invariant_naive, trace_invariant_network,
@@ -134,7 +134,7 @@ def test_criterion_5_wick_exactness():
         (cyc(2, [1, 3], [2, 4]), (1, 1, Fraction(3, 2), 1), 2),
         (make_melonic(MelonicRecipe(D=3, steps=((1, 1),))), (1, 1, 1), 2),
         (make_melonic(MelonicRecipe(D=3, steps=((2, 1), (3, 1)))), (1, 1, 1), 2),
-        (make_dipole(4), (1, 1, 1, 1), 3),
+        (make_melonic(MelonicRecipe(D=4)), (1, 1, 1, 1), 3),
     ]
     assert len(configs) >= 20
     worst = 0.0

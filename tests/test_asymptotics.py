@@ -10,10 +10,10 @@ from tul.asymptotics import (AsymptoticPrediction, CrossCheckError, CrossCheckRe
                              predict_generic, predict_melonic)
 from tul.enumeration import (MAX_K, catalan, covering_pass, face_sum, minimal_coverings,
                              minimal_faces)
-from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole,
-                          make_melonic, random_melonic_recipe)
+from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic,
+                          random_melonic_recipe)
 from tul.graphs import side_ratios
-from tul.permutations import cycle_count
+from tul.permutations import cycles
 
 
 def test_prediction_validation():
@@ -81,7 +81,7 @@ def test_property_melonic_faces_are_the_identity_coverings(recipe):
     # make_melonic gives each inserted white vertex its own black one, so the
     # dominant covering is the identity and its faces are the cycles of sigma_i
     B = make_melonic(recipe)
-    assert melonic_faces(recipe) == {tuple(cycle_count(s) for s in B.sigma): 1}
+    assert melonic_faces(recipe) == {tuple(len(cycles(s)) for s in B.sigma): 1}
 
 
 def test_predict_melonic_past_the_sweep_cap():
@@ -183,9 +183,9 @@ def test_cross_check_families_pass():
 def test_cross_check_rejects_mismatched_inputs():
     spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2]))
     with pytest.raises(ValueError, match="does not match"):
-        cross_check(make_dipole(2), spec, (1, 1))
+        cross_check(make_melonic(MelonicRecipe(D=2)), spec, (1, 1))
     with pytest.raises(TypeError):
-        cross_check(make_dipole(2), "dipole", (1, 1))
+        cross_check(make_melonic(MelonicRecipe(D=2)), "dipole", (1, 1))
 
 
 def test_cross_check_error_carries_diff():

@@ -672,6 +672,24 @@ def test_verify_bad_family(capsys):
     assert "families" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("families, message", [
+    ("", "families must not be empty"),
+    (",", "unknown families: ['']"),
+], ids=["empty", "comma"])
+def test_verify_empty_family_names_are_refused(capsys, monkeypatch, families, message):
+    # "" is the empty family set, not the flag's default of every family
+    def no_column(*args):
+        raise AssertionError("a face column was computed")
+
+    monkeypatch.setattr("tul.enumeration._face_column", no_column)
+    code = main(["verify", "--families", families, "--max-k", "1", "--max-D", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
 def test_verify_k_over_cap(capsys, monkeypatch):
     def no_column(*args):
         raise AssertionError("a face column was computed")

@@ -13,7 +13,7 @@ from tul.asymptotics import cross_check
 from tul.enumeration import (MAX_K, catalan, covering_pass, enumerate_coverings,
                              limit_coefficient, minimal_coverings, narayana_face_distribution,
                              narayana_row)
-from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic,
+from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic,
                           random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
 from tul.tensors import gaussian_exact_mean
@@ -26,7 +26,7 @@ def two_color_cycle(k):
 def test_enumerate_single_covering_k1():
     # the pass's stack has one row per pairing of S_k
     assert enumeration._lex_perms(1).tolist() == [[0]]
-    assert enumeration._faces(make_dipole(3)).tolist() == [[1, 1, 1]]
+    assert enumeration._faces(make_melonic(MelonicRecipe(D=3))).tolist() == [[1, 1, 1]]
 
 
 def test_enumerate_yields_all_pairings_in_order():
@@ -126,7 +126,7 @@ def test_limit_coefficient_errors():
 def test_property_library_floats_are_read_exactly(x):
     # a positive finite float is read as its exact value, so no rounding: the
     # dipole's coefficient is c itself
-    assert limit_coefficient(make_dipole(1), [x]) == Fraction(x)
+    assert limit_coefficient(make_melonic(MelonicRecipe(D=1)), [x]) == Fraction(x)
 
 
 def test_catalan_values():
@@ -190,7 +190,7 @@ def test_narayana_face_distribution_anchor_symmetry():
 
 def test_narayana_face_distribution_rejects_other_graphs():
     with pytest.raises(ValueError):
-        narayana_face_distribution(make_dipole(3), 1)
+        narayana_face_distribution(make_melonic(MelonicRecipe(D=3)), 1)
     with pytest.raises(ValueError):
         narayana_face_distribution(two_color_cycle(2), 3)
 
@@ -228,7 +228,7 @@ def _pass_graphs():
     for D in (3, 4, 5):
         for k in range(1, 7):
             graphs.append(make_melonic(random_melonic_recipe(rng, D, k)))
-    graphs += [make_dipole(D) for D in range(1, 6)]
+    graphs += [make_melonic(MelonicRecipe(D=D)) for D in range(1, 6)]
     while len(graphs) < 300:
         k, D = int(rng.integers(2, 7)), int(rng.integers(1, 5))
         B = ColoredGraph(k=k, sigma=tuple(tuple(int(x) for x in rng.permutation(k))
@@ -252,9 +252,9 @@ def test_pass_matches_face_profile_for_every_covering():
         result = covering_pass(B)
         assert dict(result.histogram) == Counter(zero for _, zero in expected), B
         gamma = max(sum(zero) for _, zero in expected)
-        assert result.minimal.gamma == gamma
-        assert result.minimal.members == tuple((tau, zero) for tau, zero in expected
-                                               if sum(zero) == gamma), B
+        assert result.gamma == gamma
+        assert result.members == tuple((tau, zero) for tau, zero in expected
+                                       if sum(zero) == gamma), B
 
 
 def test_pass_histogram_sums_to_k_factorial():
@@ -270,11 +270,20 @@ def test_pass_histogram_is_read_only():
         covering_pass(two_color_cycle(3)).histogram[(1, 1)] = 7
 
 
+def test_minimal_coverings_is_the_pass_record():
+    for B in PASS_GRAPHS:
+        result = minimal_coverings(B)
+        assert result is covering_pass(B)
+        assert result.count == len(result.members)
+        assert sum(n for zero, n in result.histogram.items()
+                   if sum(zero) == result.gamma) == result.count, B
+
+
 def test_pass_k1():
-    result = covering_pass(make_dipole(4))
+    result = covering_pass(make_melonic(MelonicRecipe(D=4)))
     assert dict(result.histogram) == {(1, 1, 1, 1): 1}
-    assert result.minimal.gamma == 4
-    assert result.minimal.members[0][0] == (0,)
+    assert result.gamma == 4
+    assert result.members[0][0] == (0,)
 
 
 def test_pass_many_colors():
@@ -290,10 +299,10 @@ def test_pass_many_colors():
         result = covering_pass(B)
         assert dict(result.histogram) == Counter(zero for _, zero in expected)
         gamma = max(sum(zero) for _, zero in expected)
-        assert result.minimal.gamma == gamma
-        assert result.minimal.members == tuple((tau, zero) for tau, zero in expected
-                                               if sum(zero) == gamma)
-    assert covering_pass(graphs[-1]).minimal.gamma == 188
+        assert result.gamma == gamma
+        assert result.members == tuple((tau, zero) for tau, zero in expected
+                                       if sum(zero) == gamma)
+    assert covering_pass(graphs[-1]).gamma == 188
 
 
 def test_pass_errors_come_before_any_sweep():
@@ -382,8 +391,8 @@ def test_property_relabeling_colors_permutes_the_pass(B, data):
 
     assert dict(b.histogram) == {permuted(zero): n for zero, n in a.histogram.items()}
     assert list(b.histogram) == sorted(b.histogram)
-    assert b.minimal.gamma == a.minimal.gamma
-    assert [tau for tau, _ in b.minimal.members] == [tau for tau, _ in a.minimal.members]
-    for (tau, zero), (_, other) in zip(b.minimal.members, a.minimal.members):
+    assert b.gamma == a.gamma
+    assert [tau for tau, _ in b.members] == [tau for tau, _ in a.members]
+    for (tau, zero), (_, other) in zip(b.members, a.members):
         assert zero == permuted(other)
         assert zero == face_profile(CoveringGraph(base=B_pi, tau=tau))

@@ -7,20 +7,11 @@ from hypothesis import given, settings, strategies as st
 from reference import is_melonic
 from tul.enumeration import minimal_coverings
 from tul.families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict,
-                          cycle_spec_to_json_dict, make_cycle_graph, make_dipole,
-                          make_melonic, melonic_recipe_from_json_dict,
-                          melonic_recipe_to_json_dict, random_melonic_recipe)
+                          cycle_spec_to_json_dict, make_cycle_graph, make_melonic,
+                          melonic_recipe_from_json_dict, melonic_recipe_to_json_dict,
+                          random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
 from tul.permutations import identity
-
-
-def test_make_dipole():
-    B = make_dipole(4)
-    assert B.k == 1
-    assert B.D == 4
-    assert all(s == (0,) for s in B.sigma)
-    with pytest.raises(ValueError):
-        make_dipole(0)
 
 
 def test_melonic_recipe_validation():
@@ -44,7 +35,15 @@ def test_make_melonic_single_insertion():
 
 
 def test_make_melonic_dipole_for_empty_recipe():
-    assert make_melonic(MelonicRecipe(D=5, steps=())) == make_dipole(5)
+    # the recipe with no cuts is the D-dipole: two vertices joined by all D colors
+    for D in range(1, 7):
+        B = make_melonic(MelonicRecipe(D=D, steps=()))
+        assert B.k == 1
+        assert B.D == D
+        assert all(s == (0,) for s in B.sigma)
+        assert B == ColoredGraph(k=1, sigma=((0,),) * D)
+    with pytest.raises(ValueError, match="D must be positive"):
+        MelonicRecipe(D=0)
 
 
 def test_melonic_graphs_are_melonic():
@@ -82,8 +81,8 @@ def test_is_melonic_negative():
 
 
 def test_is_melonic_dipole_any_D():
-    assert is_melonic(make_dipole(2))
-    assert is_melonic(make_dipole(1))
+    assert is_melonic(make_melonic(MelonicRecipe(D=2)))
+    assert is_melonic(make_melonic(MelonicRecipe(D=1)))
 
 
 def test_is_melonic_requires_connected():

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tul.families import CycleSpec, make_cycle_graph, make_dipole
+from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic
 from reference import CoveringGraph, face_profile, genus
 from tul.graphs import (MAX_DECIMAL_EXPONENT, ColoredGraph, graph_from_json_dict,
                         graph_to_json_dict, is_connected, side_ratios)
@@ -38,7 +38,7 @@ def test_covering_graph_validation():
 
 
 def test_dipole_face_profile():
-    B = make_dipole(3)
+    B = make_melonic(MelonicRecipe(D=3))
     profile = face_profile(CoveringGraph(base=B, tau=(0,)))
     assert profile == (1, 1, 1)
     assert sum(profile) == 3
@@ -53,7 +53,7 @@ def test_face_totals_two_color_cycle_k3():
 
 
 def test_is_connected():
-    assert is_connected(make_dipole(4))
+    assert is_connected(make_melonic(MelonicRecipe(D=4)))
     assert is_connected(two_color_cycle(3))
     # identity on both colors with k=2: two disjoint white/black pairs
     B = ColoredGraph(k=2, sigma=((0, 1), (0, 1)))
@@ -76,7 +76,7 @@ def test_genus_integer_nonnegative():
 
 
 def test_genus_requires_two_colors():
-    B = make_dipole(3)
+    B = make_melonic(MelonicRecipe(D=3))
     with pytest.raises(ValueError):
         genus(CoveringGraph(base=B, tau=(0,)))
 

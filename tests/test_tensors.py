@@ -12,11 +12,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from reference import (apply_unitaries, cycle_value_reference, cycle_values_fresh,
                        cycle_values_spectral, margins, random_unitary, uniform_disc_block,
                        unitary_invariance_check)
-from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_dipole, make_melonic
+from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic
 from tul.graphs import ColoredGraph, is_connected
 from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISC_CHUNK, DISTRIBUTIONS,
                          EINSUM_LABELS, MAX_TENSOR_ENTRIES, TensorSpec, _check_naive_contraction,
-                         _cycle_values, _network_plan, _network_values,
+                         _cycle_values, _network_operands, _network_plan, _network_values,
                          gaussian_exact_mean, monte_carlo_mean, sample_tensor,
                          tensor_spec_from_json_dict, trace_invariant_cycle, trace_invariant_naive,
                          trace_invariant_network, universality_scan)
@@ -284,7 +284,7 @@ def test_property_cycle_values_match_complex_gram(case):
 def test_naive_k1_is_squared_norm():
     rng = np.random.default_rng(1)
     T = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
-    B = make_dipole(3)
+    B = make_melonic(MelonicRecipe(D=3))
     assert trace_invariant_naive(T, B) == pytest.approx(float(np.sum(np.abs(T) ** 2)), rel=1e-12)
 
 
@@ -365,7 +365,7 @@ def test_property_naive_homogeneity(case, lam):
 
 
 def test_naive_shape_mismatch():
-    B = make_dipole(3)
+    B = make_melonic(MelonicRecipe(D=3))
     with pytest.raises(ValueError, match="axes"):
         trace_invariant_naive(np.zeros((2, 2)), B)
 
@@ -401,7 +401,7 @@ def test_cycle_shape_mismatch():
 
 
 def test_gaussian_exact_mean_k1():
-    B = make_dipole(3)
+    B = make_melonic(MelonicRecipe(D=3))
     assert gaussian_exact_mean(B, (1, 2, 3), 2) == 2 * 4 * 6
 
 
@@ -549,6 +549,27 @@ def test_network_values_stack_is_slice_by_slice(graph, dims):
     assert values.tolist() == [trace_invariant_network(T, graph) for T in stack]
     assert values.tolist() == pytest.approx(
         [trace_invariant_naive(T, graph) for T in stack], rel=1e-9)
+
+
+def test_network_one_sample_block_has_no_sample_label():
+    # at N=16 a D=3 block holds one tensor, contracted without the sample
+    # label k * D = 9 (test_network_label_limit: the label count keeps it)
+    B = ColoredGraph(k=3, sigma=((1, 0, 2), (2, 1, 0), (0, 1, 2)))
+    dims, axes, sample = (16, 16, 16), (0, 1, 2), 9
+    spec = TensorSpec(D=3, c=(1, 1, 1), N=16, distribution="uniform_disc", seed=7)
+    assert block_size(spec) == 1
+    stack = sample_tensor(spec, 0, 2)
+    one = _network_operands(stack[:1], stack[:1], B, axes)
+    assert one[-1] == ()
+    for operand, labels in zip(one[:-1:2], one[1:-1:2]):
+        assert operand.shape == dims
+        assert sample not in labels
+    two = _network_operands(stack, stack, B, axes)
+    assert two[-1] == (sample,)
+    assert all(labels[0] == sample for labels in two[1:-1:2])
+    value = _network_values(stack[:1], B)
+    assert value.shape == (1,)
+    assert value[0] == pytest.approx(_network_values(stack, B)[0], rel=1e-13)
 
 
 @st.composite
