@@ -14,6 +14,16 @@ from tul.graphs import ColoredGraph, is_connected
 from tul.permutations import identity
 
 
+def test_make_dipole():
+    # the D-dipole is the melonic recipe with no cuts
+    B = make_melonic(MelonicRecipe(D=4))
+    assert B.k == 1
+    assert B.D == 4
+    assert all(s == (0,) for s in B.sigma)
+    with pytest.raises(ValueError, match="D must be positive"):
+        MelonicRecipe(D=0)
+
+
 def test_melonic_recipe_validation():
     MelonicRecipe(D=3, steps=())
     MelonicRecipe(D=3, steps=((2, 1), (3, 2)))
@@ -35,15 +45,9 @@ def test_make_melonic_single_insertion():
 
 
 def test_make_melonic_dipole_for_empty_recipe():
-    # the recipe with no cuts is the D-dipole: two vertices joined by all D colors
+    # two vertices joined by all D colors
     for D in range(1, 7):
-        B = make_melonic(MelonicRecipe(D=D, steps=()))
-        assert B.k == 1
-        assert B.D == D
-        assert all(s == (0,) for s in B.sigma)
-        assert B == ColoredGraph(k=1, sigma=((0,),) * D)
-    with pytest.raises(ValueError, match="D must be positive"):
-        MelonicRecipe(D=0)
+        assert make_melonic(MelonicRecipe(D=D, steps=())) == ColoredGraph(k=1, sigma=((0,),) * D)
 
 
 def test_melonic_graphs_are_melonic():
