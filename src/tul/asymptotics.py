@@ -27,8 +27,6 @@ from .enumeration import face_sum, minimal_faces, narayana_row
 from .families import CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic
 from .graphs import ColoredGraph, e_notation, side_ratios
 
-_FAMILIES = ("melonic", "cycle_11", "cycle_mm", "cycle_mn", "generic")
-
 
 @dataclass(frozen=True)
 class AsymptoticPrediction:
@@ -37,14 +35,6 @@ class AsymptoticPrediction:
     gamma: int
     coefficient: float
     family: str
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if not self.coefficient > 0:
-            raise ValueError(f"coefficient must be positive, got {self.coefficient}")
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family tag {self.family!r}")
 
 
 # A coefficient whose estimated log10 lies 20 decades outside the double

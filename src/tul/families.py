@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ColoredGraph, is_json_int
+from .graphs import ColoredGraph, is_json_int, json_fields
 from .permutations import identity
 
 Step = tuple[int, int]  # (color, white vertex), both 1-based
@@ -129,18 +129,12 @@ def make_cycle_graph(spec: CycleSpec) -> ColoredGraph:
 # ---------------------------------------------------------------------------
 
 def cycle_spec_from_json_dict(data) -> CycleSpec:
-    if not isinstance(data, dict):
-        raise ValueError("cycle spec JSON must be an object")
-    for key in ("k", "m_colors", "n_colors"):
-        if key not in data:
-            raise ValueError(f"cycle spec JSON is missing field '{key}'")
-    for key in ("m_colors", "n_colors"):
-        if not isinstance(data[key], list) or not all(is_json_int(x) for x in data[key]):
+    k, m_colors, n_colors = json_fields(data, "cycle spec", ("k", "m_colors", "n_colors"))
+    for key, colors in (("m_colors", m_colors), ("n_colors", n_colors)):
+        if not isinstance(colors, list) or not all(is_json_int(x) for x in colors):
             raise ValueError(f"field '{key}' must be a list of integers")
-    if not is_json_int(data["k"]):
-        raise ValueError(f"field 'k' must be an integer, got {data['k']!r}")
-    return CycleSpec(k=data["k"], m_colors=frozenset(data["m_colors"]),
-                     n_colors=frozenset(data["n_colors"]))
+    json_fields(data, "cycle spec", ints=("k",))
+    return CycleSpec(k=k, m_colors=frozenset(m_colors), n_colors=frozenset(n_colors))
 
 
 def cycle_spec_to_json_dict(spec: CycleSpec) -> dict:
@@ -148,19 +142,12 @@ def cycle_spec_to_json_dict(spec: CycleSpec) -> dict:
 
 
 def melonic_recipe_from_json_dict(data) -> MelonicRecipe:
-    if not isinstance(data, dict):
-        raise ValueError("melonic recipe JSON must be an object")
-    for key in ("D", "steps"):
-        if key not in data:
-            raise ValueError(f"melonic recipe JSON is missing field '{key}'")
-    if not is_json_int(data["D"]):
-        raise ValueError(f"field 'D' must be an integer, got {data['D']!r}")
-    steps = data["steps"]
+    D, steps = json_fields(data, "melonic recipe", ("D", "steps"), ints=("D",))
     if (not isinstance(steps, list)
             or not all(isinstance(s, list) and len(s) == 2
                        and all(is_json_int(x) for x in s) for s in steps)):
         raise ValueError("field 'steps' must be a list of [color, white_vertex] pairs")
-    return MelonicRecipe(D=data["D"], steps=tuple((c, v) for c, v in steps))
+    return MelonicRecipe(D=D, steps=tuple((c, v) for c, v in steps))
 
 
 def melonic_recipe_to_json_dict(recipe: MelonicRecipe) -> dict:

@@ -10,6 +10,9 @@ reduces to permutation cycle counting.
 All values are immutable after construction; invalid permutation data is
 rejected at construction time.  Disconnected graphs are accepted here (the
 enumeration layer refuses them) so that degenerate cases stay unit-testable.
+
+json_fields is the one check of the object, required fields and integer
+fields of every JSON input: graph, cycle spec, melonic recipe, tensor spec.
 """
 
 from __future__ import annotations
@@ -122,21 +125,33 @@ def side_ratios(c, D: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def json_fields(data, what: str, required=(), ints=(), positive=False) -> tuple:
+    """The values of the required fields of data, the JSON object of a `what`.
+
+    It refuses, in this order, data that is not an object, the first field of
+    required that data lacks, and the first field of ints that data holds and
+    that is not a JSON integer, or with positive not a positive one.  A reader
+    that checks other fields before an integer field calls it again for that
+    field alone, so that a multiply-malformed input names its first fault.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what} JSON is missing field '{key}'")
+    for key in ints:
+        if key in data and not (is_json_int(data[key]) and (data[key] > 0 or not positive)):
+            noun = "a positive integer" if positive else "an integer"
+            raise ValueError(f"field '{key}' must be {noun}, got {data[key]!r}")
+    return tuple(data[key] for key in required)
+
+
 def graph_to_json_dict(B: ColoredGraph) -> dict:
     return {"k": B.k, "D": B.D, "sigma": [[j + 1 for j in s] for s in B.sigma]}
 
 
 def graph_from_json_dict(data) -> ColoredGraph:
-    if not isinstance(data, dict):
-        raise ValueError("graph JSON must be an object")
-    for key in ("k", "D", "sigma"):
-        if key not in data:
-            raise ValueError(f"graph JSON is missing field '{key}'")
-    k, D, sigma = data["k"], data["D"], data["sigma"]
-    if not is_json_int(k) or k < 1:
-        raise ValueError(f"field 'k' must be a positive integer, got {k!r}")
-    if not is_json_int(D) or D < 1:
-        raise ValueError(f"field 'D' must be a positive integer, got {D!r}")
+    k, D, sigma = json_fields(data, "graph", ("k", "D", "sigma"), ints=("k", "D"), positive=True)
     if not isinstance(sigma, list):
         raise ValueError("field 'sigma' must be a list of rows")
     if len(sigma) != D:

@@ -53,7 +53,7 @@ import numpy as np
 from .asymptotics import predict_cycle, predict_generic
 from .enumeration import covering_pass, face_sum
 from .families import CycleSpec
-from .graphs import ColoredGraph, e_notation, is_json_int, side_ratios
+from .graphs import ColoredGraph, e_notation, json_fields, side_ratios
 from .permutations import inverse
 
 DISTRIBUTIONS = ("complex_gaussian", "complex_rademacher", "uniform_disc")
@@ -61,8 +61,8 @@ DISTRIBUTIONS = ("complex_gaussian", "complex_rademacher", "uniform_disc")
 DEFAULT_NAIVE_BUDGET = 10 ** 8
 
 # The distinct labels one einsum call takes (a-z, A-Z): a network
-# contraction counts one for the sample axis, even where a block of one drops
-# it, and one per white vertex on each tensor axis of size > 1.
+# contraction takes one per white vertex on each tensor axis of size > 1, and
+# one for the sample axis of a block of more than one sample.
 EINSUM_LABELS = 52
 
 # TensorSpec refuses tensors with more entries: 1 GiB of complex128.  The
@@ -305,10 +305,10 @@ def _network_plan(shape: tuple[int, ...], B: ColoredGraph):
     *dims) stack over B; with every side 1 there is no path and no step.
 
     It is refused before anything is drawn or contracted: the axes must
-    match the colors, the k*D' + 1 labels (D' sides > 1) must fit einsum's
-    EINSUM_LABELS, and the largest step of the path must fit
-    MAX_TENSOR_ENTRIES.  The label count is checked first, so a graph with
-    too many vertices is refused before any path search.
+    match the colors, the k*D' labels (D' sides > 1), plus one for the sample
+    axis when count > 1, must fit einsum's EINSUM_LABELS, and the largest
+    step of the path must fit MAX_TENSOR_ENTRIES.  The label count is checked
+    first, so a graph with too many vertices is refused before any path search.
 
     The path is planned on zero-stride probes, so planning allocates nothing
     of tensor size, with MAX_TENSOR_ENTRIES as greedy's memory limit: its
@@ -323,11 +323,13 @@ def _network_plan(shape: tuple[int, ...], B: ColoredGraph):
     if len(shape) != B.D + 1:
         raise ValueError(f"tensor has {len(shape) - 1} axes, graph has D={B.D} colors")
     axes = tuple(i for i, d in enumerate(shape[1:]) if d > 1)
-    labels = B.k * len(axes) + 1
+    sample = int(shape[0] > 1)
+    labels = B.k * len(axes) + sample
     if labels > EINSUM_LABELS:
         raise ValueError(
             f"network contraction needs {labels} einsum labels (k={B.k} times "
-            f"{len(axes)} sides > 1, plus one per sample), over the limit {EINSUM_LABELS}"
+            f"{len(axes)} sides > 1, plus {sample} for the sample axis), over the limit "
+            f"{EINSUM_LABELS}"
         )
     if not axes:
         return axes, None, 0
@@ -551,16 +553,6 @@ class UniversalityReport:
     rows: tuple[ScanRow, ...]
 
 
-def graph_id(graph) -> str:
-    """The report's name of a ColoredGraph or CycleSpec, which _route has
-    already told apart from anything else."""
-    if isinstance(graph, ColoredGraph):
-        return f"graph(k={graph.k}, D={graph.D})"
-    m = ",".join(str(i) for i in sorted(graph.m_colors))
-    n = ",".join(str(i) for i in sorted(graph.n_colors))
-    return f"cycle(k={graph.k}, m_colors=[{m}], n_colors=[{n}])"
-
-
 def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityReport:
     """Monte Carlo scan over N with a fixed distribution and side ratios.
 
@@ -590,8 +582,14 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
             raise ValueError(f"need at least 2 samples for a standard error, got {count} at N={N}")
     for row_spec, count in zip(row_specs, per_N):
         _route(graph, row_spec.dims, min(_block_size(row_spec.dims), count))
-    predict = predict_cycle if isinstance(graph, CycleSpec) else predict_generic
-    prediction = predict(graph, spec.c)
+    # _route has refused anything but a CycleSpec or a ColoredGraph
+    if isinstance(graph, CycleSpec):
+        prediction = predict_cycle(graph, spec.c)
+        m, n = (",".join(map(str, sorted(colors))) for colors in (graph.m_colors, graph.n_colors))
+        name = f"cycle(k={graph.k}, m_colors=[{m}], n_colors=[{n}])"
+    else:
+        prediction = predict_generic(graph, spec.c)
+        name = f"graph(k={graph.k}, D={graph.D})"
     limit = (math.log10(sys.float_info.max) - FLOAT_MARGIN) / 2
     for N in N_list:
         size = prediction.gamma * math.log10(N) + max(math.log10(prediction.coefficient), 0.0)
@@ -612,7 +610,7 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
         flagged = abs(normalized - prediction.coefficient) > 4.0 * stderr / scale
         rows.append(ScanRow(N=N, samples=count, mean=mean, stderr=stderr,
                             normalized=normalized, flagged=flagged))
-    return UniversalityReport(graph_id=graph_id(graph), distribution=spec.distribution,
+    return UniversalityReport(graph_id=name, distribution=spec.distribution,
                               gamma=prediction.gamma, predicted=prediction.coefficient,
                               rows=tuple(rows))
 
@@ -620,23 +618,14 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
 def tensor_spec_from_json_dict(data) -> TensorSpec:
     """Build a TensorSpec from its JSON form; ratios may be numbers, decimal
     strings or 'p/q' strings."""
-    if not isinstance(data, dict):
-        raise ValueError("tensor spec JSON must be an object")
-    for key in ("D", "c", "N", "distribution"):
-        if key not in data:
-            raise ValueError(f"tensor spec JSON is missing field '{key}'")
-    for key in ("D", "N"):
-        if not is_json_int(data[key]):
-            raise ValueError(f"field '{key}' must be an integer, got {data[key]!r}")
-    if not isinstance(data["c"], list):
+    D, c, N, distribution = json_fields(data, "tensor spec", ("D", "c", "N", "distribution"),
+                                        ints=("D", "N"))
+    if not isinstance(c, list):
         raise ValueError("field 'c' must be a list of ratios")
     # a JSON number is read as its decimal text, as a --c token is: 0.1 is 1/10
-    ratios = tuple(float.__repr__(x) if isinstance(x, float) else x for x in data["c"])
-    if not isinstance(data["distribution"], str):
-        raise ValueError(f"field 'distribution' must be a string, got {data['distribution']!r}")
-    seed = data.get("seed", 0)
-    if not is_json_int(seed):
-        raise ValueError(f"field 'seed' must be an integer, got {seed!r}")
-    return TensorSpec(D=data["D"], c=ratios, N=data["N"],
-                      distribution=data["distribution"], seed=seed)
+    ratios = tuple(float.__repr__(x) if isinstance(x, float) else x for x in c)
+    if not isinstance(distribution, str):
+        raise ValueError(f"field 'distribution' must be a string, got {distribution!r}")
+    json_fields(data, "tensor spec", ints=("seed",))
+    return TensorSpec(D=D, c=ratios, N=N, distribution=distribution, seed=data.get("seed", 0))
 

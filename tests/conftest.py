@@ -1,5 +1,24 @@
+import pytest
 from hypothesis import settings
 
 # property tests draw the same examples on every run and have no time limit
 settings.register_profile("tul", derandomize=True, deadline=None)
 settings.load_profile("tul")
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Any tensor draw fails the test: for refusals that must come before one."""
+    def draw(*args):
+        raise AssertionError("sample_tensor was called")
+
+    monkeypatch.setattr("tul.tensors.sample_tensor", draw)
+
+
+@pytest.fixture
+def no_column(monkeypatch):
+    """Any face column fails the test: for refusals that must come before a pass."""
+    def column(*args):
+        raise AssertionError("a face column was computed")
+
+    monkeypatch.setattr("tul.enumeration._face_column", column)

@@ -5,25 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tul.asymptotics import (AsymptoticPrediction, CrossCheckError, CrossCheckReport,
-                             cross_check, cycle_faces, melonic_faces, predict_cycle,
-                             predict_generic, predict_melonic)
+from tul.asymptotics import (CrossCheckError, CrossCheckReport, cross_check, cycle_faces,
+                             melonic_faces, predict_cycle, predict_generic, predict_melonic)
 from tul.enumeration import (MAX_K, catalan, covering_pass, face_sum, minimal_coverings,
                              minimal_faces)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic,
                           random_melonic_recipe)
 from tul.graphs import side_ratios
 from tul.permutations import cycles
-
-
-def test_prediction_validation():
-    AsymptoticPrediction(gamma=3, coefficient=1.5, family="generic")
-    with pytest.raises(ValueError):
-        AsymptoticPrediction(gamma=-1, coefficient=1.0, family="generic")
-    with pytest.raises(ValueError):
-        AsymptoticPrediction(gamma=1, coefficient=0.0, family="generic")
-    with pytest.raises(ValueError):
-        AsymptoticPrediction(gamma=1, coefficient=1.0, family="nonsense")
 
 
 def test_predict_cycle_reads_ratios_like_tensor_spec():

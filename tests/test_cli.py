@@ -403,12 +403,8 @@ def test_enumerate_bad_graph_json(capsys, tmp_path):
     assert "sigma" in err and "'D'" in err
 
 
-def test_enumerate_cap_env(capsys, monkeypatch, tmp_path):
+def test_enumerate_cap_env(capsys, monkeypatch, no_column, tmp_path):
     # the bound is fixed: no environment variable raises it
-    def no_column(*args):
-        raise AssertionError("a face column was computed")
-
-    monkeypatch.setattr("tul.enumeration._face_column", no_column)
     monkeypatch.setenv("TUL_ENUM_CAP", "20")
     spec = CycleSpec(k=10, m_colors=frozenset([1]), n_colors=frozenset([2]))
     path = tmp_path / "c10.json"
@@ -431,13 +427,9 @@ def test_enumerate_far_over_the_cap_gives_the_cap(capsys, cycle11_k2000_graph):
     assert "k=2000 exceeds the enumeration cap (9): 2000! = 3.316e+5735 pairings" in err
 
 
-def test_mc_graph_over_the_label_limit_exits_2_before_any_draw(capsys, monkeypatch, tmp_path,
+def test_mc_graph_over_the_label_limit_exits_2_before_any_draw(capsys, no_draw, tmp_path,
                                                                cycle11_k2000_graph):
     # refused by its label count, before a path search over 4000 operands
-    def no_draw(*args):
-        raise AssertionError("sample_tensor was called")
-
-    monkeypatch.setattr("tul.tensors.sample_tensor", no_draw)
     tensor = _write(tmp_path, "tensor.json", json.dumps({"D": 2, "c": [1, 1], "N": 2,
                                                          "distribution": "complex_gaussian"}))
     t0 = time.perf_counter()
@@ -448,14 +440,10 @@ def test_mc_graph_over_the_label_limit_exits_2_before_any_draw(capsys, monkeypat
 
 
 @pytest.mark.parametrize("k, size", [(200, "5.644e+479"), (128, "4.443e+306")])
-def test_mc_past_the_double_range_exits_2_before_any_draw(capsys, monkeypatch, tmp_path, k,
+def test_mc_past_the_double_range_exits_2_before_any_draw(capsys, no_draw, tmp_path, k,
                                                           size):
     # the (1,1)-cycle at N=64: N^(k+1) itself overflows a double at k=200;
     # at k=128 the predicted mean fits, but its square does not
-    def no_draw(*args):
-        raise AssertionError("sample_tensor was called")
-
-    monkeypatch.setattr("tul.tensors.sample_tensor", no_draw)
     cycle = _write(tmp_path, "cycle.json", json.dumps({"k": k, "m_colors": [1], "n_colors": [2]}))
     tensor = _write(tmp_path, "tensor.json", json.dumps({"D": 2, "c": [1, 1], "N": 64,
                                                          "distribution": "complex_gaussian"}))
@@ -676,12 +664,8 @@ def test_verify_bad_family(capsys):
     ("", "families must not be empty"),
     (",", "unknown families: ['']"),
 ], ids=["empty", "comma"])
-def test_verify_empty_family_names_are_refused(capsys, monkeypatch, families, message):
+def test_verify_empty_family_names_are_refused(capsys, no_column, families, message):
     # "" is the empty family set, not the flag's default of every family
-    def no_column(*args):
-        raise AssertionError("a face column was computed")
-
-    monkeypatch.setattr("tul.enumeration._face_column", no_column)
     code = main(["verify", "--families", families, "--max-k", "1", "--max-D", "2"])
     out, err = capsys.readouterr()
     assert code == 2
@@ -690,11 +674,7 @@ def test_verify_empty_family_names_are_refused(capsys, monkeypatch, families, me
     assert err.count("\n") == 1
 
 
-def test_verify_k_over_cap(capsys, monkeypatch):
-    def no_column(*args):
-        raise AssertionError("a face column was computed")
-
-    monkeypatch.setattr("tul.enumeration._face_column", no_column)
+def test_verify_k_over_cap(capsys, no_column):
     code = main(["verify", "--max-k", "10", "--families", "cycle_11"])
     assert code == 2
     assert "cap" in capsys.readouterr().err
@@ -870,11 +850,7 @@ def test_asym_coefficient_is_exact_then_rounded(capsys, tmp_path, k, ratios, coe
     assert f'"coefficient": {coefficient!r}\n' in capsys.readouterr().out
 
 
-def test_mc_oversized_tensor_exits_2_before_any_draw(capsys, monkeypatch, tmp_path):
-    def no_draw(*args):
-        raise AssertionError("sample_tensor was called")
-
-    monkeypatch.setattr("tul.tensors.sample_tensor", no_draw)
+def test_mc_oversized_tensor_exits_2_before_any_draw(capsys, no_draw, tmp_path):
     cycle = _write(tmp_path, "cycle.json", json.dumps({"k": 1, "m_colors": [1],
                                                        "n_colors": [2]}))
     spec = _write(tmp_path, "tensor.json", json.dumps({"D": 2, "c": [1, 1], "N": 4,
@@ -886,11 +862,7 @@ def test_mc_oversized_tensor_exits_2_before_any_draw(capsys, monkeypatch, tmp_pa
     assert "N=100000" in err and "limit" in err
 
 
-def test_mc_sample_count_below_two_exits_2_before_any_draw(capsys, monkeypatch, tmp_path):
-    def no_draw(*args):
-        raise AssertionError("sample_tensor was called")
-
-    monkeypatch.setattr("tul.tensors.sample_tensor", no_draw)
+def test_mc_sample_count_below_two_exits_2_before_any_draw(capsys, no_draw, tmp_path):
     cycle = _write(tmp_path, "cycle.json", json.dumps({"k": 1, "m_colors": [1],
                                                        "n_colors": [2]}))
     spec = _write(tmp_path, "tensor.json", json.dumps({"D": 2, "c": [1, 1], "N": 4,
@@ -943,13 +915,9 @@ def test_removed_flags_exit_2(capsys, tensor_spec_file, cycle_spec_file, cycle22
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
-def test_mc_network_budget_exits_2_before_any_draw(capsys, monkeypatch, tmp_path):
+def test_mc_network_budget_exits_2_before_any_draw(capsys, no_draw, tmp_path):
     # K_{3,3} with one color per perfect matching: every pairwise step at
     # N=128 holds 128^4 = 2^28 entries, so the whole scan is refused
-    def no_draw(*args):
-        raise AssertionError("sample_tensor was called")
-
-    monkeypatch.setattr("tul.tensors.sample_tensor", no_draw)
     graph = _write(tmp_path, "graph.json", json.dumps(
         {"k": 3, "D": 3, "sigma": [[1, 2, 3], [2, 3, 1], [3, 1, 2]]}))
     tensor = _write(tmp_path, "tensor.json", json.dumps({"D": 3, "c": [1, 1, 1], "N": 2,

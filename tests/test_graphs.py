@@ -5,10 +5,12 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic
+from tul.families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict, make_cycle_graph,
+                          make_melonic, melonic_recipe_from_json_dict)
 from reference import CoveringGraph, face_profile, genus
 from tul.graphs import (MAX_DECIMAL_EXPONENT, ColoredGraph, graph_from_json_dict,
                         graph_to_json_dict, is_connected, side_ratios)
+from tul.tensors import tensor_spec_from_json_dict
 
 
 def two_color_cycle(k):
@@ -101,6 +103,69 @@ def test_json_diagnostics_name_fields():
         graph_from_json_dict({"k": 1, "D": 3, "sigma": [[1]]})
     with pytest.raises(ValueError):
         graph_from_json_dict([1, 2, 3])
+
+
+# the name of each JSON input in messages, mapped to its reader, a valid
+# input, its integer fields with the noun they must be, and its integer lists
+# with their message
+JSON_READERS = {
+    "graph": (graph_from_json_dict, {"k": 2, "D": 2, "sigma": [[1, 2], [2, 1]]},
+              {"k": "a positive integer", "D": "a positive integer"}, {}),
+    "cycle spec": (cycle_spec_from_json_dict, {"k": 2, "m_colors": [1], "n_colors": [2]},
+                   {"k": "an integer"},
+                   {"m_colors": "field 'm_colors' must be a list of integers",
+                    "n_colors": "field 'n_colors' must be a list of integers"}),
+    "melonic recipe": (melonic_recipe_from_json_dict, {"D": 3, "steps": [[1, 1]]},
+                       {"D": "an integer"},
+                       {"steps": "field 'steps' must be a list of [color, white_vertex] pairs"}),
+    "tensor spec": (tensor_spec_from_json_dict,
+                    {"D": 2, "c": [1, 1], "N": 4, "distribution": "complex_gaussian", "seed": 3},
+                    {"D": "an integer", "N": "an integer", "seed": "an integer"}, {}),
+}
+
+
+def _json_refusals():
+    for what, (reader, valid, ints, int_lists) in JSON_READERS.items():
+        for value in ([valid], None, "{}", 3):
+            yield reader, value, f"{what} JSON must be an object"
+        for key in valid:
+            if key != "seed":  # a tensor spec's seed defaults to 0
+                data = {k: v for k, v in valid.items() if k != key}
+                yield reader, data, f"{what} JSON is missing field '{key}'"
+        for key, noun in ints.items():
+            for junk in (True, False, 2.0, "2"):
+                yield reader, {**valid, key: junk}, f"field '{key}' must be {noun}, got {junk!r}"
+        for key, message in int_lists.items():
+            for junk in (True, 1.0, "1"):
+                value = [[junk, 1]] if key == "steps" else [junk]
+                yield reader, {**valid, key: value}, message
+    # with two faults the first in each reader's order is reported: a color
+    # list before k, c and distribution before seed, D before N, k before D,
+    # D before steps, and a missing field before a bad one
+    yield (cycle_spec_from_json_dict, {"k": True, "m_colors": "x", "n_colors": [2]},
+           "field 'm_colors' must be a list of integers")
+    yield (cycle_spec_from_json_dict, {"k": 1.5, "m_colors": [1], "n_colors": [True]},
+           "field 'n_colors' must be a list of integers")
+    yield (tensor_spec_from_json_dict, {"D": 2, "c": "x", "N": 4,
+                                        "distribution": "complex_gaussian", "seed": True},
+           "field 'c' must be a list of ratios")
+    yield (tensor_spec_from_json_dict, {"D": 2, "c": [1, 1], "N": 4, "distribution": 5,
+                                        "seed": True},
+           "field 'distribution' must be a string, got 5")
+    yield (tensor_spec_from_json_dict, {"D": True, "N": "4", "c": [1, 1], "distribution": 5},
+           "field 'D' must be an integer, got True")
+    yield (graph_from_json_dict, {"k": 0, "D": False, "sigma": "x"},
+           "field 'k' must be a positive integer, got 0")
+    yield (melonic_recipe_from_json_dict, {"D": "3", "steps": "x"},
+           "field 'D' must be an integer, got '3'")
+    yield graph_from_json_dict, {"sigma": [], "D": True}, "graph JSON is missing field 'k'"
+
+
+@pytest.mark.parametrize("reader, data, message", list(_json_refusals()))
+def test_json_readers_refuse_with_exact_messages(reader, data, message):
+    with pytest.raises(ValueError) as exc:
+        reader(data)
+    assert str(exc.value) == message
 
 
 def test_face_profile_total_consistency():

@@ -12,7 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from reference import (apply_unitaries, cycle_value_reference, cycle_values_fresh,
                        cycle_values_spectral, margins, random_unitary, uniform_disc_block,
                        unitary_invariance_check)
-from tul.families import CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic
+from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic,
+                          random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
 from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISC_CHUNK, DISTRIBUTIONS,
                          EINSUM_LABELS, MAX_TENSOR_ENTRIES, TensorSpec, _check_naive_contraction,
@@ -461,11 +462,7 @@ def test_monte_carlo_mean_refuses_draws_past_the_double_range():
     assert str(exc.value) == "the draws left the double range: mean inf, standard error nan"
 
 
-def test_monte_carlo_network_budget_refused_before_any_draw(monkeypatch):
-    def no_draw(*args):
-        raise AssertionError("sample_tensor was called")
-
-    monkeypatch.setattr("tul.tensors.sample_tensor", no_draw)
+def test_monte_carlo_network_budget_refused_before_any_draw(no_draw):
     with pytest.raises(ValueError, match="needs a contraction step of 9.223e\\+18 entries, "
                                          f"over the limit of {MAX_TENSOR_ENTRIES}"):
         monte_carlo_mean(gaussian_spec(3, 128), K33, 5)
@@ -474,11 +471,7 @@ def test_monte_carlo_network_budget_refused_before_any_draw(monkeypatch):
         monte_carlo_mean(gaussian_spec(2, 2), B, 5)
 
 
-def test_monte_carlo_cycle_colors_refused_before_any_draw(monkeypatch):
-    def no_draw(*args):
-        raise AssertionError("sample_tensor was called")
-
-    monkeypatch.setattr("tul.tensors.sample_tensor", no_draw)
+def test_monte_carlo_cycle_colors_refused_before_any_draw(no_draw):
     spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
     with pytest.raises(ValueError, match="tensor has 2 axes, graph has D=3 colors"):
         monte_carlo_mean(gaussian_spec(2, 4), spec, 10)
@@ -500,14 +493,29 @@ def test_monte_carlo_network_route_runs_past_the_naive_budget():
 
 
 def test_network_label_limit():
-    # k * D' + 1 labels, D' counting the sides > 1: a size-1 side frees k
+    # k * D' labels, D' counting the sides > 1, plus one for the sample axis
+    # of a block of more than one sample: a size-1 side frees k, and a block
+    # of one sample frees the sample label
     assert EINSUM_LABELS == 52
-    _network_plan((1, 2, 2), make_cycle_graph(cycle_11(25)))
+    _network_plan((2, 2, 2), make_cycle_graph(cycle_11(25)))
     with pytest.raises(ValueError, match="needs 53 einsum labels"):
-        _network_plan((1, 2, 2), make_cycle_graph(cycle_11(26)))
-    _network_plan((1, 2, 1), make_cycle_graph(cycle_11(51)))
+        _network_plan((2, 2, 2), make_cycle_graph(cycle_11(26)))
+    _network_plan((1, 2, 2), make_cycle_graph(cycle_11(26)))
+    _network_plan((2, 2, 1), make_cycle_graph(cycle_11(51)))
     with pytest.raises(ValueError, match="needs 2001 einsum labels"):
-        _network_plan((1, 2, 1), make_cycle_graph(cycle_11(2000)))
+        _network_plan((2, 2, 1), make_cycle_graph(cycle_11(2000)))
+
+
+def test_network_one_sample_blocks_reach_the_label_limit():
+    # a D=4, k=13 melonic graph needs exactly 52 labels when each block holds
+    # one tensor, as every D=4 block does from N=8 on
+    B = make_melonic(random_melonic_recipe(np.random.default_rng(1), 4, 13))
+    assert _network_plan((1, 8, 8, 8, 8), B)[2] == 4096
+    assert _network_plan((1, 16, 16, 16, 16), B)[2] == 65536
+    with pytest.raises(ValueError, match="needs 53 einsum labels"):
+        _network_plan((2, 8, 8, 8, 8), B)
+    mean, stderr = monte_carlo_mean(gaussian_spec(4, 8, seed=5), B, 4)
+    assert math.isfinite(mean) and math.isfinite(stderr) and mean > 0
 
 
 def test_network_step_limit():
@@ -553,7 +561,7 @@ def test_network_values_stack_is_slice_by_slice(graph, dims):
 
 def test_network_one_sample_block_has_no_sample_label():
     # at N=16 a D=3 block holds one tensor, contracted without the sample
-    # label k * D = 9 (test_network_label_limit: the label count keeps it)
+    # label k * D = 9, which _network_plan does not count for it either
     B = ColoredGraph(k=3, sigma=((1, 0, 2), (2, 1, 0), (0, 1, 2)))
     dims, axes, sample = (16, 16, 16), (0, 1, 2), 9
     spec = TensorSpec(D=3, c=(1, 1, 1), N=16, distribution="uniform_disc", seed=7)
@@ -672,7 +680,13 @@ def test_universality_scan_report():
         assert row.samples == 500
         assert row.normalized == pytest.approx(row.mean / N ** 3, rel=1e-15)
     assert len(margins(report)) == 2
-    assert "cycle" in report.graph_id
+    assert report.graph_id == "cycle(k=2, m_colors=[1], n_colors=[2])"
+
+
+def test_universality_scan_cycle_name_sorts_its_colors():
+    spec = CycleSpec(k=1, m_colors=frozenset({3, 1}), n_colors=frozenset({4, 2}))
+    report = universality_scan(gaussian_spec(4, 2, seed=3), spec, [2], 4)
+    assert report.graph_id == "cycle(k=1, m_colors=[1,3], n_colors=[2,4])"
 
 
 def test_universality_scan_predicted_is_one_for_unequal_split():
