@@ -3,7 +3,7 @@ tensors: exact enumeration of covering graphs, closed-form asymptotics for
 melonic and cycle families, and seeded Monte Carlo cross-checks."""
 
 from .asymptotics import (AsymptoticPrediction, CrossCheckError, CrossCheckReport,
-                          cross_check, predict_cycle, predict_generic, predict_melonic)
+                          cross_check, predict)
 from .enumeration import (MAX_K, CoveringPass, catalan, covering_pass, minimal_coverings,
                           narayana_face_distribution, narayana_row)
 from .families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict,
@@ -26,8 +26,8 @@ __all__ = [
     "cycles", "gaussian_exact_mean", "graph_from_json_dict", "graph_to_json_dict",
     "identity", "inverse", "is_connected", "make_cycle_graph", "make_melonic",
     "melonic_recipe_from_json_dict", "melonic_recipe_to_json_dict", "minimal_coverings",
-    "monte_carlo_mean", "narayana_face_distribution", "narayana_row", "predict_cycle",
-    "predict_generic", "predict_melonic", "random_melonic_recipe", "run_verify_suite",
+    "monte_carlo_mean", "narayana_face_distribution", "narayana_row", "predict",
+    "random_melonic_recipe", "run_verify_suite",
     "sample_tensor", "tensor_spec_from_json_dict", "trace_invariant_cycle",
     "trace_invariant_network", "universality_scan",
 ]

@@ -1,27 +1,26 @@
-"""Closed-form leading asymptotics for the special graph families, plus a
-cross-check harness that replays every claim against brute-force enumeration.
+"""The leading term coefficient * N^gamma of the averaged invariant of a
+D-colored graph with k white vertices, and a cross-check harness that replays
+every closed form against brute-force enumeration.
 
-For a D-colored graph B with k white vertices the averaged invariant grows
-like coefficient * N^gamma; gamma and the coefficient depend only on the
-minimal covering graphs.  The families covered here:
+predict(spec, c) reads gamma and the coefficient off the minimal-covering
+face histogram of a family spec or of a graph:
 
-  melonic      gamma = 1 + k(D-1), unique minimal covering with
-               k - (cuts of color i) faces on color i
-  (m,m)-cycle  gamma = m(k+1), C_k minimal coverings, Narayana-weighted
-  (m,n)-cycle  gamma = nk + m for m < n, unique minimal covering
+  melonic      melonic_faces: gamma = 1 + k(D-1), unique minimal covering
+               with k - (cuts of color i) faces on color i
+  (m,m)-cycle  cycle_faces: gamma = m(k+1), C_k Narayana-weighted coverings
+  (m,n)-cycle  cycle_faces: gamma = nk + m for m < n, unique minimal covering
+  any graph    enumeration.minimal_faces, from one covering pass
 
-Each closed form is the minimal-covering face histogram it predicts, built
-from the family spec alone (melonic_faces, cycle_faces) with no covering
-sweep.  gamma is the total of any of its face vectors.  A coefficient is such
-a histogram evaluated exactly by enumeration.face_sum, then rounded once to
-the nearest float by _prediction.
+The closed forms need no covering sweep.  gamma is the total of any face
+vector; the coefficient is the histogram evaluated exactly by
+enumeration.face_sum, then rounded once to the nearest float by _prediction.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .enumeration import face_sum, minimal_faces, narayana_row
 from .families import CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic
@@ -30,11 +29,13 @@ from .graphs import ColoredGraph, e_notation, side_ratios
 
 @dataclass(frozen=True)
 class AsymptoticPrediction:
-    """Leading behavior coefficient * N^gamma of the averaged invariant."""
+    """Leading behavior coefficient * N^gamma of the averaged invariant, and
+    the minimal-covering face histogram it is read from."""
 
     gamma: int
     coefficient: float
     family: str
+    faces: dict[tuple[int, ...], int] = field(repr=False, compare=False)
 
 
 # A coefficient whose estimated log10 lies 20 decades outside the double
@@ -77,7 +78,8 @@ def _prediction(family: str, faces, c) -> AsymptoticPrediction:
     if value == 0.0 or value == math.inf:
         raise ValueError(f"the {family} coefficient ~{e_notation(size)} "
                          f"{'overflows' if value else 'underflows'} a float to {value}")
-    return AsymptoticPrediction(gamma=sum(next(iter(faces))), coefficient=value, family=family)
+    return AsymptoticPrediction(gamma=sum(next(iter(faces))), coefficient=value, family=family,
+                                faces=faces)
 
 
 def melonic_faces(recipe: MelonicRecipe) -> dict[tuple[int, ...], int]:
@@ -91,12 +93,6 @@ def melonic_faces(recipe: MelonicRecipe) -> dict[tuple[int, ...], int]:
     """
     cuts = Counter(color for color, _ in recipe.steps)
     return {tuple(recipe.k - cuts[i] for i in range(1, recipe.D + 1)): 1}
-
-
-def predict_melonic(recipe: MelonicRecipe, c) -> AsymptoticPrediction:
-    """gamma = 1 + k(D-1); the coefficient is prod_i c_i^f_i over the face
-    counts of melonic_faces(recipe)."""
-    return _prediction("melonic", melonic_faces(recipe), side_ratios(c, recipe.D))
 
 
 def cycle_faces(spec: CycleSpec) -> dict[tuple[int, ...], int]:
@@ -115,19 +111,23 @@ def cycle_faces(spec: CycleSpec) -> dict[tuple[int, ...], int]:
     return {tuple(1 if i in fewer else k for i in range(1, spec.D + 1)): 1}
 
 
-def predict_cycle(spec: CycleSpec, c) -> AsymptoticPrediction:
-    """gamma = m(k+1) for m = n and max(m,n) k + min(m,n) otherwise; the
-    coefficient is cycle_faces(spec) evaluated at the side ratios, so for
-    m = n it is sum_l N_{k,l} P^l Q^{k-l+1} with P, Q the products of the
-    ratios over the m- and n-colors."""
+def predict(spec, c) -> AsymptoticPrediction:
+    """The leading term of a MelonicRecipe ("melonic"), a CycleSpec
+    ("cycle_11", "cycle_mm" or "cycle_mn") or a ColoredGraph ("generic") at
+    the side ratios c: the one place that maps a spec kind to its family and
+    face histogram.  c is read first, so that a bad one is refused before any
+    Narayana row is built or covering pass run."""
+    if isinstance(spec, MelonicRecipe):
+        family, faces = "melonic", melonic_faces
+    elif isinstance(spec, CycleSpec):
+        family = "cycle_mn" if spec.m != spec.n else "cycle_11" if spec.m == 1 else "cycle_mm"
+        faces = cycle_faces
+    elif isinstance(spec, ColoredGraph):
+        family, faces = "generic", minimal_faces
+    else:
+        raise TypeError(f"spec must be MelonicRecipe, CycleSpec or ColoredGraph, got {type(spec)}")
     c = side_ratios(c, spec.D)
-    family = "cycle_mn" if spec.m != spec.n else "cycle_11" if spec.m == 1 else "cycle_mm"
-    return _prediction(family, cycle_faces(spec), c)
-
-
-def predict_generic(B: ColoredGraph, c) -> AsymptoticPrediction:
-    """Enumeration-backed prediction for graphs outside the named families."""
-    return _prediction("generic", minimal_faces(B), side_ratios(c, B.D))
+    return _prediction(family, faces(spec), c)
 
 
 @dataclass(frozen=True)
@@ -165,29 +165,25 @@ def cross_check(B: ColoredGraph, family_spec, c) -> CrossCheckReport:
     raises CrossCheckError.
     """
     if isinstance(family_spec, MelonicRecipe):
-        if B != make_melonic(family_spec):
-            raise ValueError("graph does not match the melonic recipe")
-        closed = predict_melonic(family_spec, c)
-        faces = melonic_faces(family_spec)
+        build, what = make_melonic, "melonic recipe"
     elif isinstance(family_spec, CycleSpec):
-        if B != make_cycle_graph(family_spec):
-            raise ValueError("graph does not match the cycle spec")
-        closed = predict_cycle(family_spec, c)
-        faces = cycle_faces(family_spec)
+        build, what = make_cycle_graph, "cycle spec"
     else:
         raise TypeError(f"family_spec must be CycleSpec or MelonicRecipe, got {type(family_spec)}")
+    if B != build(family_spec):
+        raise ValueError(f"graph does not match the {what}")
 
-    enum = minimal_faces(B)
+    closed, enum = predict(family_spec, c), minimal_faces(B)
     coeff_match, coeff_enum = True, closed.coefficient
-    if enum != faces:
+    if enum != closed.faces:
         c = side_ratios(c, B.D)
-        if face_sum(enum, c) != face_sum(faces, c):
+        if face_sum(enum, c) != face_sum(closed.faces, c):
             coeff_match = False
             coeff_enum = _prediction(closed.family, enum, c).coefficient
     report = CrossCheckReport(
         family=closed.family,
         gamma_closed=closed.gamma, gamma_enum=sum(next(iter(enum))),
-        count_closed=sum(faces.values()), count_enum=sum(enum.values()),
+        count_closed=sum(closed.faces.values()), count_enum=sum(enum.values()),
         coeff_closed=closed.coefficient, coeff_enum=coeff_enum,
     )
     if not (coeff_match and report.gamma_closed == report.gamma_enum

@@ -20,7 +20,7 @@ import io
 import json
 import sys
 
-from .asymptotics import predict_cycle, predict_melonic
+from .asymptotics import predict
 from .enumeration import minimal_coverings, narayana_face_distribution
 from .families import cycle_spec_from_json_dict, melonic_recipe_from_json_dict
 from .graphs import graph_from_json_dict
@@ -87,16 +87,15 @@ def _report(args, data, header=None, rows=None):
 
 def _cmd_enumerate(args) -> int:
     B = graph_from_json_dict(_load_json(args.graph))
+    # the histogram refuses a graph or color it does not take before any pass, in either format
+    hist = (None if args.histogram is None
+            else narayana_face_distribution(B, anchor_color=args.histogram))
+    mcs = minimal_coverings(B)
     if args.format == "csv":
-        mcs = minimal_coverings(B)
         header = ["tau"] + [f"f_{i}" for i in range(1, B.D + 1)] + ["total"]
         rows = [[cycle_string(tau), *zero, mcs.gamma] for tau, zero in mcs.members]
         _report(args, None, header, rows)
         return 0
-    # the histogram refuses a graph or color it does not take before any pass
-    hist = (None if args.histogram is None
-            else narayana_face_distribution(B, anchor_color=args.histogram))
-    mcs = minimal_coverings(B)
     data = {"gamma": mcs.gamma, "count": mcs.count}
     if args.faces:
         data["members"] = [{"tau": list(to_one_based(tau)), "zero_faces": list(zero),
@@ -108,12 +107,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_asym(args) -> int:
-    spec_data = _load_json(args.spec)
-    if args.family == "melonic":
-        spec, predict = melonic_recipe_from_json_dict(spec_data), predict_melonic
-    else:
-        spec, predict = cycle_spec_from_json_dict(spec_data), predict_cycle
-    pred = predict(spec, args.c.split(",") if args.c else [1] * spec.D)
+    read = melonic_recipe_from_json_dict if args.family == "melonic" else cycle_spec_from_json_dict
+    spec = read(_load_json(args.spec))
+    pred = predict(spec, args.c.split(",") if args.c is not None else [1] * spec.D)
     data = {"family": pred.family, "gamma": pred.gamma, "coefficient": pred.coefficient}
     _report(args, data, list(data), [list(data.values())])
     return 0

@@ -34,8 +34,9 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from .families import CycleSpec, make_cycle_graph
 from .graphs import ColoredGraph, e_notation, is_connected, side_ratios
-from .permutations import Perm, identity, inverse
+from .permutations import Perm, inverse
 
 # The largest k a pass accepts.  A resource limit, not a tuning knob: a
 # pass costs k!, and k=10 already takes seconds and ~200 MB.
@@ -247,9 +248,9 @@ def narayana_row(k: int) -> list[int]:
 
 
 def _is_two_color_cycle(B: ColoredGraph) -> bool:
-    k = B.k
-    shift = tuple((j + 1) % k for j in range(k))
-    return B.D == 2 and set(B.sigma) == {identity(k), shift}
+    # the rows of the (1,1)-cycle at B's k, in either order
+    return B.D == 2 and set(B.sigma) == set(
+        make_cycle_graph(CycleSpec(k=B.k, m_colors={1}, n_colors={2})).sigma)
 
 
 def narayana_face_distribution(B: ColoredGraph, anchor_color: int) -> dict[int, int]:

@@ -12,6 +12,7 @@ identity permutations for the m-colors and the cyclic shift for the n-colors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .graphs import ColoredGraph, is_json_int, json_fields
@@ -35,7 +36,8 @@ class MelonicRecipe:
     def __post_init__(self):
         if self.D < 1:
             raise ValueError(f"D must be positive, got {self.D}")
-        object.__setattr__(self, "steps", tuple((int(c), int(v)) for c, v in self.steps))
+        steps = tuple((operator.index(c), operator.index(v)) for c, v in self.steps)
+        object.__setattr__(self, "steps", steps)
         if self.steps and self.D < 3:
             raise ValueError(
                 f"melonic growth needs D >= 3 (got D={self.D}); for D <= 2 the "
@@ -61,8 +63,8 @@ class CycleSpec:
     n_colors: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "m_colors", frozenset(int(c) for c in self.m_colors))
-        object.__setattr__(self, "n_colors", frozenset(int(c) for c in self.n_colors))
+        object.__setattr__(self, "m_colors", frozenset(map(operator.index, self.m_colors)))
+        object.__setattr__(self, "n_colors", frozenset(map(operator.index, self.n_colors)))
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         if not self.m_colors or not self.n_colors:

@@ -44,13 +44,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import predict_cycle, predict_generic
+from .asymptotics import predict
 from .enumeration import covering_pass, face_sum
 from .families import CycleSpec
 from .graphs import ColoredGraph, e_notation, json_fields, side_ratios
@@ -98,6 +99,7 @@ def side_lengths(c, N: int, D: int) -> tuple[int, ...]:
     The ratios c are read by graphs.side_ratios, so they are exact: a c_i N
     that is not an integer is refused, never rounded.
     """
+    N = operator.index(N)
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     dims = []
@@ -565,13 +567,13 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
     when squared is refused; a mean or standard error that still overflows
     in the draws is refused by monte_carlo_mean, and named with its N here.
     """
-    N_list = [int(N) for N in N_list]
+    N_list = [operator.index(N) for N in N_list]
     if not N_list:
         raise ValueError("N_list must not be empty")
     if isinstance(samples, int):
         per_N = [samples] * len(N_list)
     else:
-        per_N = [int(s) for s in samples]
+        per_N = [operator.index(s) for s in samples]
         if len(per_N) != len(N_list):
             raise ValueError(f"got {len(per_N)} sample counts for {len(N_list)} values of N")
     # every row's spec, sample count and route is checked before any row is
@@ -583,12 +585,11 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
     for row_spec, count in zip(row_specs, per_N):
         _route(graph, row_spec.dims, min(_block_size(row_spec.dims), count))
     # _route has refused anything but a CycleSpec or a ColoredGraph
+    prediction = predict(graph, spec.c)
     if isinstance(graph, CycleSpec):
-        prediction = predict_cycle(graph, spec.c)
         m, n = (",".join(map(str, sorted(colors))) for colors in (graph.m_colors, graph.n_colors))
         name = f"cycle(k={graph.k}, m_colors=[{m}], n_colors=[{n}])"
     else:
-        prediction = predict_generic(graph, spec.c)
         name = f"graph(k={graph.k}, D={graph.D})"
     limit = (math.log10(sys.float_info.max) - FLOAT_MARGIN) / 2
     for N in N_list:

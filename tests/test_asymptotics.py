@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tul.asymptotics import (CrossCheckError, CrossCheckReport, cross_check, cycle_faces,
-                             melonic_faces, predict_cycle, predict_generic, predict_melonic)
+from tul.asymptotics import (AsymptoticPrediction, CrossCheckError, CrossCheckReport,
+                             cross_check, cycle_faces, melonic_faces, predict)
 from tul.enumeration import (MAX_K, catalan, covering_pass, face_sum, minimal_coverings,
                              minimal_faces)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic,
@@ -17,13 +17,41 @@ from tul.permutations import cycles
 
 def test_predict_cycle_reads_ratios_like_tensor_spec():
     spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2]))
-    assert predict_cycle(spec, ("3/2", 1)) == predict_cycle(spec, (Fraction(3, 2), 1))
+    assert predict(spec, ("3/2", 1)) == predict(spec, (Fraction(3, 2), 1))
     with pytest.raises(ValueError, match=re.escape("'c[1]'")):
-        predict_cycle(spec, (True, 1))
+        predict(spec, (True, 1))
+
+
+def test_predict_reads_ratios_before_the_histogram(monkeypatch, no_column):
+    # a bad c is refused before any Narayana row is built or pass is run
+    def row(k):
+        raise AssertionError("a Narayana row was built")
+
+    monkeypatch.setattr("tul.asymptotics.narayana_row", row)
+    covering_pass.cache_clear()
+    spec = CycleSpec(k=3, m_colors=frozenset([1]), n_colors=frozenset([2]))
+    for target in (spec, make_cycle_graph(spec)):
+        with pytest.raises(ValueError, match="expected 2 side ratios, got 1"):
+            predict(target, [""])
+    with pytest.raises(TypeError, match="MelonicRecipe, CycleSpec or ColoredGraph"):
+        predict("dipole", (1, 1))
+
+
+def test_predict_carries_its_face_histogram():
+    spec = CycleSpec(k=3, m_colors=frozenset([1]), n_colors=frozenset([2]))
+    recipe = MelonicRecipe(D=3, steps=((1, 1),))
+    B = make_melonic(recipe)
+    assert predict(spec, (1, 1)).faces == cycle_faces(spec)
+    assert predict(recipe, (1, 1, 1)).faces == melonic_faces(recipe)
+    assert predict(B, (1, 1, 1)).faces == minimal_faces(B)
+    # the histogram is neither compared nor shown
+    assert predict(recipe, (1, 1, 1)) == AsymptoticPrediction(
+        gamma=5, coefficient=1.0, family="melonic", faces={})
+    assert "faces" not in repr(predict(spec, (1, 1)))
 
 
 def test_predict_melonic_uniform_ratios():
-    pred = predict_melonic(MelonicRecipe(D=3, steps=((1, 1),)), (1, 1, 1))
+    pred = predict(MelonicRecipe(D=3, steps=((1, 1),)), (1, 1, 1))
     assert pred.family == "melonic"
     assert pred.gamma == 1 + 2 * (3 - 1)
     assert pred.coefficient == 1.0
@@ -36,7 +64,7 @@ def test_predict_melonic_exponents_from_enumeration():
     assert melonic_faces(recipe) == minimal_faces(B)
     (exponents,) = melonic_faces(recipe)
     assert sum(exponents) == 5
-    pred = predict_melonic(recipe, (2, 1, 1))
+    pred = predict(recipe, (2, 1, 1))
     assert pred.coefficient == pytest.approx(2.0 ** exponents[0], rel=1e-13)
     exact = face_sum(minimal_faces(B), side_ratios((2, 1, 1), B.D))
     assert pred.coefficient == pytest.approx(exact, rel=1e-12)
@@ -46,7 +74,7 @@ def test_predict_melonic_coefficient_at_unequal_ratios():
     # one cut of color 1 at k=2 leaves faces (1, 2, 2), so c=(2,1,1) gives 2^1
     recipe = MelonicRecipe(D=3, steps=((1, 1),))
     assert melonic_faces(recipe) == {(1, 2, 2): 1}
-    pred = predict_melonic(recipe, (2, 1, 1))
+    pred = predict(recipe, (2, 1, 1))
     assert pred.coefficient == pytest.approx(2.0, rel=1e-14)
 
 
@@ -82,24 +110,24 @@ def test_predict_melonic_past_the_sweep_cap():
     with pytest.raises(ValueError, match="enumeration cap"):
         covering_pass(make_melonic(recipe))
     assert melonic_faces(recipe) == {(9, 8, 8): 1}
-    pred = predict_melonic(recipe, (2, 1, 1))
+    pred = predict(recipe, (2, 1, 1))
     assert (pred.gamma, pred.coefficient) == (1 + 12 * 2, 512.0)
 
 
 def test_predict_cycle_mm_values():
     spec = CycleSpec(k=3, m_colors=frozenset([1]), n_colors=frozenset([2]))
-    assert predict_cycle(spec, (1, 1)).coefficient == pytest.approx(catalan(3))
-    assert predict_cycle(spec, (1, 1)).gamma == 4
+    assert predict(spec, (1, 1)).coefficient == pytest.approx(catalan(3))
+    assert predict(spec, (1, 1)).gamma == 4
 
     k2 = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2]))
     c1, c2 = 0.8, 2.5
     expect = c1 * c2 ** 2 + c1 ** 2 * c2
-    pred = predict_cycle(k2, (c1, c2))
+    pred = predict(k2, (c1, c2))
     assert pred.coefficient == pytest.approx(expect, rel=1e-13)
     assert pred.family == "cycle_11"
 
     pairs = CycleSpec(k=1, m_colors=frozenset([1, 2]), n_colors=frozenset([3, 4]))
-    pred = predict_cycle(pairs, (1.5, 2.0, 0.5, 3.0))
+    pred = predict(pairs, (1.5, 2.0, 0.5, 3.0))
     assert pred.gamma == 4
     assert pred.coefficient == pytest.approx(1.5 * 2.0 * 0.5 * 3.0, rel=1e-13)
     assert pred.family == "cycle_mm"
@@ -107,20 +135,20 @@ def test_predict_cycle_mm_values():
 
 def test_predict_cycle_mn_values():
     spec = CycleSpec(k=2, m_colors=frozenset([1, 2]), n_colors=frozenset([3, 4, 5]))
-    pred = predict_cycle(spec, (1, 1, 1, 1, 1))
+    pred = predict(spec, (1, 1, 1, 1, 1))
     assert pred.gamma == 3 * 2 + 2
     assert pred.coefficient == 1.0
-    pred = predict_cycle(spec, (2, 3, 1, 1, 1))
+    pred = predict(spec, (2, 3, 1, 1, 1))
     assert pred.coefficient == pytest.approx(6.0, rel=1e-14)
 
     one_n = CycleSpec(k=4, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
-    assert predict_cycle(one_n, (1, 1, 1)).gamma == 2 * 4 + 1
+    assert predict(one_n, (1, 1, 1)).gamma == 2 * 4 + 1
 
 
 def test_predict_cycle_swaps_roles_when_m_exceeds_n():
     # more identity colors than shift colors: exchange the roles
     spec = CycleSpec(k=2, m_colors=frozenset([1, 2]), n_colors=frozenset([3]))
-    pred = predict_cycle(spec, (2.0, 1.5, 3.0))
+    pred = predict(spec, (2.0, 1.5, 3.0))
     assert pred.gamma == 2 * 2 + 1
     assert pred.coefficient == pytest.approx(3.0 * (2.0 * 1.5) ** 2, rel=1e-13)
     B = make_cycle_graph(spec)
@@ -133,7 +161,7 @@ def test_predict_cycle_swaps_roles_when_m_exceeds_n():
 def test_predict_generic_matches_enumeration():
     B = make_melonic(MelonicRecipe(D=4, steps=((2, 1), (1, 2))))
     c = (1.5, 0.5, 2.0, 1.0)
-    pred = predict_generic(B, c)
+    pred = predict(B, c)
     mcs = minimal_coverings(B)
     assert pred.gamma == mcs.gamma
     assert pred.coefficient == pytest.approx(face_sum(minimal_faces(B), side_ratios(c, B.D)),
@@ -145,7 +173,7 @@ def test_all_c_one_collapses_to_count():
     rng = np.random.default_rng(2)
     for D in (3, 4):
         recipe = random_melonic_recipe(rng, D, 3)
-        pred = predict_melonic(recipe, [1] * D)
+        pred = predict(recipe, [1] * D)
         assert pred.coefficient == pytest.approx(minimal_coverings(make_melonic(recipe)).count)
 
 
@@ -189,11 +217,11 @@ def test_cross_check_error_carries_diff():
 def test_coefficient_monotonic_in_each_ratio():
     spec = CycleSpec(k=3, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
     base = [1.0, 1.0, 1.0]
-    f0 = predict_cycle(spec, base).coefficient
+    f0 = predict(spec, base).coefficient
     for i in range(3):
         bumped = list(base)
         bumped[i] = 1.2
-        assert predict_cycle(spec, bumped).coefficient > f0
+        assert predict(spec, bumped).coefficient > f0
 
 
 def test_gamma_overlap_between_families():
@@ -201,7 +229,7 @@ def test_gamma_overlap_between_families():
     # same exponent k+1, and both match enumeration
     for k in (1, 2, 3):
         spec = CycleSpec(k=k, m_colors=frozenset([1]), n_colors=frozenset([2]))
-        assert predict_cycle(spec, (1, 1)).gamma == k + 1 == 1 + k * (2 - 1)
+        assert predict(spec, (1, 1)).gamma == k + 1 == 1 + k * (2 - 1)
 
 
 def test_cycle_faces_are_the_predicted_histograms():
@@ -220,7 +248,7 @@ def test_property_coefficient_is_the_rounded_exact_value(x, y):
     spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2]))
     X, Y = Fraction(x), Fraction(y)
     exact = X * Y ** 2 + X ** 2 * Y
-    assert predict_cycle(spec, (x, y)).coefficient == float(exact)
+    assert predict(spec, (x, y)).coefficient == float(exact)
     assert face_sum(minimal_faces(make_cycle_graph(spec)), side_ratios((x, y), 2)) == exact
 
 

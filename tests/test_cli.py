@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference import CoveringGraph, face_profile
 from tul import enumeration
-from tul.asymptotics import predict_cycle
+from tul.asymptotics import predict
 from tul.cli import main
 from tul.enumeration import catalan
 from tul.families import (CycleSpec, cycle_spec_to_json_dict, make_cycle_graph,
@@ -230,12 +230,14 @@ def test_enumerate_stdout_is_pinned(capsys, tmp_path, graph, flags, code, out):
 ], ids=["not-a-two-color-cycle", "anchor-color"])
 def test_enumerate_histogram_errors_come_before_any_sweep(capsys, tmp_path, sigma, color,
                                                           message):
-    # k=9: a pass would compute 9! rows of each color's face column first
+    # k=9: a pass would compute 9! rows of each color's face column first;
+    # CSV, which prints no histogram, refuses the same input
     path = _write(tmp_path, "graph.json", json.dumps({"k": 9, "D": len(sigma), "sigma": sigma}))
     enumeration._face_column.cache_clear()
     enumeration.covering_pass.cache_clear()
-    assert main(["enumerate", "--graph", path, "--histogram", color]) == 2
-    assert capsys.readouterr().err == message
+    for fmt in ("json", "csv"):
+        assert main(["enumerate", "--graph", path, "--histogram", color, "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", message)
     assert enumeration._face_column.cache_info().misses == 0
 
 
@@ -522,6 +524,13 @@ def test_asym_bad_ratio(capsys, tmp_path):
     code = main(["asym", "--family", "cycle", "--spec", str(path), "--c", "1,zap"])
     assert code == 2
     assert "'c[2]'" in capsys.readouterr().err
+
+
+def test_asym_empty_ratios_are_refused(capsys, tmp_path):
+    # "" is one empty ratio, not a missing --c: it is never read as all ones
+    spec = _write(tmp_path, "spec.json", json.dumps({"k": 3, "m_colors": [1], "n_colors": [2]}))
+    assert main(["asym", "--family", "cycle", "--spec", spec, "--c", ""]) == 2
+    assert capsys.readouterr() == ("", "error: expected 2 side ratios, got 1\n")
 
 
 @pytest.mark.parametrize("family, spec, ratios, out", [
@@ -967,8 +976,8 @@ def test_property_ratio_readers_agree(cycle11_k3_spec, p, q):
     assert tensor_spec_from_json_dict({"c": [token, 1], **fields}).c == library.c
     assert TensorSpec(c=(token, "1"), **fields).c == library.c == (exact, 1)
     spec = CycleSpec(k=3, m_colors=frozenset([1]), n_colors=frozenset([2]))
-    prediction = predict_cycle(spec, (exact, 1))
-    assert predict_cycle(spec, (token, "1")) == prediction
+    prediction = predict(spec, (exact, 1))
+    assert predict(spec, (token, "1")) == prediction
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["asym", "--family", "cycle", "--spec", cycle11_k3_spec,

@@ -36,6 +36,17 @@ def test_melonic_recipe_validation():
     assert MelonicRecipe(D=3, steps=((1, 1), (2, 2))).k == 3
 
 
+def test_melonic_recipe_steps_must_be_integers():
+    # a float color or vertex is refused, never truncated; numpy integers are read
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        MelonicRecipe(D=3, steps=((1.7, 1),))
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        MelonicRecipe(D=3, steps=((1, 1.0),))
+    recipe = MelonicRecipe(D=3, steps=((np.int64(2), np.int8(1)),))
+    assert recipe == MelonicRecipe(D=3, steps=((2, 1),))
+    assert all(type(x) is int for x in recipe.steps[0])
+
+
 def test_make_melonic_single_insertion():
     # cutting the color-1 edge of the dipole reroutes it through the new pair
     B = make_melonic(MelonicRecipe(D=3, steps=((1, 1),)))
@@ -127,6 +138,23 @@ def test_cycle_spec_validation():
         CycleSpec(k=2, m_colors=frozenset(), n_colors=frozenset([1]))
     spec = CycleSpec(k=2, m_colors=frozenset([1, 3]), n_colors=frozenset([2, 4, 5]))
     assert (spec.m, spec.n, spec.D) == (2, 3, 5)
+
+
+def test_cycle_spec_m_colors_must_be_integers():
+    # 1.5 is refused, never truncated to color 1; numpy integers are read
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        CycleSpec(k=2, m_colors={1.5}, n_colors={2})
+    spec = CycleSpec(k=2, m_colors={np.int64(1)}, n_colors={2})
+    assert spec == CycleSpec(k=2, m_colors={1}, n_colors={2})
+    assert [type(c) for c in spec.m_colors] == [int]
+
+
+def test_cycle_spec_n_colors_must_be_integers():
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        CycleSpec(k=2, m_colors={1}, n_colors={2.0})
+    spec = CycleSpec(k=2, m_colors={1}, n_colors=np.array([2, 3]))
+    assert spec == CycleSpec(k=2, m_colors={1}, n_colors={2, 3})
+    assert {type(c) for c in spec.n_colors} == {int}
 
 
 def test_make_cycle_graph_rows():

@@ -50,6 +50,13 @@ def test_tensor_spec_validation():
         gaussian_spec(2, 2 ** 13 + 1)
 
 
+def test_tensor_spec_N_must_be_an_integer():
+    # side_lengths reads N as an integer: 4.0 is refused, a numpy integer read
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        gaussian_spec(2, 4.0)
+    assert gaussian_spec(2, np.int64(4)).dims == (4, 4)
+
+
 @pytest.mark.parametrize("bad", ["1/0", True, "inf", float("nan"), 0, "-3/2"])
 def test_tensor_spec_refuses_bad_ratio_naming_it(bad):
     with pytest.raises(ValueError, match=re.escape("'c[1]'")):
@@ -711,6 +718,25 @@ def test_universality_scan_errors():
         universality_scan(spec, cycle_11(2), [], 100)
     with pytest.raises(ValueError, match="sample counts"):
         universality_scan(spec, cycle_11(2), [4, 8], [100])
+
+
+def test_universality_scan_N_list_must_be_integers(no_draw):
+    # N=4.7 is refused before any draw, never run at N=4
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        universality_scan(gaussian_spec(2, 4), cycle_11(2), [4.7], [3])
+
+
+def test_universality_scan_sample_counts_must_be_integers(no_draw):
+    # 2.9 samples are refused before any draw, never run as 2
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        universality_scan(gaussian_spec(2, 4), cycle_11(2), [4], [2.9])
+
+
+def test_universality_scan_reads_numpy_integers():
+    spec = gaussian_spec(2, 4)
+    report = universality_scan(spec, cycle_11(2), [np.int64(4)], [np.int32(3)])
+    assert report == universality_scan(spec, cycle_11(2), [4], [3])
+    assert (type(report.rows[0].N), type(report.rows[0].samples)) == (int, int)
 
 
 def test_universality_scan_deterministic():
