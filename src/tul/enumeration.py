@@ -3,10 +3,13 @@ Catalan/Narayana combinatorics.
 
 A covering of a D-colored graph B is a pairing tau in S_k, and its
 (0,i)-faces are the cycles of tau^-1 sigma_i: they depend on k and sigma_i
-alone.  `_face_column` counts them for all k! pairings of lexicographic S_k
-at once, in numpy, by pointer jumping over (k-1)! rows at a time, and caches
-the int8 column per sigma_i.  A pass stacks the columns of B's colors in
-B's own order, and `covering_pass` reads one record, `CoveringPass`, off it:
+alone.  `_cycle_counts` holds the cycle count of every permutation of
+lexicographic S_k, built once per k from S_{k-1}'s in numpy.  The cycles of
+tau^-1 sigma_i are those of sigma_i^-1 tau, which runs over S_k as tau does,
+so `_face_column` reads the counts at the lexicographic ranks of
+sigma_i^-1 tau (`_lehmer_ranks`), and caches the int8 column per sigma_i.
+A pass stacks the columns of B's colors in B's own order, and
+`covering_pass` reads one record, `CoveringPass`, off it:
 
   histogram  {zero_faces: multiplicity}, the whole finite-N Wick sum
   gamma      the maximal total face count, the leading power of N
@@ -36,7 +39,7 @@ import numpy as np
 
 from .families import CycleSpec, make_cycle_graph
 from .graphs import ColoredGraph, e_notation, is_connected, side_ratios
-from .permutations import Perm, inverse
+from .permutations import Perm, identity, inverse
 
 # The largest k a pass accepts.  A resource limit, not a tuning knob: a
 # pass costs k!, and k=10 already takes seconds and ~200 MB.
@@ -86,41 +89,74 @@ def _lex_perms(m: int) -> np.ndarray:
     return out
 
 
+def _lehmer_ranks(table: Perm) -> np.ndarray:
+    """The lexicographic rank of pi = table[tau] (pi_j = table[tau_j]) for
+    every tau of S_k, in lexicographic order, as an int32 (k!,) array.
+
+    The rank is sum_j d_j (k-1-j)!, where d_j counts the l > j with
+    pi_l < pi_j.  d_j depends on tau's first j+1 entries alone: it is the
+    rank of table[tau_j] among table's values on the entries not yet taken.
+    So the ranks grow one prefix length at a time, and digits[p, i] holds,
+    for prefix p, the rank of table's value on the i-th smallest entry not
+    in p among the values on all of them.
+    """
+    k = len(table)
+    digits = np.array(table, dtype=np.int8).reshape(1, k)
+    rank = np.zeros(1, dtype=np.int32)
+    for m in range(k, 1, -1):  # m entries remain after each prefix
+        # an int32 weight: times a plain int, the int8 digits would stay int8
+        rank = (rank[:, None] + digits * np.int32(math.factorial(m - 1))).ravel()
+        if m > 2:
+            # prefix p extended by its i-th remaining entry keeps the other
+            # m-1, each one rank lower if it ranked above the entry taken
+            j = np.arange(m - 1)
+            rest = np.take(digits, j + (j >= np.arange(m).reshape(m, 1)), axis=1)
+            rest -= rest > digits[:, :, None]
+            digits = rest.reshape(-1, m - 1)
+    return rank
+
+
+@functools.lru_cache(maxsize=None)
+def _cycle_counts(k: int) -> np.ndarray:
+    """The cycle count of every tau of S_k, in lexicographic order, as a
+    read-only int8 (k!,) column, built from S_{k-1}'s.
+
+    A tau with tau[0] = 0 fixes 0, and its tau[1:] runs over S_{k-1} in
+    order: one cycle more than S_{k-1}'s counts.  For tau[0] = a > 0, 0 and
+    a share a cycle of tau, which tau (0 a) splits into the fixed point a
+    and the rest, so tau has the cycles of tau (0 a) on the k-1 points other
+    than a.  Read in S_{k-1}, that is s pi, where s is tau[1:] and pi is
+    (a-1, 0, 1, ..., a-2, a, ..., k-2) in one-line notation, and s pi has
+    the cycles of its conjugate pi s: S_{k-1}'s counts at the ranks of
+    pi[s].
+    """
+    if k == 0:
+        counts = np.zeros(1, dtype=np.int8)
+    else:
+        sub = _cycle_counts(k - 1)
+        counts = np.concatenate(
+            [sub + 1] + [sub[_lehmer_ranks((a - 1, *range(a - 1), *range(a, k - 1)))]
+                         for a in range(1, k)])
+    counts.flags.writeable = False
+    return counts
+
+
 @functools.lru_cache(maxsize=_CACHED_COLUMNS)
 def _face_column(table: Perm) -> np.ndarray:
     """The cycle count of tau^-1 sigma_i for every tau of S_k, in
     lexicographic order, as a read-only int8 (k!,) column; table is
     sigma_i^-1, and its length is k.
 
-    tau^-1 sigma_i has the cycles of its inverse sigma_i^-1 tau, a gather of
-    tau through table.  The cycles are counted by pointer jumping over the
-    (k-1)! pairings that share tau[0], one block at a time.
+    tau^-1 sigma_i has the cycles of its inverse sigma_i^-1 tau = table[tau],
+    and tau -> table[tau] is a bijection of S_k, so the column is the cycle
+    counts of S_k (`_cycle_counts`, built once per k) read at the
+    lexicographic ranks of the table[tau] (`_lehmer_ranks`).  The identity
+    reads them in order, and its column is the cycle counts themselves.
     """
-    k = len(table)
-    perms = _lex_perms(k)
-    rows = len(perms) // k
-    table = np.array(table, dtype=np.int32)
-    # pointers index the flattened (rows, k) block, so that one gather
-    # follows every row at once; labels are positions within a row.  The
-    # int8 rows go through table by np.take into int32, a quarter of the
-    # cost of an intp fancy index, and the intp offset makes the pointers
-    # intp, which the jumping gathers below take without a cast.
-    offset = np.arange(0, rows * k, k).reshape(rows, 1)
-    position = np.arange(k, dtype=np.int8)
-    start = np.tile(position, rows)
-    rounds = (k - 1).bit_length()  # ceil(log2 k): enough to span a k-cycle
-    column = np.empty((k, rows), dtype=np.int8)
-    for first in range(k):
-        step = (np.take(table, perms[first * rows:(first + 1) * rows]) + offset).ravel()
-        # after round r, label[x] is the least position among the 2^r
-        # points from x on its cycle, so after all rounds it names the cycle
-        label = start
-        for r in range(rounds):
-            label = np.minimum(label, label[step])
-            if r + 1 < rounds:
-                step = step[step]
-        column[first] = (label.reshape(rows, k) == position).sum(axis=1)
-    column = column.ravel()
+    counts = _cycle_counts(len(table))
+    if table == identity(len(table)):
+        return counts
+    column = counts[_lehmer_ranks(table)]
     column.flags.writeable = False
     return column
 

@@ -34,6 +34,7 @@ class MelonicRecipe:
     steps: tuple[Step, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "D", operator.index(self.D))
         if self.D < 1:
             raise ValueError(f"D must be positive, got {self.D}")
         steps = tuple((operator.index(c), operator.index(v)) for c, v in self.steps)
@@ -63,6 +64,7 @@ class CycleSpec:
     n_colors: frozenset[int]
 
     def __post_init__(self):
+        object.__setattr__(self, "k", operator.index(self.k))
         object.__setattr__(self, "m_colors", frozenset(map(operator.index, self.m_colors)))
         object.__setattr__(self, "n_colors", frozenset(map(operator.index, self.n_colors)))
         if self.k < 1:

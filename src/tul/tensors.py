@@ -46,6 +46,7 @@ import functools
 import math
 import operator
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -127,6 +128,7 @@ class TensorSpec:
     dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "D", operator.index(self.D))
         if self.D < 1:
             raise ValueError(f"D must be positive, got {self.D}")
         object.__setattr__(self, "c", side_ratios(self.c, self.D))
@@ -141,6 +143,7 @@ class TensorSpec:
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}; "
                              f"choose one of {', '.join(DISTRIBUTIONS)}")
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
@@ -570,12 +573,12 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
     N_list = [operator.index(N) for N in N_list]
     if not N_list:
         raise ValueError("N_list must not be empty")
-    if isinstance(samples, int):
-        per_N = [samples] * len(N_list)
-    else:
+    if isinstance(samples, Iterable):
         per_N = [operator.index(s) for s in samples]
         if len(per_N) != len(N_list):
             raise ValueError(f"got {len(per_N)} sample counts for {len(N_list)} values of N")
+    else:
+        per_N = [operator.index(samples)] * len(N_list)
     # every row's spec, sample count and route is checked before any row is
     # sampled
     row_specs = [replace(spec, N=N) for N in N_list]

@@ -16,6 +16,7 @@ from tul.enumeration import (MAX_K, catalan, covering_pass, enumerate_coverings,
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic,
                           random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
+from tul.permutations import inverse
 from tul.tensors import gaussian_exact_mean
 
 
@@ -306,8 +307,9 @@ def test_pass_many_colors():
 
 
 def test_pass_errors_come_before_any_sweep():
-    enumeration._face_column.cache_clear()
-    enumeration._lex_perms.cache_clear()
+    caches = (enumeration._face_column, enumeration._cycle_counts, enumeration._lex_perms)
+    for cached in caches:
+        cached.cache_clear()
     with pytest.raises(ValueError, match="cap"):
         minimal_coverings(two_color_cycle(10))
     with pytest.raises(ValueError, match="connected"):
@@ -316,7 +318,7 @@ def test_pass_errors_come_before_any_sweep():
         gaussian_exact_mean(two_color_cycle(10), (1, 1), 2)
     with pytest.raises(ValueError, match="cap"):
         narayana_face_distribution(two_color_cycle(10), 1)
-    for cached in (enumeration._face_column, enumeration._lex_perms):
+    for cached in caches:
         info = cached.cache_info()
         assert (info.hits, info.misses) == (0, 0)
 
@@ -367,6 +369,26 @@ def test_cycles_of_one_k_share_two_columns():
         assert column.dtype == np.int8 and column.shape == (120,)
         assert not column.flags.writeable
     assert enumeration._face_column.cache_info().misses == 2  # the identity's and the shift's
+
+
+def _reference_column(table):
+    # the cycle count of tau^-1 sigma, sigma = table^-1, for every tau of S_k in order
+    sigma = inverse(table)
+    base = ColoredGraph(k=len(table), sigma=(sigma,))
+    return [face_profile(CoveringGraph(base=base, tau=tau))[0]
+            for tau in itertools.permutations(range(len(table)))]
+
+
+def test_face_column_is_the_reference_cycle_count():
+    # every table of S_k for k <= 5, then two random tables at k = 7; the
+    # columns are read through the Lehmer ranks of the relabeled pairings
+    rng = np.random.default_rng(23)
+    tables = [t for k in range(1, 6) for t in itertools.permutations(range(k))]
+    tables += [tuple(rng.permutation(7).tolist()) for _ in range(2)]
+    for table in tables:
+        column = enumeration._face_column(table)
+        assert column.dtype == np.int8 and not column.flags.writeable
+        assert column.tolist() == _reference_column(table)
 
 
 @st.composite

@@ -737,6 +737,29 @@ def test_universality_scan_reads_numpy_integers():
     report = universality_scan(spec, cycle_11(2), [np.int64(4)], [np.int32(3)])
     assert report == universality_scan(spec, cycle_11(2), [4], [3])
     assert (type(report.rows[0].N), type(report.rows[0].samples)) == (int, int)
+    # one numpy count is one count for every N, not a per-N sequence
+    assert universality_scan(spec, cycle_11(2), [4, 8], np.int64(5)) == \
+        universality_scan(spec, cycle_11(2), [4, 8], 5)
+
+
+INTEGER_FIELDS = {
+    "CycleSpec.k": (lambda x: CycleSpec(k=x, m_colors={1}, n_colors={2}), "k", 2),
+    "MelonicRecipe.D": (lambda x: MelonicRecipe(D=x), "D", 3),
+    "TensorSpec.D": (lambda x: TensorSpec(D=x, c=(1, 1), N=4, distribution="complex_gaussian",
+                                          seed=0), "D", 2),
+    "TensorSpec.seed": (lambda x: gaussian_spec(2, 4, seed=x), "seed", 1),
+}
+
+
+@pytest.mark.parametrize("build, name, value", INTEGER_FIELDS.values(), ids=INTEGER_FIELDS)
+def test_integer_fields_refuse_floats(build, name, value):
+    # a float is refused when the spec is built, never later by its consumers;
+    # a numpy integer is read as an int
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        build(float(value))
+    spec = build(np.int64(value))
+    assert spec == build(value)
+    assert type(getattr(spec, name)) is int
 
 
 def test_universality_scan_deterministic():
