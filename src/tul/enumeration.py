@@ -104,8 +104,10 @@ def _lehmer_ranks(table: Perm) -> np.ndarray:
     digits = np.array(table, dtype=np.int8).reshape(1, k)
     rank = np.zeros(1, dtype=np.int32)
     for m in range(k, 1, -1):  # m entries remain after each prefix
-        # an int32 weight: times a plain int, the int8 digits would stay int8
-        rank = (rank[:, None] + digits * np.int32(math.factorial(m - 1))).ravel()
+        # an int32 product on every numpy: promoting the int8 digits by the
+        # operand's type alone would keep int8 (or int16) and wrap at k >= 6
+        weighted = np.multiply(digits, math.factorial(m - 1), dtype=np.int32)
+        rank = (rank[:, None] + weighted).ravel()
         if m > 2:
             # prefix p extended by its i-th remaining entry keeps the other
             # m-1, each one rank lower if it ranked above the entry taken

@@ -391,6 +391,21 @@ def test_face_column_is_the_reference_cycle_count():
         assert column.tolist() == _reference_column(table)
 
 
+def test_lehmer_ranks_are_int32_and_a_bijection_at_k_9():
+    # the weights reach 8! = 40,320, past int16, so a narrowed product would
+    # wrap and repeat or overflow ranks; the identity reads S_9 in order
+    k = 9
+    for table in [tuple(range(k)), (3, 0, 8, 1, 6, 2, 7, 5, 4), tuple(range(k))[::-1]]:
+        ranks = enumeration._lehmer_ranks(table)
+        assert ranks.dtype == np.int32
+        assert np.array_equal(np.sort(ranks), np.arange(math.factorial(k)))
+    assert np.array_equal(enumeration._lehmer_ranks(tuple(range(k))),
+                          np.arange(math.factorial(k)))
+    # the reversal maps the lexicographic order onto its own reverse
+    assert np.array_equal(enumeration._lehmer_ranks(tuple(range(k))[::-1]),
+                          np.arange(math.factorial(k))[::-1])
+
+
 @st.composite
 def connected_graphs(draw):
     """A connected graph with k = 1-6 and D = 1-5 random sigma rows."""
