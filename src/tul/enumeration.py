@@ -8,8 +8,12 @@ lexicographic S_k, built once per k from S_{k-1}'s in numpy.  The cycles of
 tau^-1 sigma_i are those of sigma_i^-1 tau, which runs over S_k as tau does,
 so `_face_column` reads the counts at the lexicographic ranks of
 sigma_i^-1 tau (`_lehmer_ranks`), and caches the int8 column per sigma_i.
-A pass stacks the columns of B's colors in B's own order, and
-`covering_pass` reads one record, `CoveringPass`, off it:
+A pass stacks the columns of B's colors in B's own order, reads each row's
+face vector as one int64 key, and sorts key * k! + row once in place
+(`_profile_keys`): each run of equal key // k! is one face vector, in
+lexicographic order, its length is the vector's multiplicity, and its first
+element carries the vector's smallest row.  `covering_pass` reads one
+record, `CoveringPass`, off the runs:
 
   histogram  {zero_faces: multiplicity}, the whole finite-N Wick sum
   gamma      the maximal total face count, the leading power of N
@@ -78,13 +82,16 @@ def _lex_perms(m: int) -> np.ndarray:
     """S_m as the rows of a read-only int8 (m!, m) array, in lexicographic
     order."""
     if m == 0:
-        return np.zeros((1, 0), dtype=np.int8)
-    sub = _lex_perms(m - 1)
-    out = np.empty((m, len(sub), m), dtype=np.int8)
-    for first in range(m):
-        out[first, :, 0] = first
-        out[first, :, 1:] = np.delete(np.arange(m, dtype=np.int8), first)[sub]
-    out = out.reshape(-1, m)
+        out = np.zeros((1, 0), dtype=np.int8)
+    else:
+        sub = _lex_perms(m - 1)
+        out = np.empty((m, len(sub), m), dtype=np.int8)
+        for first in range(m):
+            # the tail runs over S_{m-1} on the entries other than first:
+            # those of sub at or past first move up by one
+            out[first, :, 0] = first
+            np.add(sub, sub >= first, out=out[first, :, 1:])
+        out = out.reshape(-1, m)
     out.flags.writeable = False
     return out
 
@@ -170,16 +177,24 @@ def _faces(B: ColoredGraph) -> np.ndarray:
 
 
 def _profile_keys(faces: np.ndarray, k: int) -> np.ndarray:
-    """One int64 per row, equal for two rows iff their face vectors are.
+    """key(vector) * n + row for each of the n rows, as int64, where
+    key(vector) is equal for two rows iff their face vectors are, and orders
+    the vectors lexicographically.
 
-    Counts lie in 1..k, so the vector is read as a base-k number; when that
-    could overflow, the key so far is first replaced by its rank.
+    Counts lie in 1..k, so the vector is read as a base-k number, first color
+    first; when the composite could reach 2^63, the key so far is first
+    replaced by its rank among the distinct keys, which keeps their order.
     """
-    key, bound = np.zeros(len(faces), dtype=np.int64), 1
+    n = len(faces)
+    key, bound = np.zeros(n, dtype=np.int64), 1
     for column in faces.T:
-        if bound * k >= 2 ** 63:
-            key, bound = np.unique(key, return_inverse=True)[1], len(faces)
-        key, bound = key * k + (column - 1), bound * k
+        if bound * k * n >= 2 ** 63:
+            key, bound = np.unique(key, return_inverse=True)[1], n
+        key *= k
+        key += column - 1
+        bound *= k
+    key *= n
+    key += np.arange(n)
     return key
 
 
@@ -195,8 +210,15 @@ def _check_graph(B: ColoredGraph):
 
 @functools.lru_cache(maxsize=_CACHED_GRAPHS)
 def covering_pass(B: ColoredGraph) -> CoveringPass:
-    """The face histogram and minimal coverings of B, read off its stacked
-    face columns.
+    """The face histogram and minimal coverings of B, read off one sort of
+    its stacked face columns' keys.
+
+    After the sort, a run of equal key // k! is one face vector, in
+    lexicographic order: its length is the vector's multiplicity, and its
+    first element carries the vector's smallest row, key % k!, which the
+    vector is read from.  gamma is the largest total over those few vectors,
+    summed as Python ints, and the members are the rows of the runs of that
+    total, merged in row order, which is lexicographic order of S_k.
 
     Each color's column is cached by sigma_i alone, so graphs that share a
     sigma row at one k share its column: all (m,n)-cycles of one k read the
@@ -205,12 +227,17 @@ def covering_pass(B: ColoredGraph) -> CoveringPass:
     """
     _check_graph(B)
     faces = _faces(B)
-    _, first, counts = np.unique(_profile_keys(faces, B.k), return_index=True,
-                                 return_counts=True)
-    histogram = dict(sorted(zip(map(tuple, faces[first].tolist()), counts.tolist())))
-    totals = faces.sum(axis=1, dtype=np.int64)  # int8 would overflow past 127
-    gamma = int(totals.max())
-    hit = totals == gamma
+    n = len(faces)
+    key = _profile_keys(faces, B.k)
+    key.sort()
+    vector = key // n
+    bounds = [0, *(np.flatnonzero(vector[1:] != vector[:-1]) + 1).tolist(), n]
+    zeros = list(map(tuple, faces[key[bounds[:-1]] % n].tolist()))
+    totals = list(map(sum, zeros))
+    gamma = max(totals)
+    histogram = {zero: end - start for zero, start, end in zip(zeros, bounds, bounds[1:])}
+    hit = np.sort(np.concatenate([key[start:end] for start, end, total
+                                  in zip(bounds, bounds[1:], totals) if total == gamma]) % n)
     members = tuple((tuple(tau), tuple(zero))
                     for tau, zero in zip(_lex_perms(B.k)[hit].tolist(), faces[hit].tolist()))
     return CoveringPass(histogram=MappingProxyType(histogram), gamma=gamma, members=members)

@@ -406,6 +406,56 @@ def test_lehmer_ranks_are_int32_and_a_bijection_at_k_9():
                           np.arange(math.factorial(k))[::-1])
 
 
+def test_lex_perms_is_itertools_order():
+    for k in range(9):
+        perms = enumeration._lex_perms(k)
+        assert perms.dtype == np.int8 and not perms.flags.writeable
+        assert list(map(tuple, perms.tolist())) == list(itertools.permutations(range(k)))
+
+
+def _connected_graph(rng, k, D):
+    while True:
+        B = ColoredGraph(k=k, sigma=tuple(tuple(rng.permutation(k).tolist()) for _ in range(D)))
+        if is_connected(B):
+            return B
+
+
+@pytest.mark.parametrize("k, D, reranks", [(5, 24, 0), (5, 25, 1), (7, 18, 0), (7, 19, 1)])
+def test_pass_on_both_sides_of_the_rerank(monkeypatch, k, D, reranks):
+    # the composite key * k! + row of a base-k key over D colors first
+    # reaches 2^63 at D = 25 for k = 5 and at D = 19 for k = 7, where the
+    # key is re-ranked once, part way; the pass must read the same record
+    # off its sorted keys on either side
+    assert (k ** D * math.factorial(k) >= 2 ** 63) == bool(reranks)
+    assert k ** (D - 1) * math.factorial(k) < 2 ** 63
+    graphs = [_connected_graph(np.random.default_rng(24 + D), k, D)]
+    if k == 7:
+        # the (1,1)-cycle: its top total k+1 has the k Narayana vectors
+        graphs.append(two_color_cycle(k))
+    for B in graphs:
+        faces = enumeration._faces(B)
+        calls = []
+        with monkeypatch.context() as patch:
+            unique = np.unique
+            patch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
+            enumeration._profile_keys(faces, B.k)
+        assert len(calls) == (reranks if B.D == D else 0)
+        rows, counts = np.unique(faces, axis=0, return_counts=True)
+        totals = faces.sum(axis=1, dtype=np.int64)
+        gamma = int(totals.max())
+        result = covering_pass(B)
+        assert list(result.histogram.items()) == list(zip(map(tuple, rows.tolist()),
+                                                          counts.tolist()))
+        assert result.gamma == gamma
+        assert result.members == tuple(
+            (tau, tuple(zero)) for tau, zero, total
+            in zip(itertools.permutations(range(B.k)), faces.tolist(), totals.tolist())
+            if total == gamma)
+        if B.D == 2:
+            assert sorted(zero for zero in result.histogram if sum(zero) == gamma) == [
+                (l, k + 1 - l) for l in range(1, k + 1)]
+
+
 @st.composite
 def connected_graphs(draw):
     """A connected graph with k = 1-6 and D = 1-5 random sigma rows."""
