@@ -4,12 +4,14 @@ Catalan/Narayana combinatorics.
 A covering of a D-colored graph B is a pairing tau in S_k, and its
 (0,i)-faces are the cycles of tau^-1 sigma_i: they depend on k and sigma_i
 alone.  `_cycle_counts` holds the cycle count of every permutation of
-lexicographic S_k, built once per k from S_{k-1}'s in numpy.  The cycles of
-tau^-1 sigma_i are those of sigma_i^-1 tau, which runs over S_k as tau does,
-so `_face_column` reads the counts at the lexicographic ranks of
-sigma_i^-1 tau (`_lehmer_ranks`), and caches the int8 column per sigma_i.
-A pass stacks the columns of B's colors in B's own order, reads each row's
-face vector as one int64 key, and sorts key * k! + row once in place
+lexicographic S_k, built once per k from S_{k-1}'s in numpy: the ranks it
+reads them at move from one first entry to the next by one adjacent
+transposition of values, so each is the one before plus or minus a
+factorial.  The cycles of tau^-1 sigma_i are those of sigma_i^-1 tau, which
+runs over S_k as tau does, so `_face_column` reads the counts at the
+lexicographic ranks of sigma_i^-1 tau (`_lehmer_ranks`), and caches the
+int8 column per sigma_i.  A pass adds the columns of B's colors, in B's own
+order, into one int64 key per row, and sorts key * k! + row once in place
 (`_profile_keys`): each run of equal key // k! is one face vector, in
 lexicographic order, its length is the vector's multiplicity, and its first
 element carries the vector's smallest row.  `covering_pass` reads one
@@ -17,10 +19,12 @@ record, `CoveringPass`, off the runs:
 
   histogram  {zero_faces: multiplicity}, the whole finite-N Wick sum
   gamma      the maximal total face count, the leading power of N
-  members    the face-maximizing coverings, which carry the leading term
+  members    the face-maximizing coverings, which carry the leading term;
+             the record keeps their rows and face vectors, so count needs no
+             tuple, and builds the (tau, zero_faces) pairs on first read
 
 Graphs whose sigma rows repeat share columns: every (m,n)-cycle of one k
-stacks the same two, the identity and the shift.  Gamma, the
+reads the same two, the identity and the shift.  Gamma, the
 Catalan/Narayana counts, the exact leading coefficient (`face_sum` over
 `minimal_faces`) and the exact Wick integer all come from the one cached
 pass per graph.
@@ -34,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -58,7 +62,7 @@ _CACHED_GRAPHS = 4
 _CACHED_COLUMNS = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoveringPass:
     """What one pass over S_k yields for a graph.
 
@@ -66,15 +70,27 @@ class CoveringPass:
     that have it, so its values sum to k!.  gamma is the maximal total face
     count, and members holds every pairing that attains it as a pair (tau,
     zero_faces), in lexicographic order; each zero_faces sums to gamma.
+
+    The pass keeps only the members' rows of lexicographic S_k and their
+    face vectors, so count is their number, and members is built from them
+    the first time it is read.
     """
 
     histogram: Mapping[tuple[int, ...], int]
     gamma: int
-    members: tuple[tuple[Perm, tuple[int, ...]], ...]
+    _k: int = field(repr=False)
+    _rows: np.ndarray = field(repr=False)
+    _member_faces: np.ndarray = field(repr=False)
 
     @property
     def count(self) -> int:
-        return len(self.members)
+        return len(self._rows)
+
+    @functools.cached_property
+    def members(self) -> tuple[tuple[Perm, tuple[int, ...]], ...]:
+        taus = _lex_perms(self._k)[self._rows].tolist()
+        return tuple((tuple(tau), tuple(zero))
+                     for tau, zero in zip(taus, self._member_faces.tolist()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,6 +107,30 @@ def _lex_perms(m: int) -> np.ndarray:
             # those of sub at or past first move up by one
             out[first, :, 0] = first
             np.add(sub, sub >= first, out=out[first, :, 1:])
+        out = out.reshape(-1, m)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _lex_positions(m: int) -> np.ndarray:
+    """The inverse of each row of _lex_perms(m): row r holds the position of
+    each value 0..m-1 in S_m's r-th permutation, as a read-only int8 (m!, m)
+    array.
+
+    A row with first entry first holds first at position 0, and each other
+    value one place past where the S_{m-1} tail holds it, as _lex_perms
+    numbers the tail: a value past first one lower.
+    """
+    if m == 0:
+        out = np.zeros((1, 0), dtype=np.int8)
+    else:
+        tail = _lex_positions(m - 1) + 1
+        out = np.empty((m, len(tail), m), dtype=np.int8)
+        for first in range(m):
+            out[first, :, :first] = tail[:, :first]
+            out[first, :, first] = 0
+            out[first, :, first + 1:] = tail[:, first:]
         out = out.reshape(-1, m)
     out.flags.writeable = False
     return out
@@ -134,18 +174,35 @@ def _cycle_counts(k: int) -> np.ndarray:
     order: one cycle more than S_{k-1}'s counts.  For tau[0] = a > 0, 0 and
     a share a cycle of tau, which tau (0 a) splits into the fixed point a
     and the rest, so tau has the cycles of tau (0 a) on the k-1 points other
-    than a.  Read in S_{k-1}, that is s pi, where s is tau[1:] and pi is
-    (a-1, 0, 1, ..., a-2, a, ..., k-2) in one-line notation, and s pi has
-    the cycles of its conjugate pi s: S_{k-1}'s counts at the ranks of
-    pi[s].
+    than a.  Read in S_{k-1}, that is s pi_a, where s is tau[1:] and pi_a is
+    (a-1, 0, 1, ..., a-2, a, ..., k-2) in one-line notation, and s pi_a has
+    the cycles of its conjugate pi_a s: S_{k-1}'s counts at the ranks of
+    pi_a[s].
+
+    pi_1 is the identity, and pi_{a+1} = (a-1 a) pi_a swaps the adjacent
+    values a-1 and a, which pi_a[s] holds where s holds 0 and a.  Of its
+    Lehmer digits only the one at the left of those two positions, p0 and
+    pa, moves, by one, up when p0 < pa.  So each rank is the one before it
+    plus +-(k-2-min(p0, pa))!, read from a (k-1, k-1) table at (p0, pa).
     """
     if k == 0:
         counts = np.zeros(1, dtype=np.int8)
     else:
-        sub = _cycle_counts(k - 1)
-        counts = np.concatenate(
-            [sub + 1] + [sub[_lehmer_ranks((a - 1, *range(a - 1), *range(a, k - 1)))]
-                         for a in range(1, k)])
+        sub, m = _cycle_counts(k - 1), k - 1
+        parts = [sub + 1]
+        if m:
+            positions = _lex_positions(m)
+            p = np.arange(m)
+            weight = np.array([math.factorial(m - 1 - j) for j in p], dtype=np.int32)
+            left = weight[np.minimum.outer(p, p)]
+            step = np.where(p[:, None] < p, left, -left).ravel()
+            at_zero = np.multiply(positions[:, 0], m, dtype=np.int32)
+            rank = np.arange(len(sub), dtype=np.int32)
+            parts.append(sub)
+            for a in range(1, m):
+                rank += np.take(step, at_zero + positions[:, a])
+                parts.append(np.take(sub, rank))
+        counts = np.concatenate(parts)
     counts.flags.writeable = False
     return counts
 
@@ -170,29 +227,39 @@ def _face_column(table: Perm) -> np.ndarray:
     return column
 
 
+def _columns(B: ColoredGraph) -> tuple[np.ndarray, ...]:
+    """The cached int8 (k!,) zero-face column of each color, in B's own order."""
+    return tuple(_face_column(inverse(s)) for s in B.sigma)
+
+
 def _faces(B: ColoredGraph) -> np.ndarray:
-    """The (k!, D) int8 zero-face counts of every pairing, one cached column
-    per color in B's own order."""
-    return np.stack([_face_column(inverse(s)) for s in B.sigma], axis=1)
+    """The (k!, D) int8 zero-face counts of every pairing: B's columns stacked."""
+    return np.stack(_columns(B), axis=1)
 
 
-def _profile_keys(faces: np.ndarray, k: int) -> np.ndarray:
-    """key(vector) * n + row for each of the n rows, as int64, where
-    key(vector) is equal for two rows iff their face vectors are, and orders
-    the vectors lexicographically.
+def _profile_keys(columns: tuple[np.ndarray, ...], k: int) -> np.ndarray:
+    """key(vector) * n + row for each of the n rows of the columns, as int64,
+    where key(vector) is equal for two rows iff their face vectors are, and
+    orders the vectors lexicographically.
 
     Counts lie in 1..k, so the vector is read as a base-k number, first color
-    first; when the composite could reach 2^63, the key so far is first
-    replaced by its rank among the distinct keys, which keeps their order.
+    first, with digits count - 1: the key starts as the first column, each
+    next one is added in place as it is, and the ones, offset in all, come
+    off once at the end.  When the composite could reach 2^63, the key so far
+    is first replaced by its rank among the distinct keys, which keeps their
+    order.  No step overflows: offset is (bound - 1) / (k - 1), below bound
+    for k > 1, so the key stays below 2 * bound * k <= bound * k * n < 2^63
+    (at k = 1 it is at most D).
     """
-    n = len(faces)
-    key, bound = np.zeros(n, dtype=np.int64), 1
-    for column in faces.T:
+    n = len(columns[0])
+    key, bound, offset = columns[0].astype(np.int64), k, 1
+    for column in columns[1:]:
         if bound * k * n >= 2 ** 63:
-            key, bound = np.unique(key, return_inverse=True)[1], n
+            key, bound, offset = np.unique(key, return_inverse=True)[1], n, 0
         key *= k
-        key += column - 1
-        bound *= k
+        key += column
+        bound, offset = bound * k, offset * k + 1
+    key -= offset
     key *= n
     key += np.arange(n)
     return key
@@ -211,14 +278,16 @@ def _check_graph(B: ColoredGraph):
 @functools.lru_cache(maxsize=_CACHED_GRAPHS)
 def covering_pass(B: ColoredGraph) -> CoveringPass:
     """The face histogram and minimal coverings of B, read off one sort of
-    its stacked face columns' keys.
+    the keys of its face columns.
 
     After the sort, a run of equal key // k! is one face vector, in
     lexicographic order: its length is the vector's multiplicity, and its
     first element carries the vector's smallest row, key % k!, which the
     vector is read from.  gamma is the largest total over those few vectors,
     summed as Python ints, and the members are the rows of the runs of that
-    total, merged in row order, which is lexicographic order of S_k.
+    total, merged in row order, which is lexicographic order of S_k; the
+    record keeps those rows and their face vectors, and builds the member
+    pairings only when they are read.
 
     Each color's column is cached by sigma_i alone, so graphs that share a
     sigma row at one k share its column: all (m,n)-cycles of one k read the
@@ -226,21 +295,23 @@ def covering_pass(B: ColoredGraph) -> CoveringPass:
     one graph call this back to back.
     """
     _check_graph(B)
-    faces = _faces(B)
-    n = len(faces)
-    key = _profile_keys(faces, B.k)
+    columns = _columns(B)
+    n = math.factorial(B.k)
+    key = _profile_keys(columns, B.k)
     key.sort()
     vector = key // n
     bounds = [0, *(np.flatnonzero(vector[1:] != vector[:-1]) + 1).tolist(), n]
-    zeros = list(map(tuple, faces[key[bounds[:-1]] % n].tolist()))
+    firsts = key[bounds[:-1]] % n
+    zeros = list(zip(*(column[firsts].tolist() for column in columns)))
     totals = list(map(sum, zeros))
     gamma = max(totals)
     histogram = {zero: end - start for zero, start, end in zip(zeros, bounds, bounds[1:])}
-    hit = np.sort(np.concatenate([key[start:end] for start, end, total
-                                  in zip(bounds, bounds[1:], totals) if total == gamma]) % n)
-    members = tuple((tuple(tau), tuple(zero))
-                    for tau, zero in zip(_lex_perms(B.k)[hit].tolist(), faces[hit].tolist()))
-    return CoveringPass(histogram=MappingProxyType(histogram), gamma=gamma, members=members)
+    rows = np.sort(np.concatenate([key[start:end] for start, end, total
+                                   in zip(bounds, bounds[1:], totals) if total == gamma]) % n)
+    member_faces = np.stack([column[rows] for column in columns], axis=1)
+    rows.flags.writeable = member_faces.flags.writeable = False
+    return CoveringPass(histogram=MappingProxyType(histogram), gamma=gamma,
+                        _k=B.k, _rows=rows, _member_faces=member_faces)
 
 
 # enumerate_coverings and limit_coefficient are run by no consumer and are

@@ -53,7 +53,8 @@ def run_verify_suite(*, max_k: int, max_D: int, families, seed: int) -> list[Che
     """The checks of the families named in families (from FAMILIES) for k up
     to max_k and D up to max_D, then the Wick gate, all drawn from seed.
     Before any check, refuses max_k < 1, max_k > MAX_K, max_D < 2, an unknown
-    family and an empty family set, in that order, with a ValueError."""
+    family, an empty family set and a seed outside 0..2^64-1, in that order,
+    with a ValueError."""
     families = frozenset(families)
     if max_k < 1:
         raise ValueError(f"max_k must be positive, got {max_k}")
@@ -65,6 +66,8 @@ def run_verify_suite(*, max_k: int, max_D: int, families, seed: int) -> list[Che
         raise ValueError(f"unknown families: {sorted(unknown)}; choose from {FAMILIES}")
     if not families:
         raise ValueError("families must not be empty")
+    # the Wick gate's tensor spec, built first: it refuses a seed out of range
+    gate = TensorSpec(D=2, c=(1, 1), N=8, distribution="complex_gaussian", seed=seed)
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 
@@ -119,10 +122,9 @@ def run_verify_suite(*, max_k: int, max_D: int, families, seed: int) -> list[Che
     # Wick gate at the smallest scale: Gaussian Monte Carlo against the exact sum
     spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2]))
     B = make_cycle_graph(spec)
-    N, samples = 8, 2000
+    N, samples = gate.N, 2000
     exact = gaussian_exact_mean(B, (1, 1), N)
-    tspec = TensorSpec(D=2, c=(1, 1), N=N, distribution="complex_gaussian", seed=seed)
-    mean, stderr = monte_carlo_mean(tspec, spec, samples)
+    mean, stderr = monte_carlo_mean(gate, spec, samples)
     z = abs(mean - exact) / stderr
     add("wick gaussian cycle_11 k=2 N=8", z < 4.0,
         f"mean={mean:.3f} exact={exact} stderr={stderr:.3f} z={z:.2f}")

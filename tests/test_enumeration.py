@@ -16,7 +16,7 @@ from tul.enumeration import (MAX_K, catalan, covering_pass, enumerate_coverings,
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic,
                           random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
-from tul.permutations import inverse
+from tul.permutations import cycles, inverse
 from tul.tensors import gaussian_exact_mean
 
 
@@ -250,12 +250,16 @@ def test_pass_matches_face_profile_for_every_covering():
         assert enumeration._lex_perms(B.k).tolist() == [list(tau) for tau, _ in expected]
         assert enumeration._faces(B).tolist() == [list(zero) for _, zero in expected], B
         assert list(enumerate_coverings(B)) == expected, B
-        result = covering_pass(B)
+        # a fresh record: gamma and count come from the kept rows, and the
+        # member tuples are built only when members is first read
+        result = covering_pass.__wrapped__(B)
         assert dict(result.histogram) == Counter(zero for _, zero in expected), B
         gamma = max(sum(zero) for _, zero in expected)
-        assert result.gamma == gamma
-        assert result.members == tuple((tau, zero) for tau, zero in expected
-                                       if sum(zero) == gamma), B
+        members = tuple((tau, zero) for tau, zero in expected if sum(zero) == gamma)
+        assert (result.gamma, result.count) == (gamma, len(members))
+        assert "members" not in vars(result)
+        assert result.members == members, B
+        assert result.members is result.members
 
 
 def test_pass_histogram_sums_to_k_factorial():
@@ -307,7 +311,8 @@ def test_pass_many_colors():
 
 
 def test_pass_errors_come_before_any_sweep():
-    caches = (enumeration._face_column, enumeration._cycle_counts, enumeration._lex_perms)
+    caches = (enumeration._face_column, enumeration._cycle_counts, enumeration._lex_perms,
+              enumeration._lex_positions)
     for cached in caches:
         cached.cache_clear()
     with pytest.raises(ValueError, match="cap"):
@@ -406,6 +411,28 @@ def test_lehmer_ranks_are_int32_and_a_bijection_at_k_9():
                           np.arange(math.factorial(k))[::-1])
 
 
+def test_cycle_counts_are_the_cycles_of_each_permutation():
+    # built level by level, each rank from the one before it by one
+    # adjacent transposition of values; read against a plain cycle count
+    for k in range(9):
+        counts = enumeration._cycle_counts(k)
+        assert counts.dtype == np.int8 and not counts.flags.writeable
+        assert counts.tolist() == [len(cycles(p)) for p in itertools.permutations(range(k))]
+    counts = enumeration._cycle_counts(9)
+    assert counts.dtype == np.int8 and not counts.flags.writeable
+    # the unsigned Stirling numbers of the first kind c(9, l), l = 1..9
+    assert np.bincount(counts).tolist() == [
+        0, 40320, 109584, 118124, 67284, 22449, 4536, 546, 36, 1]
+
+
+def test_lex_positions_invert_the_lex_perms():
+    for k in range(8):
+        positions, perms = enumeration._lex_positions(k), enumeration._lex_perms(k)
+        assert positions.dtype == np.int8 and not positions.flags.writeable
+        assert np.array_equal(np.take_along_axis(perms, positions.astype(np.intp), axis=1),
+                              np.broadcast_to(np.arange(k), perms.shape))
+
+
 def test_lex_perms_is_itertools_order():
     for k in range(9):
         perms = enumeration._lex_perms(k)
@@ -428,18 +455,24 @@ def test_pass_on_both_sides_of_the_rerank(monkeypatch, k, D, reranks):
     # off its sorted keys on either side
     assert (k ** D * math.factorial(k) >= 2 ** 63) == bool(reranks)
     assert k ** (D - 1) * math.factorial(k) < 2 ** 63
-    graphs = [_connected_graph(np.random.default_rng(24 + D), k, D)]
+    # D-1 identity rows and the shift: the identity pairing's key, k^D - k,
+    # sits at the top of the range, where the digits' ones, until they are
+    # taken off, would carry the composite past 2^63 at k = 7, D = 18
+    shift = tuple(range(1, k)) + (0,)
+    graphs = [_connected_graph(np.random.default_rng(24 + D), k, D),
+              ColoredGraph(k=k, sigma=(tuple(range(k)),) * (D - 1) + (shift,))]
     if k == 7:
         # the (1,1)-cycle: its top total k+1 has the k Narayana vectors
         graphs.append(two_color_cycle(k))
     for B in graphs:
-        faces = enumeration._faces(B)
+        columns = enumeration._columns(B)
         calls = []
         with monkeypatch.context() as patch:
             unique = np.unique
             patch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
-            enumeration._profile_keys(faces, B.k)
+            enumeration._profile_keys(columns, B.k)
         assert len(calls) == (reranks if B.D == D else 0)
+        faces = np.stack(columns, axis=1)
         rows, counts = np.unique(faces, axis=0, return_counts=True)
         totals = faces.sum(axis=1, dtype=np.int64)
         gamma = int(totals.max())

@@ -13,7 +13,10 @@ BOUNDS = {"max_k": 2, "max_D": 3, "families": FAMILIES, "seed": 0}
      "unknown families: ['hexagonal']; choose from "
      "('cycle_11', 'cycle_mm', 'cycle_mn', 'melonic')"),
     ({"families": []}, "families must not be empty"),
-], ids=["max-k-0", "max-k-10", "max-D-1", "unknown-family", "no-family"])
+    ({"seed": 2 ** 64}, "seed must fit in 64 unsigned bits, got 18446744073709551616"),
+    ({"seed": -1}, "seed must fit in 64 unsigned bits, got -1"),
+], ids=["max-k-0", "max-k-10", "max-D-1", "unknown-family", "no-family", "seed-2-64",
+        "seed-negative"])
 def test_refusals_come_before_any_check(monkeypatch, change, message):
     def no_check(*args):
         raise AssertionError("a check ran")
