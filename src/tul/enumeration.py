@@ -10,12 +10,11 @@ transposition of values, so each is the one before plus or minus a
 factorial.  The cycles of tau^-1 sigma_i are those of sigma_i^-1 tau, which
 runs over S_k as tau does, so `_face_column` reads the counts at the
 lexicographic ranks of sigma_i^-1 tau (`_lehmer_ranks`), and caches the
-int8 column per sigma_i.  A pass adds the columns of B's colors, in B's own
-order, into one int64 key per row, and sorts key * k! + row once in place
-(`_profile_keys`): each run of equal key // k! is one face vector, in
-lexicographic order, its length is the vector's multiplicity, and its first
-element carries the vector's smallest row.  `covering_pass` reads one
-record, `CoveringPass`, off the runs:
+int8 column per sigma_i.  A pass sorts the rows once by the columns of
+B's colors, in B's own order, with the stable np.lexsort: each run of equal
+rows is one face vector, in lexicographic order, its length is the vector's
+multiplicity, and its first element is the vector's smallest row.
+`covering_pass` reads one record, `CoveringPass`, off the runs:
 
   histogram  {zero_faces: multiplicity}, the whole finite-N Wick sum
   gamma      the maximal total face count, the leading power of N
@@ -50,7 +49,8 @@ from .graphs import ColoredGraph, e_notation, is_connected, side_ratios
 from .permutations import Perm, identity, inverse
 
 # The largest k a pass accepts.  A resource limit, not a tuning knob: a
-# pass costs k!, and k=10 already takes seconds and ~200 MB.
+# pass costs k!, and one cold pass at k=10 takes 0.2-1.0 s and 104-122 MB
+# (2 vCPUs, numpy 2.4).
 MAX_K = 9
 
 # Passes that stay cached, per graph.  A bound on memory, not a tuning knob:
@@ -237,34 +237,6 @@ def _faces(B: ColoredGraph) -> np.ndarray:
     return np.stack(_columns(B), axis=1)
 
 
-def _profile_keys(columns: tuple[np.ndarray, ...], k: int) -> np.ndarray:
-    """key(vector) * n + row for each of the n rows of the columns, as int64,
-    where key(vector) is equal for two rows iff their face vectors are, and
-    orders the vectors lexicographically.
-
-    Counts lie in 1..k, so the vector is read as a base-k number, first color
-    first, with digits count - 1: the key starts as the first column, each
-    next one is added in place as it is, and the ones, offset in all, come
-    off once at the end.  When the composite could reach 2^63, the key so far
-    is first replaced by its rank among the distinct keys, which keeps their
-    order.  No step overflows: offset is (bound - 1) / (k - 1), below bound
-    for k > 1, so the key stays below 2 * bound * k <= bound * k * n < 2^63
-    (at k = 1 it is at most D).
-    """
-    n = len(columns[0])
-    key, bound, offset = columns[0].astype(np.int64), k, 1
-    for column in columns[1:]:
-        if bound * k * n >= 2 ** 63:
-            key, bound, offset = np.unique(key, return_inverse=True)[1], n, 0
-        key *= k
-        key += column
-        bound, offset = bound * k, offset * k + 1
-    key -= offset
-    key *= n
-    key += np.arange(n)
-    return key
-
-
 def _check_graph(B: ColoredGraph):
     if not is_connected(B):
         raise ValueError("the covering sweep expects a connected graph")
@@ -277,17 +249,18 @@ def _check_graph(B: ColoredGraph):
 
 @functools.lru_cache(maxsize=_CACHED_GRAPHS)
 def covering_pass(B: ColoredGraph) -> CoveringPass:
-    """The face histogram and minimal coverings of B, read off one sort of
-    the keys of its face columns.
+    """The face histogram and minimal coverings of B, read off one lexsort
+    of its face columns.
 
-    After the sort, a run of equal key // k! is one face vector, in
-    lexicographic order: its length is the vector's multiplicity, and its
-    first element carries the vector's smallest row, key % k!, which the
-    vector is read from.  gamma is the largest total over those few vectors,
-    summed as Python ints, and the members are the rows of the runs of that
-    total, merged in row order, which is lexicographic order of S_k; the
-    record keeps those rows and their face vectors, and builds the member
-    pairings only when they are read.
+    np.lexsort orders the rows by their face vectors, first color first, and
+    is stable, so a run of equal vectors, in lexicographic order, is one
+    histogram entry: its length is the vector's multiplicity, and its first
+    element is the vector's smallest row, which the vector is read from.
+    gamma is the largest total over those few vectors, summed as Python
+    ints, and the members are the rows of the runs of that total, merged in
+    row order, which is lexicographic order of S_k; the record keeps those
+    rows and their face vectors, and builds the member pairings only when
+    they are read.
 
     Each color's column is cached by sigma_i alone, so graphs that share a
     sigma row at one k share its column: all (m,n)-cycles of one k read the
@@ -296,18 +269,19 @@ def covering_pass(B: ColoredGraph) -> CoveringPass:
     """
     _check_graph(B)
     columns = _columns(B)
-    n = math.factorial(B.k)
-    key = _profile_keys(columns, B.k)
-    key.sort()
-    vector = key // n
-    bounds = [0, *(np.flatnonzero(vector[1:] != vector[:-1]) + 1).tolist(), n]
-    firsts = key[bounds[:-1]] % n
+    order = np.lexsort(columns[::-1])
+    change = np.zeros(len(order) - 1, dtype=bool)
+    for column in columns:
+        ordered = np.take(column, order)
+        change |= ordered[1:] != ordered[:-1]
+    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(order)]
+    firsts = order[bounds[:-1]]
     zeros = list(zip(*(column[firsts].tolist() for column in columns)))
     totals = list(map(sum, zeros))
     gamma = max(totals)
     histogram = {zero: end - start for zero, start, end in zip(zeros, bounds, bounds[1:])}
-    rows = np.sort(np.concatenate([key[start:end] for start, end, total
-                                   in zip(bounds, bounds[1:], totals) if total == gamma]) % n)
+    rows = np.sort(np.concatenate([order[start:end] for start, end, total
+                                   in zip(bounds, bounds[1:], totals) if total == gamma]))
     member_faces = np.stack([column[rows] for column in columns], axis=1)
     rows.flags.writeable = member_faces.flags.writeable = False
     return CoveringPass(histogram=MappingProxyType(histogram), gamma=gamma,
@@ -316,7 +290,7 @@ def covering_pass(B: ColoredGraph) -> CoveringPass:
 
 # enumerate_coverings and limit_coefficient are run by no consumer and are
 # not exported from tul: the benchmark harness traces them under these names
-# until its metrics move to the face column and face_sum (ROADMAP item 1).
+# until its metrics move to the face column and face_sum (ROADMAP item 8).
 def enumerate_coverings(B: ColoredGraph) -> Iterator[tuple[Perm, tuple[int, ...]]]:
     """Yield (tau, zero_faces) for every tau in S_k, in lexicographic order."""
     _check_graph(B)

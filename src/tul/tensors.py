@@ -254,7 +254,7 @@ def trace_invariant_naive(T: np.ndarray, B: ColoredGraph) -> float:
     so this route stays independent of trace_invariant_network and
     trace_invariant_cycle.  It is an oracle only: Monte Carlo never runs it,
     and tul does not export it.  It stays in this module because the
-    benchmark harness traces it here by name (ROADMAP item 1).
+    benchmark harness traces it here by name (ROADMAP item 8).
 
     Swapping white and black conjugates the sum, so it is real when B is
     isomorphic to its mirror, as every cycle and melonic graph is; otherwise

@@ -292,9 +292,9 @@ def test_pass_k1():
 
 
 def test_pass_many_colors():
-    # with this many colors a base-k key over all of them overflows int64,
-    # so the pass re-ranks the key part way; in the last graph the identity
-    # pairing has 62 * 3 + 2 = 188 faces, past what an int8 total holds
+    # with this many colors a base-k number over all of them overflows
+    # int64, and in the last graph the identity pairing has 62 * 3 + 2 = 188
+    # faces, past what an int8 total holds
     graphs = (ColoredGraph(k=2, sigma=tuple((0, 1) if i % 3 else (1, 0) for i in range(64))),
               ColoredGraph(k=3, sigma=tuple(p for p in itertools.permutations(range(3))) * 7),
               ColoredGraph(k=3, sigma=((0, 1, 2),) * 62 + ((1, 2, 0), (2, 0, 1))))
@@ -447,17 +447,13 @@ def _connected_graph(rng, k, D):
             return B
 
 
-@pytest.mark.parametrize("k, D, reranks", [(5, 24, 0), (5, 25, 1), (7, 18, 0), (7, 19, 1)])
-def test_pass_on_both_sides_of_the_rerank(monkeypatch, k, D, reranks):
-    # the composite key * k! + row of a base-k key over D colors first
-    # reaches 2^63 at D = 25 for k = 5 and at D = 19 for k = 7, where the
-    # key is re-ranked once, part way; the pass must read the same record
-    # off its sorted keys on either side
-    assert (k ** D * math.factorial(k) >= 2 ** 63) == bool(reranks)
-    assert k ** (D - 1) * math.factorial(k) < 2 ** 63
-    # D-1 identity rows and the shift: the identity pairing's key, k^D - k,
-    # sits at the top of the range, where the digits' ones, until they are
-    # taken off, would carry the composite past 2^63 at k = 7, D = 18
+@pytest.mark.parametrize("k, D", [(5, 24), (5, 25), (7, 18), (7, 19)])
+def test_pass_matches_unique_face_rows_with_many_colors(k, D):
+    # these (k, D) lie on either side of where a face vector read as a
+    # base-k number, times k!, first reaches 2^63: D = 25 for k = 5 and
+    # D = 19 for k = 7; the pass must read the record np.unique reads off the
+    # face rows on both.  D-1 identity rows and the shift: the identity
+    # pairing's face vector, (k, ..., k, 1), is the last in lexicographic order
     shift = tuple(range(1, k)) + (0,)
     graphs = [_connected_graph(np.random.default_rng(24 + D), k, D),
               ColoredGraph(k=k, sigma=(tuple(range(k)),) * (D - 1) + (shift,))]
@@ -466,12 +462,6 @@ def test_pass_on_both_sides_of_the_rerank(monkeypatch, k, D, reranks):
         graphs.append(two_color_cycle(k))
     for B in graphs:
         columns = enumeration._columns(B)
-        calls = []
-        with monkeypatch.context() as patch:
-            unique = np.unique
-            patch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
-            enumeration._profile_keys(columns, B.k)
-        assert len(calls) == (reranks if B.D == D else 0)
         faces = np.stack(columns, axis=1)
         rows, counts = np.unique(faces, axis=0, return_counts=True)
         totals = faces.sum(axis=1, dtype=np.int64)
