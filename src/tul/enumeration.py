@@ -3,17 +3,16 @@ Catalan/Narayana combinatorics.
 
 A covering of a D-colored graph B is a pairing tau in S_k, and its
 (0,i)-faces are the cycles of tau^-1 sigma_i: they depend on k and sigma_i
-alone.  `_cycle_counts` holds the cycle count of every permutation of
-lexicographic S_k, built once per k from S_{k-1}'s in numpy: the ranks it
-reads them at move from one first entry to the next by one adjacent
-transposition of values, so each is the one before plus or minus a
-factorial.  The cycles of tau^-1 sigma_i are those of sigma_i^-1 tau, which
-runs over S_k as tau does, so `_face_column` reads the counts at the
-lexicographic ranks of sigma_i^-1 tau (`_lehmer_ranks`), and caches the
-int8 column per sigma_i.  A pass sorts the rows once by the columns of
-B's colors, in B's own order, with the stable np.lexsort: each run of equal
-rows is one face vector, in lexicographic order, its length is the vector's
-multiplicity, and its first element is the vector's smallest row.
+alone.  They are the cycles of the inverse pi = sigma_i^-1 tau, and
+`_face_column` counts them for every tau at once by shrinking the table
+sigma_i^-1 one entry of tau at a time in numpy: the entry chosen either
+makes 0 a fixed point of pi or, after one transposition that splits 0 off
+its cycle, leaves a table one entry shorter with as many cycles.  So the
+count is 1 plus the fixed points met on the way, and the int8 column is
+cached per sigma_i.  A pass sorts the rows once by the columns of B's
+colors, in B's own order, with the stable np.lexsort: each run of equal
+rows is one face vector, in lexicographic order, its length is the
+vector's multiplicity, and its first element is the vector's smallest row.
 `covering_pass` reads one record, `CoveringPass`, off the runs:
 
   histogram  {zero_faces: multiplicity}, the whole finite-N Wick sum
@@ -46,10 +45,10 @@ import numpy as np
 
 from .families import CycleSpec, make_cycle_graph
 from .graphs import ColoredGraph, e_notation, is_connected, side_ratios
-from .permutations import Perm, identity, inverse
+from .permutations import Perm, inverse
 
 # The largest k a pass accepts.  A resource limit, not a tuning knob: a
-# pass costs k!, and one cold pass at k=10 takes 0.2-1.0 s and 104-122 MB
+# pass costs k!, and one cold pass at k=10 takes 0.2-0.8 s and 108-128 MB
 # (2 vCPUs, numpy 2.4).
 MAX_K = 9
 
@@ -58,7 +57,8 @@ MAX_K = 9
 _CACHED_GRAPHS = 4
 
 # Face columns that stay cached, per sigma_i.  A bound on memory, not a
-# tuning knob: a column holds k! bytes, so at most 32 * 9! bytes = 11.6 MB.
+# tuning knob: a column holds k! bytes, and no other table of S_k is kept
+# to build one, so all columns take at most 32 * 9! bytes = 11.6 MB.
 _CACHED_COLUMNS = 32
 
 
@@ -112,117 +112,35 @@ def _lex_perms(m: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _lex_positions(m: int) -> np.ndarray:
-    """The inverse of each row of _lex_perms(m): row r holds the position of
-    each value 0..m-1 in S_m's r-th permutation, as a read-only int8 (m!, m)
-    array.
-
-    A row with first entry first holds first at position 0, and each other
-    value one place past where the S_{m-1} tail holds it, as _lex_perms
-    numbers the tail: a value past first one lower.
-    """
-    if m == 0:
-        out = np.zeros((1, 0), dtype=np.int8)
-    else:
-        tail = _lex_positions(m - 1) + 1
-        out = np.empty((m, len(tail), m), dtype=np.int8)
-        for first in range(m):
-            out[first, :, :first] = tail[:, :first]
-            out[first, :, first] = 0
-            out[first, :, first + 1:] = tail[:, first:]
-        out = out.reshape(-1, m)
-    out.flags.writeable = False
-    return out
-
-
-def _lehmer_ranks(table: Perm) -> np.ndarray:
-    """The lexicographic rank of pi = table[tau] (pi_j = table[tau_j]) for
-    every tau of S_k, in lexicographic order, as an int32 (k!,) array.
-
-    The rank is sum_j d_j (k-1-j)!, where d_j counts the l > j with
-    pi_l < pi_j.  d_j depends on tau's first j+1 entries alone: it is the
-    rank of table[tau_j] among table's values on the entries not yet taken.
-    So the ranks grow one prefix length at a time, and digits[p, i] holds,
-    for prefix p, the rank of table's value on the i-th smallest entry not
-    in p among the values on all of them.
-    """
-    k = len(table)
-    digits = np.array(table, dtype=np.int8).reshape(1, k)
-    rank = np.zeros(1, dtype=np.int32)
-    for m in range(k, 1, -1):  # m entries remain after each prefix
-        # an int32 product on every numpy: promoting the int8 digits by the
-        # operand's type alone would keep int8 (or int16) and wrap at k >= 6
-        weighted = np.multiply(digits, math.factorial(m - 1), dtype=np.int32)
-        rank = (rank[:, None] + weighted).ravel()
-        if m > 2:
-            # prefix p extended by its i-th remaining entry keeps the other
-            # m-1, each one rank lower if it ranked above the entry taken
-            j = np.arange(m - 1)
-            rest = np.take(digits, j + (j >= np.arange(m).reshape(m, 1)), axis=1)
-            rest -= rest > digits[:, :, None]
-            digits = rest.reshape(-1, m - 1)
-    return rank
-
-
-@functools.lru_cache(maxsize=None)
-def _cycle_counts(k: int) -> np.ndarray:
-    """The cycle count of every tau of S_k, in lexicographic order, as a
-    read-only int8 (k!,) column, built from S_{k-1}'s.
-
-    A tau with tau[0] = 0 fixes 0, and its tau[1:] runs over S_{k-1} in
-    order: one cycle more than S_{k-1}'s counts.  For tau[0] = a > 0, 0 and
-    a share a cycle of tau, which tau (0 a) splits into the fixed point a
-    and the rest, so tau has the cycles of tau (0 a) on the k-1 points other
-    than a.  Read in S_{k-1}, that is s pi_a, where s is tau[1:] and pi_a is
-    (a-1, 0, 1, ..., a-2, a, ..., k-2) in one-line notation, and s pi_a has
-    the cycles of its conjugate pi_a s: S_{k-1}'s counts at the ranks of
-    pi_a[s].
-
-    pi_1 is the identity, and pi_{a+1} = (a-1 a) pi_a swaps the adjacent
-    values a-1 and a, which pi_a[s] holds where s holds 0 and a.  Of its
-    Lehmer digits only the one at the left of those two positions, p0 and
-    pa, moves, by one, up when p0 < pa.  So each rank is the one before it
-    plus +-(k-2-min(p0, pa))!, read from a (k-1, k-1) table at (p0, pa).
-    """
-    if k == 0:
-        counts = np.zeros(1, dtype=np.int8)
-    else:
-        sub, m = _cycle_counts(k - 1), k - 1
-        parts = [sub + 1]
-        if m:
-            positions = _lex_positions(m)
-            p = np.arange(m)
-            weight = np.array([math.factorial(m - 1 - j) for j in p], dtype=np.int32)
-            left = weight[np.minimum.outer(p, p)]
-            step = np.where(p[:, None] < p, left, -left).ravel()
-            at_zero = np.multiply(positions[:, 0], m, dtype=np.int32)
-            rank = np.arange(len(sub), dtype=np.int32)
-            parts.append(sub)
-            for a in range(1, m):
-                rank += np.take(step, at_zero + positions[:, a])
-                parts.append(np.take(sub, rank))
-        counts = np.concatenate(parts)
-    counts.flags.writeable = False
-    return counts
-
-
 @functools.lru_cache(maxsize=_CACHED_COLUMNS)
 def _face_column(table: Perm) -> np.ndarray:
     """The cycle count of tau^-1 sigma_i for every tau of S_k, in
     lexicographic order, as a read-only int8 (k!,) column; table is
     sigma_i^-1, and its length is k.
 
-    tau^-1 sigma_i has the cycles of its inverse sigma_i^-1 tau = table[tau],
-    and tau -> table[tau] is a bijection of S_k, so the column is the cycle
-    counts of S_k (`_cycle_counts`, built once per k) read at the
-    lexicographic ranks of the table[tau] (`_lehmer_ranks`).  The identity
-    reads them in order, and its column is the cycle counts themselves.
+    tau^-1 sigma_i has the cycles of its inverse pi = table[tau], and the
+    table shrinks by one entry per entry of tau.  Choosing tau's next entry
+    a fixes pi(0) = table[a] = v.  If v = 0, 0 is a fixed point of pi;
+    otherwise (0 v) pi fixes 0 and has one cycle more than pi.  Either way
+    the rest is the table on the entries other than a, in order, with the
+    entry that mapped to 0 now mapping to v and every value one lower.  So
+    the column is 1 plus the number of zeros chosen along the way, and each
+    level takes the (n, m) tables of the prefixes so far to (n m, m-1).
     """
-    counts = _cycle_counts(len(table))
-    if table == identity(len(table)):
-        return counts
-    column = counts[_lehmer_ranks(table)]
+    k = len(table)
+    tables = np.array(table, dtype=np.int8).reshape(1, k)
+    column = np.ones(1, dtype=np.int8)
+    for m in range(k, 1, -1):  # m entries remain after each prefix
+        column = (column[:, None] + (tables == 0)).ravel()
+        if m > 2:  # the one entry left at m = 1 is the 1 counted at the start
+            # row a of drop holds 0..m-1 without a: the entries left after a
+            j = np.arange(m - 1)
+            drop = j + (j >= np.arange(m).reshape(m, 1))
+            rest = np.take(tables, drop, axis=1)
+            zero = rest == 0
+            rest -= 1
+            rest += zero * tables[:, :, None]
+            tables = rest.reshape(-1, m - 1)
     column.flags.writeable = False
     return column
 

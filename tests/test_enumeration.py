@@ -311,8 +311,7 @@ def test_pass_many_colors():
 
 
 def test_pass_errors_come_before_any_sweep():
-    caches = (enumeration._face_column, enumeration._cycle_counts, enumeration._lex_perms,
-              enumeration._lex_positions)
+    caches = (enumeration._face_column, enumeration._lex_perms)
     for cached in caches:
         cached.cache_clear()
     with pytest.raises(ValueError, match="cap"):
@@ -385,8 +384,8 @@ def _reference_column(table):
 
 
 def test_face_column_is_the_reference_cycle_count():
-    # every table of S_k for k <= 5, then two random tables at k = 7; the
-    # columns are read through the Lehmer ranks of the relabeled pairings
+    # every table of S_k for k <= 5, then two random tables at k = 7; each
+    # column is counted by shrinking its table one entry of tau at a time
     rng = np.random.default_rng(23)
     tables = [t for k in range(1, 6) for t in itertools.permutations(range(k))]
     tables += [tuple(rng.permutation(7).tolist()) for _ in range(2)]
@@ -396,41 +395,30 @@ def test_face_column_is_the_reference_cycle_count():
         assert column.tolist() == _reference_column(table)
 
 
-def test_lehmer_ranks_are_int32_and_a_bijection_at_k_9():
-    # the weights reach 8! = 40,320, past int16, so a narrowed product would
-    # wrap and repeat or overflow ranks; the identity reads S_9 in order
+# the unsigned Stirling numbers of the first kind c(9, l), l = 0..9
+STIRLING_9 = [0, 40320, 109584, 118124, 67284, 22449, 4536, 546, 36, 1]
+
+
+def test_face_columns_at_k_9_are_a_bijection_of_s_9():
+    # tau -> table[tau] is a bijection of S_9, so every column counts the
+    # cycles of all of S_9 once; 200 fixed rows are read against a plain count
     k = 9
+    taus = enumeration._lex_perms(k)
+    rows = np.random.default_rng(27).choice(math.factorial(k), size=200, replace=False)
     for table in [tuple(range(k)), (3, 0, 8, 1, 6, 2, 7, 5, 4), tuple(range(k))[::-1]]:
-        ranks = enumeration._lehmer_ranks(table)
-        assert ranks.dtype == np.int32
-        assert np.array_equal(np.sort(ranks), np.arange(math.factorial(k)))
-    assert np.array_equal(enumeration._lehmer_ranks(tuple(range(k))),
-                          np.arange(math.factorial(k)))
-    # the reversal maps the lexicographic order onto its own reverse
-    assert np.array_equal(enumeration._lehmer_ranks(tuple(range(k))[::-1]),
-                          np.arange(math.factorial(k))[::-1])
+        column = enumeration._face_column(table)
+        assert column.dtype == np.int8 and not column.flags.writeable
+        assert np.bincount(column).tolist() == STIRLING_9
+        for row in rows.tolist():
+            assert column[row] == len(cycles([table[t] for t in taus[row].tolist()]))
 
 
-def test_cycle_counts_are_the_cycles_of_each_permutation():
-    # built level by level, each rank from the one before it by one
-    # adjacent transposition of values; read against a plain cycle count
-    for k in range(9):
-        counts = enumeration._cycle_counts(k)
-        assert counts.dtype == np.int8 and not counts.flags.writeable
-        assert counts.tolist() == [len(cycles(p)) for p in itertools.permutations(range(k))]
-    counts = enumeration._cycle_counts(9)
-    assert counts.dtype == np.int8 and not counts.flags.writeable
-    # the unsigned Stirling numbers of the first kind c(9, l), l = 1..9
-    assert np.bincount(counts).tolist() == [
-        0, 40320, 109584, 118124, 67284, 22449, 4536, 546, 36, 1]
-
-
-def test_lex_positions_invert_the_lex_perms():
-    for k in range(8):
-        positions, perms = enumeration._lex_positions(k), enumeration._lex_perms(k)
-        assert positions.dtype == np.int8 and not positions.flags.writeable
-        assert np.array_equal(np.take_along_axis(perms, positions.astype(np.intp), axis=1),
-                              np.broadcast_to(np.arange(k), perms.shape))
+def test_identity_column_is_the_cycles_of_each_permutation():
+    for k in range(1, 9):
+        column = enumeration._face_column(tuple(range(k)))
+        assert column.dtype == np.int8 and not column.flags.writeable
+        assert column.tolist() == [len(cycles(p)) for p in itertools.permutations(range(k))]
+    assert np.bincount(enumeration._face_column(tuple(range(9)))).tolist() == STIRLING_9
 
 
 def test_lex_perms_is_itertools_order():
