@@ -8,12 +8,12 @@ alone.  They are the cycles of the inverse pi = sigma_i^-1 tau, and
 sigma_i^-1 one entry of tau at a time in numpy: the entry chosen either
 makes 0 a fixed point of pi or, after one transposition that splits 0 off
 its cycle, leaves a table one entry shorter with as many cycles.  So the
-count is 1 plus the fixed points met on the way, and the int8 column is
-cached per sigma_i.  A pass sorts the rows once by the columns of B's
-colors, in B's own order, with the stable np.lexsort: each run of equal
-rows is one face vector, in lexicographic order, its length is the
-vector's multiplicity, and its first element is the vector's smallest row.
-`covering_pass` reads one record, `CoveringPass`, off the runs:
+count is 1 plus the fixed points met on the way.  A pass sorts the rows
+once by the int8 columns of B's distinct rows with the stable np.lexsort:
+each run of equal rows is one face vector, its length is the vector's
+multiplicity, and its first element is the vector's smallest row.
+`covering_pass` puts the runs in the lexicographic order of B's face
+vectors and reads one record, `CoveringPass`, off them:
 
   histogram  {zero_faces: multiplicity}, the whole finite-N Wick sum
   gamma      the maximal total face count, the leading power of N
@@ -21,14 +21,16 @@ vector's multiplicity, and its first element is the vector's smallest row.
              the record keeps their rows and face vectors, so count needs no
              tuple, and builds the (tau, zero_faces) pairs on first read
 
-Graphs whose sigma rows repeat share columns: every (m,n)-cycle of one k
-reads the same two, the identity and the shift.  Gamma, the
+A color that repeats a sigma row repeats its face count, so the sort is
+cached per set of distinct rows and each graph reads it back in its own
+colors: every color split of every (m,n)-cycle of one k reads one sort of
+S_k by two columns, the identity's and the shift's.  Gamma, the
 Catalan/Narayana counts, the exact leading coefficient (`face_sum` over
 `minimal_faces`) and the exact Wick integer all come from the one cached
 pass per graph.
 
 Graphs must be connected and have k <= MAX_K = 9, i.e. at most 362,880
-coverings.  Both are checked before any column is computed.
+coverings.  Both are checked before any column is computed or S_k sorted.
 """
 
 from __future__ import annotations
@@ -52,14 +54,14 @@ from .permutations import Perm, inverse
 # (2 vCPUs, numpy 2.4).
 MAX_K = 9
 
-# Passes that stay cached, per graph.  A bound on memory, not a tuning knob:
-# every consumer of one graph runs back to back, so a few slots suffice.
+# Passes that stay cached, per graph, and sorts of S_k, per set of distinct
+# sigma rows.  A bound on memory, not a tuning knob: every consumer of one
+# graph runs back to back, so a few slots suffice.  A sort keeps S_k's row
+# order in uint32, so at MAX_K the four orders take at most 4 * 4 * 9! bytes
+# = 5.8 MB.  Its runs add R + 4 bytes per distinct face vector of R distinct
+# rows: at k=9, 154 bytes for a cycle's two rows, 16 kB for six random rows
+# and 13 MB for 32, each time under an eighth of the histogram read off them.
 _CACHED_GRAPHS = 4
-
-# Face columns that stay cached, per sigma_i.  A bound on memory, not a
-# tuning knob: a column holds k! bytes, and no other table of S_k is kept
-# to build one, so all columns take at most 32 * 9! bytes = 11.6 MB.
-_CACHED_COLUMNS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,30 +95,24 @@ class CoveringPass:
                      for tau, zero in zip(taus, self._member_faces.tolist()))
 
 
-@functools.lru_cache(maxsize=None)
 def _lex_perms(m: int) -> np.ndarray:
-    """S_m as the rows of a read-only int8 (m!, m) array, in lexicographic
-    order."""
-    if m == 0:
-        out = np.zeros((1, 0), dtype=np.int8)
-    else:
-        sub = _lex_perms(m - 1)
-        out = np.empty((m, len(sub), m), dtype=np.int8)
-        for first in range(m):
-            # the tail runs over S_{m-1} on the entries other than first:
+    """S_m as the rows of an int8 (m!, m) array, in lexicographic order."""
+    out = np.zeros((1, 0), dtype=np.int8)
+    for n in range(1, m + 1):
+        sub, out = out, np.empty((n, len(out), n), dtype=np.int8)
+        for first in range(n):
+            # the tail runs over S_{n-1} on the entries other than first:
             # those of sub at or past first move up by one
             out[first, :, 0] = first
             np.add(sub, sub >= first, out=out[first, :, 1:])
-        out = out.reshape(-1, m)
-    out.flags.writeable = False
+        out = out.reshape(-1, n)
     return out
 
 
-@functools.lru_cache(maxsize=_CACHED_COLUMNS)
 def _face_column(table: Perm) -> np.ndarray:
     """The cycle count of tau^-1 sigma_i for every tau of S_k, in
-    lexicographic order, as a read-only int8 (k!,) column; table is
-    sigma_i^-1, and its length is k.
+    lexicographic order, as an int8 (k!,) column; table is sigma_i^-1, and
+    its length is k.
 
     tau^-1 sigma_i has the cycles of its inverse pi = table[tau], and the
     table shrinks by one entry per entry of tau.  Choosing tau's next entry
@@ -141,18 +137,12 @@ def _face_column(table: Perm) -> np.ndarray:
             rest -= 1
             rest += zero * tables[:, :, None]
             tables = rest.reshape(-1, m - 1)
-    column.flags.writeable = False
     return column
-
-
-def _columns(B: ColoredGraph) -> tuple[np.ndarray, ...]:
-    """The cached int8 (k!,) zero-face column of each color, in B's own order."""
-    return tuple(_face_column(inverse(s)) for s in B.sigma)
 
 
 def _faces(B: ColoredGraph) -> np.ndarray:
     """The (k!, D) int8 zero-face counts of every pairing: B's columns stacked."""
-    return np.stack(_columns(B), axis=1)
+    return np.stack([_face_column(inverse(s)) for s in B.sigma], axis=1)
 
 
 def _check_graph(B: ColoredGraph):
@@ -166,41 +156,60 @@ def _check_graph(B: ColoredGraph):
 
 
 @functools.lru_cache(maxsize=_CACHED_GRAPHS)
-def covering_pass(B: ColoredGraph) -> CoveringPass:
-    """The face histogram and minimal coverings of B, read off one lexsort
-    of its face columns.
+def _face_sort(A: ColoredGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_k sorted by the face vectors of A, whose sigma rows are distinct and
+    sorted: the read-only uint32 row order, the start of each run of equal
+    vectors and then k!, and each run's vector as an int8 (runs, D) array.
 
-    np.lexsort orders the rows by their face vectors, first color first, and
-    is stable, so a run of equal vectors, in lexicographic order, is one
-    histogram entry: its length is the vector's multiplicity, and its first
-    element is the vector's smallest row, which the vector is read from.
-    gamma is the largest total over those few vectors, summed as Python
-    ints, and the members are the rows of the runs of that total, merged in
-    row order, which is lexicographic order of S_k; the record keeps those
-    rows and their face vectors, and builds the member pairings only when
-    they are read.
-
-    Each color's column is cached by sigma_i alone, so graphs that share a
-    sigma row at one k share its column: all (m,n)-cycles of one k read the
-    same two.  The result is cached per graph as well, since the consumers of
-    one graph call this back to back.
+    np.lexsort orders the rows by their face columns, first row first, and
+    is stable, so a run of equal vectors lists the vector's rows in order,
+    and its first element is the one its vector is read from.  A graph has
+    A's connectivity, so the check runs here, before any column is computed.
     """
-    _check_graph(B)
-    columns = _columns(B)
-    order = np.lexsort(columns[::-1])
+    _check_graph(A)
+    columns = [_face_column(inverse(s)) for s in A.sigma]
+    order = np.lexsort(columns[::-1]).astype(np.uint32)
     change = np.zeros(len(order) - 1, dtype=bool)
     for column in columns:
-        ordered = np.take(column, order)
+        ordered = column[order]
         change |= ordered[1:] != ordered[:-1]
-    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(order)]
-    firsts = order[bounds[:-1]]
-    zeros = list(zip(*(column[firsts].tolist() for column in columns)))
-    totals = list(map(sum, zeros))
+    bounds = np.flatnonzero(np.concatenate(([True], change, [True]))).astype(np.uint32)
+    vectors = np.stack([column[order[bounds[:-1]]] for column in columns], axis=1)
+    order.flags.writeable = bounds.flags.writeable = vectors.flags.writeable = False
+    return order, bounds, vectors
+
+
+@functools.lru_cache(maxsize=_CACHED_GRAPHS)
+def covering_pass(B: ColoredGraph) -> CoveringPass:
+    """The face histogram and minimal coverings of B, read back off the sort
+    of S_k by the face columns of its distinct sigma rows.
+
+    Each color's face vector entry is its row's, so a run of the sort is one
+    face vector of B, and the few runs are re-sorted into B's lexicographic
+    order: each is one histogram entry, whose length is the vector's
+    multiplicity.  gamma is the largest total over those vectors, summed as
+    Python ints over B's colors, and the members are the rows of the runs of
+    that total, merged in row order, which is lexicographic order of S_k;
+    the record keeps those rows and their face vectors, and builds the
+    member pairings only when they are read.
+
+    The sort is cached by the set of rows alone, so every graph with the
+    same rows reads one sort, whatever its colors: all color splits of the
+    (m,n)-cycles of one k read one.  The result is cached per graph as well,
+    since the consumers of one graph call this back to back.
+    """
+    distinct = sorted(set(B.sigma))
+    order, bounds, vectors = _face_sort(ColoredGraph(k=B.k, sigma=distinct))
+    faces = vectors[:, [distinct.index(s) for s in B.sigma]]
+    runs = np.lexsort(faces.T[::-1])  # the runs in B's lexicographic order
+    lengths = np.diff(bounds)
+    histogram = dict(zip(map(tuple, faces[runs].tolist()), lengths[runs].tolist()))
+    totals = list(map(sum, histogram))
     gamma = max(totals)
-    histogram = {zero: end - start for zero, start, end in zip(zeros, bounds, bounds[1:])}
-    rows = np.sort(np.concatenate([order[start:end] for start, end, total
-                                   in zip(bounds, bounds[1:], totals) if total == gamma]))
-    member_faces = np.stack([column[rows] for column in columns], axis=1)
+    top = runs[np.array(totals) == gamma]
+    rows = np.concatenate([order[bounds[run]:bounds[run + 1]] for run in top])
+    by_row = np.argsort(rows)
+    rows, member_faces = rows[by_row], np.repeat(faces[top], lengths[top], axis=0)[by_row]
     rows.flags.writeable = member_faces.flags.writeable = False
     return CoveringPass(histogram=MappingProxyType(histogram), gamma=gamma,
                         _k=B.k, _rows=rows, _member_faces=member_faces)

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import settings
 
+from tul import enumeration
+
 # property tests draw the same examples on every run and have no time limit
 settings.register_profile("tul", derandomize=True, deadline=None)
 settings.load_profile("tul")
@@ -17,8 +19,11 @@ def no_draw(monkeypatch):
 
 @pytest.fixture
 def no_column(monkeypatch):
-    """Any face column fails the test: for refusals that must come before a pass."""
+    """Any face column fails the test: for refusals that must come before a
+    pass.  The cached passes and sorts are cleared, so none can stand in for one."""
     def column(*args):
         raise AssertionError("a face column was computed")
 
     monkeypatch.setattr("tul.enumeration._face_column", column)
+    enumeration.covering_pass.cache_clear()
+    enumeration._face_sort.cache_clear()

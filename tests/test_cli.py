@@ -230,15 +230,15 @@ def test_enumerate_stdout_is_pinned(capsys, tmp_path, graph, flags, code, out):
 ], ids=["not-a-two-color-cycle", "anchor-color"])
 def test_enumerate_histogram_errors_come_before_any_sweep(capsys, tmp_path, sigma, color,
                                                           message):
-    # k=9: a pass would compute 9! rows of each color's face column first;
+    # k=9: a pass would sort the 9! rows by its distinct rows' face columns first;
     # CSV, which prints no histogram, refuses the same input
     path = _write(tmp_path, "graph.json", json.dumps({"k": 9, "D": len(sigma), "sigma": sigma}))
-    enumeration._face_column.cache_clear()
+    enumeration._face_sort.cache_clear()
     enumeration.covering_pass.cache_clear()
     for fmt in ("json", "csv"):
         assert main(["enumerate", "--graph", path, "--histogram", color, "--format", fmt]) == 2
         assert capsys.readouterr() == ("", message)
-    assert enumeration._face_column.cache_info().misses == 0
+    assert enumeration._face_sort.cache_info().misses == 0
 
 
 # The sha256 of the stdout of `tul verify --seed 0` at its defaults, 23,493

@@ -310,10 +310,13 @@ def test_pass_many_colors():
     assert covering_pass(graphs[-1]).gamma == 188
 
 
-def test_pass_errors_come_before_any_sweep():
-    caches = (enumeration._face_column, enumeration._lex_perms)
-    for cached in caches:
-        cached.cache_clear()
+def test_pass_errors_come_before_any_sweep(monkeypatch, no_column):
+    # a refused graph computes no face column, sorts no S_k and builds none
+    def refuse(*args):
+        raise AssertionError("S_k was sorted or built")
+
+    monkeypatch.setattr(enumeration.np, "lexsort", refuse)
+    monkeypatch.setattr(enumeration, "_lex_perms", refuse)
     with pytest.raises(ValueError, match="cap"):
         minimal_coverings(two_color_cycle(10))
     with pytest.raises(ValueError, match="connected"):
@@ -322,32 +325,36 @@ def test_pass_errors_come_before_any_sweep():
         gaussian_exact_mean(two_color_cycle(10), (1, 1), 2)
     with pytest.raises(ValueError, match="cap"):
         narayana_face_distribution(two_color_cycle(10), 1)
-    for cached in caches:
-        info = cached.cache_info()
-        assert (info.hits, info.misses) == (0, 0)
 
 
 def test_consumers_share_one_sweep():
-    # one pass for the graph, one column for each of its two distinct rows
+    # one pass for the graph, one sort of S_k by its two distinct rows
     spec = CycleSpec(k=5, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
     B = make_cycle_graph(spec)
-    enumeration._face_column.cache_clear()
+    enumeration._face_sort.cache_clear()
     enumeration.covering_pass.cache_clear()
     mcs = minimal_coverings(B)
     report = cross_check(B, spec, (1.5, 0.5, 2.0))
     wick = gaussian_exact_mean(B, (1, 2, 1), 3)
     assert enumeration.covering_pass.cache_info().misses == 1
-    assert enumeration._face_column.cache_info().misses == 2
+    assert enumeration._face_sort.cache_info().misses == 1
     assert (mcs.gamma, report.count_enum) == (2 * 5 + 1, 1)
     assert wick == sum(math.prod(d ** f for d, f in zip((3, 6, 3), zero))
                        for zero in enumeration._faces(B).tolist())
-    assert enumeration._face_column.cache_info().misses == 2
+    assert enumeration._face_sort.cache_info().misses == 1
 
 
-def test_color_splits_share_one_sweep():
-    # every split of 5 colors into 2 identities and 3 shifts stacks the same
-    # two columns, so all ten splits compute two
-    enumeration._face_column.cache_clear()
+def test_color_splits_share_one_sweep(monkeypatch):
+    # every split of 5 colors into 2 identities and 3 shifts has the same
+    # two distinct rows, so all ten splits read one sort of S_5
+    sorts, lexsort = [], np.lexsort
+
+    def counted(keys):
+        sorts.append(len(keys[0]))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    enumeration._face_sort.cache_clear()
     enumeration.covering_pass.cache_clear()
     for m_colors in itertools.combinations(range(1, 6), 2):
         spec = CycleSpec(k=5, m_colors=frozenset(m_colors),
@@ -355,24 +362,29 @@ def test_color_splits_share_one_sweep():
         report = cross_check(make_cycle_graph(spec), spec, (2, 1, 3, 0.5, 1.5))
         assert (report.gamma_enum, report.count_enum) == (3 * 5 + 2, 1)
     assert enumeration.covering_pass.cache_info().misses == 10
-    assert enumeration._face_column.cache_info().misses == 2
+    assert enumeration._face_sort.cache_info().misses == 1
+    assert sorts.count(math.factorial(5)) == 1
 
 
-def test_cycles_of_one_k_share_two_columns():
+def test_cycles_of_one_k_share_one_sort():
     # the identity and the shift are the only rows of every (m,n)-cycle
-    enumeration._face_column.cache_clear()
+    enumeration._face_sort.cache_clear()
     enumeration.covering_pass.cache_clear()
     for m, n in ((1, 1), (2, 2), (1, 3)):
         spec = CycleSpec(k=5, m_colors=frozenset(range(1, m + 1)),
                          n_colors=frozenset(range(m + 1, m + n + 1)))
         gamma = m * 6 if m == n else n * 5 + m
         assert minimal_coverings(make_cycle_graph(spec)).gamma == gamma
-    info = enumeration._face_column.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
-    for column in map(enumeration._face_column, ((0, 1, 2, 3, 4), (4, 0, 1, 2, 3))):
-        assert column.dtype == np.int8 and column.shape == (120,)
-        assert not column.flags.writeable
-    assert enumeration._face_column.cache_info().misses == 2  # the identity's and the shift's
+    info = enumeration._face_sort.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    rows = ((0, 1, 2, 3, 4), (1, 2, 3, 4, 0))
+    order, bounds, vectors = enumeration._face_sort(ColoredGraph(k=5, sigma=rows))
+    assert order.dtype == np.uint32 and sorted(order.tolist()) == list(range(120))
+    assert bounds.tolist()[0] == 0 and bounds.tolist()[-1] == 120
+    assert vectors.dtype == np.int8 and vectors.shape == (len(bounds) - 1, 2)
+    assert vectors.tolist() == sorted(vectors.tolist())
+    assert not (order.flags.writeable or bounds.flags.writeable or vectors.flags.writeable)
+    assert enumeration._face_sort.cache_info().misses == 1
 
 
 def _reference_column(table):
@@ -391,7 +403,7 @@ def test_face_column_is_the_reference_cycle_count():
     tables += [tuple(rng.permutation(7).tolist()) for _ in range(2)]
     for table in tables:
         column = enumeration._face_column(table)
-        assert column.dtype == np.int8 and not column.flags.writeable
+        assert column.dtype == np.int8
         assert column.tolist() == _reference_column(table)
 
 
@@ -407,7 +419,7 @@ def test_face_columns_at_k_9_are_a_bijection_of_s_9():
     rows = np.random.default_rng(27).choice(math.factorial(k), size=200, replace=False)
     for table in [tuple(range(k)), (3, 0, 8, 1, 6, 2, 7, 5, 4), tuple(range(k))[::-1]]:
         column = enumeration._face_column(table)
-        assert column.dtype == np.int8 and not column.flags.writeable
+        assert column.dtype == np.int8
         assert np.bincount(column).tolist() == STIRLING_9
         for row in rows.tolist():
             assert column[row] == len(cycles([table[t] for t in taus[row].tolist()]))
@@ -416,7 +428,7 @@ def test_face_columns_at_k_9_are_a_bijection_of_s_9():
 def test_identity_column_is_the_cycles_of_each_permutation():
     for k in range(1, 9):
         column = enumeration._face_column(tuple(range(k)))
-        assert column.dtype == np.int8 and not column.flags.writeable
+        assert column.dtype == np.int8
         assert column.tolist() == [len(cycles(p)) for p in itertools.permutations(range(k))]
     assert np.bincount(enumeration._face_column(tuple(range(9)))).tolist() == STIRLING_9
 
@@ -424,7 +436,7 @@ def test_identity_column_is_the_cycles_of_each_permutation():
 def test_lex_perms_is_itertools_order():
     for k in range(9):
         perms = enumeration._lex_perms(k)
-        assert perms.dtype == np.int8 and not perms.flags.writeable
+        assert perms.dtype == np.int8
         assert list(map(tuple, perms.tolist())) == list(itertools.permutations(range(k)))
 
 
@@ -449,8 +461,7 @@ def test_pass_matches_unique_face_rows_with_many_colors(k, D):
         # the (1,1)-cycle: its top total k+1 has the k Narayana vectors
         graphs.append(two_color_cycle(k))
     for B in graphs:
-        columns = enumeration._columns(B)
-        faces = np.stack(columns, axis=1)
+        faces = enumeration._faces(B)
         rows, counts = np.unique(faces, axis=0, return_counts=True)
         totals = faces.sum(axis=1, dtype=np.int64)
         gamma = int(totals.max())
@@ -494,3 +505,39 @@ def test_property_relabeling_colors_permutes_the_pass(B, data):
     for (tau, zero), (_, other) in zip(b.members, a.members):
         assert zero == permuted(other)
         assert zero == face_profile(CoveringGraph(base=B_pi, tau=tau))
+
+
+def _repeated_row_graphs(rng, count):
+    """count connected graphs whose D <= 8 colors repeat a pool of 1-3
+    random rows at k <= 6, each with a scrambled copy of its colors."""
+    pairs = []
+    while len(pairs) < count:
+        k, D = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        pool = [tuple(rng.permutation(k).tolist()) for _ in range(int(rng.integers(1, 4)))]
+        B = ColoredGraph(k=k, sigma=tuple(pool[i] for i in rng.integers(len(pool), size=D)))
+        if is_connected(B):
+            pi = rng.permutation(D).tolist()
+            pairs.append((B, ColoredGraph(k=k, sigma=tuple(B.sigma[j] for j in pi))))
+    return pairs
+
+
+def test_pass_reads_repeated_rows_in_any_color_order():
+    # a color that repeats a row repeats its face count, so a graph and its
+    # scrambled colors read one sort of S_k by their distinct rows, and each
+    # reads back its own histogram order, gamma and members
+    for B, B_pi in _repeated_row_graphs(np.random.default_rng(28), 40):
+        enumeration._face_sort.cache_clear()
+        for G in (B, B_pi):
+            expected = [(tau, face_profile(CoveringGraph(base=G, tau=tau)))
+                        for tau in itertools.permutations(range(G.k))]
+            faces = enumeration._faces(G)
+            assert faces.tolist() == [list(zero) for _, zero in expected], G
+            rows, counts = np.unique(faces, axis=0, return_counts=True)
+            result = covering_pass.__wrapped__(G)
+            assert list(result.histogram.items()) == list(zip(map(tuple, rows.tolist()),
+                                                              counts.tolist())), G
+            gamma = max(sum(zero) for _, zero in expected)
+            members = tuple((tau, zero) for tau, zero in expected if sum(zero) == gamma)
+            assert (result.gamma, result.count) == (gamma, len(members)), G
+            assert result.members == members, G
+        assert enumeration._face_sort.cache_info().misses == 1
