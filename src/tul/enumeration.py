@@ -24,10 +24,12 @@ vectors and reads one record, `CoveringPass`, off them:
 A color that repeats a sigma row repeats its face count, so the sort is
 cached per set of distinct rows and each graph reads it back in its own
 colors: every color split of every (m,n)-cycle of one k reads one sort of
-S_k by two columns, the identity's and the shift's.  Gamma, the
-Catalan/Narayana counts, the exact leading coefficient (`face_sum` over
-`minimal_faces`) and the exact Wick integer all come from the one cached
-pass per graph.
+S_k by two columns, the identity's and the shift's.  The cache keeps MAX_K
+sorts, room for one per k, so a loop over k inside D or m sorts each cycle
+row set once.  Gamma, the Catalan/Narayana counts, the exact leading
+coefficient (`face_sum` over `minimal_faces`) and the exact Wick integer all
+come from one pass per graph, and the last pass is cached, since the
+consumers of one graph read it back to back.
 
 Graphs must be connected and have k <= MAX_K = 9, i.e. at most 362,880
 coverings.  Both are checked before any column is computed or S_k sorted.
@@ -53,15 +55,6 @@ from .permutations import Perm, inverse
 # pass costs k!, and one cold pass at k=10 takes 0.2-0.8 s and 108-128 MB
 # (2 vCPUs, numpy 2.4).
 MAX_K = 9
-
-# Passes that stay cached, per graph, and sorts of S_k, per set of distinct
-# sigma rows.  A bound on memory, not a tuning knob: every consumer of one
-# graph runs back to back, so a few slots suffice.  A sort keeps S_k's row
-# order in uint32, so at MAX_K the four orders take at most 4 * 4 * 9! bytes
-# = 5.8 MB.  Its runs add R + 4 bytes per distinct face vector of R distinct
-# rows: at k=9, 154 bytes for a cycle's two rows, 16 kB for six random rows
-# and 13 MB for 32, each time under an eighth of the histogram read off them.
-_CACHED_GRAPHS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +148,13 @@ def _check_graph(B: ColoredGraph):
         )
 
 
-@functools.lru_cache(maxsize=_CACHED_GRAPHS)
+# Keeps MAX_K sorts: room for one per k, so a loop over k inside D or m, as
+# in verify._cycle_specs, sorts each cycle row set once.  A bound on memory,
+# not a tuning knob.  A sort of R distinct rows keeps S_k's row order in
+# uint32 and R + 4 bytes per run, and there are at most k! runs: at MAX_K
+# the nine orders take at most 9 * 4 * 9! bytes = 13 MB, and one sort's runs
+# 154 bytes for a cycle's two rows, 16 kB for six random rows and 13 MB for 32.
+@functools.lru_cache(maxsize=MAX_K)
 def _face_sort(A: ColoredGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S_k sorted by the face vectors of A, whose sigma rows are distinct and
     sorted: the read-only uint32 row order, the start of each run of equal
@@ -165,6 +164,7 @@ def _face_sort(A: ColoredGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is stable, so a run of equal vectors lists the vector's rows in order,
     and its first element is the one its vector is read from.  A graph has
     A's connectivity, so the check runs here, before any column is computed.
+    Every graph with A's rows reads this one sort, whatever its colors.
     """
     _check_graph(A)
     columns = [_face_column(inverse(s)) for s in A.sigma]
@@ -179,7 +179,12 @@ def _face_sort(A: ColoredGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, bounds, vectors
 
 
-@functools.lru_cache(maxsize=_CACHED_GRAPHS)
+# Keeps one record: every consumer of one graph reads it back to back
+# (cross_check; tul verify's minimal_coverings, then narayana_face_distribution
+# or cross_check; tul enumerate).  A bound on memory: a record's histogram
+# holds a tuple per distinct face vector, at most k! of them, and takes
+# 128 MB for a k=9 graph of 32 random rows.
+@functools.lru_cache(maxsize=1)
 def covering_pass(B: ColoredGraph) -> CoveringPass:
     """The face histogram and minimal coverings of B, read back off the sort
     of S_k by the face columns of its distinct sigma rows.
@@ -195,8 +200,10 @@ def covering_pass(B: ColoredGraph) -> CoveringPass:
 
     The sort is cached by the set of rows alone, so every graph with the
     same rows reads one sort, whatever its colors: all color splits of the
-    (m,n)-cycles of one k read one.  The result is cached per graph as well,
-    since the consumers of one graph call this back to back.
+    (m,n)-cycles of one k read one.  Only the last record is cached, since
+    the consumers of one graph call this back to back: a caller that holds
+    the record keeps it, and a graph read again after another is read again
+    off its sort.
     """
     distinct = sorted(set(B.sigma))
     order, bounds, vectors = _face_sort(ColoredGraph(k=B.k, sigma=distinct))

@@ -57,7 +57,10 @@ class MelonicRecipe:
 
 @dataclass(frozen=True)
 class CycleSpec:
-    """An (m,n)-cycle graph: k m-dipoles and k n-dipoles with disjoint colors."""
+    """An (m,n)-cycle graph: k m-dipoles and k n-dipoles with disjoint colors.
+
+    Each color set may be given as any iterable of integers; one that repeats
+    a color is refused before it is kept as a frozenset."""
 
     k: int
     m_colors: frozenset[int]
@@ -65,8 +68,13 @@ class CycleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "k", operator.index(self.k))
-        object.__setattr__(self, "m_colors", frozenset(map(operator.index, self.m_colors)))
-        object.__setattr__(self, "n_colors", frozenset(map(operator.index, self.n_colors)))
+        for name in ("m_colors", "n_colors"):
+            colors = set()
+            for color in map(operator.index, getattr(self, name)):
+                if color in colors:
+                    raise ValueError(f"{name} repeats color {color}")
+                colors.add(color)
+            object.__setattr__(self, name, frozenset(colors))
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         if not self.m_colors or not self.n_colors:
@@ -138,7 +146,7 @@ def cycle_spec_from_json_dict(data) -> CycleSpec:
         if not isinstance(colors, list) or not all(is_json_int(x) for x in colors):
             raise ValueError(f"field '{key}' must be a list of integers")
     json_fields(data, "cycle spec", ints=("k",))
-    return CycleSpec(k=k, m_colors=frozenset(m_colors), n_colors=frozenset(n_colors))
+    return CycleSpec(k=k, m_colors=m_colors, n_colors=n_colors)
 
 
 def cycle_spec_to_json_dict(spec: CycleSpec) -> dict:

@@ -767,6 +767,15 @@ def test_asym_cycle_spec_rejects_booleans(capsys, tmp_path, data, field):
     assert field in capsys.readouterr().err
 
 
+def test_asym_cycle_spec_refuses_a_repeated_color(capsys, tmp_path):
+    # the JSON reader hands the lists to CycleSpec, which refuses the repeat
+    # before it collapses them into the (1,1)-cycle's color sets
+    spec = _write(tmp_path, "cycle.json",
+                  json.dumps({"k": 3, "m_colors": [1, 1], "n_colors": [2, 2, 2]}))
+    assert main(["asym", "--family", "cycle", "--spec", spec]) == 2
+    assert capsys.readouterr() == ("", "error: m_colors repeats color 1\n")
+
+
 @pytest.mark.parametrize("data, field", [
     ({"D": True, "steps": []}, "'D'"),
     ({"D": 3, "steps": [[True, 1]]}, "'steps'"),

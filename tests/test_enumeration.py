@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melon
 from tul.graphs import ColoredGraph, is_connected
 from tul.permutations import cycles, inverse
 from tul.tensors import gaussian_exact_mean
+from tul.verify import run_verify_suite
 
 
 def two_color_cycle(k):
@@ -385,6 +388,26 @@ def test_cycles_of_one_k_share_one_sort():
     assert vectors.tolist() == sorted(vectors.tolist())
     assert not (order.flags.writeable or bounds.flags.writeable or vectors.flags.writeable)
     assert enumeration._face_sort.cache_info().misses == 1
+
+
+def test_cycle_families_sort_once_per_k():
+    # tul verify walks k inside D and m, and the sort cache has room for one
+    # sort per k, so every (m,n)-cycle at k, D <= 6 reads one of six sorts
+    enumeration._face_sort.cache_clear()
+    enumeration.covering_pass.cache_clear()
+    run_verify_suite(max_k=6, max_D=6, families=("cycle_11", "cycle_mm", "cycle_mn"), seed=0)
+    assert enumeration._face_sort.cache_info().misses == 6
+
+
+def test_only_the_last_record_stays_cached():
+    # the consumers of one graph read its record back to back, so the cache
+    # keeps the last record alone
+    enumeration.covering_pass.cache_clear()
+    graphs = [two_color_cycle(k) for k in range(1, 7)]
+    records = [weakref.ref(covering_pass(B)) for B in graphs]
+    gc.collect()
+    assert [record() is not None for record in records] == [False] * 5 + [True]
+    assert records[-1]() is covering_pass(graphs[-1]) is minimal_coverings(graphs[-1])
 
 
 def _reference_column(table):

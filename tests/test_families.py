@@ -140,6 +140,18 @@ def test_cycle_spec_validation():
     assert (spec.m, spec.n, spec.D) == (2, 3, 5)
 
 
+def test_cycle_spec_refuses_a_repeated_color():
+    # a repeated color is refused before the colors collapse into a set, in
+    # a list or an array, and the JSON reader shares the check
+    for colors in ([1, 1], np.array([1, 1])):
+        with pytest.raises(ValueError, match="^m_colors repeats color 1$"):
+            CycleSpec(k=3, m_colors=colors, n_colors=[2, 2, 2])
+        with pytest.raises(ValueError, match="^n_colors repeats color 1$"):
+            CycleSpec(k=3, m_colors=[2], n_colors=colors)
+    with pytest.raises(ValueError, match="^m_colors repeats color 1$"):
+        cycle_spec_from_json_dict({"k": 3, "m_colors": [1, 1], "n_colors": [2, 2, 2]})
+
+
 def test_cycle_spec_m_colors_must_be_integers():
     # 1.5 is refused, never truncated to color 1; numpy integers are read
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):

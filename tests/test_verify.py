@@ -42,3 +42,10 @@ def test_families_may_be_any_collection_of_names():
     assert names == ["cycle_11 catalan k=1", "cycle_11 narayana k=1",
                      "cycle_11 catalan k=2", "cycle_11 narayana k=2",
                      "wick gaussian cycle_11 k=2 N=8"]
+
+
+def test_max_D_bounds_every_family():
+    # the melonic family starts at D=3, so at max_D=2 only the Wick gate runs
+    names = [r.name for r in run_verify_suite(max_k=2, max_D=2, families=("melonic",),
+                                              seed=0)]
+    assert names == ["wick gaussian cycle_11 k=2 N=8"]
