@@ -24,12 +24,13 @@ vectors and reads one record, `CoveringPass`, off them:
 A color that repeats a sigma row repeats its face count, so the sort is
 cached per set of distinct rows and each graph reads it back in its own
 colors: every color split of every (m,n)-cycle of one k reads one sort of
-S_k by two columns, the identity's and the shift's.  The cache keeps MAX_K
-sorts, room for one per k, so a loop over k inside D or m sorts each cycle
-row set once.  Gamma, the Catalan/Narayana counts, the exact leading
-coefficient (`face_sum` over `minimal_faces`) and the exact Wick integer all
-come from one pass per graph, and the last pass is cached, since the
-consumers of one graph read it back to back.
+S_k by two columns, the identity's and the shift's.  The cache keeps one
+sort per k, replaced when a graph with other rows comes at that k, so a loop
+over k inside D or m sorts each cycle row set once.  Gamma, the
+Catalan/Narayana counts, the exact leading coefficient (`face_sum` over
+`minimal_faces`) and the exact Wick integer all come from one pass per
+graph, and the last pass is cached, since the consumers of one graph read it
+back to back.
 
 Graphs must be connected and have k <= MAX_K = 9, i.e. at most 362,880
 coverings.  Both are checked before any column is computed or S_k sorted.
@@ -42,7 +43,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -148,13 +149,40 @@ def _check_graph(B: ColoredGraph):
         )
 
 
-# Keeps MAX_K sorts: room for one per k, so a loop over k inside D or m, as
-# in verify._cycle_specs, sorts each cycle row set once.  A bound on memory,
-# not a tuning knob.  A sort of R distinct rows keeps S_k's row order in
-# uint32 and R + 4 bytes per run, and there are at most k! runs: at MAX_K
-# the nine orders take at most 9 * 4 * 9! bytes = 13 MB, and one sort's runs
-# 154 bytes for a cycle's two rows, 16 kB for six random rows and 13 MB for 32.
-@functools.lru_cache(maxsize=MAX_K)
+class _SortPerK:
+    """A sort cached by k: a graph with other rows at that k replaces the sort
+    held for it, so at most one sort per k is held.  cache_info and
+    cache_clear count and drop them, as functools.lru_cache's do."""
+
+    def __init__(self, sort):
+        functools.update_wrapper(self, sort)
+        self.cache_clear()
+
+    def __call__(self, A: ColoredGraph):
+        held = self._held.get(A.k)
+        if held is None or held[0] != A:
+            self._held.pop(A.k, None)  # the old sort goes before the new one is made
+            self._misses += 1
+            held = self._held[A.k] = (A, self.__wrapped__(A))
+        return held[1]
+
+    def cache_info(self) -> SimpleNamespace:
+        """The sorts made since the last clear, and the sorts held."""
+        return SimpleNamespace(misses=self._misses, currsize=len(self._held))
+
+    def cache_clear(self) -> None:
+        self._held: dict[int, tuple] = {}
+        self._misses = 0
+
+
+# Keeps one sort per k, so a loop over k inside D or m, as in
+# verify._cycle_specs, sorts each k's cycle rows once.  A bound on memory, not
+# a tuning knob.  A sort of R distinct rows keeps S_k's row order in uint32
+# and R + 4 bytes per run, and there are at most k! runs: at MAX_K the orders
+# of all nine k take at most 4 (1! + ... + 9!) bytes = 1.6 MB, and the runs
+# 154 bytes for a cycle's two rows at k=9, 16 kB for six random rows and 13 MB
+# for 32, so a k=9 sort of 32 random rows holds 14.5 MB in all.
+@_SortPerK
 def _face_sort(A: ColoredGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S_k sorted by the face vectors of A, whose sigma rows are distinct and
     sorted: the read-only uint32 row order, the start of each run of equal

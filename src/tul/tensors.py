@@ -5,6 +5,9 @@ Samples come in block substreams of the seed: block b holds the next
 K = max(1, BLOCK_ENTRIES // prod(dims)) samples and is one sequential draw
 from PCG64(seed) advanced by b * 2^64 steps.  Sample i, entry i % K of block
 i // K, depends only on (seed, i), never on how many samples are drawn.
+A uniform-disc entry sqrt(2u) e^(2 pi i v) takes sin and cos of the exactly
+reduced angle from fdlibm's kernel polynomials, not from libm, so it rounds
+only in IEEE arithmetic and its bytes do not depend on the machine's libm.
 
 Three independent evaluation routes are kept deliberately separate:
   naive    sums the delta-constrained index contractions term by term for
@@ -76,13 +79,27 @@ MAX_TENSOR_ENTRIES = 2 ** 26
 # Version of the sampling stream, reported by `tul mc` and `tul verify`.  It
 # is bumped whenever a (seed, sample index) may give a different tensor;
 # BLOCK_ENTRIES is part of the stream, so changing it bumps STREAM.
-STREAM = 2
+STREAM = 3
 BLOCK_ENTRIES = 4096
 
-# Pairs of uniforms per step of the in-place uniform-disc transform, each
-# with one chunk-sized sin buffer: a bound on memory like BLOCK_ENTRIES, not
-# a knob, and not part of the stream, since every pair is transformed alone.
+# Pairs of uniforms per step of the in-place uniform-disc transform: a bound
+# on memory like BLOCK_ENTRIES, not a knob, and not part of the stream, since
+# every pair is transformed alone.  _to_disc holds five chunk-sized float64
+# buffers (the reduced angle and a scratch, which then hold the complex
+# quadrant factors; phi^2, then the radius; sin; cos) and one intp buffer of
+# quadrants: 1.5 MiB at DISC_CHUNK.
 DISC_CHUNK = 2 ** 15
+
+# fdlibm's minimax polynomials for sin and cos on |x| <= pi/4 (Sun's k_sin.c
+# and k_cos.c, S1..S6 and C1..C6), each within 1 ulp there
+SIN_KERNEL = (-1.66666666666666324348e-01, 8.33333333332248946124e-03,
+              -1.98412698298579493134e-04, 2.75573137070700676789e-06,
+              -2.50507602534068634195e-08, 1.58969099521155010221e-10)
+COS_KERNEL = (4.16666666666666019037e-02, -1.38888888888741095749e-03,
+              2.48015872894767294178e-05, -2.75573143513906633035e-07,
+              2.08757232129817482790e-09, -1.13596475577881948265e-11)
+# i^q for the quadrant q = rint(4v) in 0..4
+QUARTER_TURNS = np.array([1, 1j, -1, -1j, 1])
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -153,6 +170,64 @@ def _block_size(dims) -> int:
     return max(1, BLOCK_ENTRIES // math.prod(dims))
 
 
+def _horner(coeffs, z: np.ndarray, out: np.ndarray) -> None:
+    """out = coeffs[0] + z (coeffs[1] + z (... + z coeffs[-1])), in place."""
+    np.multiply(z, coeffs[-1], out=out)
+    for a in coeffs[-2:0:-1]:
+        out += a
+        out *= z
+    out += coeffs[0]
+
+
+def _to_disc(entries: np.ndarray) -> None:
+    """Write sqrt(2u) e^(2 pi i v) over each entry v + iu of the C-contiguous
+    complex array entries, whose parts are uniforms in [0, 1), DISC_CHUNK
+    entries at a time.
+
+    It rounds only in IEEE *, +, sqrt and rint, so its bytes do not depend on
+    the machine's libm.  t = 4v and x = t - rint(t), |x| <= 1/2, are exact,
+    and phi = x pi/2 is the angle's one rounding: e^(2 pi i v) = i^q e^(i phi)
+    for the quadrant q = rint(t).  With z = phi^2 and S(z), C(z) the Horner
+    sums of SIN_KERNEL and COS_KERNEL, sin phi = x + (z x) S(z), as fdlibm's
+    __kernel_sin has it, and cos phi = w + (((1 - w) - z/2) + z (z C(z))),
+    w = 1 - z/2, as FreeBSD's __kernel_cos compensates it.  The products with
+    r = sqrt(2u) are the last roundings: multiplying by i^q, whose parts are
+    0 and +-1, is exact.
+    """
+    flat = entries.reshape(-1)
+    n = min(len(flat), DISC_CHUNK)
+    scratch, z2, sin, cos = np.empty(2 * n), np.empty(n), np.empty(n), np.empty(n)
+    quadrant = np.empty(n, dtype=np.intp)
+    for start in range(0, len(flat), DISC_CHUNK):
+        chunk = flat[start:start + DISC_CHUNK]
+        m = len(chunk)
+        x, t, z, s, c, q = scratch[:m], scratch[m:2 * m], z2[:m], sin[:m], cos[:m], quadrant[:m]
+        np.multiply(chunk.real, 4.0, out=x)
+        np.rint(x, out=t)
+        np.copyto(q, t, casting="unsafe")
+        x -= t
+        x *= 0.5 * np.pi
+        np.multiply(x, x, out=z)
+        _horner(SIN_KERNEL, z, s)
+        s *= np.multiply(z, x, out=t)
+        s += x
+        _horner(COS_KERNEL, z, c)
+        c *= z
+        c *= z
+        z *= 0.5
+        w = np.subtract(1.0, z, out=x)
+        np.subtract(1.0, w, out=t)  # exact
+        t -= z
+        c += t
+        c += w
+        r = np.multiply(chunk.imag, 2.0, out=z)
+        np.sqrt(r, out=r)
+        np.multiply(c, r, out=chunk.real)
+        np.multiply(s, r, out=chunk.imag)
+        # q is 0..4, so clip only skips take's bounds check
+        chunk *= np.take(QUARTER_TURNS, q, out=scratch[:2 * m].view(np.complex128), mode="clip")
+
+
 def _draw_block(spec: TensorSpec, block: int, count: int) -> np.ndarray:
     """The first count samples of block substream `block` of spec.seed: one
     sequential draw from PCG64(seed) advanced by block * 2^64 steps."""
@@ -169,22 +244,10 @@ def _draw_block(spec: TensorSpec, block: int, count: int) -> np.ndarray:
         x -= 0.5
         np.copysign(SQRT_HALF, x, out=x)
     else:
-        # uniform on the disc of radius sqrt(2), so E|z|^2 = 1: of each pair
-        # of uniforms (v, u), theta = 2 pi v and r = sqrt(2 u), transformed
-        # in place DISC_CHUNK pairs at a time with one chunk of sin
+        # uniform on the disc of radius sqrt(2), so E|z|^2 = 1: each pair of
+        # uniforms (v, u) becomes sqrt(2u) e^(2 pi i v)
         rng.random(out=x)
-        pairs = x.reshape(-1, 2)
-        sin = np.empty(min(len(pairs), DISC_CHUNK))
-        for start in range(0, len(pairs), DISC_CHUNK):
-            chunk = pairs[start:start + DISC_CHUNK]
-            theta, r, s = chunk[:, 0], chunk[:, 1], sin[:len(chunk)]
-            theta *= 2.0 * np.pi
-            r *= 2.0
-            np.sqrt(r, out=r)
-            np.sin(theta, out=s)
-            np.cos(theta, out=theta)
-            theta *= r
-            r *= s
+        _to_disc(z)
     return z
 
 

@@ -6,9 +6,11 @@ programming, face counts and the genus of one covering by plain cycle
 counting, melonic membership by dipole contraction, the cycle invariant by
 complex matrix powers and by the Gram spectrum, Haar unitaries and the
 relative change of an invariant under them, and the margins of a universality
-scan.  Two more keep package code in a plain form, as bitwise oracles for the
-buffers the package reuses: the stacked cycle kernel with fresh buffers, and
-the uniform disc draw transformed in one pass.
+scan.  The stacked cycle kernel with fresh buffers keeps package code in a
+plain form, as a bitwise oracle for the buffers the package reuses.  The
+uniform disc has two oracles: its draw through np.sin and np.cos in one pass,
+within 2^-49 of the package's, and its IEEE operations one Python float at a
+time, a bitwise oracle.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 from tul.families import CycleSpec
 from tul.graphs import ColoredGraph, is_connected
 from tul.permutations import Perm, cycles, inverse, is_perm
-from tul.tensors import (TensorSpec, UniversalityReport, trace_invariant_cycle,
-                         trace_invariant_naive)
+from tul.tensors import (COS_KERNEL, SIN_KERNEL, TensorSpec, UniversalityReport,
+                         trace_invariant_cycle, trace_invariant_naive)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +282,9 @@ def cycle_values_fresh(T_stack: np.ndarray, spec: CycleSpec) -> np.ndarray:
 
 def uniform_disc_block(spec: TensorSpec, block: int, count: int) -> np.ndarray:
     """The first count samples of block substream `block` of a uniform_disc
-    spec, with the disc transform done in one pass over the whole block and
-    one block-sized sin temporary, as tul.tensors._draw_block did before it
-    ran in chunks.  The draw must match it bit for bit."""
+    spec, with theta = 2 pi v through libm's np.sin and np.cos in one pass
+    over the whole block, as tul.tensors._draw_block did up to STREAM 2.  The
+    draw must stay within 2^-49 of it."""
     bitgen = np.random.PCG64(spec.seed)
     bitgen.advance(block << 64)
     rng = np.random.Generator(bitgen)
@@ -301,3 +303,24 @@ def uniform_disc_block(spec: TensorSpec, block: int, count: int) -> np.ndarray:
     theta *= r
     r *= sin
     return z
+
+
+def disc_entry(v: float, u: float) -> complex:
+    """sqrt(2u) e^(2 pi i v) by the IEEE operations of tul.tensors._to_disc,
+    one Python float at a time: its chunked buffers must give these values."""
+    t = 4.0 * v
+    q = round(t)  # half to even, as np.rint
+    x = (t - q) * (0.5 * math.pi)
+    z = x * x
+
+    def horner(coeffs):
+        acc = z * coeffs[-1]
+        for a in coeffs[-2:0:-1]:
+            acc = (acc + a) * z
+        return acc + coeffs[0]
+
+    sin = horner(SIN_KERNEL) * (z * x) + x
+    w = 1.0 - z * 0.5
+    cos = horner(COS_KERNEL) * z * z + ((1.0 - w) - z * 0.5) + w
+    r = math.sqrt(2.0 * u)
+    return complex(cos * r, sin * r) * (1, 1j, -1, -1j)[q % 4]

@@ -243,7 +243,7 @@ def test_enumerate_histogram_errors_come_before_any_sweep(capsys, tmp_path, sigm
 
 # The sha256 of the stdout of `tul verify --seed 0` at its defaults, 23,493
 # bytes of JSON, captured from the command.
-VERIFY_SHA256 = "eb6170d583ab54bebdbcff061bb1e311241994e60cddbd1fc983f3b28c50b3e0"
+VERIFY_SHA256 = "7a892981ded2ea0ceeded442650a8162b1c214b47a535e25281a3ca280aa3082"
 
 
 def test_verify_stdout_is_pinned(capsys):
@@ -267,7 +267,7 @@ def test_verify_csv_stdout_is_pinned(capsys):
 MC_CYCLE_JSON = """\
 {
   "schema": 1,
-  "stream": 2,
+  "stream": 3,
   "graph": "cycle(k=2, m_colors=[1], n_colors=[2])",
   "distribution": "complex_gaussian",
   "gamma": 3,
@@ -304,7 +304,7 @@ graph,distribution,gamma,predicted,N,samples,mean,stderr,normalized,flagged
 MC_GRAPH_JSON = """\
 {
   "schema": 1,
-  "stream": 2,
+  "stream": 3,
   "graph": "graph(k=3, D=3)",
   "distribution": "uniform_disc",
   "gamma": 7,
@@ -313,9 +313,9 @@ MC_GRAPH_JSON = """\
     {
       "N": 4,
       "samples": 20,
-      "mean": 25575.220711931797,
+      "mean": 25575.22071193179,
       "stderr": 1448.7372549502334,
-      "normalized": 1.5609875922809935,
+      "normalized": 1.560987592280993,
       "flagged": true
     },
     {
@@ -332,8 +332,8 @@ MC_GRAPH_JSON = """\
 
 MC_GRAPH_CSV = """\
 graph,distribution,gamma,predicted,N,samples,mean,stderr,normalized,flagged
-"graph(k=3, D=3)",uniform_disc,7,1.0,4,20,25575.220711931797,1448.7372549502334,\
-1.5609875922809935,True
+"graph(k=3, D=3)",uniform_disc,7,1.0,4,20,25575.22071193179,1448.7372549502334,\
+1.560987592280993,True
 "graph(k=3, D=3)",uniform_disc,7,1.0,8,4,2735324.7796820444,158947.94079627065,\
 1.304304494706175,True
 """
@@ -564,7 +564,7 @@ def test_mc_json(capsys, tensor_spec_file, cycle_spec_file):
                                    "--samples", "200", "--N-list", "4,8"])
     assert code == 0
     assert data["schema"] == 1
-    assert data["stream"] == STREAM == 2
+    assert data["stream"] == STREAM == 3
     assert data["graph"].startswith("cycle(k=2")
     assert data["distribution"] == "complex_gaussian"
     assert data["gamma"] == 3
@@ -656,7 +656,7 @@ def test_verify_passes(capsys):
     code, data = run_json(capsys, ["verify", "--max-k", "2", "--max-D", "3",
                                    "--families", "cycle_11,cycle_mn"])
     assert code == 0
-    assert data["stream"] == STREAM == 2
+    assert data["stream"] == STREAM == 3
     assert data["passed"] is True
     assert all(chk["passed"] for chk in data["checks"])
     names = [chk["name"] for chk in data["checks"]]

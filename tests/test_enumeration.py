@@ -399,6 +399,22 @@ def test_cycle_families_sort_once_per_k():
     assert enumeration._face_sort.cache_info().misses == 6
 
 
+def test_two_row_sets_at_one_k_hold_one_sort():
+    # the sort cache keeps one sort per k: a graph with other rows at that k
+    # replaces it, and a graph at another k is kept beside it
+    enumeration._face_sort.cache_clear()
+    enumeration.covering_pass.cache_clear()
+    cycle = two_color_cycle(5)
+    melonic = make_melonic(MelonicRecipe(D=3, steps=((1, 1), (2, 1), (3, 2), (1, 3))))
+    assert melonic.k == 5 and set(melonic.sigma) != set(cycle.sigma)
+    made = []
+    for B in (cycle, melonic, two_color_cycle(4), melonic, cycle):
+        covering_pass(B)
+        info = enumeration._face_sort.cache_info()
+        made.append((info.misses, info.currsize))
+    assert made == [(1, 1), (2, 1), (3, 2), (3, 2), (4, 2)]
+
+
 def test_only_the_last_record_stays_cached():
     # the consumers of one graph read its record back to back, so the cache
     # keeps the last record alone

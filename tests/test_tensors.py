@@ -10,14 +10,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from reference import (apply_unitaries, cycle_value_reference, cycle_values_fresh,
-                       cycle_values_spectral, margins, random_unitary, uniform_disc_block,
-                       unitary_invariance_check)
+                       cycle_values_spectral, disc_entry, margins, random_unitary,
+                       uniform_disc_block, unitary_invariance_check)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic,
                           random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
 from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISC_CHUNK, DISTRIBUTIONS,
                          EINSUM_LABELS, MAX_TENSOR_ENTRIES, TensorSpec, _check_naive_contraction,
-                         _cycle_values, _network_operands, _network_plan, _network_values,
+                         _cycle_values, _network_operands, _network_plan, _network_values, _to_disc,
                          gaussian_exact_mean, monte_carlo_mean, sample_tensor,
                          tensor_spec_from_json_dict, trace_invariant_cycle, trace_invariant_naive,
                          trace_invariant_network, universality_scan)
@@ -130,6 +130,8 @@ STREAM_DIGESTS = {
     ("complex_gaussian", 4): "366491d022d6e80c09dcae66c540837f9fa2bb3921537eb5dd632475ce4d6b4f",
     ("complex_rademacher", 2): "3a49a7b18577e5297ec1dfcd1c3fb1341ab432058be936c658cace2bad90a280",
     ("complex_rademacher", 4): "9a6ccfd630472089133440953ab0f7a59cff87b40af746a15e31f19de0b3d421",
+    ("uniform_disc", 2): "4854ebf041e0308fd5ea119d9a746d829a12f56caa232f2b87ec4c1030be3f6f",
+    ("uniform_disc", 4): "da37f9c486b4f98dbd47f772efc70139bf29bdb5465dc8254903c88179fcdcd1",
 }
 
 
@@ -137,10 +139,11 @@ def stream_spec(dist, D, N):
     return TensorSpec(D=D, c=(2, 1) if D == 2 else (1,) * D, N=N, distribution=dist, seed=12)
 
 
-@pytest.mark.parametrize("dist", ["complex_gaussian", "complex_rademacher"])
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
 @pytest.mark.parametrize("D, N, count", STREAM_SHAPES)
 def test_stream_is_pinned(dist, D, N, count):
-    # any change to these bytes is a new STREAM
+    # any change to these bytes is a new STREAM; the disc transform rounds
+    # only in IEEE arithmetic, with no libm call, so its digest is pinned too
     stack = sample_tensor(stream_spec(dist, D, N), 0, count)
     assert hashlib.sha256(stack.tobytes()).hexdigest() == STREAM_DIGESTS[dist, D]
 
@@ -149,15 +152,37 @@ def test_stream_is_pinned(dist, D, N, count):
                                                  (2, 200, 1, 3)],
                          ids=["one-chunk", "two-chunks", "partial-chunk"])
 def test_uniform_disc_matches_the_one_pass_transform(D, N, count, chunks):
-    # sin and cos may round differently on another CPU, so the draw is held
-    # to the one-pass transform on this machine rather than to a digest
+    # the same uniforms through np.sin and np.cos of 2 pi v in one pass: the
+    # angle's rounding there and the kernels' here move an entry by ~1e-15
     spec = stream_spec("uniform_disc", D, N)
     assert -(-math.prod(spec.dims) // DISC_CHUNK) == chunks
     K = block_size(spec)
     expected = np.concatenate([uniform_disc_block(spec, b, min(K, count - b * K))
                                for b in range(-(-count // K))])
     stack = sample_tensor(spec, 0, count)
-    assert np.array_equal(stack.view(np.uint64), expected.view(np.uint64))
+    assert np.abs(stack.view(np.float64) - expected.view(np.float64)).max() <= 2.0 ** -49
+
+
+def test_disc_kernels_are_exact_at_quarter_turns_and_within_an_ulp_of_math():
+    # u = 1/2 gives radius 1, so each entry is e^(2 pi i v) itself
+    eighths = [k / 8 for k in range(8)]
+    rng = np.random.default_rng(30)
+    v = np.array([*eighths, 1 - 2.0 ** -53, *rng.random(2000)])
+    entries = v + 0.5j
+    _to_disc(entries)
+    assert entries[[0, 2, 4, 6]].tolist() == [1, 1j, -1, -1j]
+    # v = 1 - 2^-53 is the turn's last step, q = 4: cos 1, sin -2 pi 2^-53
+    assert entries[8] == complex(1, -2 * math.pi * 2.0 ** -53)
+    for vi, got in zip(v.tolist(), entries.tolist()):
+        # the reduced angle as _to_disc rounds it, then the quarter turns
+        t = 4 * vi
+        q = round(t)
+        phi = (t - q) * (0.5 * math.pi)
+        want = complex(math.cos(phi), math.sin(phi)) * (1, 1j, -1, -1j)[q % 4]
+        assert abs(got.real - want.real) <= math.ulp(want.real), vi
+        assert abs(got.imag - want.imag) <= math.ulp(want.imag), vi
+    # the bytes are those of the same IEEE operations, one scalar at a time
+    assert [disc_entry(x, 0.5) for x in v.tolist()] == entries.tolist()
 
 
 def test_sample_tensor_refuses_bad_range():
