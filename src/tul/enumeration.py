@@ -19,18 +19,19 @@ vectors and reads one record, `CoveringPass`, off them:
   gamma      the maximal total face count, the leading power of N
   members    the face-maximizing coverings, which carry the leading term;
              the record keeps their rows and face vectors, so count needs no
-             tuple, and builds the (tau, zero_faces) pairs on first read
+             tuple, and unranks each row into its tau, in the factorial
+             number system, the first time members is read
 
-A color that repeats a sigma row repeats its face count, so the sort is
-cached per set of distinct rows and each graph reads it back in its own
-colors: every color split of every (m,n)-cycle of one k reads one sort of
-S_k by two columns, the identity's and the shift's.  The cache keeps one
-sort per k, replaced when a graph with other rows comes at that k, so a loop
-over k inside D or m sorts each cycle row set once.  Gamma, the
-Catalan/Narayana counts, the exact leading coefficient (`face_sum` over
-`minimal_faces`) and the exact Wick integer all come from one pass per
-graph, and the last pass is cached, since the consumers of one graph read it
-back to back.
+A color that repeats a sigma row repeats its face count, so the sort is kept
+per set of distinct rows and each graph reads it back in its own colors:
+every color split of every (m,n)-cycle of one k reads one sort of S_k by two
+columns, the identity's and the shift's.  `_FACE_SORTS` holds one sort per
+k, dropped when a graph with other rows comes at that k, so a loop over k
+inside D or m sorts each cycle row set once.  Gamma, the Catalan/Narayana
+counts, the exact leading coefficient (`face_sum` over `minimal_faces`) and
+the exact Wick integer all come from one pass per graph, and the last pass
+is cached, since the consumers of one graph read it back to back.  No table
+of S_k is built: the sort and the members name pairings by their rank.
 
 Graphs must be connected and have k <= MAX_K = 9, i.e. at most 362,880
 coverings.  Both are checked before any column is computed or S_k sorted.
@@ -39,18 +40,19 @@ coverings.  Both are checked before any column is computed or S_k sorted.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from .families import CycleSpec, make_cycle_graph
 from .graphs import ColoredGraph, e_notation, is_connected, side_ratios
-from .permutations import Perm, inverse
+from .permutations import Perm, cycles, inverse
 
 # The largest k a pass accepts.  A resource limit, not a tuning knob: a
 # pass costs k!, and one cold pass at k=10 takes 0.2-0.8 s and 108-128 MB
@@ -67,7 +69,7 @@ class CoveringPass:
     count, and members holds every pairing that attains it as a pair (tau,
     zero_faces), in lexicographic order; each zero_faces sums to gamma.
 
-    The pass keeps only the members' rows of lexicographic S_k and their
+    The pass keeps only the members' ranks in lexicographic S_k and their
     face vectors, so count is their number, and members is built from them
     the first time it is read.
     """
@@ -84,23 +86,19 @@ class CoveringPass:
 
     @functools.cached_property
     def members(self) -> tuple[tuple[Perm, tuple[int, ...]], ...]:
-        taus = _lex_perms(self._k)[self._rows].tolist()
+        # a rank's factorial digits: digit i ranks tau[i] among the entries
+        # not chosen before it, so, from the last digit back, each digit moves
+        # up by one every later entry at or above it
+        k = self._k
+        taus = np.empty((len(self._rows), k), dtype=np.int64)
+        rest = self._rows.astype(np.int64)
+        for i in range(k):
+            taus[:, i], rest = np.divmod(rest, math.factorial(k - 1 - i))
+        for i in range(k - 2, -1, -1):
+            later = taus[:, i + 1:]
+            later += later >= taus[:, i:i + 1]
         return tuple((tuple(tau), tuple(zero))
-                     for tau, zero in zip(taus, self._member_faces.tolist()))
-
-
-def _lex_perms(m: int) -> np.ndarray:
-    """S_m as the rows of an int8 (m!, m) array, in lexicographic order."""
-    out = np.zeros((1, 0), dtype=np.int8)
-    for n in range(1, m + 1):
-        sub, out = out, np.empty((n, len(out), n), dtype=np.int8)
-        for first in range(n):
-            # the tail runs over S_{n-1} on the entries other than first:
-            # those of sub at or past first move up by one
-            out[first, :, 0] = first
-            np.add(sub, sub >= first, out=out[first, :, 1:])
-        out = out.reshape(-1, n)
-    return out
+                     for tau, zero in zip(taus.tolist(), self._member_faces.tolist()))
 
 
 def _face_column(table: Perm) -> np.ndarray:
@@ -134,11 +132,6 @@ def _face_column(table: Perm) -> np.ndarray:
     return column
 
 
-def _faces(B: ColoredGraph) -> np.ndarray:
-    """The (k!, D) int8 zero-face counts of every pairing: B's columns stacked."""
-    return np.stack([_face_column(inverse(s)) for s in B.sigma], axis=1)
-
-
 def _check_graph(B: ColoredGraph):
     if not is_connected(B):
         raise ValueError("the covering sweep expects a connected graph")
@@ -149,40 +142,16 @@ def _check_graph(B: ColoredGraph):
         )
 
 
-class _SortPerK:
-    """A sort cached by k: a graph with other rows at that k replaces the sort
-    held for it, so at most one sort per k is held.  cache_info and
-    cache_clear count and drop them, as functools.lru_cache's do."""
-
-    def __init__(self, sort):
-        functools.update_wrapper(self, sort)
-        self.cache_clear()
-
-    def __call__(self, A: ColoredGraph):
-        held = self._held.get(A.k)
-        if held is None or held[0] != A:
-            self._held.pop(A.k, None)  # the old sort goes before the new one is made
-            self._misses += 1
-            held = self._held[A.k] = (A, self.__wrapped__(A))
-        return held[1]
-
-    def cache_info(self) -> SimpleNamespace:
-        """The sorts made since the last clear, and the sorts held."""
-        return SimpleNamespace(misses=self._misses, currsize=len(self._held))
-
-    def cache_clear(self) -> None:
-        self._held: dict[int, tuple] = {}
-        self._misses = 0
-
-
-# Keeps one sort per k, so a loop over k inside D or m, as in
+# One sort per k, as {k: (A, sort)}, so a loop over k inside D or m, as in
 # verify._cycle_specs, sorts each k's cycle rows once.  A bound on memory, not
 # a tuning knob.  A sort of R distinct rows keeps S_k's row order in uint32
 # and R + 4 bytes per run, and there are at most k! runs: at MAX_K the orders
 # of all nine k take at most 4 (1! + ... + 9!) bytes = 1.6 MB, and the runs
 # 154 bytes for a cycle's two rows at k=9, 16 kB for six random rows and 13 MB
 # for 32, so a k=9 sort of 32 random rows holds 14.5 MB in all.
-@_SortPerK
+_FACE_SORTS: dict[int, tuple[ColoredGraph, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+
+
 def _face_sort(A: ColoredGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S_k sorted by the face vectors of A, whose sigma rows are distinct and
     sorted: the read-only uint32 row order, the start of each run of equal
@@ -192,8 +161,13 @@ def _face_sort(A: ColoredGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is stable, so a run of equal vectors lists the vector's rows in order,
     and its first element is the one its vector is read from.  A graph has
     A's connectivity, so the check runs here, before any column is computed.
-    Every graph with A's rows reads this one sort, whatever its colors.
+    Every graph with A's rows reads this one sort, whatever its colors: it
+    is kept in _FACE_SORTS until a graph with other rows comes at A's k.
     """
+    held = _FACE_SORTS.get(A.k)
+    if held is not None and held[0] == A:
+        return held[1]
+    _FACE_SORTS.pop(A.k, None)  # the old sort goes before the new one is made
     _check_graph(A)
     columns = [_face_column(inverse(s)) for s in A.sigma]
     order = np.lexsort(columns[::-1]).astype(np.uint32)
@@ -204,6 +178,7 @@ def _face_sort(A: ColoredGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bounds = np.flatnonzero(np.concatenate(([True], change, [True]))).astype(np.uint32)
     vectors = np.stack([column[order[bounds[:-1]]] for column in columns], axis=1)
     order.flags.writeable = bounds.flags.writeable = vectors.flags.writeable = False
+    _FACE_SORTS[A.k] = (A, (order, bounds, vectors))
     return order, bounds, vectors
 
 
@@ -226,7 +201,7 @@ def covering_pass(B: ColoredGraph) -> CoveringPass:
     the record keeps those rows and their face vectors, and builds the
     member pairings only when they are read.
 
-    The sort is cached by the set of rows alone, so every graph with the
+    The sort is kept by the set of rows alone, so every graph with the
     same rows reads one sort, whatever its colors: all color splits of the
     (m,n)-cycles of one k read one.  Only the last record is cached, since
     the consumers of one graph call this back to back: a caller that holds
@@ -252,16 +227,16 @@ def covering_pass(B: ColoredGraph) -> CoveringPass:
 
 # enumerate_coverings and limit_coefficient are run by no consumer and are
 # not exported from tul: the benchmark harness traces them under these names
-# until its metrics move to the face column and face_sum (ROADMAP item 8).
+# until its metrics move to the face column and face_sum (ROADMAP item 9).
+# enumerate_coverings counts each pairing's cycles itself: it shares no code
+# with the pass but the graph check.
 def enumerate_coverings(B: ColoredGraph) -> Iterator[tuple[Perm, tuple[int, ...]]]:
-    """Yield (tau, zero_faces) for every tau in S_k, in lexicographic order."""
+    """Yield (tau, zero_faces) for every tau in S_k, in lexicographic order:
+    zero_faces[i] counts the cycles of tau^-1 sigma_i."""
     _check_graph(B)
-    perms, faces = _lex_perms(B.k), _faces(B)
-    rows = len(perms) // B.k  # converted to lists (k-1)! rows at a time
-    for start in range(0, len(perms), rows):
-        block = slice(start, start + rows)
-        for tau, zero in zip(perms[block].tolist(), faces[block].tolist()):
-            yield tuple(tau), tuple(zero)
+    for tau in itertools.permutations(range(B.k)):
+        inv = inverse(tau)
+        yield tau, tuple(len(cycles([inv[j] for j in s])) for s in B.sigma)
 
 
 def minimal_coverings(B: ColoredGraph) -> CoveringPass:

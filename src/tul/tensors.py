@@ -291,9 +291,6 @@ def _check_naive_contraction(dims, B: ColoredGraph) -> None:
         )
 
 
-# A Monte Carlo mean contracts one graph many times, so a few slots keep
-# the label lists of every graph in use; a bound on memory, not a knob.
-@functools.lru_cache(maxsize=8)
 def _vertex_labels(B: ColoredGraph, axes: tuple[int, ...]):
     """Einsum labels of the white and the black vertices of B, over the tensor
     axes in axes.  Label j*len(axes) + a is the index of white vertex j on
@@ -317,7 +314,7 @@ def trace_invariant_naive(T: np.ndarray, B: ColoredGraph) -> float:
     so this route stays independent of trace_invariant_network and
     trace_invariant_cycle.  It is an oracle only: Monte Carlo never runs it,
     and tul does not export it.  It stays in this module because the
-    benchmark harness traces it here by name (ROADMAP item 8).
+    benchmark harness traces it here by name (ROADMAP item 9).
 
     Swapping white and black conjugates the sum, so it is real when B is
     isomorphic to its mirror, as every cycle and melonic graph is; otherwise

@@ -8,6 +8,7 @@ into an exit status and a JSON or CSV report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -20,6 +21,14 @@ from .families import CycleSpec, make_cycle_graph, make_melonic, random_melonic_
 from .tensors import TensorSpec, gaussian_exact_mean, monte_carlo_mean
 
 FAMILIES = ("cycle_11", "cycle_mm", "cycle_mn", "melonic")
+
+# The most color splits, counted once per k, that cycle_mm and cycle_mn may
+# check in one run.  A resource limit, not a tuning knob: D colors have about
+# 2^D splits, and each check takes 0.2-0.3 ms and keeps a result of about
+# 0.3 kB, so a run at the bound takes about 14 s and 60 MB (--max-k 7
+# --max-D 13 checks 61,705 splits in 12.8 s and 57 MB, --max-k 3 --max-D 14
+# 56,166 in 11.7 s and 55 MB; 2 vCPUs, numpy 2.4).
+MAX_CYCLE_SPLITS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -49,12 +58,20 @@ def _cycle_specs(max_k: int, max_D: int, want_equal: bool):
                                     n_colors=frozenset(n_colors))
 
 
+def _cycle_splits(max_k: int, max_D: int, families) -> int:
+    """The color splits that cycle_mm and cycle_mn in families check, once per
+    k up to max_k; D stops at 64, where C(64, 32) alone is far past the bound."""
+    return max_k * sum(math.comb(D, m) for D in range(2, min(max_D, 64) + 1)
+                       for m in range(1, D // 2 + 1)
+                       if ("cycle_mm" if 2 * m == D else "cycle_mn") in families)
+
+
 def run_verify_suite(*, max_k: int, max_D: int, families, seed: int) -> list[CheckResult]:
     """The checks of the families named in families (from FAMILIES) for k up
     to max_k and D up to max_D, then the Wick gate, all drawn from seed.
     Before any check, refuses max_k < 1, max_k > MAX_K, max_D < 2, an unknown
-    family, an empty family set and a seed outside 0..2^64-1, in that order,
-    with a ValueError."""
+    family, an empty family set, more than MAX_CYCLE_SPLITS cycle splits and
+    a seed outside 0..2^64-1, in that order, with a ValueError."""
     families = frozenset(families)
     if max_k < 1:
         raise ValueError(f"max_k must be positive, got {max_k}")
@@ -66,6 +83,9 @@ def run_verify_suite(*, max_k: int, max_D: int, families, seed: int) -> list[Che
         raise ValueError(f"unknown families: {sorted(unknown)}; choose from {FAMILIES}")
     if not families:
         raise ValueError("families must not be empty")
+    if _cycle_splits(max_k, max_D, families) > MAX_CYCLE_SPLITS:
+        raise ValueError(f"max_D={max_D} and max_k={max_k} give the cycle families more "
+                         f"than {MAX_CYCLE_SPLITS} color splits to check")
     # the Wick gate's tensor spec, built first: it refuses a seed out of range
     gate = TensorSpec(D=2, c=(1, 1), N=8, distribution="complex_gaussian", seed=seed)
     rng = np.random.default_rng(seed)

@@ -26,4 +26,24 @@ def no_column(monkeypatch):
 
     monkeypatch.setattr("tul.enumeration._face_column", column)
     enumeration.covering_pass.cache_clear()
-    enumeration._face_sort.cache_clear()
+    enumeration._FACE_SORTS.clear()
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """The k of each sort of S_k made while the test runs, in order.  The
+    cached passes and sorts are cleared first; a _face_sort call made a sort
+    when it leaves a new entry in _FACE_SORTS."""
+    made, face_sort = [], enumeration._face_sort
+
+    def counted(A):
+        held = enumeration._FACE_SORTS.get(A.k)
+        sort = face_sort(A)
+        if enumeration._FACE_SORTS[A.k] is not held:
+            made.append(A.k)
+        return sort
+
+    monkeypatch.setattr(enumeration, "_face_sort", counted)
+    enumeration.covering_pass.cache_clear()
+    enumeration._FACE_SORTS.clear()
+    return made

@@ -10,7 +10,9 @@ scan.  The stacked cycle kernel with fresh buffers keeps package code in a
 plain form, as a bitwise oracle for the buffers the package reuses.  The
 uniform disc has two oracles: its draw through np.sin and np.cos in one pass,
 within 2^-49 of the package's, and its IEEE operations one Python float at a
-time, a bitwise oracle.
+time, a bitwise oracle.  `face_columns` alone is no oracle: it stacks the
+package's face columns, one row per pairing, for the tests that read the
+pass's record against them.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from tul.enumeration import _face_column
 from tul.families import CycleSpec
 from tul.graphs import ColoredGraph, is_connected
 from tul.permutations import Perm, cycles, inverse, is_perm
@@ -116,6 +119,14 @@ def genus(G: CoveringGraph) -> Fraction:
     faces = sum(face_profile(G)) + len(cycles(tuple(inv_sigma[j] for j in sigma[0])))
     k = G.base.k
     return Fraction(2 - (faces - 3 * k + 2 * k), 2)
+
+
+def face_columns(B: ColoredGraph) -> np.ndarray:
+    """The (k!, D) int8 zero-face counts of every pairing, in lexicographic
+    order: the package's face columns, stacked in B's colors.  Not an oracle,
+    since it reads `_face_column`, but the row-per-pairing table that the
+    pass's record is read against with np.unique."""
+    return np.stack([_face_column(inverse(s)) for s in B.sigma], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import CoveringGraph, face_profile
-from tul import enumeration
 from tul.asymptotics import predict
 from tul.cli import main
 from tul.enumeration import catalan
@@ -229,16 +228,14 @@ def test_enumerate_stdout_is_pinned(capsys, tmp_path, graph, flags, code, out):
     ([list(range(1, 10)), [*range(2, 10), 1]], "3", "error: anchor color must be 1 or 2, got 3\n"),
 ], ids=["not-a-two-color-cycle", "anchor-color"])
 def test_enumerate_histogram_errors_come_before_any_sweep(capsys, tmp_path, sigma, color,
-                                                          message):
+                                                          message, sorts):
     # k=9: a pass would sort the 9! rows by its distinct rows' face columns first;
     # CSV, which prints no histogram, refuses the same input
     path = _write(tmp_path, "graph.json", json.dumps({"k": 9, "D": len(sigma), "sigma": sigma}))
-    enumeration._face_sort.cache_clear()
-    enumeration.covering_pass.cache_clear()
     for fmt in ("json", "csv"):
         assert main(["enumerate", "--graph", path, "--histogram", color, "--format", fmt]) == 2
         assert capsys.readouterr() == ("", message)
-    assert enumeration._face_sort.cache_info().misses == 0
+    assert sorts == []
 
 
 # The sha256 of the stdout of `tul verify --seed 0` at its defaults, 23,493
@@ -683,6 +680,18 @@ def test_verify_empty_family_names_are_refused(capsys, no_column, families, mess
     assert err.count("\n") == 1
 
 
+def test_verify_max_D_past_the_split_bound_is_refused(capsys, no_column):
+    # D=40 has about 2^40 color splits, so the run is refused before any
+    # check and counted without listing a split
+    start = time.perf_counter()
+    code = main(["verify", "--max-D", "40", "--max-k", "1"])
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: max_D=40 and max_k=1 give the cycle families more than 65536 "
+                   "color splits to check\n")
+
+
 def test_verify_k_over_cap(capsys, no_column):
     code = main(["verify", "--max-k", "10", "--families", "cycle_11"])
     assert code == 2
@@ -838,8 +847,11 @@ def test_asym_far_out_of_range_coefficient_exits_2_at_once(capsys, tmp_path):
 def test_asym_ratio_outside_float_range(capsys, tmp_path):
     spec = _write(tmp_path, "cycle.json", json.dumps({"k": 1, "m_colors": [1],
                                                       "n_colors": [2]}))
+    # 1e310 lies inside the range whose exact sum is built, and its float
+    # conversion overflows
     for ratios, lost in (("1e-400,1", "~1.000e-400 underflows"),
-                         ("1,1e400", "~1.000e+400 overflows")):
+                         ("1,1e400", "~1.000e+400 overflows"),
+                         ("1,1e310", "~1.000e+310 overflows")):
         assert main(["asym", "--family", "cycle", "--spec", spec, "--c", ratios]) == 2
         assert f"the cycle_11 coefficient {lost} a float" in capsys.readouterr().err
 

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reference import CoveringGraph, face_profile, narayana_recurrence
+from reference import CoveringGraph, face_columns, face_profile, narayana_recurrence
 from tul import enumeration
 from tul.asymptotics import cross_check
-from tul.enumeration import (MAX_K, catalan, covering_pass, enumerate_coverings,
+from tul.enumeration import (MAX_K, CoveringPass, catalan, covering_pass, enumerate_coverings,
                              limit_coefficient, minimal_coverings, narayana_face_distribution,
                              narayana_row)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic,
@@ -28,22 +28,24 @@ def two_color_cycle(k):
 
 
 def test_enumerate_single_covering_k1():
-    # the pass's stack has one row per pairing of S_k
-    assert enumeration._lex_perms(1).tolist() == [[0]]
-    assert enumeration._faces(make_melonic(MelonicRecipe(D=3))).tolist() == [[1, 1, 1]]
+    # the face columns have one row per pairing of S_k
+    B = make_melonic(MelonicRecipe(D=3))
+    assert list(enumerate_coverings(B)) == [((0,), (1, 1, 1))]
+    assert face_columns(B).tolist() == [[1, 1, 1]]
 
 
 def test_enumerate_yields_all_pairings_in_order():
     B = two_color_cycle(3)
-    taus = [tuple(tau) for tau in enumeration._lex_perms(3).tolist()]
-    assert len(taus) == len(enumeration._faces(B)) == math.factorial(3)
+    taus = [tau for tau, _ in enumerate_coverings(B)]
+    assert len(taus) == len(face_columns(B)) == math.factorial(3)
     assert taus == sorted(taus) == list(itertools.permutations(range(3)))
 
 
 def test_enumerate_face_totals_k3():
     B = two_color_cycle(3)
-    totals = sorted(enumeration._faces(B).sum(axis=1).tolist())
+    totals = sorted(face_columns(B).sum(axis=1).tolist())
     assert totals == [2, 4, 4, 4, 4, 4]
+    assert sorted(sum(zero) for _, zero in enumerate_coverings(B)) == totals
 
 
 def test_enumerate_cap_refusal():
@@ -249,9 +251,8 @@ def test_pass_matches_face_profile_for_every_covering():
     for B in PASS_GRAPHS:
         expected = [(tau, face_profile(CoveringGraph(base=B, tau=tau)))
                     for tau in itertools.permutations(range(B.k))]
-        # the stack row by row: pairing i of lexicographic S_k and its faces
-        assert enumeration._lex_perms(B.k).tolist() == [list(tau) for tau, _ in expected]
-        assert enumeration._faces(B).tolist() == [list(zero) for _, zero in expected], B
+        # the face columns row by row: the faces of pairing i of lexicographic S_k
+        assert face_columns(B).tolist() == [list(zero) for _, zero in expected], B
         assert list(enumerate_coverings(B)) == expected, B
         # a fresh record: gamma and count come from the kept rows, and the
         # member tuples are built only when members is first read
@@ -314,12 +315,11 @@ def test_pass_many_colors():
 
 
 def test_pass_errors_come_before_any_sweep(monkeypatch, no_column):
-    # a refused graph computes no face column, sorts no S_k and builds none
+    # a refused graph computes no face column and sorts no S_k
     def refuse(*args):
-        raise AssertionError("S_k was sorted or built")
+        raise AssertionError("S_k was sorted")
 
     monkeypatch.setattr(enumeration.np, "lexsort", refuse)
-    monkeypatch.setattr(enumeration, "_lex_perms", refuse)
     with pytest.raises(ValueError, match="cap"):
         minimal_coverings(two_color_cycle(10))
     with pytest.raises(ValueError, match="connected"):
@@ -330,56 +330,49 @@ def test_pass_errors_come_before_any_sweep(monkeypatch, no_column):
         narayana_face_distribution(two_color_cycle(10), 1)
 
 
-def test_consumers_share_one_sweep():
+def test_consumers_share_one_sweep(sorts):
     # one pass for the graph, one sort of S_k by its two distinct rows
     spec = CycleSpec(k=5, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
     B = make_cycle_graph(spec)
-    enumeration._face_sort.cache_clear()
-    enumeration.covering_pass.cache_clear()
     mcs = minimal_coverings(B)
     report = cross_check(B, spec, (1.5, 0.5, 2.0))
     wick = gaussian_exact_mean(B, (1, 2, 1), 3)
     assert enumeration.covering_pass.cache_info().misses == 1
-    assert enumeration._face_sort.cache_info().misses == 1
+    assert sorts == [5]
     assert (mcs.gamma, report.count_enum) == (2 * 5 + 1, 1)
     assert wick == sum(math.prod(d ** f for d, f in zip((3, 6, 3), zero))
-                       for zero in enumeration._faces(B).tolist())
-    assert enumeration._face_sort.cache_info().misses == 1
+                       for zero in face_columns(B).tolist())
+    assert sorts == [5]
 
 
-def test_color_splits_share_one_sweep(monkeypatch):
+def test_color_splits_share_one_sweep(monkeypatch, sorts):
     # every split of 5 colors into 2 identities and 3 shifts has the same
     # two distinct rows, so all ten splits read one sort of S_5
-    sorts, lexsort = [], np.lexsort
+    lexsorts, lexsort = [], np.lexsort
 
     def counted(keys):
-        sorts.append(len(keys[0]))
+        lexsorts.append(len(keys[0]))
         return lexsort(keys)
 
     monkeypatch.setattr(np, "lexsort", counted)
-    enumeration._face_sort.cache_clear()
-    enumeration.covering_pass.cache_clear()
     for m_colors in itertools.combinations(range(1, 6), 2):
         spec = CycleSpec(k=5, m_colors=frozenset(m_colors),
                          n_colors=frozenset(range(1, 6)) - set(m_colors))
         report = cross_check(make_cycle_graph(spec), spec, (2, 1, 3, 0.5, 1.5))
         assert (report.gamma_enum, report.count_enum) == (3 * 5 + 2, 1)
     assert enumeration.covering_pass.cache_info().misses == 10
-    assert enumeration._face_sort.cache_info().misses == 1
-    assert sorts.count(math.factorial(5)) == 1
+    assert sorts == [5]
+    assert lexsorts.count(math.factorial(5)) == 1
 
 
-def test_cycles_of_one_k_share_one_sort():
+def test_cycles_of_one_k_share_one_sort(sorts):
     # the identity and the shift are the only rows of every (m,n)-cycle
-    enumeration._face_sort.cache_clear()
-    enumeration.covering_pass.cache_clear()
     for m, n in ((1, 1), (2, 2), (1, 3)):
         spec = CycleSpec(k=5, m_colors=frozenset(range(1, m + 1)),
                          n_colors=frozenset(range(m + 1, m + n + 1)))
         gamma = m * 6 if m == n else n * 5 + m
         assert minimal_coverings(make_cycle_graph(spec)).gamma == gamma
-    info = enumeration._face_sort.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    assert (sorts, list(enumeration._FACE_SORTS)) == ([5], [5])
     rows = ((0, 1, 2, 3, 4), (1, 2, 3, 4, 0))
     order, bounds, vectors = enumeration._face_sort(ColoredGraph(k=5, sigma=rows))
     assert order.dtype == np.uint32 and sorted(order.tolist()) == list(range(120))
@@ -387,31 +380,34 @@ def test_cycles_of_one_k_share_one_sort():
     assert vectors.dtype == np.int8 and vectors.shape == (len(bounds) - 1, 2)
     assert vectors.tolist() == sorted(vectors.tolist())
     assert not (order.flags.writeable or bounds.flags.writeable or vectors.flags.writeable)
-    assert enumeration._face_sort.cache_info().misses == 1
+    assert sorts == [5]
 
 
-def test_cycle_families_sort_once_per_k():
+def test_cycle_families_sort_once_per_k(sorts):
     # tul verify walks k inside D and m, and the sort cache has room for one
     # sort per k, so every (m,n)-cycle at k, D <= 6 reads one of six sorts
-    enumeration._face_sort.cache_clear()
-    enumeration.covering_pass.cache_clear()
     run_verify_suite(max_k=6, max_D=6, families=("cycle_11", "cycle_mm", "cycle_mn"), seed=0)
-    assert enumeration._face_sort.cache_info().misses == 6
+    assert sorts == [1, 2, 3, 4, 5, 6]
 
 
-def test_two_row_sets_at_one_k_hold_one_sort():
+def test_two_row_sets_at_one_k_hold_one_sort(monkeypatch, sorts):
     # the sort cache keeps one sort per k: a graph with other rows at that k
-    # replaces it, and a graph at another k is kept beside it
-    enumeration._face_sort.cache_clear()
-    enumeration.covering_pass.cache_clear()
+    # replaces it, dropping the old sort before any column of the new one is
+    # made, and a graph at another k is kept beside it
+    column = enumeration._face_column
+
+    def checked(table):
+        assert len(table) not in enumeration._FACE_SORTS
+        return column(table)
+
+    monkeypatch.setattr(enumeration, "_face_column", checked)
     cycle = two_color_cycle(5)
     melonic = make_melonic(MelonicRecipe(D=3, steps=((1, 1), (2, 1), (3, 2), (1, 3))))
     assert melonic.k == 5 and set(melonic.sigma) != set(cycle.sigma)
     made = []
     for B in (cycle, melonic, two_color_cycle(4), melonic, cycle):
         covering_pass(B)
-        info = enumeration._face_sort.cache_info()
-        made.append((info.misses, info.currsize))
+        made.append((len(sorts), len(enumeration._FACE_SORTS)))
     assert made == [(1, 1), (2, 1), (3, 2), (3, 2), (4, 2)]
 
 
@@ -454,14 +450,15 @@ def test_face_columns_at_k_9_are_a_bijection_of_s_9():
     # tau -> table[tau] is a bijection of S_9, so every column counts the
     # cycles of all of S_9 once; 200 fixed rows are read against a plain count
     k = 9
-    taus = enumeration._lex_perms(k)
-    rows = np.random.default_rng(27).choice(math.factorial(k), size=200, replace=False)
+    rows = set(np.random.default_rng(27).choice(math.factorial(k), size=200,
+                                                replace=False).tolist())
+    taus = {row: tau for row, tau in enumerate(itertools.permutations(range(k))) if row in rows}
     for table in [tuple(range(k)), (3, 0, 8, 1, 6, 2, 7, 5, 4), tuple(range(k))[::-1]]:
         column = enumeration._face_column(table)
         assert column.dtype == np.int8
         assert np.bincount(column).tolist() == STIRLING_9
-        for row in rows.tolist():
-            assert column[row] == len(cycles([table[t] for t in taus[row].tolist()]))
+        for row, tau in taus.items():
+            assert column[row] == len(cycles([table[t] for t in tau]))
 
 
 def test_identity_column_is_the_cycles_of_each_permutation():
@@ -472,11 +469,25 @@ def test_identity_column_is_the_cycles_of_each_permutation():
     assert np.bincount(enumeration._face_column(tuple(range(9)))).tolist() == STIRLING_9
 
 
-def test_lex_perms_is_itertools_order():
-    for k in range(9):
-        perms = enumeration._lex_perms(k)
-        assert perms.dtype == np.int8
-        assert list(map(tuple, perms.tolist())) == list(itertools.permutations(range(k)))
+def _all_members(k, rows):
+    # a record whose members are the pairings of the given ranks in S_k
+    rows = np.asarray(rows, dtype=np.uint32)
+    return CoveringPass(histogram={}, gamma=0, _k=k, _rows=rows,
+                        _member_faces=np.zeros((len(rows), 0), dtype=np.int8)).members
+
+
+def test_members_unrank_rows_in_itertools_order():
+    # a member's tau is its rank in lexicographic S_k, unranked: every rank
+    # for k <= 8, and 200 fixed ranks of S_9
+    for k in range(1, 9):
+        taus = [tau for tau, _ in _all_members(k, range(math.factorial(k)))]
+        assert taus == list(itertools.permutations(range(k)))
+    rows = sorted(np.random.default_rng(9).choice(math.factorial(9), size=200,
+                                                  replace=False).tolist())
+    wanted = set(rows)
+    expected = [tau for row, tau in enumerate(itertools.permutations(range(9))) if row in wanted]
+    assert [tau for tau, _ in _all_members(9, rows)] == expected
+    assert _all_members(9, [math.factorial(9) - 1]) == (((8, 7, 6, 5, 4, 3, 2, 1, 0), ()),)
 
 
 def _connected_graph(rng, k, D):
@@ -500,7 +511,7 @@ def test_pass_matches_unique_face_rows_with_many_colors(k, D):
         # the (1,1)-cycle: its top total k+1 has the k Narayana vectors
         graphs.append(two_color_cycle(k))
     for B in graphs:
-        faces = enumeration._faces(B)
+        faces = face_columns(B)
         rows, counts = np.unique(faces, axis=0, return_counts=True)
         totals = faces.sum(axis=1, dtype=np.int64)
         gamma = int(totals.max())
@@ -560,16 +571,17 @@ def _repeated_row_graphs(rng, count):
     return pairs
 
 
-def test_pass_reads_repeated_rows_in_any_color_order():
+def test_pass_reads_repeated_rows_in_any_color_order(sorts):
     # a color that repeats a row repeats its face count, so a graph and its
     # scrambled colors read one sort of S_k by their distinct rows, and each
     # reads back its own histogram order, gamma and members
     for B, B_pi in _repeated_row_graphs(np.random.default_rng(28), 40):
-        enumeration._face_sort.cache_clear()
+        enumeration._FACE_SORTS.clear()
+        sorts.clear()
         for G in (B, B_pi):
             expected = [(tau, face_profile(CoveringGraph(base=G, tau=tau)))
                         for tau in itertools.permutations(range(G.k))]
-            faces = enumeration._faces(G)
+            faces = face_columns(G)
             assert faces.tolist() == [list(zero) for _, zero in expected], G
             rows, counts = np.unique(faces, axis=0, return_counts=True)
             result = covering_pass.__wrapped__(G)
@@ -579,4 +591,4 @@ def test_pass_reads_repeated_rows_in_any_color_order():
             members = tuple((tau, zero) for tau, zero in expected if sum(zero) == gamma)
             assert (result.gamma, result.count) == (gamma, len(members)), G
             assert result.members == members, G
-        assert enumeration._face_sort.cache_info().misses == 1
+        assert sorts == [B.k]

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tul.families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict, make_cycle_graph,
                           make_melonic, melonic_recipe_from_json_dict)
 from reference import CoveringGraph, face_profile, genus
-from tul.graphs import (MAX_DECIMAL_EXPONENT, ColoredGraph, graph_from_json_dict,
+from tul.graphs import (MAX_DECIMAL_EXPONENT, ColoredGraph, e_notation, graph_from_json_dict,
                         graph_to_json_dict, is_connected, side_ratios)
 from tul.tensors import tensor_spec_from_json_dict
 
@@ -103,6 +104,16 @@ def test_json_diagnostics_name_fields():
         graph_from_json_dict({"k": 1, "D": 3, "sigma": [[1]]})
     with pytest.raises(ValueError):
         graph_from_json_dict([1, 2, 3])
+    with pytest.raises(ValueError, match="field 'sigma' must be a list of rows"):
+        graph_from_json_dict({"k": 2, "D": 2, "sigma": "ab"})
+
+
+def test_e_notation_carries_a_mantissa_rounded_up_to_ten():
+    # 10^0.99999999 rounds to 10.000 at three decimals, which is 1.000 of
+    # the next power, as f"{x:.3e}" writes it
+    assert e_notation(3.99999999) == "1.000e+04"
+    assert e_notation(math.log10(9999.9)) == f"{9999.9:.3e}" == "1.000e+04"
+    assert e_notation(math.log10(2.5e-7)) == f"{2.5e-7:.3e}" == "2.500e-07"
 
 
 # the name of each JSON input in messages, mapped to its reader, a valid

@@ -44,6 +44,10 @@ def test_tensor_spec_validation():
         TensorSpec(D=1, c=(1,), N=2, distribution="complex_gaussian", seed=-1)
     with pytest.raises(ValueError, match="ratios"):
         TensorSpec(D=3, c=(1, 1), N=2, distribution="complex_gaussian", seed=0)
+    with pytest.raises(ValueError, match="D must be positive, got 0"):
+        TensorSpec(D=0, c=(), N=2, distribution="complex_gaussian", seed=0)
+    with pytest.raises(ValueError, match="N must be positive, got 0"):
+        TensorSpec(D=1, c=(1,), N=0, distribution="complex_gaussian", seed=0)
     # the entry limit is checked on the spec, before anything is allocated
     assert gaussian_spec(2, 2 ** 13).dims == (2 ** 13, 2 ** 13)
     with pytest.raises(ValueError, match="N=8193 .* over the limit"):
