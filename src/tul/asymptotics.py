@@ -14,13 +14,20 @@ face histogram of a family spec or of a graph:
 The closed forms need no covering sweep.  gamma is the total of any face
 vector; the coefficient is the histogram evaluated exactly by
 enumeration.face_sum, then rounded once to the nearest float by _prediction.
+_kind maps a spec kind to its family label and histogram, for predict and
+cross_check alike.  cross_check compares the two histograms themselves, and
+their exact face sums only where they differ, so a passing check evaluates
+no coefficient; its report evaluates one only when it is read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .enumeration import face_sum, minimal_faces, narayana_row
 from .families import CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic
@@ -111,34 +118,73 @@ def cycle_faces(spec: CycleSpec) -> dict[tuple[int, ...], int]:
     return {tuple(1 if i in fewer else k for i in range(1, spec.D + 1)): 1}
 
 
-def predict(spec, c) -> AsymptoticPrediction:
-    """The leading term of a MelonicRecipe ("melonic"), a CycleSpec
-    ("cycle_11", "cycle_mm" or "cycle_mn") or a ColoredGraph ("generic") at
-    the side ratios c: the one place that maps a spec kind to its family and
-    face histogram.  c is read first, so that a bad one is refused before any
-    Narayana row is built or covering pass run."""
+def _kind(spec):
+    """The family label, closed-form or enumerated face histogram, and graph
+    builder of a MelonicRecipe ("melonic"), a CycleSpec ("cycle_11",
+    "cycle_mm" or "cycle_mn") or a ColoredGraph ("generic", no builder): the
+    one place that maps a spec kind to its family, for predict and
+    cross_check alike."""
     if isinstance(spec, MelonicRecipe):
-        family, faces = "melonic", melonic_faces
-    elif isinstance(spec, CycleSpec):
+        return "melonic", melonic_faces, make_melonic
+    if isinstance(spec, CycleSpec):
         family = "cycle_mn" if spec.m != spec.n else "cycle_11" if spec.m == 1 else "cycle_mm"
-        faces = cycle_faces
-    elif isinstance(spec, ColoredGraph):
-        family, faces = "generic", minimal_faces
-    else:
-        raise TypeError(f"spec must be MelonicRecipe, CycleSpec or ColoredGraph, got {type(spec)}")
+        return family, cycle_faces, make_cycle_graph
+    if isinstance(spec, ColoredGraph):
+        return "generic", minimal_faces, None
+    raise TypeError(f"spec must be MelonicRecipe, CycleSpec or ColoredGraph, got {type(spec)}")
+
+
+def predict(spec, c) -> AsymptoticPrediction:
+    """The leading term of a MelonicRecipe, a CycleSpec or a ColoredGraph at
+    the side ratios c, read off the face histogram that _kind picks.  c is
+    read first, so that a bad one is refused before any Narayana row is built
+    or covering pass run."""
+    family, faces, _ = _kind(spec)
     c = side_ratios(c, spec.D)
     return _prediction(family, faces(spec), c)
 
 
 @dataclass(frozen=True)
 class CrossCheckReport:
+    """The closed-form and the enumerated minimal-covering face histograms of
+    one graph, and the exact side ratios c they are weighed at.
+
+    gamma and the count of each side are read off its histogram.  The
+    coefficients are evaluated, and rounded to a float as predict does, only
+    when first read: a passing check needs none of them, and equal histograms
+    give coeff_enum the closed side's float without a second evaluation.
+    """
+
     family: str
-    gamma_closed: int
-    gamma_enum: int
-    count_closed: int
-    count_enum: int
-    coeff_closed: float
-    coeff_enum: float
+    faces_closed: Mapping[tuple[int, ...], int]
+    faces_enum: Mapping[tuple[int, ...], int]
+    c: tuple[Fraction, ...]
+
+    @property
+    def gamma_closed(self) -> int:
+        return sum(next(iter(self.faces_closed)))
+
+    @property
+    def gamma_enum(self) -> int:
+        return sum(next(iter(self.faces_enum)))
+
+    @property
+    def count_closed(self) -> int:
+        return sum(self.faces_closed.values())
+
+    @property
+    def count_enum(self) -> int:
+        return sum(self.faces_enum.values())
+
+    @functools.cached_property
+    def coeff_closed(self) -> float:
+        return _prediction(self.family, self.faces_closed, self.c).coefficient
+
+    @functools.cached_property
+    def coeff_enum(self) -> float:
+        if self.faces_enum == self.faces_closed:
+            return self.coeff_closed
+        return _prediction(self.family, self.faces_enum, self.c).coefficient
 
 
 class CrossCheckError(AssertionError):
@@ -158,35 +204,26 @@ def cross_check(B: ColoredGraph, family_spec, c) -> CrossCheckReport:
     """Replay a family's closed-form gamma, minimal-covering count, and limit
     coefficient against brute-force enumeration of B.
 
-    family_spec is a CycleSpec or MelonicRecipe and must actually produce B.
-    gamma, count and the exact coefficient must all match exactly; equal
-    face histograms give equal coefficients, so the enumerated one is only
-    evaluated when they differ.  Success returns the report; any mismatch
-    raises CrossCheckError.
+    family_spec is a CycleSpec or MelonicRecipe and must actually produce B;
+    c is read by side_ratios before either histogram is built.  gamma, count
+    and the exact coefficient must all match exactly.  Equal face histograms
+    give equal coefficients, so the exact face sums are compared only when
+    the histograms differ, and a passing check evaluates no coefficient:
+    the report's coefficients are floats evaluated on first read.  Success
+    returns the report; any mismatch raises CrossCheckError.
     """
-    if isinstance(family_spec, MelonicRecipe):
-        build, what = make_melonic, "melonic recipe"
-    elif isinstance(family_spec, CycleSpec):
-        build, what = make_cycle_graph, "cycle spec"
-    else:
+    if not isinstance(family_spec, (CycleSpec, MelonicRecipe)):
         raise TypeError(f"family_spec must be CycleSpec or MelonicRecipe, got {type(family_spec)}")
+    family, faces, build = _kind(family_spec)
     if B != build(family_spec):
-        raise ValueError(f"graph does not match the {what}")
-
-    closed, enum = predict(family_spec, c), minimal_faces(B)
-    coeff_match, coeff_enum = True, closed.coefficient
-    if enum != closed.faces:
-        c = side_ratios(c, B.D)
-        if face_sum(enum, c) != face_sum(closed.faces, c):
-            coeff_match = False
-            coeff_enum = _prediction(closed.family, enum, c).coefficient
-    report = CrossCheckReport(
-        family=closed.family,
-        gamma_closed=closed.gamma, gamma_enum=sum(next(iter(enum))),
-        count_closed=sum(closed.faces.values()), count_enum=sum(enum.values()),
-        coeff_closed=closed.coefficient, coeff_enum=coeff_enum,
-    )
-    if not (coeff_match and report.gamma_closed == report.gamma_enum
-            and report.count_closed == report.count_enum):
+        raise ValueError(f"graph does not match the "
+                         f"{'melonic recipe' if family == 'melonic' else 'cycle spec'}")
+    c = side_ratios(c, B.D)
+    report = CrossCheckReport(family=family, faces_closed=faces(family_spec),
+                              faces_enum=minimal_faces(B), c=c)
+    if not (report.gamma_closed == report.gamma_enum
+            and report.count_closed == report.count_enum
+            and (report.faces_enum == report.faces_closed
+                 or face_sum(report.faces_enum, c) == face_sum(report.faces_closed, c))):
         raise CrossCheckError(report)
     return report

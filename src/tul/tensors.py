@@ -76,6 +76,14 @@ EINSUM_LABELS = 52
 # at most 3.5: so 2.5 GiB at the limit, or 3.5 GiB for k >= 5.
 MAX_TENSOR_ENTRIES = 2 ** 26
 
+# The most samples one Monte Carlo mean draws.  Every sample's value is kept
+# until the mean and standard error are taken, and max RSS grows by 24 B a
+# sample: the float64 block values, their concatenation, and the deviations
+# of the standard error (4M samples of the k=2 (1,1)-cycle at N=4 raised it
+# by 92 MB, 16M by 369 MB).  So 768 MiB at the limit, under one tensor at
+# MAX_TENSOR_ENTRIES.
+MAX_SAMPLES = 2 ** 25
+
 # Version of the sampling stream, reported by `tul mc` and `tul verify`.  It
 # is bumped whenever a (seed, sample index) may give a different tensor;
 # BLOCK_ENTRIES is part of the stream, so changing it bumps STREAM.
@@ -541,6 +549,16 @@ def gaussian_exact_mean(B: ColoredGraph, c, N: int) -> int:
     return face_sum(covering_pass(B).histogram, dims).numerator
 
 
+def _check_samples(count: int, where: str = "") -> None:
+    """Refuse a sample count below 2, which has no standard error, or above
+    MAX_SAMPLES; where names the scan row in the message."""
+    if count < 2:
+        raise ValueError(f"need at least 2 samples for a standard error, got {count}{where}")
+    if count > MAX_SAMPLES:
+        raise ValueError(f"{count} samples{where} are over the limit of {MAX_SAMPLES} "
+                         f"(768 MiB of values)")
+
+
 def _route(graph, dims, count: int):
     """The contraction of graph's route for stacks of up to count tensors of
     side lengths dims, after every refusal that can come before a draw.
@@ -569,8 +587,9 @@ def monte_carlo_mean(spec: TensorSpec, graph, samples: int) -> tuple[float, floa
     network contraction, one greedy-ordered einsum per block, a CycleSpec
     through the matricized route, one stacked Gram per block.  Samples
     0..samples-1 are drawn one block substream of spec.seed at a time, so
-    the first n values do not depend on how many are drawn.  Everything
-    _route refuses is refused before anything is drawn.
+    the first n values do not depend on how many are drawn.  A count below 2
+    or above MAX_SAMPLES, and everything _route refuses, is refused before
+    anything is drawn.
 
     The invariant of a graph that is not isomorphic to its mirror is complex
     for each draw, but its mean is the real Wick sum, so the imaginary part
@@ -578,8 +597,7 @@ def monte_carlo_mean(spec: TensorSpec, graph, samples: int) -> tuple[float, floa
     graph the real part is the whole invariant.  A mean or standard error
     that leaves the double range is a ValueError, with no numpy warning.
     """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
+    _check_samples(samples)
     K = _block_size(spec.dims)
     evaluate = _route(graph, spec.dims, min(K, samples))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -623,9 +641,9 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
 
     spec supplies c, distribution, and seed; its N is replaced by each entry
     of N_list.  samples may be a single count or a per-N sequence, each at
-    least 2.  A row is flagged when |normalized - predicted| exceeds
-    4 stderr / N^gamma, i.e. when the subleading terms still dominate the
-    Monte Carlo noise.  Before anything is drawn, a row whose predicted mean
+    least 2 and at most MAX_SAMPLES.  A row is flagged when
+    |normalized - predicted| exceeds 4 stderr / N^gamma, i.e. when the
+    subleading terms still dominate the Monte Carlo noise.  Before anything is drawn, a row whose predicted mean
     or N^gamma would come within FLOAT_MARGIN decades of the double range
     when squared is refused; a mean or standard error that still overflows
     in the draws is refused by monte_carlo_mean, and named with its N here.
@@ -643,8 +661,7 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
     # sampled
     row_specs = [replace(spec, N=N) for N in N_list]
     for N, count in zip(N_list, per_N):
-        if count < 2:
-            raise ValueError(f"need at least 2 samples for a standard error, got {count} at N={N}")
+        _check_samples(count, f" at N={N}")
     for row_spec, count in zip(row_specs, per_N):
         _route(graph, row_spec.dims, min(_block_size(row_spec.dims), count))
     # _route has refused anything but a CycleSpec or a ColoredGraph

@@ -24,11 +24,22 @@ FAMILIES = ("cycle_11", "cycle_mm", "cycle_mn", "melonic")
 
 # The most color splits, counted once per k, that cycle_mm and cycle_mn may
 # check in one run.  A resource limit, not a tuning knob: D colors have about
-# 2^D splits, and each check takes 0.2-0.3 ms and keeps a result of about
-# 0.3 kB, so a run at the bound takes about 14 s and 60 MB (--max-k 7
-# --max-D 13 checks 61,705 splits in 12.8 s and 57 MB, --max-k 3 --max-D 14
-# 56,166 in 11.7 s and 55 MB; 2 vCPUs, numpy 2.4).
+# 2^D splits, and each check takes 0.1-0.15 ms and keeps a result of about
+# 0.3 kB, so a run at the bound takes about 9 s and 125 MB of max RSS
+# (--max-k 7 --max-D 13 checks 61,705 splits in 7.8-8.4 s and 124 MB,
+# --max-k 3 --max-D 14 56,166 in 6.7 s and 117 MB; 2 vCPUs, numpy 2.4).
 MAX_CYCLE_SPLITS = 2 ** 16
+
+# The most graphs, (max_D - 2) * max_k, that melonic may check in one run.
+# A resource limit like MAX_CYCLE_SPLITS: a passing check evaluates no
+# coefficient, so nothing else stops a large run.  At k <= 9 a check takes
+# 7-10 ms, 65-95 ms per D, almost all of it the graph's covering pass
+# (--max-k 9 took 1.0-1.3, 2.3-3.3, 4.8-7.3 and 10.5-15 s at --max-D 20,
+# 40, 80 and 160 over two measurements), so a run at the bound takes about
+# 15 s and 56 MB of max RSS (--max-k 9 --max-D 168, 1494 graphs: 13.2-14.8
+# s); at small k the cost grows with D (--max-k 1 --max-D 1502: 5.1 s;
+# 2 vCPUs, numpy 2.4).
+MAX_MELONIC_GRAPHS = 1500
 
 
 @dataclass(frozen=True)
@@ -70,8 +81,9 @@ def run_verify_suite(*, max_k: int, max_D: int, families, seed: int) -> list[Che
     """The checks of the families named in families (from FAMILIES) for k up
     to max_k and D up to max_D, then the Wick gate, all drawn from seed.
     Before any check, refuses max_k < 1, max_k > MAX_K, max_D < 2, an unknown
-    family, an empty family set, more than MAX_CYCLE_SPLITS cycle splits and
-    a seed outside 0..2^64-1, in that order, with a ValueError."""
+    family, an empty family set, more than MAX_CYCLE_SPLITS cycle splits,
+    more than MAX_MELONIC_GRAPHS melonic graphs and a seed outside
+    0..2^64-1, in that order, with a ValueError."""
     families = frozenset(families)
     if max_k < 1:
         raise ValueError(f"max_k must be positive, got {max_k}")
@@ -86,6 +98,9 @@ def run_verify_suite(*, max_k: int, max_D: int, families, seed: int) -> list[Che
     if _cycle_splits(max_k, max_D, families) > MAX_CYCLE_SPLITS:
         raise ValueError(f"max_D={max_D} and max_k={max_k} give the cycle families more "
                          f"than {MAX_CYCLE_SPLITS} color splits to check")
+    if "melonic" in families and (max_D - 2) * max_k > MAX_MELONIC_GRAPHS:
+        raise ValueError(f"max_D={max_D} and max_k={max_k} give the melonic family more "
+                         f"than {MAX_MELONIC_GRAPHS} graphs to check")
     # the Wick gate's tensor spec, built first: it refuses a seed out of range
     gate = TensorSpec(D=2, c=(1, 1), N=8, distribution="complex_gaussian", seed=seed)
     rng = np.random.default_rng(seed)

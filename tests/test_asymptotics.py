@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tul.asymptotics import (AsymptoticPrediction, CrossCheckError, CrossCheckReport,
-                             cross_check, cycle_faces, melonic_faces, predict)
+                             _prediction, cross_check, cycle_faces, melonic_faces, predict)
 from tul.enumeration import (MAX_K, catalan, covering_pass, face_sum, minimal_coverings,
                              minimal_faces)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic,
                           random_melonic_recipe)
 from tul.graphs import side_ratios
 from tul.permutations import cycles
+from tul.verify import FAMILIES, run_verify_suite
 
 
 def test_predict_cycle_reads_ratios_like_tensor_spec():
@@ -206,12 +207,44 @@ def test_cross_check_rejects_mismatched_inputs():
 
 
 def test_cross_check_error_carries_diff():
-    report = CrossCheckReport(family="cycle_11", gamma_closed=3, gamma_enum=4,
-                              count_closed=2, count_enum=2,
-                              coeff_closed=2.0, coeff_enum=2.0)
+    # gamma 3 vs 4 and count 2 vs 2, read off the histograms; both
+    # coefficients are 2.0 at c = (1, 1)
+    report = CrossCheckReport(family="cycle_11", faces_closed={(1, 2): 2},
+                              faces_enum={(2, 2): 2}, c=side_ratios((1, 1), 2))
     err = CrossCheckError(report)
     assert err.report.gamma_enum == 4
     assert "gamma 3 vs 4" in str(err)
+    assert "count 2 vs 2, coefficient 2.0 vs 2.0" in str(err)
+
+
+def test_passing_cross_check_evaluates_no_coefficient(monkeypatch):
+    spec = CycleSpec(k=3, m_colors=frozenset([1, 2]), n_colors=frozenset([3, 4]))
+    recipe = MelonicRecipe(D=3, steps=((1, 1), (2, 2), (3, 1)))
+    c = ("3/2", "1/2", 2, "5/4")
+    unpatched = run_verify_suite(max_k=4, max_D=4, families=FAMILIES, seed=0)
+    evaluated = []
+
+    def wrapped(*args):
+        evaluated.append(args[1])
+        return _prediction(*args)
+
+    monkeypatch.setattr("tul.asymptotics._prediction", wrapped)
+    report = cross_check(make_cycle_graph(spec), spec, c)
+    # the closed side is evaluated on first read, and once: equal histograms
+    # give coeff_enum the same float
+    assert evaluated == []
+    assert report.coeff_closed == report.coeff_enum == report.coeff_closed
+    assert evaluated == [report.faces_closed]
+    assert report.coeff_closed == predict(spec, c).coefficient
+
+    def evaluate(*args):
+        raise AssertionError("a coefficient was evaluated")
+
+    monkeypatch.setattr("tul.asymptotics._prediction", evaluate)
+    monkeypatch.setattr("tul.asymptotics.face_sum", evaluate)
+    assert cross_check(make_cycle_graph(spec), spec, c).gamma_enum == 2 * 4
+    assert cross_check(make_melonic(recipe), recipe, c[:3]).count_enum == 1
+    assert run_verify_suite(max_k=4, max_D=4, families=FAMILIES, seed=0) == unpatched
 
 
 def test_coefficient_monotonic_in_each_ratio():

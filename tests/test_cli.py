@@ -692,6 +692,18 @@ def test_verify_max_D_past_the_split_bound_is_refused(capsys, no_column):
                    "color splits to check\n")
 
 
+def test_verify_max_D_past_the_melonic_bound_is_refused(capsys, no_column):
+    # 2 * 99998 melonic graphs, refused before any check: with no coefficient
+    # evaluated, nothing else would stop the run
+    start = time.perf_counter()
+    code = main(["verify", "--families", "melonic", "--max-k", "2", "--max-D", "100000"])
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: max_D=100000 and max_k=2 give the melonic family more than 1500 "
+                   "graphs to check\n")
+
+
 def test_verify_k_over_cap(capsys, no_column):
     code = main(["verify", "--max-k", "10", "--families", "cycle_11"])
     assert code == 2
@@ -890,6 +902,21 @@ def test_mc_oversized_tensor_exits_2_before_any_draw(capsys, no_draw, tmp_path):
     assert code == 2
     err = capsys.readouterr().err
     assert "N=100000" in err and "limit" in err
+
+
+def test_mc_sample_count_past_the_limit_exits_2_before_any_draw(capsys, no_draw, tmp_path):
+    # the k=2 (1,1)-cycle at N=4 would draw until stopped, its values
+    # growing by 24 B a sample
+    cycle = _write(tmp_path, "cycle.json", json.dumps({"k": 2, "m_colors": [1],
+                                                       "n_colors": [2]}))
+    spec = _write(tmp_path, "tensor.json", json.dumps({"D": 2, "c": [1, 1], "N": 4,
+                                                       "distribution": "complex_gaussian"}))
+    code = main(["mc", "--spec", spec, "--cycle", cycle, "--N-list", "4",
+                 "--samples", "99999999999999999999"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == ("error: 99999999999999999999 samples at N=4 are over the limit of 33554432 "
+                   "(768 MiB of values)\n")
 
 
 def test_mc_sample_count_below_two_exits_2_before_any_draw(capsys, no_draw, tmp_path):

@@ -16,8 +16,9 @@ from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melon
                           random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
 from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISC_CHUNK, DISTRIBUTIONS,
-                         EINSUM_LABELS, MAX_TENSOR_ENTRIES, TensorSpec, _check_naive_contraction,
-                         _cycle_values, _network_operands, _network_plan, _network_values, _to_disc,
+                         EINSUM_LABELS, MAX_SAMPLES, MAX_TENSOR_ENTRIES, TensorSpec,
+                         _check_naive_contraction, _cycle_values, _network_operands, _network_plan,
+                         _network_values, _to_disc,
                          gaussian_exact_mean, monte_carlo_mean, sample_tensor,
                          tensor_spec_from_json_dict, trace_invariant_cycle, trace_invariant_naive,
                          trace_invariant_network, universality_scan)
@@ -679,6 +680,15 @@ def test_monte_carlo_draws_one_block_per_call(monkeypatch, D, N, graph, n):
 def test_monte_carlo_requires_two_samples():
     with pytest.raises(ValueError, match="samples"):
         monte_carlo_mean(gaussian_spec(2, 4), cycle_11(2), 1)
+
+
+def test_sample_counts_past_the_limit_are_refused_before_any_draw(no_draw):
+    # every value is kept until the mean is taken, so the count is bounded
+    assert MAX_SAMPLES == 2 ** 25
+    with pytest.raises(ValueError, match=f"^{MAX_SAMPLES + 1} samples are over the limit"):
+        monte_carlo_mean(gaussian_spec(2, 4), cycle_11(2), MAX_SAMPLES + 1)
+    with pytest.raises(ValueError, match=f"^{10 ** 20} samples at N=8 are over the limit"):
+        universality_scan(gaussian_spec(2, 4), cycle_11(2), [4, 8], [5, 10 ** 20])
 
 
 @pytest.mark.parametrize("D, N, graph, contract", [

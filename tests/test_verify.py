@@ -1,6 +1,7 @@
 import pytest
 
-from tul.verify import FAMILIES, MAX_CYCLE_SPLITS, _cycle_specs, _cycle_splits, run_verify_suite
+from tul.verify import (FAMILIES, MAX_CYCLE_SPLITS, MAX_MELONIC_GRAPHS, _cycle_specs, _cycle_splits,
+                        run_verify_suite)
 
 BOUNDS = {"max_k": 2, "max_D": 3, "families": FAMILIES, "seed": 0}
 
@@ -18,11 +19,17 @@ BOUNDS = {"max_k": 2, "max_D": 3, "families": FAMILIES, "seed": 0}
      "max_D=14 and max_k=4 give the cycle families more than 65536 color splits to check"),
     ({"families": ["cycle_mm"], "max_k": 1, "max_D": 18, "seed": 2 ** 64},
      "max_D=18 and max_k=1 give the cycle families more than 65536 color splits to check"),
+    ({"max_k": 1, "max_D": 1600},
+     "max_D=1600 and max_k=1 give the cycle families more than 65536 color splits to check"),
+    ({"families": ["melonic"], "max_k": 9, "max_D": 169},
+     "max_D=169 and max_k=9 give the melonic family more than 1500 graphs to check"),
+    ({"families": ["melonic"], "max_k": 2, "max_D": 100000, "seed": 2 ** 64},
+     "max_D=100000 and max_k=2 give the melonic family more than 1500 graphs to check"),
     ({"seed": 2 ** 64}, "seed must fit in 64 unsigned bits, got 18446744073709551616"),
     ({"seed": -1}, "seed must fit in 64 unsigned bits, got -1"),
 ], ids=["max-k-0", "max-k-10", "max-D-1", "unknown-family", "no-family",
-        "no-family-before-splits", "splits-4-14", "splits-before-seed", "seed-2-64",
-        "seed-negative"])
+        "no-family-before-splits", "splits-4-14", "splits-before-seed", "splits-before-melonic",
+        "melonic-9-169", "melonic-before-seed", "seed-2-64", "seed-negative"])
 def test_refusals_come_before_any_check(monkeypatch, change, message):
     def no_check(*args):
         raise AssertionError("a check ran")
@@ -89,3 +96,19 @@ def test_cycle_splits_are_counted_without_listing_them():
     assert _cycle_splits(1, 17, mm) <= MAX_CYCLE_SPLITS < _cycle_splits(1, 18, mm)
     assert _cycle_splits(9, 10 ** 18, ("cycle_mn",)) > MAX_CYCLE_SPLITS
     assert _cycle_splits(9, 10 ** 18, ("cycle_11", "melonic")) == 0
+
+
+def test_melonic_graphs_up_to_the_bound_are_accepted(monkeypatch):
+    # the seed is read next, so reaching it means the bound let the run through
+    class Accepted(Exception):
+        pass
+
+    def gate(**fields):
+        raise Accepted
+
+    monkeypatch.setattr("tul.verify.TensorSpec", gate)
+    assert MAX_MELONIC_GRAPHS == 1500
+    for max_k, max_D, families in ((9, 168, ("melonic",)), (1, 1502, ("melonic",)),
+                                   (2, 752, ("melonic",)), (9, 10 ** 6, ("cycle_11",))):
+        with pytest.raises(Accepted):
+            run_verify_suite(max_k=max_k, max_D=max_D, families=families, seed=0)
