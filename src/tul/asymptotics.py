@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .enumeration import face_sum, minimal_faces, narayana_row
-from .families import CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic
+from .families import CycleSpec, MelonicRecipe, cycle_rows, melonic_rows
 from .graphs import ColoredGraph, e_notation, side_ratios
 
 
@@ -119,16 +119,15 @@ def cycle_faces(spec: CycleSpec) -> dict[tuple[int, ...], int]:
 
 
 def _kind(spec):
-    """The family label, closed-form or enumerated face histogram, and graph
-    builder of a MelonicRecipe ("melonic"), a CycleSpec ("cycle_11",
-    "cycle_mm" or "cycle_mn") or a ColoredGraph ("generic", no builder): the
-    one place that maps a spec kind to its family, for predict and
-    cross_check alike."""
+    """The family label, closed-form or enumerated face histogram, and sigma
+    rows of a MelonicRecipe ("melonic"), a CycleSpec ("cycle_11", "cycle_mm"
+    or "cycle_mn") or a ColoredGraph ("generic", no rows): the one place that
+    maps a spec kind to its family, for predict and cross_check alike."""
     if isinstance(spec, MelonicRecipe):
-        return "melonic", melonic_faces, make_melonic
+        return "melonic", melonic_faces, melonic_rows
     if isinstance(spec, CycleSpec):
         family = "cycle_mn" if spec.m != spec.n else "cycle_11" if spec.m == 1 else "cycle_mm"
-        return family, cycle_faces, make_cycle_graph
+        return family, cycle_faces, cycle_rows
     if isinstance(spec, ColoredGraph):
         return "generic", minimal_faces, None
     raise TypeError(f"spec must be MelonicRecipe, CycleSpec or ColoredGraph, got {type(spec)}")
@@ -204,8 +203,9 @@ def cross_check(B: ColoredGraph, family_spec, c) -> CrossCheckReport:
     """Replay a family's closed-form gamma, minimal-covering count, and limit
     coefficient against brute-force enumeration of B.
 
-    family_spec is a CycleSpec or MelonicRecipe and must actually produce B;
-    c is read by side_ratios before either histogram is built.  gamma, count
+    family_spec is a CycleSpec or MelonicRecipe and must actually produce B:
+    its sigma rows are compared with B's, and no second graph is built.  c
+    is read by side_ratios before either histogram is built.  gamma, count
     and the exact coefficient must all match exactly.  Equal face histograms
     give equal coefficients, so the exact face sums are compared only when
     the histograms differ, and a passing check evaluates no coefficient:
@@ -214,8 +214,8 @@ def cross_check(B: ColoredGraph, family_spec, c) -> CrossCheckReport:
     """
     if not isinstance(family_spec, (CycleSpec, MelonicRecipe)):
         raise TypeError(f"family_spec must be CycleSpec or MelonicRecipe, got {type(family_spec)}")
-    family, faces, build = _kind(family_spec)
-    if B != build(family_spec):
+    family, faces, rows = _kind(family_spec)
+    if B.sigma != rows(family_spec):  # rows of k entries, so equal rows mean equal graphs
         raise ValueError(f"graph does not match the "
                          f"{'melonic recipe' if family == 'melonic' else 'cycle spec'}")
     c = side_ratios(c, B.D)

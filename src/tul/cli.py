@@ -7,7 +7,8 @@ inputs exit with status 2 and a diagnostic naming the offending field.
 
 `asym`, `mc` and `verify` build each result once, as dicts whose keys are both
 the JSON keys and the CSV columns; the rows of `mc` and `verify` are their
-`ScanRow` and `CheckResult` fields, so a new field needs no edit here.
+`ScanRow` and `CheckResult` fields, read into shallow dicts by `_fields`, so a
+new field needs no edit here.
 `enumerate`'s CSV is a table of its own: one row per minimal covering.
 """
 
@@ -61,6 +62,14 @@ def _load_json(path: str):
         raise CliError(f"cannot read {path}: {err.strerror or err}") from None
     except (ValueError, RecursionError) as err:  # bad syntax, encoding, or int size
         raise CliError(f"{path} cannot be read as JSON: {err}") from None
+
+
+def _fields(records, cls) -> list[dict]:
+    """Each record's fields as a dict in cls's field order.  The values are
+    shared, not copied as dataclasses.asdict copies them: they are numbers,
+    bools and strings, written out at once."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return [{name: getattr(record, name) for name in names} for record in records]
 
 
 def _report(args, data, header=None, rows=None):
@@ -125,7 +134,7 @@ def _cmd_mc(args) -> int:
     report = universality_scan(tspec, graph, args.N_list or [tspec.N], samples)
     head = {"graph": report.graph_id, "distribution": report.distribution,
             "gamma": report.gamma, "predicted": report.predicted}
-    rows = [dataclasses.asdict(r) for r in report.rows]
+    rows = _fields(report.rows, ScanRow)
     header = [*head, *(f.name for f in dataclasses.fields(ScanRow))]
     _report(args, {"stream": STREAM, **head, "rows": rows}, header,
             [[*head.values(), *r.values()] for r in rows])
@@ -138,7 +147,7 @@ def _cmd_verify(args) -> int:
                                families=args.families.split(",") if args.families else (),
                                seed=args.seed)
     passed = all(r.passed for r in results)
-    checks = [dataclasses.asdict(r) for r in results]
+    checks = _fields(results, CheckResult)
     # the CSV heads CheckResult's first field, its name, "check"
     header = ["check", *(f.name for f in dataclasses.fields(CheckResult)[1:])]
     _report(args, {"stream": STREAM, "passed": passed, "checks": checks},

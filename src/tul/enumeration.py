@@ -17,21 +17,24 @@ vectors and reads one record, `CoveringPass`, off them:
 
   histogram  {zero_faces: multiplicity}, the whole finite-N Wick sum
   gamma      the maximal total face count, the leading power of N
-  members    the face-maximizing coverings, which carry the leading term;
-             the record keeps their rows and face vectors, so count needs no
-             tuple, and unranks each row into its tau, in the factorial
-             number system, the first time members is read
+  count      the number of face-maximizing coverings, the total length of
+             the runs of total gamma
+  members    those coverings, which carry the leading term; only `tul
+             enumerate` reads them, so they are built the first time they
+             are read, from the rows of the top runs, each unranked into
+             its tau in the factorial number system
 
 A color that repeats a sigma row repeats its face count, so the sort is kept
 per set of distinct rows and each graph reads it back in its own colors:
 every color split of every (m,n)-cycle of one k reads one sort of S_k by two
 columns, the identity's and the shift's.  `_FACE_SORTS` holds one sort per
-k, dropped when a graph with other rows comes at that k, so a loop over k
-inside D or m sorts each cycle row set once.  Gamma, the Catalan/Narayana
-counts, the exact leading coefficient (`face_sum` over `minimal_faces`) and
-the exact Wick integer all come from one pass per graph, and the last pass
-is cached, since the consumers of one graph read it back to back.  No table
-of S_k is built: the sort and the members name pairings by their rank.
+k, found by the rows alone and dropped when a graph with other rows comes at
+that k, so a loop over k inside D or m sorts each cycle row set once.
+Gamma, the Catalan/Narayana counts, the exact leading coefficient
+(`face_sum` over `minimal_faces`) and the exact Wick integer all come from
+one pass per graph, and the last pass is cached, since the consumers of one
+graph read it back to back.  No table of S_k is built: the sort and the
+members name pairings by their rank.
 
 Graphs must be connected and have k <= MAX_K = 9, i.e. at most 362,880
 coverings.  Both are checked before any column is computed or S_k sorted.
@@ -50,7 +53,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .families import CycleSpec, make_cycle_graph
+from .families import CycleSpec, cycle_rows
 from .graphs import ColoredGraph, e_notation, is_connected, side_ratios
 from .permutations import Perm, cycles, inverse
 
@@ -66,39 +69,54 @@ class CoveringPass:
 
     histogram maps each per-color zero-face vector to the number of pairings
     that have it, so its values sum to k!.  gamma is the maximal total face
-    count, and members holds every pairing that attains it as a pair (tau,
-    zero_faces), in lexicographic order; each zero_faces sums to gamma.
+    count, and count is the number of pairings that attain it, the total
+    multiplicity of the vectors of total gamma.  members holds those
+    pairings as pairs (tau, zero_faces), in lexicographic order; each
+    zero_faces sums to gamma.
 
-    The pass keeps only the members' ranks in lexicographic S_k and their
-    face vectors, so count is their number, and members is built from them
-    the first time it is read.
+    The record keeps the distinct rows it was read from and each color's
+    column among them, so members, which only `tul enumerate` reads, is
+    built the first time it is read, off the sort by those rows: the rows of
+    its runs of total gamma merged in order, each unranked into its tau.
+    That sort is the one the record was read from, unless a graph with
+    other rows came at k since, in which case it is made again.
     """
 
     histogram: Mapping[tuple[int, ...], int]
     gamma: int
+    count: int
     _k: int = field(repr=False)
-    _rows: np.ndarray = field(repr=False)
-    _member_faces: np.ndarray = field(repr=False)
-
-    @property
-    def count(self) -> int:
-        return len(self._rows)
+    _rows: tuple[Perm, ...] = field(repr=False)
+    _columns: list[int] = field(repr=False)
 
     @functools.cached_property
     def members(self) -> tuple[tuple[Perm, tuple[int, ...]], ...]:
-        # a rank's factorial digits: digit i ranks tau[i] among the entries
-        # not chosen before it, so, from the last digit back, each digit moves
-        # up by one every later entry at or above it
-        k = self._k
-        taus = np.empty((len(self._rows), k), dtype=np.int64)
-        rest = self._rows.astype(np.int64)
-        for i in range(k):
-            taus[:, i], rest = np.divmod(rest, math.factorial(k - 1 - i))
-        for i in range(k - 2, -1, -1):
-            later = taus[:, i + 1:]
-            later += later >= taus[:, i:i + 1]
-        return tuple((tuple(tau), tuple(zero))
-                     for tau, zero in zip(taus.tolist(), self._member_faces.tolist()))
+        order, bounds, vectors = _face_sort(self._k, self._rows)
+        faces = vectors[:, self._columns]
+        top = np.flatnonzero(faces.sum(axis=1, dtype=np.int64) == self.gamma)
+        rows = np.concatenate([order[bounds[run]:bounds[run + 1]] for run in top])
+        by_row = np.argsort(rows)
+        faces = np.repeat(faces[top], np.diff(bounds)[top], axis=0)[by_row]
+        return tuple(zip(map(tuple, _unrank(self._k, rows[by_row]).tolist()),
+                         map(tuple, faces.tolist())))
+
+
+def _unrank(k: int, rows: np.ndarray) -> np.ndarray:
+    """The pairings of the given ranks in lexicographic S_k, as an int64
+    (len(rows), k) array.
+
+    A rank's factorial digits: digit i ranks tau[i] among the entries not
+    chosen before it, so, from the last digit back, each digit moves up by
+    one every later entry at or above it.
+    """
+    taus = np.empty((len(rows), k), dtype=np.int64)
+    rest = rows.astype(np.int64)
+    for i in range(k):
+        taus[:, i], rest = np.divmod(rest, math.factorial(k - 1 - i))
+    for i in range(k - 2, -1, -1):
+        later = taus[:, i + 1:]
+        later += later >= taus[:, i:i + 1]
+    return taus
 
 
 def _face_column(table: Perm) -> np.ndarray:
@@ -142,34 +160,37 @@ def _check_graph(B: ColoredGraph):
         )
 
 
-# One sort per k, as {k: (A, sort)}, so a loop over k inside D or m, as in
+# One sort per k, as {k: (rows, sort)}, so a loop over k inside D or m, as in
 # verify._cycle_specs, sorts each k's cycle rows once.  A bound on memory, not
 # a tuning knob.  A sort of R distinct rows keeps S_k's row order in uint32
 # and R + 4 bytes per run, and there are at most k! runs: at MAX_K the orders
 # of all nine k take at most 4 (1! + ... + 9!) bytes = 1.6 MB, and the runs
 # 154 bytes for a cycle's two rows at k=9, 16 kB for six random rows and 13 MB
-# for 32, so a k=9 sort of 32 random rows holds 14.5 MB in all.
-_FACE_SORTS: dict[int, tuple[ColoredGraph, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+# for 32, so a k=9 sort of 32 random rows holds 14.5 MB in all.  The arrays
+# stay numpy's: as Python lists that sort would take more than 100 MB.
+_FACE_SORTS: dict[int, tuple[tuple[Perm, ...], tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
 
 
-def _face_sort(A: ColoredGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S_k sorted by the face vectors of A, whose sigma rows are distinct and
-    sorted: the read-only uint32 row order, the start of each run of equal
-    vectors and then k!, and each run's vector as an int8 (runs, D) array.
+def _face_sort(k: int, rows: tuple[Perm, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_k sorted by the face vectors of the distinct, sorted sigma rows
+    rows: the read-only uint32 row order, the start of each run of equal
+    vectors and then k!, and each run's vector as an int8 (runs, len(rows))
+    array.
 
     np.lexsort orders the rows by their face columns, first row first, and
     is stable, so a run of equal vectors lists the vector's rows in order,
-    and its first element is the one its vector is read from.  A graph has
-    A's connectivity, so the check runs here, before any column is computed.
-    Every graph with A's rows reads this one sort, whatever its colors: it
-    is kept in _FACE_SORTS until a graph with other rows comes at A's k.
+    and its first element is the one its vector is read from.  Every graph
+    with these rows reads this one sort, whatever its colors, and has their
+    connectivity: the sort is kept in _FACE_SORTS, found by the rows alone,
+    until other rows come at k, and the graph check runs only before a sort
+    is made, ahead of any column.
     """
-    held = _FACE_SORTS.get(A.k)
-    if held is not None and held[0] == A:
+    held = _FACE_SORTS.get(k)
+    if held is not None and held[0] == rows:
         return held[1]
-    _FACE_SORTS.pop(A.k, None)  # the old sort goes before the new one is made
-    _check_graph(A)
-    columns = [_face_column(inverse(s)) for s in A.sigma]
+    _FACE_SORTS.pop(k, None)  # the old sort goes before the new one is made
+    _check_graph(ColoredGraph(k=k, sigma=rows))
+    columns = [_face_column(inverse(s)) for s in rows]
     order = np.lexsort(columns[::-1]).astype(np.uint32)
     change = np.zeros(len(order) - 1, dtype=bool)
     for column in columns:
@@ -178,7 +199,7 @@ def _face_sort(A: ColoredGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bounds = np.flatnonzero(np.concatenate(([True], change, [True]))).astype(np.uint32)
     vectors = np.stack([column[order[bounds[:-1]]] for column in columns], axis=1)
     order.flags.writeable = bounds.flags.writeable = vectors.flags.writeable = False
-    _FACE_SORTS[A.k] = (A, (order, bounds, vectors))
+    _FACE_SORTS[k] = (rows, (order, bounds, vectors))
     return order, bounds, vectors
 
 
@@ -189,17 +210,17 @@ def _face_sort(A: ColoredGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # 128 MB for a k=9 graph of 32 random rows.
 @functools.lru_cache(maxsize=1)
 def covering_pass(B: ColoredGraph) -> CoveringPass:
-    """The face histogram and minimal coverings of B, read back off the sort
-    of S_k by the face columns of its distinct sigma rows.
+    """The face histogram, gamma and minimal-covering count of B, read back
+    off the sort of S_k by the face columns of its distinct sigma rows.
 
     Each color's face vector entry is its row's, so a run of the sort is one
-    face vector of B, and the few runs are re-sorted into B's lexicographic
-    order: each is one histogram entry, whose length is the vector's
-    multiplicity.  gamma is the largest total over those vectors, summed as
-    Python ints over B's colors, and the members are the rows of the runs of
-    that total, merged in row order, which is lexicographic order of S_k;
-    the record keeps those rows and their face vectors, and builds the
-    member pairings only when they are read.
+    face vector of B, and the few runs are put in B's lexicographic order,
+    which is the sort's own when B's distinct rows first come in sorted
+    order, as in every (m,n)-cycle whose color 1 is an identity: each run is
+    one histogram entry, whose length is the vector's multiplicity.  gamma
+    is the largest total over those vectors, summed as Python ints over B's
+    colors, and count is the total length of the runs of that total; the
+    member pairings are built from the sort only when they are read.
 
     The sort is kept by the set of rows alone, so every graph with the
     same rows reads one sort, whatever its colors: all color splits of the
@@ -208,21 +229,21 @@ def covering_pass(B: ColoredGraph) -> CoveringPass:
     the record keeps it, and a graph read again after another is read again
     off its sort.
     """
-    distinct = sorted(set(B.sigma))
-    order, bounds, vectors = _face_sort(ColoredGraph(k=B.k, sigma=distinct))
-    faces = vectors[:, [distinct.index(s) for s in B.sigma]]
-    runs = np.lexsort(faces.T[::-1])  # the runs in B's lexicographic order
-    lengths = np.diff(bounds)
-    histogram = dict(zip(map(tuple, faces[runs].tolist()), lengths[runs].tolist()))
+    firsts = tuple(dict.fromkeys(B.sigma))  # the distinct rows, by first color
+    distinct = tuple(sorted(firsts))
+    _, bounds, vectors = _face_sort(B.k, distinct)
+    at = {row: i for i, row in enumerate(distinct)}
+    columns = [at[row] for row in B.sigma]
+    faces, lengths = vectors.take(columns, axis=1), bounds[1:] - bounds[:-1]
+    if firsts != distinct:
+        runs = np.lexsort([vectors[:, at[row]] for row in firsts[::-1]])
+        faces, lengths = faces.take(runs, axis=0), lengths.take(runs)
+    histogram = dict(zip(map(tuple, faces.tolist()), lengths.tolist()))
     totals = list(map(sum, histogram))
     gamma = max(totals)
-    top = runs[np.array(totals) == gamma]
-    rows = np.concatenate([order[bounds[run]:bounds[run + 1]] for run in top])
-    by_row = np.argsort(rows)
-    rows, member_faces = rows[by_row], np.repeat(faces[top], lengths[top], axis=0)[by_row]
-    rows.flags.writeable = member_faces.flags.writeable = False
-    return CoveringPass(histogram=MappingProxyType(histogram), gamma=gamma,
-                        _k=B.k, _rows=rows, _member_faces=member_faces)
+    count = sum(n for total, n in zip(totals, histogram.values()) if total == gamma)
+    return CoveringPass(histogram=MappingProxyType(histogram), gamma=gamma, count=count,
+                        _k=B.k, _rows=distinct, _columns=columns)
 
 
 # enumerate_coverings and limit_coefficient are run by no consumer and are
@@ -297,7 +318,7 @@ def narayana_row(k: int) -> list[int]:
 def _is_two_color_cycle(B: ColoredGraph) -> bool:
     # the rows of the (1,1)-cycle at B's k, in either order
     return B.D == 2 and set(B.sigma) == set(
-        make_cycle_graph(CycleSpec(k=B.k, m_colors={1}, n_colors={2})).sigma)
+        cycle_rows(CycleSpec(k=B.k, m_colors={1}, n_colors={2})))
 
 
 def narayana_face_distribution(B: ColoredGraph, anchor_color: int) -> dict[int, int]:

@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 
 from .graphs import ColoredGraph, is_json_int, json_fields
-from .permutations import identity
+from .permutations import Perm, identity
 
 Step = tuple[int, int]  # (color, white vertex), both 1-based
 
@@ -99,8 +99,9 @@ class CycleSpec:
         return self.m + self.n
 
 
-def make_melonic(recipe: MelonicRecipe) -> ColoredGraph:
-    """Grow a melonic graph from a dipole following the recipe's cut sequence.
+def melonic_rows(recipe: MelonicRecipe) -> tuple[Perm, ...]:
+    """The sigma rows of the melonic graph grown from a dipole by the
+    recipe's cut sequence.
 
     Cutting the color-c edge at white vertex w inserts a fresh white/black
     pair joined by every color except c; the severed half-edges reattach so
@@ -115,7 +116,12 @@ def make_melonic(recipe: MelonicRecipe) -> ColoredGraph:
         for i in range(D):
             sigma[i].append(new if i != c else old_black)
         sigma[c][w] = new
-    return ColoredGraph(k=recipe.k, sigma=tuple(tuple(s) for s in sigma))
+    return tuple(tuple(s) for s in sigma)
+
+
+def make_melonic(recipe: MelonicRecipe) -> ColoredGraph:
+    """The melonic graph of melonic_rows(recipe)."""
+    return ColoredGraph(k=recipe.k, sigma=melonic_rows(recipe))
 
 
 def random_melonic_recipe(rng, D: int, k: int) -> MelonicRecipe:
@@ -126,14 +132,17 @@ def random_melonic_recipe(rng, D: int, k: int) -> MelonicRecipe:
     return MelonicRecipe(D=D, steps=tuple(steps))
 
 
-def make_cycle_graph(spec: CycleSpec) -> ColoredGraph:
-    """Identity rows for the m-colors, the k-cycle j -> j+1 for the n-colors."""
+def cycle_rows(spec: CycleSpec) -> tuple[Perm, ...]:
+    """The sigma rows of an (m,n)-cycle: the identity for the m-colors, the
+    k-cycle j -> j+1 for the n-colors, each one tuple shared by its colors."""
     k = spec.k
-    shift = tuple((j + 1) % k for j in range(k))
-    rows = []
-    for color in range(1, spec.D + 1):
-        rows.append(identity(k) if color in spec.m_colors else shift)
-    return ColoredGraph(k=k, sigma=tuple(rows))
+    ident, shift = identity(k), tuple(range(1, k)) + (0,)
+    return tuple(ident if color in spec.m_colors else shift for color in range(1, spec.D + 1))
+
+
+def make_cycle_graph(spec: CycleSpec) -> ColoredGraph:
+    """The (m,n)-cycle graph of cycle_rows(spec)."""
+    return ColoredGraph(k=spec.k, sigma=cycle_rows(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,15 @@ class ColoredGraph:
         if len(self.sigma) < 1:
             raise ValueError("a colored graph needs at least one color")
         object.__setattr__(self, "sigma", tuple(tuple(p) for p in self.sigma))
+        checked = set()  # the ids of the rows checked: a row shared by colors is checked once
         for i, p in enumerate(self.sigma):
+            if id(p) in checked:
+                continue
             if len(p) != self.k:
                 raise ValueError(f"sigma[{i + 1}] has length {len(p)}, expected k={self.k}")
             if not is_perm(p):
                 raise ValueError(f"sigma[{i + 1}] is not a bijection on 0..{self.k - 1}")
+            checked.add(id(p))
 
     @property
     def D(self) -> int:
@@ -109,16 +113,18 @@ def side_ratios(c, D: int) -> tuple[Fraction, ...]:
         raise ValueError(f"expected {D} side ratios, got {len(c)}")
     out = []
     for i, x in enumerate(c, start=1):
-        exponent = _EXPONENT.search(x) if isinstance(x, str) else None
-        digits = exponent[1].replace("_", "") if exponent else ""
-        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"side ratio 'c[{i}]' has a decimal exponent outside "
-                             f"-{MAX_DECIMAL_EXPONENT}..{MAX_DECIMAL_EXPONENT}")
+        if isinstance(x, str):
+            exponent = _EXPONENT.search(x)
+            digits = exponent[1].replace("_", "") if exponent else ""
+            if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                    or int(digits or 0) > MAX_DECIMAL_EXPONENT):
+                raise ValueError(f"side ratio 'c[{i}]' has a decimal exponent outside "
+                                 f"-{MAX_DECIMAL_EXPONENT}..{MAX_DECIMAL_EXPONENT}")
         try:
             ratio = None if isinstance(x, bool) else Fraction(x)
         except (ValueError, TypeError, ZeroDivisionError, OverflowError):
             ratio = None
-        if ratio is None or ratio <= 0:
+        if ratio is None or ratio.numerator <= 0:  # a Fraction's sign is its numerator's
             raise ValueError(f"side ratio 'c[{i}]' must be a positive finite number or "
                              f"'p/q' ratio, got {x!r}")
         out.append(ratio)

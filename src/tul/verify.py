@@ -24,21 +24,20 @@ FAMILIES = ("cycle_11", "cycle_mm", "cycle_mn", "melonic")
 
 # The most color splits, counted once per k, that cycle_mm and cycle_mn may
 # check in one run.  A resource limit, not a tuning knob: D colors have about
-# 2^D splits, and each check takes 0.1-0.15 ms and keeps a result of about
-# 0.3 kB, so a run at the bound takes about 9 s and 125 MB of max RSS
-# (--max-k 7 --max-D 13 checks 61,705 splits in 7.8-8.4 s and 124 MB,
-# --max-k 3 --max-D 14 56,166 in 6.7 s and 117 MB; 2 vCPUs, numpy 2.4).
+# 2^D splits, and each check takes 0.08-0.09 ms and keeps a result of about
+# 0.3 kB, so a run at the bound takes about 6 s and 125 MB of max RSS
+# (--max-k 7 --max-D 13 checks 61,705 splits in 5.1-5.4 s and 123 MB,
+# --max-k 3 --max-D 14 56,166 in 4.7-4.8 s and 117 MB; 2 vCPUs, numpy 2.4).
 MAX_CYCLE_SPLITS = 2 ** 16
 
 # The most graphs, (max_D - 2) * max_k, that melonic may check in one run.
 # A resource limit like MAX_CYCLE_SPLITS: a passing check evaluates no
 # coefficient, so nothing else stops a large run.  At k <= 9 a check takes
 # 7-10 ms, 65-95 ms per D, almost all of it the graph's covering pass
-# (--max-k 9 took 1.0-1.3, 2.3-3.3, 4.8-7.3 and 10.5-15 s at --max-D 20,
-# 40, 80 and 160 over two measurements), so a run at the bound takes about
-# 15 s and 56 MB of max RSS (--max-k 9 --max-D 168, 1494 graphs: 13.2-14.8
-# s); at small k the cost grows with D (--max-k 1 --max-D 1502: 5.1 s;
-# 2 vCPUs, numpy 2.4).
+# (--max-k 9 took 1.1, 2.9, 5.2 and 12.1 s at --max-D 20, 40, 80 and 160),
+# so a run at the bound takes about 13 s and 55 MB of max RSS (--max-k 9
+# --max-D 168, 1494 graphs: 11.9-12.8 s); at small k the cost grows with D
+# (--max-k 1 --max-D 1502: 3.5-3.8 s and 42 MB; 2 vCPUs, numpy 2.4).
 MAX_MELONIC_GRAPHS = 1500
 
 

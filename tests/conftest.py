@@ -36,11 +36,11 @@ def sorts(monkeypatch):
     when it leaves a new entry in _FACE_SORTS."""
     made, face_sort = [], enumeration._face_sort
 
-    def counted(A):
-        held = enumeration._FACE_SORTS.get(A.k)
-        sort = face_sort(A)
-        if enumeration._FACE_SORTS[A.k] is not held:
-            made.append(A.k)
+    def counted(k, rows):
+        held = enumeration._FACE_SORTS.get(k)
+        sort = face_sort(k, rows)
+        if enumeration._FACE_SORTS[k] is not held:
+            made.append(k)
         return sort
 
     monkeypatch.setattr(enumeration, "_face_sort", counted)

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from reference import CoveringGraph, face_columns, face_profile, narayana_recurrence
 from tul import enumeration
 from tul.asymptotics import cross_check
-from tul.enumeration import (MAX_K, CoveringPass, catalan, covering_pass, enumerate_coverings,
+from tul.enumeration import (MAX_K, catalan, covering_pass, enumerate_coverings,
                              limit_coefficient, minimal_coverings, narayana_face_distribution,
                              narayana_row)
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic,
@@ -20,7 +20,7 @@ from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melon
 from tul.graphs import ColoredGraph, is_connected
 from tul.permutations import cycles, inverse
 from tul.tensors import gaussian_exact_mean
-from tul.verify import run_verify_suite
+from tul.verify import FAMILIES, run_verify_suite
 
 
 def two_color_cycle(k):
@@ -266,6 +266,32 @@ def test_pass_matches_face_profile_for_every_covering():
         assert result.members is result.members
 
 
+def test_a_pass_builds_no_member_rows_until_members_is_read(monkeypatch):
+    # only tul enumerate reads the members: a passing cross-check and a run of
+    # the suite unrank no row, and a record unranks its rows on first read
+    unranked, unrank = [], enumeration._unrank
+
+    def spied(k, rows):
+        unranked.append(k)
+        return unrank(k, rows)
+
+    monkeypatch.setattr(enumeration, "_unrank", spied)
+    spec = CycleSpec(k=5, m_colors=frozenset([2]), n_colors=frozenset([1, 3]))
+    B = make_cycle_graph(spec)
+    enumeration.covering_pass.cache_clear()
+    report = cross_check(B, spec, (1.5, 0.5, 2.0))
+    record = covering_pass(B)
+    run_verify_suite(max_k=4, max_D=4, families=FAMILIES, seed=0)
+    assert unranked == [] and "members" not in vars(record)
+    assert len(record.members) == record.count == report.count_enum == 1
+    assert unranked == [5]
+    graphs = PASS_GRAPHS + [G for pair in _repeated_row_graphs(np.random.default_rng(34), 40)
+                            for G in pair]
+    for G in graphs:
+        result = covering_pass.__wrapped__(G)
+        assert result.count == len(result.members), G
+
+
 def test_pass_histogram_sums_to_k_factorial():
     for B in PASS_GRAPHS:
         histogram = covering_pass(B).histogram
@@ -374,7 +400,7 @@ def test_cycles_of_one_k_share_one_sort(sorts):
         assert minimal_coverings(make_cycle_graph(spec)).gamma == gamma
     assert (sorts, list(enumeration._FACE_SORTS)) == ([5], [5])
     rows = ((0, 1, 2, 3, 4), (1, 2, 3, 4, 0))
-    order, bounds, vectors = enumeration._face_sort(ColoredGraph(k=5, sigma=rows))
+    order, bounds, vectors = enumeration._face_sort(5, rows)
     assert order.dtype == np.uint32 and sorted(order.tolist()) == list(range(120))
     assert bounds.tolist()[0] == 0 and bounds.tolist()[-1] == 120
     assert vectors.dtype == np.int8 and vectors.shape == (len(bounds) - 1, 2)
@@ -469,25 +495,25 @@ def test_identity_column_is_the_cycles_of_each_permutation():
     assert np.bincount(enumeration._face_column(tuple(range(9)))).tolist() == STIRLING_9
 
 
-def _all_members(k, rows):
-    # a record whose members are the pairings of the given ranks in S_k
-    rows = np.asarray(rows, dtype=np.uint32)
-    return CoveringPass(histogram={}, gamma=0, _k=k, _rows=rows,
-                        _member_faces=np.zeros((len(rows), 0), dtype=np.int8)).members
+def _unranked(k, rows):
+    # the pairings of the given ranks in S_k, as the members unrank them
+    taus = enumeration._unrank(k, np.asarray(rows, dtype=np.uint32))
+    assert taus.shape == (len(rows), k)
+    return list(map(tuple, taus.tolist()))
 
 
 def test_members_unrank_rows_in_itertools_order():
     # a member's tau is its rank in lexicographic S_k, unranked: every rank
     # for k <= 8, and 200 fixed ranks of S_9
     for k in range(1, 9):
-        taus = [tau for tau, _ in _all_members(k, range(math.factorial(k)))]
+        taus = _unranked(k, range(math.factorial(k)))
         assert taus == list(itertools.permutations(range(k)))
     rows = sorted(np.random.default_rng(9).choice(math.factorial(9), size=200,
                                                   replace=False).tolist())
     wanted = set(rows)
     expected = [tau for row, tau in enumerate(itertools.permutations(range(9))) if row in wanted]
-    assert [tau for tau, _ in _all_members(9, rows)] == expected
-    assert _all_members(9, [math.factorial(9) - 1]) == (((8, 7, 6, 5, 4, 3, 2, 1, 0), ()),)
+    assert _unranked(9, rows) == expected
+    assert _unranked(9, [math.factorial(9) - 1]) == [(8, 7, 6, 5, 4, 3, 2, 1, 0)]
 
 
 def _connected_graph(rng, k, D):

@@ -197,6 +197,21 @@ def test_side_ratios_bound_the_decimal_exponent():
             side_ratios([1, text], 2)
 
 
+@pytest.mark.parametrize("ratio, message", [
+    (-0.0, "must be a positive finite number or 'p/q' ratio, got -0.0"),
+    (math.nan, "must be a positive finite number or 'p/q' ratio, got nan"),
+    (math.inf, "must be a positive finite number or 'p/q' ratio, got inf"),
+    (True, "must be a positive finite number or 'p/q' ratio, got True"),
+    ("1e9999", "has a decimal exponent outside -4300..4300"),
+], ids=["negative-zero", "nan", "inf", "true", "exponent-9999"])
+def test_side_ratio_refusals_keep_their_messages(ratio, message):
+    # only text is read for its decimal exponent, and a sign is read off the
+    # numerator; the refusals of every other entry keep their words
+    with pytest.raises(ValueError) as exc:
+        side_ratios([1, ratio], 2)
+    assert str(exc.value) == f"side ratio 'c[2]' {message}"
+
+
 @st.composite
 def colored_graphs(draw):
     """A graph of 1-4 colors on 1-6 white vertices, connected or not."""

@@ -1,9 +1,13 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -963,3 +967,15 @@ def test_property_tensor_spec_json_is_read_or_refused(case, field, junk):
         return
     assert (spec.D, spec.N, spec.distribution) == (data["D"], data["N"], data["distribution"])
     assert spec.seed == data.get("seed", 0) and len(spec.c) == len(spec.dims) == spec.D
+
+
+def test_importing_tul_imports_no_numpy_random():
+    # numpy 2 imports numpy.random on first access, which takes about 10 ms:
+    # a draw or the verify suite pays it when it runs, not every import of tul
+    # (numpy 1.x imports it with numpy itself, which tul cannot change)
+    code = ("import sys, numpy; numpy_own = 'numpy.random' in sys.modules; import tul, tul.cli; "
+            "print(numpy_own, 'numpy.random' in sys.modules)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out[0] == out[1], out

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from tul.verify import (FAMILIES, MAX_CYCLE_SPLITS, MAX_MELONIC_GRAPHS, _cycle_specs, _cycle_splits,
@@ -112,3 +115,19 @@ def test_melonic_graphs_up_to_the_bound_are_accepted(monkeypatch):
                                    (2, 752, ("melonic",)), (9, 10 ** 6, ("cycle_11",))):
         with pytest.raises(Accepted):
             run_verify_suite(max_k=max_k, max_D=max_D, families=families, seed=0)
+
+
+# sha256 of the JSON list of [name, passed, detail] of every check of
+# run_verify_suite(max_k=6, max_D=6, families=FAMILIES, seed=3) but the Wick
+# gate's, whose detail prints floats rounded by the machine's BLAS
+CHECKS_SHA256 = "ee4081d9811b593bd3f55eaa20691957c34219a64b1d813199190f02daa1a643"
+
+
+def test_cross_check_rows_are_pinned():
+    # a change to what a check reports changes `tul verify`'s stdout, which
+    # must come with a cli.SCHEMA bump and a new digest here
+    results = run_verify_suite(max_k=6, max_D=6, families=FAMILIES, seed=3)
+    assert len(results) == 487 and all(r.passed for r in results)
+    assert results[-1].name == "wick gaussian cycle_11 k=2 N=8"
+    rows = [[r.name, r.passed, r.detail] for r in results[:-1]]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == CHECKS_SHA256
