@@ -9,11 +9,10 @@ sigma_i^-1 one entry of tau at a time in numpy: the entry chosen either
 makes 0 a fixed point of pi or, after one transposition that splits 0 off
 its cycle, leaves a table one entry shorter with as many cycles.  So the
 count is 1 plus the fixed points met on the way.  A pass sorts the rows
-once by the int8 columns of B's distinct rows with the stable np.lexsort:
-each run of equal rows is one face vector, its length is the vector's
-multiplicity, and its first element is the vector's smallest row.
-`covering_pass` puts the runs in the lexicographic order of B's face
-vectors and reads one record, `CoveringPass`, off them:
+once by the int8 columns of B's distinct rows with np.lexsort and keeps
+only the runs of equal rows: each is one face vector, and its length is the
+vector's multiplicity.  `covering_pass` puts the runs in the lexicographic
+order of B's face vectors and reads one record, `CoveringPass`, off them:
 
   histogram  {zero_faces: multiplicity}, the whole finite-N Wick sum
   gamma      the maximal total face count, the leading power of N
@@ -21,8 +20,8 @@ vectors and reads one record, `CoveringPass`, off them:
              the runs of total gamma
   members    those coverings, which carry the leading term; only `tul
              enumerate` reads them, so they are built the first time they
-             are read, from the rows of the top runs, each unranked into
-             its tau in the factorial number system
+             are read, from B's face columns counted again, by picking
+             the pairings of total gamma out of S_k in itertools' order
 
 A color that repeats a sigma row repeats its face count, so the sort is kept
 per set of distinct rows and each graph reads it back in its own colors:
@@ -33,8 +32,8 @@ that k, so a loop over k inside D or m sorts each cycle row set once.
 Gamma, the Catalan/Narayana counts, the exact leading coefficient
 (`face_sum` over `minimal_faces`) and the exact Wick integer all come from
 one pass per graph, and the last pass is cached, since the consumers of one
-graph read it back to back.  No table of S_k is built: the sort and the
-members name pairings by their rank.
+graph read it back to back.  No table of S_k is built, and the sort's row
+order is dropped once its runs are read.
 
 Graphs must be connected and have k <= MAX_K = 9, i.e. at most 362,880
 coverings.  Both are checked before any column is computed or S_k sorted.
@@ -45,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,49 +74,26 @@ class CoveringPass:
     pairings as pairs (tau, zero_faces), in lexicographic order; each
     zero_faces sums to gamma.
 
-    The record keeps the distinct rows it was read from and each color's
-    column among them, so members, which only `tul enumerate` reads, is
-    built the first time it is read, off the sort by those rows: the rows of
-    its runs of total gamma merged in order, each unranked into its tau.
-    That sort is the one the record was read from, unless a graph with
-    other rows came at k since, in which case it is made again.
+    The record keeps its graph, so members, which only `tul enumerate`
+    reads, is built the first time it is read, off the graph's own face
+    columns: each distinct row's column is counted again and the pairings
+    of total gamma are picked out of S_k as itertools walks it, so no sort
+    is read or made again.
     """
 
     histogram: Mapping[tuple[int, ...], int]
     gamma: int
     count: int
-    _k: int = field(repr=False)
-    _rows: tuple[Perm, ...] = field(repr=False)
-    _columns: list[int] = field(repr=False)
+    _graph: ColoredGraph = field(repr=False)
 
     @functools.cached_property
     def members(self) -> tuple[tuple[Perm, tuple[int, ...]], ...]:
-        order, bounds, vectors = _face_sort(self._k, self._rows)
-        faces = vectors[:, self._columns]
-        top = np.flatnonzero(faces.sum(axis=1, dtype=np.int64) == self.gamma)
-        rows = np.concatenate([order[bounds[run]:bounds[run + 1]] for run in top])
-        by_row = np.argsort(rows)
-        faces = np.repeat(faces[top], np.diff(bounds)[top], axis=0)[by_row]
-        return tuple(zip(map(tuple, _unrank(self._k, rows[by_row]).tolist()),
-                         map(tuple, faces.tolist())))
-
-
-def _unrank(k: int, rows: np.ndarray) -> np.ndarray:
-    """The pairings of the given ranks in lexicographic S_k, as an int64
-    (len(rows), k) array.
-
-    A rank's factorial digits: digit i ranks tau[i] among the entries not
-    chosen before it, so, from the last digit back, each digit moves up by
-    one every later entry at or above it.
-    """
-    taus = np.empty((len(rows), k), dtype=np.int64)
-    rest = rows.astype(np.int64)
-    for i in range(k):
-        taus[:, i], rest = np.divmod(rest, math.factorial(k - 1 - i))
-    for i in range(k - 2, -1, -1):
-        later = taus[:, i + 1:]
-        later += later >= taus[:, i:i + 1]
-    return taus
+        sigma = self._graph.sigma
+        column = {row: _face_column(inverse(row)) for row in dict.fromkeys(sigma)}
+        faces = np.stack([column[row] for row in sigma], axis=1)
+        top = faces.sum(axis=1, dtype=np.int64) == self.gamma
+        taus = itertools.compress(itertools.permutations(range(self._graph.k)), top.tolist())
+        return tuple(zip(taus, map(tuple, faces[top].tolist())))
 
 
 def _face_column(table: Perm) -> np.ndarray:
@@ -160,30 +137,29 @@ def _check_graph(B: ColoredGraph):
         )
 
 
-# One sort per k, as {k: (rows, sort)}, so a loop over k inside D or m, as in
-# verify._cycle_specs, sorts each k's cycle rows once.  A bound on memory, not
-# a tuning knob.  A sort of R distinct rows keeps S_k's row order in uint32
-# and R + 4 bytes per run, and there are at most k! runs: at MAX_K the orders
-# of all nine k take at most 4 (1! + ... + 9!) bytes = 1.6 MB, and the runs
-# 154 bytes for a cycle's two rows at k=9, 16 kB for six random rows and 13 MB
-# for 32, so a k=9 sort of 32 random rows holds 14.5 MB in all.  The arrays
-# stay numpy's: as Python lists that sort would take more than 100 MB.
-_FACE_SORTS: dict[int, tuple[tuple[Perm, ...], tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+# One sort per k, as {k: (rows, (vectors, lengths))}, so a loop over k inside
+# D or m, as in verify._cycle_specs, sorts each k's cycle rows once.  A bound
+# on memory, not a tuning knob.  A sort of R distinct rows keeps R + 4 bytes
+# per run, and there are at most k! runs: at k=9, 150 bytes for a cycle's
+# two rows, about 15 kB for six random rows and 13 MB for 32.  S_k's row
+# order is not kept.  The arrays stay numpy's: as Python lists that sort
+# would take more than 100 MB.
+_FACE_SORTS: dict[int, tuple[tuple[Perm, ...], tuple[np.ndarray, np.ndarray]]] = {}
 
 
-def _face_sort(k: int, rows: tuple[Perm, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S_k sorted by the face vectors of the distinct, sorted sigma rows
-    rows: the read-only uint32 row order, the start of each run of equal
-    vectors and then k!, and each run's vector as an int8 (runs, len(rows))
-    array.
+def _face_sort(k: int, rows: tuple[Perm, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of S_k sorted by the face vectors of the distinct, sorted
+    sigma rows rows: each run's vector, as a read-only int8 (runs,
+    len(rows)) array in lexicographic order, and its length, as a read-only
+    uint32 array.
 
-    np.lexsort orders the rows by their face columns, first row first, and
-    is stable, so a run of equal vectors lists the vector's rows in order,
-    and its first element is the one its vector is read from.  Every graph
-    with these rows reads this one sort, whatever its colors, and has their
-    connectivity: the sort is kept in _FACE_SORTS, found by the rows alone,
-    until other rows come at k, and the graph check runs only before a sort
-    is made, ahead of any column.
+    np.lexsort orders the pairings by their face columns, first row first,
+    and a run starts wherever a column changes between neighbours; the
+    order and the run bounds are dropped once the runs are read.  Every
+    graph with these rows reads this one sort, whatever its colors, and has
+    their connectivity: the sort is kept in _FACE_SORTS, found by the rows
+    alone, until other rows come at k, and the graph check runs only before
+    a sort is made, ahead of any column.
     """
     held = _FACE_SORTS.get(k)
     if held is not None and held[0] == rows:
@@ -191,16 +167,17 @@ def _face_sort(k: int, rows: tuple[Perm, ...]) -> tuple[np.ndarray, np.ndarray, 
     _FACE_SORTS.pop(k, None)  # the old sort goes before the new one is made
     _check_graph(ColoredGraph(k=k, sigma=rows))
     columns = [_face_column(inverse(s)) for s in rows]
-    order = np.lexsort(columns[::-1]).astype(np.uint32)
+    order = np.lexsort(columns[::-1])
     change = np.zeros(len(order) - 1, dtype=bool)
     for column in columns:
         ordered = column[order]
         change |= ordered[1:] != ordered[:-1]
-    bounds = np.flatnonzero(np.concatenate(([True], change, [True]))).astype(np.uint32)
+    bounds = np.flatnonzero(np.concatenate(([True], change, [True])))
     vectors = np.stack([column[order[bounds[:-1]]] for column in columns], axis=1)
-    order.flags.writeable = bounds.flags.writeable = vectors.flags.writeable = False
-    _FACE_SORTS[k] = (rows, (order, bounds, vectors))
-    return order, bounds, vectors
+    lengths = np.diff(bounds).astype(np.uint32)
+    vectors.flags.writeable = lengths.flags.writeable = False
+    _FACE_SORTS[k] = (rows, (vectors, lengths))
+    return vectors, lengths
 
 
 # Keeps one record: every consumer of one graph reads it back to back
@@ -219,8 +196,9 @@ def covering_pass(B: ColoredGraph) -> CoveringPass:
     order, as in every (m,n)-cycle whose color 1 is an identity: each run is
     one histogram entry, whose length is the vector's multiplicity.  gamma
     is the largest total over those vectors, summed as Python ints over B's
-    colors, and count is the total length of the runs of that total; the
-    member pairings are built from the sort only when they are read.
+    colors, and count is the total length of the runs of that total.  The
+    record keeps B, and its member pairings are built from B's own face
+    columns only when they are read.
 
     The sort is kept by the set of rows alone, so every graph with the
     same rows reads one sort, whatever its colors: all color splits of the
@@ -231,10 +209,9 @@ def covering_pass(B: ColoredGraph) -> CoveringPass:
     """
     firsts = tuple(dict.fromkeys(B.sigma))  # the distinct rows, by first color
     distinct = tuple(sorted(firsts))
-    _, bounds, vectors = _face_sort(B.k, distinct)
+    vectors, lengths = _face_sort(B.k, distinct)
     at = {row: i for i, row in enumerate(distinct)}
-    columns = [at[row] for row in B.sigma]
-    faces, lengths = vectors.take(columns, axis=1), bounds[1:] - bounds[:-1]
+    faces = vectors.take([at[row] for row in B.sigma], axis=1)
     if firsts != distinct:
         runs = np.lexsort([vectors[:, at[row]] for row in firsts[::-1]])
         faces, lengths = faces.take(runs, axis=0), lengths.take(runs)
@@ -243,7 +220,7 @@ def covering_pass(B: ColoredGraph) -> CoveringPass:
     gamma = max(totals)
     count = sum(n for total, n in zip(totals, histogram.values()) if total == gamma)
     return CoveringPass(histogram=MappingProxyType(histogram), gamma=gamma, count=count,
-                        _k=B.k, _rows=distinct, _columns=columns)
+                        _graph=B)
 
 
 # enumerate_coverings and limit_coefficient are run by no consumer and are
@@ -329,6 +306,7 @@ def narayana_face_distribution(B: ColoredGraph, anchor_color: int) -> dict[int, 
     """
     if not _is_two_color_cycle(B):
         raise ValueError("narayana_face_distribution expects a two-color cycle graph")
+    anchor_color = operator.index(anchor_color)  # a float color is refused, not truncated
     if anchor_color not in (1, 2):
         raise ValueError(f"anchor color must be 1 or 2, got {anchor_color}")
     hist: Counter = Counter()

@@ -201,6 +201,14 @@ def test_narayana_face_distribution_rejects_other_graphs():
         narayana_face_distribution(two_color_cycle(2), 3)
 
 
+def test_narayana_face_distribution_refuses_a_float_anchor(no_column):
+    # 1.0 equals color 1, but a float color is refused before any pass, not
+    # read as a tuple index after it
+    with pytest.raises(TypeError):
+        narayana_face_distribution(two_color_cycle(5), 1.0)
+    assert not enumeration._FACE_SORTS
+
+
 def test_minimal_coverings_color_relabeling():
     # swapping the two colors permutes each member's zero_faces
     spec = CycleSpec(k=3, m_colors=frozenset([2]), n_colors=frozenset([1]))
@@ -268,23 +276,24 @@ def test_pass_matches_face_profile_for_every_covering():
 
 def test_a_pass_builds_no_member_rows_until_members_is_read(monkeypatch):
     # only tul enumerate reads the members: a passing cross-check and a run of
-    # the suite unrank no row, and a record unranks its rows on first read
-    unranked, unrank = [], enumeration._unrank
+    # the suite walk no S_k pairing by pairing, and a record walks S_k once,
+    # on first read of its members
+    walked, permutations = [], itertools.permutations
 
-    def spied(k, rows):
-        unranked.append(k)
-        return unrank(k, rows)
+    def spied(iterable):
+        walked.append(len(iterable))
+        return permutations(iterable)
 
-    monkeypatch.setattr(enumeration, "_unrank", spied)
+    monkeypatch.setattr(enumeration.itertools, "permutations", spied)
     spec = CycleSpec(k=5, m_colors=frozenset([2]), n_colors=frozenset([1, 3]))
     B = make_cycle_graph(spec)
     enumeration.covering_pass.cache_clear()
     report = cross_check(B, spec, (1.5, 0.5, 2.0))
     record = covering_pass(B)
     run_verify_suite(max_k=4, max_D=4, families=FAMILIES, seed=0)
-    assert unranked == [] and "members" not in vars(record)
+    assert walked == [] and "members" not in vars(record)
     assert len(record.members) == record.count == report.count_enum == 1
-    assert unranked == [5]
+    assert walked == [5]
     graphs = PASS_GRAPHS + [G for pair in _repeated_row_graphs(np.random.default_rng(34), 40)
                             for G in pair]
     for G in graphs:
@@ -399,13 +408,15 @@ def test_cycles_of_one_k_share_one_sort(sorts):
         gamma = m * 6 if m == n else n * 5 + m
         assert minimal_coverings(make_cycle_graph(spec)).gamma == gamma
     assert (sorts, list(enumeration._FACE_SORTS)) == ([5], [5])
+    # the sort holds each run's vector and length, and no order of S_5
     rows = ((0, 1, 2, 3, 4), (1, 2, 3, 4, 0))
-    order, bounds, vectors = enumeration._face_sort(5, rows)
-    assert order.dtype == np.uint32 and sorted(order.tolist()) == list(range(120))
-    assert bounds.tolist()[0] == 0 and bounds.tolist()[-1] == 120
-    assert vectors.dtype == np.int8 and vectors.shape == (len(bounds) - 1, 2)
+    held_rows, held = enumeration._FACE_SORTS[5]
+    vectors, lengths = enumeration._face_sort(5, rows)
+    assert held_rows == rows and len(held) == 2 and held[0] is vectors and held[1] is lengths
+    assert vectors.dtype == np.int8 and vectors.shape == (len(lengths), 2)
     assert vectors.tolist() == sorted(vectors.tolist())
-    assert not (order.flags.writeable or bounds.flags.writeable or vectors.flags.writeable)
+    assert lengths.dtype == np.uint32 and lengths.min() >= 1 and lengths.sum() == 120
+    assert not (vectors.flags.writeable or lengths.flags.writeable)
     assert sorts == [5]
 
 
@@ -495,25 +506,45 @@ def test_identity_column_is_the_cycles_of_each_permutation():
     assert np.bincount(enumeration._face_column(tuple(range(9)))).tolist() == STIRLING_9
 
 
-def _unranked(k, rows):
-    # the pairings of the given ranks in S_k, as the members unrank them
-    taus = enumeration._unrank(k, np.asarray(rows, dtype=np.uint32))
-    assert taus.shape == (len(rows), k)
-    return list(map(tuple, taus.tolist()))
+def _top_pairings(B):
+    # the face-maximizing pairings of the brute force, in its order
+    expected = list(enumerate_coverings(B))
+    gamma = max(sum(zero) for _, zero in expected)
+    return tuple((tau, zero) for tau, zero in expected if sum(zero) == gamma)
 
 
-def test_members_unrank_rows_in_itertools_order():
-    # a member's tau is its rank in lexicographic S_k, unranked: every rank
-    # for k <= 8, and 200 fixed ranks of S_9
-    for k in range(1, 9):
-        taus = _unranked(k, range(math.factorial(k)))
-        assert taus == list(itertools.permutations(range(k)))
-    rows = sorted(np.random.default_rng(9).choice(math.factorial(9), size=200,
-                                                  replace=False).tolist())
-    wanted = set(rows)
-    expected = [tau for row, tau in enumerate(itertools.permutations(range(9))) if row in wanted]
-    assert _unranked(9, rows) == expected
-    assert _unranked(9, [math.factorial(9) - 1]) == [(8, 7, 6, 5, 4, 3, 2, 1, 0)]
+def test_members_at_k_8_are_the_face_maximizing_pairings():
+    # a graph that repeats the shift (14 members) and the (1,1)-cycle
+    # (C_8 = 1430 members), each against the brute force over S_8, in its
+    # order; about 0.6 s in all
+    shift, ident = (1, 2, 3, 4, 5, 6, 7, 0), tuple(range(8))
+    graphs = ((ColoredGraph(k=8, sigma=(shift, ident, shift, (1, 0, 3, 2, 5, 4, 7, 6))), 14),
+              (two_color_cycle(8), 1430))
+    for B, count in graphs:
+        members = _top_pairings(B)
+        result = covering_pass.__wrapped__(B)
+        assert (result.count, len(members)) == (count, count), B
+        assert result.members == members, B
+
+
+def test_members_are_built_without_a_sort(sorts):
+    # a record builds its members off its graph's own face columns, so it
+    # sorts S_k no more once its sort was dropped, or replaced by another
+    # graph's at the same k
+    cycle = make_cycle_graph(CycleSpec(k=5, m_colors=frozenset([1]), n_colors=frozenset([2, 3])))
+    melonic = make_melonic(MelonicRecipe(D=3, steps=((1, 1), (2, 1), (3, 2), (1, 3))))
+    assert melonic.k == 5 and set(melonic.sigma) != set(cycle.sigma)
+    rows, members = tuple(sorted(set(cycle.sigma))), _top_pairings(cycle)
+    for drop, made in ((enumeration._FACE_SORTS.clear, [5]),
+                       (lambda: covering_pass(melonic), [5, 5])):
+        enumeration._FACE_SORTS.clear()
+        sorts.clear()
+        record = covering_pass.__wrapped__(cycle)
+        drop()
+        assert enumeration._FACE_SORTS.get(5, (None,))[0] != rows
+        assert sorts == made
+        assert record.members == members
+        assert sorts == made
 
 
 def _connected_graph(rng, k, D):
