@@ -30,17 +30,19 @@ symmetric and an antisymmetric matrix, so both parts of G are read off it.
 For k >= 3 the cycle route raises the Hermitian Grams to P = G^(k//2) by
 binary powering in stacked matmuls and reads tr(G^k) off P, with no LAPACK.
 A Monte Carlo mean on the cycle route holds, per block, the draw, one
-transposed copy A of it and the real Grams X: S is written over the draw,
-which is not needed once A holds it, and A and X are kept from block to
-block of one mean.  For k >= 3 the complex Grams G are written over A and
-their first power over the draw, both spent once X is formed, and only
-k >= 5 keeps one more complex p x p buffer per block for the powers.  For
-one large tensor that is at most 2.5 tensor sizes for k <= 4 and 3.5 for
-k >= 5: the real p x p Gram of a p x q matricization, p <= q, is at most
-half of one, and a complex p x p buffer at most one.  BLAS adds its own
-packing buffers: on the (2,2)-cycle at N=32 (16 MiB tensors) with 4
-samples, `tul mc` peaks at 80 MB at k=2, 96 MB at k=3 and k=4, and 112 MB
-at k=5 (2 vCPUs, numpy 2.4.6, OpenBLAS 0.3.31).
+transposed copy A of it and a Gram scratch of at most GRAM_CHUNK floats: S
+is written over the draw, which is not needed once A holds it, and A and
+the scratch are kept from block to block of one mean.  A real Gram X that
+does not fit the scratch is built in row blocks over the spent rows of A.
+For k >= 3 the complex Grams G are written over the draw and their first
+power over A, both spent once X is formed, and only k >= 5 keeps one more
+complex p x p buffer per block for the powers.  For one large tensor that
+is at most 2 tensor sizes plus the scratch for k <= 4 and 3 plus the
+scratch for k >= 5: a complex p x p buffer of a p x q matricization,
+p <= q, is at most one tensor size.  BLAS adds its own packing buffers: on
+the (2,2)-cycle at N=32 (16 MiB tensors) with 4 samples, `tul mc` peaks at
+72.7 MiB at k=2, 73.4 MiB at k=3 and k=4, and 89.4 MiB at k=5 (2 vCPUs,
+numpy 2.4.6, OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -71,9 +73,10 @@ DEFAULT_NAIVE_BUDGET = 10 ** 8
 EINSUM_LABELS = 52
 
 # TensorSpec refuses tensors with more entries: 1 GiB of complex128.  The
-# cycle route holds the draw, one transposed copy and the real Gram, at most
-# 2.5 tensor sizes, and for k >= 5 one more complex Gram-sized power buffer,
-# at most 3.5: so 2.5 GiB at the limit, or 3.5 GiB for k >= 5.
+# cycle route holds the draw, one transposed copy and the GRAM_CHUNK
+# scratch, 2 tensor sizes and 2 MiB, and for k >= 5 one more complex
+# Gram-sized power buffer, at most one tensor size more: so 2 GiB and 2 MiB
+# at the limit, or 3 GiB and 2 MiB for k >= 5.
 MAX_TENSOR_ENTRIES = 2 ** 26
 
 # The most samples one Monte Carlo mean draws.  Every sample's value is kept
@@ -89,6 +92,15 @@ MAX_SAMPLES = 2 ** 25
 # BLOCK_ENTRIES is part of the stream, so changing it bumps STREAM.
 STREAM = 3
 BLOCK_ENTRIES = 4096
+
+# Floats of the cycle route's Gram scratch: 2 MiB, a bound on memory like
+# DISC_CHUNK, not a knob.  A larger Gram of p rows takes its first
+# GRAM_CHUNK // p rows (at least 32, as p <= 2^13 under MAX_TENSOR_ENTRIES)
+# in the scratch and the rest in blocks over A's spent rows, one GEMM call a
+# block: the 3 calls of the scan's 1024-row Gram at N=32 took 0.039 s
+# against one call's 0.036 s (medians of 60 alternating runs, 2 vCPUs,
+# OpenBLAS 0.3.31).
+GRAM_CHUNK = 2 ** 18
 
 # Pairs of uniforms per step of the in-place uniform-disc transform: a bound
 # on memory like BLOCK_ENTRIES, not a knob, and not part of the stream, since
@@ -460,9 +472,9 @@ def _cycle_values(T_stack: np.ndarray, spec: CycleSpec, work: dict | None = None
 
     The stack is consumed: a C-ordered complex128 stack may be overwritten,
     so a caller that still needs it passes a copy.  work, if given, keeps the
-    transposed copy, the Gram and, for k >= 5, a power buffer of each stack
-    shape for the next call with that shape, so a Monte Carlo mean allocates
-    them once.
+    transposed copy, the Gram scratch and, for k >= 5, a power buffer of each
+    stack shape for the next call with that shape, so a Monte Carlo mean
+    allocates them once.
 
     k = 1 is the squared Frobenius norm of the stack's float view.  Otherwise
     the smaller side's colors come first, so the matrix A is M or M^T and the
@@ -474,12 +486,16 @@ def _cycle_values(T_stack: np.ndarray, spec: CycleSpec, work: dict | None = None
         X = R S^T = (a a^T + b b^T) + (b a^T - a b^T) = Re G + Im G,
 
     half the real multiply-adds of a complex product and no conjugate copy.
-    A (1 + i) is one contiguous complex multiply, exact in both parts, and is
-    written over the stack, whose entries A already holds.  Re G is symmetric
-    and Im G antisymmetric, so they are orthogonal: tr(G^2) = |G|_F^2 =
-    |X|_F^2 for k = 2.  For k >= 3 the Hermitian G = (X + X^T)/2 +
-    i (X - X^T)/2 is raised to P = G^(k//2) by binary powering from the top
-    bit, one stacked complex matmul per squaring and per set bit.  P is
+    A (1 + i) is one contiguous complex multiply, whose parts a - b and a + b
+    each round once, as the two stride-2 ufuncs of a fresh S do, bit for bit;
+    it is written over the stack, whose entries A already holds.  A whole
+    stack's X that fits GRAM_CHUNK floats is one GEMM call into the scratch;
+    otherwise each sample's X is built in row blocks at the head of its float
+    view of A, whose rows R reads no more.  Re G is symmetric and Im G
+    antisymmetric, so they are orthogonal: tr(G^2) = |G|_F^2 = |X|_F^2 for
+    k = 2.  For k >= 3 the Hermitian G = (X + X^T)/2 + i (X - X^T)/2 is
+    raised to P = G^(k//2) by binary powering from the top bit, one stacked
+    complex matmul per squaring and per set bit.  P is
     Hermitian too, so tr(G^k) is |P|_F^2 for even k and Re <P, G P> for odd
     k, each one dot product of float views, as for k = 2.
     """
@@ -496,23 +512,40 @@ def _cycle_values(T_stack: np.ndarray, spec: CycleSpec, work: dict | None = None
     small, large = sides if p <= q else sides[::-1]
     rows = min(p, q)
     order = [0, *small, *large]
+    gram = count * rows * rows
     work = {} if work is None else work
     if T_stack.shape not in work:
         spare = np.empty((count, rows, rows), dtype=np.complex128) if k >= 5 else None
         work[T_stack.shape] = (np.empty([T_stack.shape[i] for i in order], dtype=np.complex128),
-                               np.empty((count, rows, rows)), spare)
-    A, X, spare = work[T_stack.shape]
+                               np.empty(gram if gram <= GRAM_CHUNK
+                                        else min(rows, GRAM_CHUNK // rows) * rows), spare)
+    A, scratch, spare = work[T_stack.shape]
     np.copyto(A, np.transpose(T_stack, order))
     S = np.multiply(A, 1 + 1j, out=T_stack.reshape(A.shape))
     R, S = (Z.view(np.float64).reshape(count, rows, -1) for Z in (A, S))
-    np.matmul(R, S.transpose(0, 2, 1), out=X)
+    if gram <= GRAM_CHUNK:
+        X = np.matmul(R, S.transpose(0, 2, 1), out=scratch.reshape(count, rows, rows))
+    else:
+        # X is the head of each sample's float view of A: the first rows go
+        # to the scratch, each later block [r0, r1) to its place, which lies
+        # in A's spent rows < r0 as r1 p <= r0 2q, and the scratch last
+        X = R.reshape(count, -1)[:, :rows * rows].reshape(count, rows, rows)
+        head = scratch.reshape(-1, rows)
+        for R_b, S_b, X_b in zip(R, S, X):
+            np.matmul(R_b[:len(head)], S_b.T, out=head)
+            r0 = len(head)
+            while r0 < rows:
+                r1 = min(rows, r0 * R.shape[2] // rows)
+                np.matmul(R_b[r0:r1], S_b.T, out=X_b[r0:r1])
+                r0 = r1
+            X_b[:len(head)] = head
     if k == 2:
         flat = X.reshape(count, -1)
         return np.einsum("bi,bi->b", flat, flat)
-    # A and the stack are spent once X holds the Grams: G is written over A,
-    # and the products of P = G^(k//2), by binary powering from the top bit,
-    # over the stack and spare, each to the one that holds neither P nor G
-    G, other = (Z.reshape(-1)[:X.size].reshape(X.shape) for Z in (A, T_stack))
+    # the stack and A are spent once X holds the Grams: G is written over the
+    # stack, and the products of P = G^(k//2), by binary powering from the top
+    # bit, over A and spare, each to the one that holds neither P nor G
+    G, other = (Z.reshape(-1)[:X.size].reshape(X.shape) for Z in (T_stack, A))
     Xt, Gf = X.transpose(0, 2, 1), G.view(np.float64)
     np.add(X, Xt, out=Gf[..., 0::2])
     np.subtract(X, Xt, out=Gf[..., 1::2])
@@ -564,8 +597,8 @@ def _route(graph, dims, count: int):
     side lengths dims, after every refusal that can come before a draw.
 
     The one place that maps a graph kind to its route: a CycleSpec takes the
-    matricized route, whose transposed copy and Gram per stack shape the
-    returned function keeps, and a ColoredGraph the network route, planned
+    matricized route, whose transposed copy and Gram scratch per stack shape
+    the returned function keeps, and a ColoredGraph the network route, planned
     here, so that its colors, einsum's labels or MAX_TENSOR_ENTRIES refuse
     it before anything is drawn.
     """

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +21,7 @@ from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melon
                           random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
 from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISC_CHUNK, DISTRIBUTIONS,
-                         EINSUM_LABELS, MAX_SAMPLES, MAX_TENSOR_ENTRIES, TensorSpec,
+                         EINSUM_LABELS, GRAM_CHUNK, MAX_SAMPLES, MAX_TENSOR_ENTRIES, TensorSpec,
                          _check_naive_contraction, _cycle_values, _network_operands, _network_plan,
                          _network_values, _to_disc,
                          gaussian_exact_mean, monte_carlo_mean, sample_tensor,
@@ -239,29 +240,56 @@ def test_cycle_values_stack_is_slice_by_slice(spec, dims):
     assert values.tolist() == slices
 
 
-# (m_colors, n_colors, dims, K): the scan's (2,2)-cycle at N=16, one tensor
-# per block, and Wick-sized blocks of the (1,1)-cycle and of a (2,1)-cycle
-# whose identity side is the larger one
-KERNEL_SHAPES = [
-    ((1, 3), (2, 4), (16, 16, 16, 16), 1),
-    ((1,), (2,), (8, 8), 64),
-    ((2, 3), (1,), (4, 4, 4), 64),
-]
+# name: ((m_colors, n_colors, dims, K), ks): the scan's (2,2)-cycle at N=16,
+# one tensor per block, whose 256-row Gram is one GEMM call; Wick-sized
+# blocks of the (1,1)-cycle and of a (2,1)-cycle whose identity side is the
+# larger one; and two Grams past GRAM_CHUNK, built in blocks: the scan's
+# 1024 rows at N=32 (256, 256 and 512 rows) and 600 rows of a 600 x 900
+# matricization (436 and 164 rows)
+KERNEL_SHAPES = {
+    "scan": (((1, 3), (2, 4), (16, 16, 16, 16), 1), range(1, 7)),
+    "wick-11": (((1,), (2,), (8, 8), 64), range(1, 7)),
+    "wick-21": (((2, 3), (1,), (4, 4, 4), 64), range(1, 7)),
+    "scan-32": (((1, 3), (2, 4), (32, 32, 32, 32), 1), (2, 3, 5)),
+    "uneven-600": (((1, 3), (2, 4), (24, 30, 25, 30), 1), (2, 3, 5)),
+}
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
-@pytest.mark.parametrize("m, n, dims, K", KERNEL_SHAPES, ids=["scan", "wick-11", "wick-21"])
-def test_cycle_values_match_the_fresh_buffer_kernel(k, m, n, dims, K):
-    # three blocks through one workspace, the last one shorter where K > 1,
-    # as a Monte Carlo mean draws them
+@pytest.mark.parametrize("m, n, dims, K, k", [
+    pytest.param(*shape, k, id=f"{name}-{k}")
+    for name, (shape, ks) in KERNEL_SHAPES.items() for k in ks])
+def test_cycle_values_match_the_fresh_buffer_kernel(m, n, dims, K, k):
+    # blocks through one workspace as a Monte Carlo mean draws them: three,
+    # the last one shorter, where K > 1, and two of one tensor each, the
+    # second reusing the workspace, where K = 1
     spec = CycleSpec(k=k, m_colors=frozenset(m), n_colors=frozenset(n))
     tensor = TensorSpec(D=len(dims), c=dims, N=1, distribution="uniform_disc", seed=k)
     work = {}
-    for start, count in ((0, K), (K, K), (2 * K, max(1, K // 3))):
+    for start, count in ((0, K), (K, K), (2 * K, K // 3)) if K > 1 else ((0, 1), (1, 1)):
         stack = sample_tensor(tensor, start, count)
         expected = cycle_values_fresh(stack, spec)
         assert np.array_equal(_cycle_values(stack, spec, work), expected)
     assert len(work) == (0 if k == 1 else 1 if K == 1 else 2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_cycle_values_allocate_one_tensor_and_the_gram_scratch(k):
+    # beside the N=32 scan draw, the cycle route allocates its transposed
+    # copy, at most GRAM_CHUNK floats of Gram scratch and, for k >= 5, one
+    # complex 1024 x 1024 power buffer; the rest of the Gram and its powers
+    # reuse the spent copy and draw, so a Gram-sized real buffer (8 MiB)
+    # would not fit.  128 KiB are left for Python objects and the 64 KiB
+    # buffer of the ufuncs that read X^T.
+    spec = CycleSpec(k=k, m_colors=frozenset([1, 3]), n_colors=frozenset([2, 4]))
+    stack = sample_tensor(gaussian_spec(4, 32, seed=k), 0, 1)
+    tracemalloc.start()
+    try:
+        _cycle_values(stack, spec, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = stack.nbytes + 8 * GRAM_CHUNK + (16 * 1024 ** 2 if k >= 5 else 0) + 2 ** 17
+    assert peak <= bound
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 9, 64])
