@@ -32,17 +32,17 @@ binary powering in stacked matmuls and reads tr(G^k) off P, with no LAPACK.
 A Monte Carlo mean on the cycle route holds, per block, the draw, one
 transposed copy A of it and a Gram scratch of at most GRAM_CHUNK floats: S
 is written over the draw, which is not needed once A holds it, and A and
-the scratch are kept from block to block of one mean.  A real Gram X that
-does not fit the scratch is built in row blocks over the spent rows of A.
-For k >= 3 the complex Grams G are written over the draw and their first
-power over A, both spent once X is formed, and only k >= 5 keeps one more
-complex p x p buffer per block for the powers.  For one large tensor that
-is at most 2 tensor sizes plus the scratch for k <= 4 and 3 plus the
-scratch for k >= 5: a complex p x p buffer of a p x q matricization,
-p <= q, is at most one tensor size.  BLAS adds its own packing buffers: on
-the (2,2)-cycle at N=32 (16 MiB tensors) with 4 samples, `tul mc` peaks at
-72.7 MiB at k=2, 73.4 MiB at k=3 and k=4, and 89.4 MiB at k=5 (2 vCPUs,
-numpy 2.4.6, OpenBLAS 0.3.31).
+the scratch are kept from block to block of one mean.  The real Grams X
+are built in row blocks over the spent rows of A, the first by way of the
+scratch.  For k >= 3 the complex Grams G are written over the draw and
+their first power over A, both spent once X is formed, and only k >= 5
+keeps one more complex p x p buffer per block for the powers.  For one
+large tensor that is at most 2 tensor sizes plus the scratch for k <= 4
+and 3 plus the scratch for k >= 5: a complex p x p buffer of a p x q
+matricization, p <= q, is at most one tensor size.  BLAS adds its own
+packing buffers: on the (2,2)-cycle at N=32 (16 MiB tensors) with 4
+samples, `tul mc` peaks at 72.7 MiB at k=2, 73.4 MiB at k=3, 73.5 MiB at
+k=4 and 89.4 MiB at k=5 (2 vCPUs, numpy 2.4.6, OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -94,12 +94,13 @@ STREAM = 3
 BLOCK_ENTRIES = 4096
 
 # Floats of the cycle route's Gram scratch: 2 MiB, a bound on memory like
-# DISC_CHUNK, not a knob.  A larger Gram of p rows takes its first
-# GRAM_CHUNK // p rows (at least 32, as p <= 2^13 under MAX_TENSOR_ENTRIES)
-# in the scratch and the rest in blocks over A's spent rows, one GEMM call a
-# block: the 3 calls of the scan's 1024-row Gram at N=32 took 0.039 s
-# against one call's 0.036 s (medians of 60 alternating runs, 2 vCPUs,
-# OpenBLAS 0.3.31).
+# DISC_CHUNK, not a knob.  A stack of count Grams of p rows takes the first
+# GRAM_CHUNK // (count p) rows of each in the scratch (at least 32 for one
+# tensor, as p <= 2^13 under MAX_TENSOR_ENTRIES) and the rest in blocks over
+# A's spent rows, one GEMM call a block: the scan's 1024-row Gram at N=32
+# took 47.6 ms in 3 calls, 0.4 ms of it the scratch copy, against one
+# call's 44.2 ms, and 46.2 ms in the 2 calls of a 2^19-float scratch
+# (medians of 40 alternating runs, 2 vCPUs, OpenBLAS 0.3.31).
 GRAM_CHUNK = 2 ** 18
 
 # Pairs of uniforms per step of the in-place uniform-disc transform: a bound
@@ -488,14 +489,15 @@ def _cycle_values(T_stack: np.ndarray, spec: CycleSpec, work: dict | None = None
     half the real multiply-adds of a complex product and no conjugate copy.
     A (1 + i) is one contiguous complex multiply, whose parts a - b and a + b
     each round once, as the two stride-2 ufuncs of a fresh S do, bit for bit;
-    it is written over the stack, whose entries A already holds.  A whole
-    stack's X that fits GRAM_CHUNK floats is one GEMM call into the scratch;
-    otherwise each sample's X is built in row blocks at the head of its float
-    view of A, whose rows R reads no more.  Re G is symmetric and Im G
-    antisymmetric, so they are orthogonal: tr(G^2) = |G|_F^2 = |X|_F^2 for
-    k = 2.  For k >= 3 the Hermitian G = (X + X^T)/2 + i (X - X^T)/2 is
-    raised to P = G^(k//2) by binary powering from the top bit, one stacked
-    complex matmul per squaring and per set bit.  P is
+    it is written over the stack, whose entries A already holds.  X is
+    built at the head of each sample's float view of A, whose rows R reads no
+    more: its first rows by one stacked GEMM call into a scratch of at most
+    GRAM_CHUNK floats, copied there last, and each later row block by one
+    call in place, so a stack whose X fits the scratch takes one call.  Re G
+    is symmetric and Im G antisymmetric, so they are orthogonal: tr(G^2) =
+    |G|_F^2 = |X|_F^2 for k = 2.  For k >= 3 the Hermitian G = (X + X^T)/2 +
+    i (X - X^T)/2 is raised to P = G^(k//2) by binary powering from the top
+    bit, one stacked complex matmul per squaring and per set bit.  P is
     Hermitian too, so tr(G^k) is |P|_F^2 for even k and Re <P, G P> for odd
     k, each one dot product of float views, as for k = 2.
     """
@@ -512,33 +514,27 @@ def _cycle_values(T_stack: np.ndarray, spec: CycleSpec, work: dict | None = None
     small, large = sides if p <= q else sides[::-1]
     rows = min(p, q)
     order = [0, *small, *large]
-    gram = count * rows * rows
+    # the first h rows of each sample's real Gram go to the scratch
+    h = max(1, min(rows, GRAM_CHUNK // (count * rows)))
     work = {} if work is None else work
     if T_stack.shape not in work:
         spare = np.empty((count, rows, rows), dtype=np.complex128) if k >= 5 else None
         work[T_stack.shape] = (np.empty([T_stack.shape[i] for i in order], dtype=np.complex128),
-                               np.empty(gram if gram <= GRAM_CHUNK
-                                        else min(rows, GRAM_CHUNK // rows) * rows), spare)
-    A, scratch, spare = work[T_stack.shape]
+                               np.empty((count, h, rows)), spare)
+    A, head, spare = work[T_stack.shape]
     np.copyto(A, np.transpose(T_stack, order))
     S = np.multiply(A, 1 + 1j, out=T_stack.reshape(A.shape))
     R, S = (Z.view(np.float64).reshape(count, rows, -1) for Z in (A, S))
-    if gram <= GRAM_CHUNK:
-        X = np.matmul(R, S.transpose(0, 2, 1), out=scratch.reshape(count, rows, rows))
-    else:
-        # X is the head of each sample's float view of A: the first rows go
-        # to the scratch, each later block [r0, r1) to its place, which lies
-        # in A's spent rows < r0 as r1 p <= r0 2q, and the scratch last
-        X = R.reshape(count, -1)[:, :rows * rows].reshape(count, rows, rows)
-        head = scratch.reshape(-1, rows)
-        for R_b, S_b, X_b in zip(R, S, X):
-            np.matmul(R_b[:len(head)], S_b.T, out=head)
-            r0 = len(head)
-            while r0 < rows:
-                r1 = min(rows, r0 * R.shape[2] // rows)
-                np.matmul(R_b[r0:r1], S_b.T, out=X_b[r0:r1])
-                r0 = r1
-            X_b[:len(head)] = head
+    # X is the head of each sample's float view of A: each block [r0, r1)
+    # after the scratch's lies in A's spent rows < r0, as r1 p <= r0 2q
+    X, St = R.reshape(count, -1)[:, :rows * rows].reshape(count, rows, rows), S.transpose(0, 2, 1)
+    np.matmul(R[:, :h], St, out=head)
+    r0 = h
+    while r0 < rows:
+        r1 = min(rows, r0 * R.shape[2] // rows)
+        np.matmul(R[:, r0:r1], St, out=X[:, r0:r1])
+        r0 = r1
+    X[:, :h] = head
     if k == 2:
         flat = X.reshape(count, -1)
         return np.einsum("bi,bi->b", flat, flat)

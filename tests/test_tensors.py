@@ -240,32 +240,32 @@ def test_cycle_values_stack_is_slice_by_slice(spec, dims):
     assert values.tolist() == slices
 
 
-# name: ((m_colors, n_colors, dims, K), ks): the scan's (2,2)-cycle at N=16,
-# one tensor per block, whose 256-row Gram is one GEMM call; Wick-sized
-# blocks of the (1,1)-cycle and of a (2,1)-cycle whose identity side is the
-# larger one; and two Grams past GRAM_CHUNK, built in blocks: the scan's
-# 1024 rows at N=32 (256, 256 and 512 rows) and 600 rows of a 600 x 900
-# matricization (436 and 164 rows)
+# name: ((m_colors, n_colors, dims, K), ks, blocks): the scan's (2,2)-cycle
+# at N=16, one tensor per block, whose 256-row Gram is one GEMM call;
+# Wick-sized blocks of the (1,1)-cycle and of a (2,1)-cycle whose identity
+# side is the larger one; and two Grams past GRAM_CHUNK, built in row blocks:
+# the scan's 1024 rows at N=32 (256, 256 and 512 rows), one block, as each
+# takes 0.5 s at k = 5, and 600 rows of a 600 x 900 matricization (436 and
+# 164 rows), whose three blocks reuse the blocked workspace
 KERNEL_SHAPES = {
-    "scan": (((1, 3), (2, 4), (16, 16, 16, 16), 1), range(1, 7)),
-    "wick-11": (((1,), (2,), (8, 8), 64), range(1, 7)),
-    "wick-21": (((2, 3), (1,), (4, 4, 4), 64), range(1, 7)),
-    "scan-32": (((1, 3), (2, 4), (32, 32, 32, 32), 1), (2, 3, 5)),
-    "uneven-600": (((1, 3), (2, 4), (24, 30, 25, 30), 1), (2, 3, 5)),
+    "scan": (((1, 3), (2, 4), (16, 16, 16, 16), 1), range(1, 7), 3),
+    "wick-11": (((1,), (2,), (8, 8), 64), range(1, 7), 3),
+    "wick-21": (((2, 3), (1,), (4, 4, 4), 64), range(1, 7), 3),
+    "scan-32": (((1, 3), (2, 4), (32, 32, 32, 32), 1), (2, 3, 5), 1),
+    "uneven-600": (((1, 3), (2, 4), (24, 30, 25, 30), 1), (2, 3, 5), 3),
 }
 
 
-@pytest.mark.parametrize("m, n, dims, K, k", [
-    pytest.param(*shape, k, id=f"{name}-{k}")
-    for name, (shape, ks) in KERNEL_SHAPES.items() for k in ks])
-def test_cycle_values_match_the_fresh_buffer_kernel(m, n, dims, K, k):
-    # blocks through one workspace as a Monte Carlo mean draws them: three,
-    # the last one shorter, where K > 1, and two of one tensor each, the
-    # second reusing the workspace, where K = 1
+@pytest.mark.parametrize("m, n, dims, K, blocks, k", [
+    pytest.param(*shape, blocks, k, id=f"{name}-{k}")
+    for name, (shape, ks, blocks) in KERNEL_SHAPES.items() for k in ks])
+def test_cycle_values_match_the_fresh_buffer_kernel(m, n, dims, K, blocks, k):
+    # blocks through one workspace as a Monte Carlo mean draws them, the
+    # third one shorter where K > 1
     spec = CycleSpec(k=k, m_colors=frozenset(m), n_colors=frozenset(n))
     tensor = TensorSpec(D=len(dims), c=dims, N=1, distribution="uniform_disc", seed=k)
     work = {}
-    for start, count in ((0, K), (K, K), (2 * K, K // 3)) if K > 1 else ((0, 1), (1, 1)):
+    for start, count in ((0, K), (K, K), (2 * K, max(1, K // 3)))[:blocks]:
         stack = sample_tensor(tensor, start, count)
         expected = cycle_values_fresh(stack, spec)
         assert np.array_equal(_cycle_values(stack, spec, work), expected)
