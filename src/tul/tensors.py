@@ -14,8 +14,9 @@ Three independent evaluation routes are kept deliberately separate:
            any colored graph, in one unoptimized einsum within
            DEFAULT_NAIVE_BUDGET terms; an oracle only, never run by Monte Carlo
   network  contracts a stack of tensors over any colored graph pairwise, in
-           one einsum per block along a cached greedy order, with a sample
-           label unless the block holds one; Monte Carlo on a ColoredGraph
+           one two-operand einsum per step of a cached greedy walk, with a
+           sample label unless the block holds one; Monte Carlo on a
+           ColoredGraph
   cycle    matricizes each tensor of a stack and takes tr((M^H M)^k);
            Monte Carlo on a CycleSpec
 The naive and network routes share only the einsum label lists of the
@@ -48,6 +49,7 @@ k=4 and 89.4 MiB at k=5 (2 vCPUs, numpy 2.4.6, OpenBLAS 0.3.31).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -68,9 +70,16 @@ DISTRIBUTIONS = ("complex_gaussian", "complex_rademacher", "uniform_disc")
 DEFAULT_NAIVE_BUDGET = 10 ** 8
 
 # The distinct labels one einsum call takes (a-z, A-Z): a network
-# contraction takes one per white vertex on each tensor axis of size > 1, and
-# one for the sample axis of a block of more than one sample.
+# contraction step takes the labels of its two operands.
 EINSUM_LABELS = 52
+
+# The most vertices of each color a network contraction plans, checked
+# before its walk: a resource limit like MAX_K, not a knob.  The walk weighs
+# each pair of the 2k operands that share a label, and with a sample label
+# every pair does, so its time grows as k^3: planning a 64-sample block of
+# a D=6 melonic graph took 0.12 s at k=52, 0.21 s at k=64 and 1.1 s at
+# k=128 (Python 3.11, numpy 2.4.6, 2 vCPUs).
+MAX_NETWORK_K = 64
 
 # TensorSpec refuses tensors with more entries: 1 GiB of complex128.  The
 # cycle route holds the draw, one transposed copy and the GRAM_CHUNK
@@ -362,103 +371,102 @@ def trace_invariant_naive(T: np.ndarray, B: ColoredGraph) -> float:
     return complex(np.einsum(*operands, (), optimize=False)).real
 
 
-def _network_operands(T_stack, Tc_stack, B: ColoredGraph, axes):
-    """einsum's interleaved operands for a stack of tensors over B: the
-    white labels on T_stack and the black ones on its conjugate, each after
-    the sample label k*len(axes), which alone is kept.  A stack of one is
-    contracted as its one tensor, with no sample label and a scalar output,
-    so that a pairwise step can reach BLAS instead of a batched loop."""
-    whites, blacks = _vertex_labels(B, axes)
-    if len(T_stack) == 1:
-        T_stack, Tc_stack, head = T_stack[0], Tc_stack[0], ()
-    else:
-        head = (B.k * len(axes),)
-    operands: list = []
-    for labels in whites:
-        operands += (T_stack, (*head, *labels))
-    for labels in blacks:
-        operands += (Tc_stack, (*head, *labels))
-    return operands + [head]
-
-
 # A Monte Carlo mean contracts blocks of at most two shapes, the full one
 # and a shorter last one, so a few slots hold the plans of every graph in
 # use; a bound on memory, not a knob.
 @functools.lru_cache(maxsize=8)
 def _network_plan(shape: tuple[int, ...], B: ColoredGraph):
-    """The labeled tensor axes, einsum's greedy pairwise path and the entries
-    of its largest intermediate, for a network contraction of a (count,
-    *dims) stack over B; with every side 1 there is no path and no step.
+    """The labeled tensor axes, the pairwise steps and the entries of the
+    largest step, for a network contraction of a (count, *dims) stack over
+    B; with every side 1 there is no step.
+
+    The operands are the k white vertices on the stack and the k black ones
+    on its conjugate, in that order, each labeled as _vertex_labels has it,
+    after the sample label k*D' (D' sides > 1) unless count is 1.  A greedy
+    walk merges, at each step, the pair of live operands that share a label
+    whose merge frees the most entries, then the one that touches the
+    fewest, then the pair found first, as np.einsum_path's greedy search
+    does; only when no pair shares a label, on a graph of several
+    components, does it take an outer product.  A merge keeps the labels
+    that another operand or the output still carries, ordered by axis size,
+    then by label, and is appended to the operands.  A step is (x, y, labels
+    of x, labels of y, labels kept), its labels renumbered from 0, for one
+    two-operand einsum.
 
     It is refused before anything is drawn or contracted: the axes must
-    match the colors, the k*D' labels (D' sides > 1), plus one for the sample
-    axis when count > 1, must fit einsum's EINSUM_LABELS, and the largest
-    step of the path must fit MAX_TENSOR_ENTRIES.  The label count is checked
-    first, so a graph with too many vertices is refused before any path search.
-
-    The path is planned on zero-stride probes, so planning allocates nothing
-    of tensor size, with MAX_TENSOR_ENTRIES as greedy's memory limit: its
-    default, the largest operand, would make it fall back to one
-    term-by-term step on a graph whose adjacent vertices share fewer than
-    half their colors, as on K_{3,3} with one color per perfect matching.  The
-    intermediate sizes come from a walk of the path over the label sets:
-    each step pops its operands, as einsum does, and appends what it keeps,
-    the labels that another operand or the output still carries.  A step of
-    more than two operands is einsum's term-by-term fallback, for when no
-    pair fits the limit, and is charged its whole index space."""
+    match the colors, k must be at most MAX_NETWORK_K, checked before the
+    walk, and every step must fit MAX_TENSOR_ENTRIES entries and
+    EINSUM_LABELS labels.
+    """
     if len(shape) != B.D + 1:
         raise ValueError(f"tensor has {len(shape) - 1} axes, graph has D={B.D} colors")
+    if B.k > MAX_NETWORK_K:
+        raise ValueError(f"k={B.k} exceeds the network route's cap ({MAX_NETWORK_K})")
     axes = tuple(i for i, d in enumerate(shape[1:]) if d > 1)
-    sample = int(shape[0] > 1)
-    labels = B.k * len(axes) + sample
-    if labels > EINSUM_LABELS:
-        raise ValueError(
-            f"network contraction needs {labels} einsum labels (k={B.k} times "
-            f"{len(axes)} sides > 1, plus {sample} for the sample axis), over the limit "
-            f"{EINSUM_LABELS}"
-        )
     if not axes:
-        return axes, None, 0
-    dims = [shape[1 + i] for i in axes]
-    probe = np.broadcast_to(np.zeros((), dtype=np.complex128), [shape[0], *dims])
-    operands = _network_operands(probe, probe, B, axes)
-    path = np.einsum_path(*operands, optimize=("greedy", MAX_TENSOR_ENTRIES))[0]
-    size = {j * len(dims) + a: d for j in range(B.k) for a, d in enumerate(dims)}
-    size[B.k * len(dims)] = shape[0]
-    live = [set(labels) for labels in operands[1:-1:2]]
-    output = set(operands[-1])
-    largest = 0
-    for step in path[1:]:
-        merged = set().union(*(live.pop(i) for i in sorted(step, reverse=True)))
-        kept = merged & set().union(output, *live)
-        charged = kept if len(step) <= 2 else merged
-        largest = max(largest, math.prod(size[label] for label in charged))
-        live.append(kept)
-    if largest > MAX_TENSOR_ENTRIES:
-        raise ValueError(
-            f"network contraction of {shape[0]} sample(s) of a {'x'.join(map(str, shape[1:]))} "
-            f"tensor needs a contraction step of {largest:.3e} entries, over the limit of "
-            f"{MAX_TENSOR_ENTRIES}"
-        )
-    return axes, path, largest
+        return axes, (), 0
+    # label j*D' + a is a side of axes[a], and the sample label k*D' the last
+    size = [shape[1 + i] for i in axes] * B.k + [shape[0]]
+    output = {B.k * len(axes)} if shape[0] > 1 else set()
+    whites, blacks = _vertex_labels(B, axes)
+    live = dict(enumerate((*output, *vertex) for vertex in whites + blacks))
+
+    def entries(labels):
+        return math.prod(size[label] for label in labels)
+
+    def merge(a, b):
+        # every label but the sample's is on exactly two live operands, and
+        # the sample's on all, so a pair keeps the labels one of them carries
+        kept = sorted(set(a) ^ set(b) | output, key=lambda label: (size[label], label))
+        return (entries(kept) - entries(a) - entries(b), entries({*a, *b})), kept
+
+    pairs = {(x, y): merge(live[x], live[y]) for x, y in itertools.combinations(live, 2)
+             if not set(live[x]).isdisjoint(live[y])}
+    steps, largest = [], 0
+    while len(live) > 1:
+        pairs = pairs or {(x, y): merge(live[x], live[y])
+                          for x, y in itertools.combinations(live, 2)}
+        (x, y), (_, kept) = min(pairs.items(), key=lambda item: item[1][0])
+        touched = sorted({*live[x], *live[y]})
+        if entries(kept) > MAX_TENSOR_ENTRIES or len(touched) > EINSUM_LABELS:
+            raise ValueError(
+                f"network contraction of {shape[0]} sample(s) of a {'x'.join(map(str, shape[1:]))} "
+                f"tensor needs a contraction step of {entries(kept):.3e} entries over "
+                f"{len(touched)} einsum labels, over the limit of {MAX_TENSOR_ENTRIES} entries "
+                f"and {EINSUM_LABELS} labels")
+        # the result is operand 2k + (its step's index)
+        z = 2 * B.k + len(steps)
+        steps.append((x, y, *([touched.index(label) for label in operand]
+                              for operand in (live.pop(x), live.pop(y), kept))))
+        largest = max(largest, entries(kept))
+        pairs = {pair: c for pair, c in pairs.items() if x not in pair and y not in pair}
+        pairs.update({(v, z): merge(live[v], kept) for v in live
+                      if not set(live[v]).isdisjoint(kept)})
+        live[z] = kept
+    return axes, tuple(steps), largest
 
 
 def _network_values(T_stack: np.ndarray, B: ColoredGraph) -> np.ndarray:
-    """Real part of the invariant of B for each tensor in a stack, by one
-    einsum along the greedy pairwise path of _network_plan, on the operands of
-    _network_operands with the conjugate stack taken once.
+    """Real part of the invariant of B for each tensor in a stack, by the
+    steps of _network_plan, one two-operand einsum each, which einsum may
+    run as a (batched) matrix product, with the conjugate stack taken once.
 
     Size-1 axes carry no label; when every axis has size 1 the invariant of
-    each tensor is the single term |t|^(2k).
+    each tensor is the single term |t|^(2k).  A stack of one is contracted
+    as its one tensor, with no sample label.
     """
     T_stack = np.asarray(T_stack, dtype=np.complex128)
-    axes, path, _ = _network_plan(T_stack.shape, B)
+    axes, steps, _ = _network_plan(T_stack.shape, B)
     count = len(T_stack)
     if not axes:
         return np.abs(T_stack.reshape(count)) ** (2 * B.k)
-    T_stack = T_stack.reshape(count, *(T_stack.shape[1 + i] for i in axes))
-    operands = _network_operands(T_stack, np.conj(T_stack), B, axes)
-    return np.einsum(*operands, optimize=path).real.reshape(count)
+    dims = [T_stack.shape[1 + i] for i in axes]
+    T_stack = T_stack.reshape(count, *dims) if count > 1 else T_stack.reshape(dims)
+    operands = [T_stack] * B.k + [np.conj(T_stack)] * B.k
+    for x, y, left, right, kept in steps:
+        operands.append(np.einsum(operands[x], left, operands[y], right, kept, optimize=True))
+        operands[x] = operands[y] = None
+    return operands[-1].real.reshape(count)
 
 
 def trace_invariant_network(T: np.ndarray, B: ColoredGraph) -> float:
@@ -595,8 +603,8 @@ def _route(graph, dims, count: int):
     The one place that maps a graph kind to its route: a CycleSpec takes the
     matricized route, whose transposed copy and Gram scratch per stack shape
     the returned function keeps, and a ColoredGraph the network route, planned
-    here, so that its colors, einsum's labels or MAX_TENSOR_ENTRIES refuse
-    it before anything is drawn.
+    here, so that its colors, MAX_NETWORK_K or a step past MAX_TENSOR_ENTRIES
+    or EINSUM_LABELS refuse it before anything is drawn.
     """
     if isinstance(graph, CycleSpec):
         if len(dims) != graph.D:
@@ -613,8 +621,8 @@ def monte_carlo_mean(spec: TensorSpec, graph, samples: int) -> tuple[float, floa
     """Sample mean and standard error of the invariant over independent draws.
 
     graph selects the evaluation route: a ColoredGraph goes through the
-    network contraction, one greedy-ordered einsum per block, a CycleSpec
-    through the matricized route, one stacked Gram per block.  Samples
+    network contraction, the einsum steps of its greedy plan per block, a
+    CycleSpec through the matricized route, one stacked Gram per block.  Samples
     0..samples-1 are drawn one block substream of spec.seed at a time, so
     the first n values do not depend on how many are drawn.  A count below 2
     or above MAX_SAMPLES, and everything _route refuses, is refused before

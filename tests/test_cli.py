@@ -428,14 +428,14 @@ def test_enumerate_far_over_the_cap_gives_the_cap(capsys, cycle11_k2000_graph):
 
 def test_mc_graph_over_the_label_limit_exits_2_before_any_draw(capsys, no_draw, tmp_path,
                                                                cycle11_k2000_graph):
-    # refused by its label count, before a path search over 4000 operands
+    # refused by k, past tensors.MAX_NETWORK_K, before a walk over 4000 operands
     tensor = _write(tmp_path, "tensor.json", json.dumps({"D": 2, "c": [1, 1], "N": 2,
                                                          "distribution": "complex_gaussian"}))
     t0 = time.perf_counter()
     assert main(["mc", "--spec", tensor, "--graph", cycle11_k2000_graph]) == 2
     assert time.perf_counter() - t0 < 1
     err = capsys.readouterr().err
-    assert "network contraction needs 4001 einsum labels" in err and "over the limit 52" in err
+    assert "k=2000 exceeds the network route's cap (64)" in err
 
 
 @pytest.mark.parametrize("k, size", [(200, "5.644e+479"), (128, "4.443e+306")])
@@ -974,7 +974,7 @@ def test_removed_flags_exit_2(capsys, tensor_spec_file, cycle_spec_file, cycle22
 
 def test_mc_network_budget_exits_2_before_any_draw(capsys, no_draw, tmp_path):
     # K_{3,3} with one color per perfect matching: every pairwise step at
-    # N=128 holds 128^4 = 2^28 entries, so the whole scan is refused
+    # N=128 keeps 128^4 = 2^28 entries, so the whole scan is refused
     graph = _write(tmp_path, "graph.json", json.dumps(
         {"k": 3, "D": 3, "sigma": [[1, 2, 3], [2, 3, 1], [3, 1, 2]]}))
     tensor = _write(tmp_path, "tensor.json", json.dumps({"D": 3, "c": [1, 1, 1], "N": 2,
@@ -983,7 +983,8 @@ def test_mc_network_budget_exits_2_before_any_draw(capsys, no_draw, tmp_path):
                  "--samples", "5"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "128x128x128 tensor needs a contraction step of 9.223e+18 entries" in err
+    assert ("128x128x128 tensor needs a contraction step of 2.684e+08 entries over 5 einsum "
+            "labels") in err
     assert "Traceback" not in err
 
 
