@@ -673,7 +673,7 @@ def random_connected_graph(rng, k, D):
 
 
 # graphs of k = 20-30 and D = 3-5, each past einsum's 52 labels as a whole,
-# with rectangular sides where a step would mix them up
+# on unequal sides, so that a step that confused two axes would show
 PAST_THE_LABEL_CAP = [
     (make_melonic(random_melonic_recipe(np.random.default_rng(3), 3, 30)), (2, 3, 2)),
     (make_cycle_graph(CycleSpec(k=24, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))),
