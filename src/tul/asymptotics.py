@@ -26,7 +26,7 @@ import functools
 import math
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import face_sum, minimal_faces, narayana_row
@@ -36,13 +36,11 @@ from .graphs import ColoredGraph, e_notation, side_ratios
 
 @dataclass(frozen=True)
 class AsymptoticPrediction:
-    """Leading behavior coefficient * N^gamma of the averaged invariant, and
-    the minimal-covering face histogram it is read from."""
+    """Leading behavior coefficient * N^gamma of the averaged invariant."""
 
     gamma: int
     coefficient: float
     family: str
-    faces: dict[tuple[int, ...], int] = field(repr=False, compare=False)
 
 
 # A coefficient whose estimated log10 lies 20 decades outside the double
@@ -85,8 +83,7 @@ def _prediction(family: str, faces, c) -> AsymptoticPrediction:
     if value == 0.0 or value == math.inf:
         raise ValueError(f"the {family} coefficient ~{e_notation(size)} "
                          f"{'overflows' if value else 'underflows'} a float to {value}")
-    return AsymptoticPrediction(gamma=sum(next(iter(faces))), coefficient=value, family=family,
-                                faces=faces)
+    return AsymptoticPrediction(gamma=sum(next(iter(faces))), coefficient=value, family=family)
 
 
 def melonic_faces(recipe: MelonicRecipe) -> dict[tuple[int, ...], int]:

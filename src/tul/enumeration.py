@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,7 +53,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .families import CycleSpec, cycle_rows
-from .graphs import ColoredGraph, e_notation, is_connected, side_ratios
+from .graphs import ColoredGraph, as_int, e_notation, is_connected, side_ratios
 from .permutations import Perm, cycles, inverse
 
 # The largest k a pass accepts.  A resource limit, not a tuning knob: a
@@ -275,6 +274,7 @@ def limit_coefficient(B: ColoredGraph, c) -> Fraction:
 
 def catalan(k: int) -> int:
     """C_k = binom(2k, k) / (k+1), exact."""
+    k = as_int(k, "k")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     return math.comb(2 * k, k) // (k + 1)
@@ -284,6 +284,7 @@ def narayana_row(k: int) -> list[int]:
     """The Narayana row [N_{k,1}, ..., N_{k,k}], N_{k,l} = (1/k) binom(k, l)
     binom(k, l-1), by N_{k,1} = 1 and N_{k,l+1} = N_{k,l} (k-l)(k-l+1) /
     (l(l+1)), one exact integer division per entry."""
+    k = as_int(k, "k")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     row = [1]
@@ -306,7 +307,7 @@ def narayana_face_distribution(B: ColoredGraph, anchor_color: int) -> dict[int, 
     """
     if not _is_two_color_cycle(B):
         raise ValueError("narayana_face_distribution expects a two-color cycle graph")
-    anchor_color = operator.index(anchor_color)  # a float color is refused, not truncated
+    anchor_color = as_int(anchor_color, "anchor color")  # 1.0 is refused, not truncated
     if anchor_color not in (1, 2):
         raise ValueError(f"anchor color must be 1 or 2, got {anchor_color}")
     hist: Counter = Counter()

@@ -12,10 +12,9 @@ identity permutations for the m-colors and the cyclic shift for the n-colors.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .graphs import ColoredGraph, is_json_int, json_fields
+from .graphs import ColoredGraph, as_int, is_json_int, json_fields
 from .permutations import Perm, identity
 
 Step = tuple[int, int]  # (color, white vertex), both 1-based
@@ -34,10 +33,11 @@ class MelonicRecipe:
     steps: tuple[Step, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "D", operator.index(self.D))
+        object.__setattr__(self, "D", as_int(self.D, "D"))
         if self.D < 1:
             raise ValueError(f"D must be positive, got {self.D}")
-        steps = tuple((operator.index(c), operator.index(v)) for c, v in self.steps)
+        steps = tuple((as_int(c, "a step's color"), as_int(v, "a step's white vertex"))
+                      for c, v in self.steps)
         object.__setattr__(self, "steps", steps)
         if self.steps and self.D < 3:
             raise ValueError(
@@ -67,10 +67,10 @@ class CycleSpec:
     n_colors: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "k", as_int(self.k, "k"))
         for name in ("m_colors", "n_colors"):
-            colors = set()
-            for color in map(operator.index, getattr(self, name)):
+            colors, what = set(), f"a color of {name}"
+            for color in (as_int(x, what) for x in getattr(self, name)):
                 if color in colors:
                     raise ValueError(f"{name} repeats color {color}")
                 colors.add(color)
@@ -146,7 +146,7 @@ def make_cycle_graph(spec: CycleSpec) -> ColoredGraph:
 
 
 # ---------------------------------------------------------------------------
-# JSON mirrors of CycleSpec and MelonicRecipe
+# JSON readers of CycleSpec and MelonicRecipe
 # ---------------------------------------------------------------------------
 
 def cycle_spec_from_json_dict(data) -> CycleSpec:
@@ -158,10 +158,6 @@ def cycle_spec_from_json_dict(data) -> CycleSpec:
     return CycleSpec(k=k, m_colors=m_colors, n_colors=n_colors)
 
 
-def cycle_spec_to_json_dict(spec: CycleSpec) -> dict:
-    return {"k": spec.k, "m_colors": sorted(spec.m_colors), "n_colors": sorted(spec.n_colors)}
-
-
 def melonic_recipe_from_json_dict(data) -> MelonicRecipe:
     D, steps = json_fields(data, "melonic recipe", ("D", "steps"), ints=("D",))
     if (not isinstance(steps, list)
@@ -169,7 +165,3 @@ def melonic_recipe_from_json_dict(data) -> MelonicRecipe:
                        and all(is_json_int(x) for x in s) for s in steps)):
         raise ValueError("field 'steps' must be a list of [color, white_vertex] pairs")
     return MelonicRecipe(D=D, steps=tuple((c, v) for c, v in steps))
-
-
-def melonic_recipe_to_json_dict(recipe: MelonicRecipe) -> dict:
-    return {"D": recipe.D, "steps": [[c, v] for c, v in recipe.steps]}

@@ -13,11 +13,14 @@ enumeration layer refuses them) so that degenerate cases stay unit-testable.
 
 json_fields is the one check of the object, required fields and integer
 fields of every JSON input: graph, cycle spec, melonic recipe, tensor spec.
+as_int is the one reader of an integer argument of the library: a count,
+size, color, index or seed, never a bool.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +36,7 @@ class ColoredGraph:
     sigma: tuple[Perm, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "k", as_int(self.k, "k"))
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         if len(self.sigma) < 1:
@@ -81,6 +85,14 @@ def is_json_int(x) -> bool:
     """True for a JSON integer.  bool is an int in Python, but JSON true and
     false are not numbers."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def as_int(x, what: str) -> int:
+    """x as an int, for a library argument named what: operator.index, which
+    refuses a float, and bool refused too, as is_json_int refuses it."""
+    if isinstance(x, bool):
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return operator.index(x)
 
 
 def e_notation(log10: float) -> str:
@@ -150,10 +162,6 @@ def json_fields(data, what: str, required=(), ints=(), positive=False) -> tuple:
             noun = "a positive integer" if positive else "an integer"
             raise ValueError(f"field '{key}' must be {noun}, got {data[key]!r}")
     return tuple(data[key] for key in required)
-
-
-def graph_to_json_dict(B: ColoredGraph) -> dict:
-    return {"k": B.k, "D": B.D, "sigma": [[j + 1 for j in s] for s in B.sigma]}
 
 
 def graph_from_json_dict(data) -> ColoredGraph:

@@ -51,7 +51,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
@@ -62,7 +61,7 @@ import numpy as np
 from .asymptotics import predict
 from .enumeration import covering_pass, face_sum
 from .families import CycleSpec
-from .graphs import ColoredGraph, e_notation, json_fields, side_ratios
+from .graphs import ColoredGraph, as_int, e_notation, json_fields, side_ratios
 from .permutations import inverse
 
 DISTRIBUTIONS = ("complex_gaussian", "complex_rademacher", "uniform_disc")
@@ -147,7 +146,7 @@ def side_lengths(c, N: int, D: int) -> tuple[int, ...]:
     The ratios c are read by graphs.side_ratios, so they are exact: a c_i N
     that is not an integer is refused, never rounded.
     """
-    N = operator.index(N)
+    N = as_int(N, "N")
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     dims = []
@@ -175,7 +174,7 @@ class TensorSpec:
     dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "D", operator.index(self.D))
+        object.__setattr__(self, "D", as_int(self.D, "D"))
         if self.D < 1:
             raise ValueError(f"D must be positive, got {self.D}")
         object.__setattr__(self, "c", side_ratios(self.c, self.D))
@@ -190,7 +189,7 @@ class TensorSpec:
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}; "
                              f"choose one of {', '.join(DISTRIBUTIONS)}")
-        object.__setattr__(self, "seed", operator.index(self.seed))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
@@ -291,7 +290,8 @@ def sample_tensor(spec: TensorSpec, sample_index: int = 0, count: int | None = N
     drawn with it.  Sample i alone costs the prefix of its block up to entry
     i % K (at K=256, 178 us against 24 us for i=0), so draw ranges with count.
     """
-    n = 1 if count is None else count
+    sample_index = as_int(sample_index, "sample_index")
+    n = 1 if count is None else as_int(count, "count")
     if sample_index < 0 or n < 1:
         raise ValueError(f"need sample_index >= 0 and count >= 1, got {sample_index} and {n}")
     K = _block_size(spec.dims)
@@ -393,13 +393,11 @@ def _network_plan(shape: tuple[int, ...], B: ColoredGraph):
     of x, labels of y, labels kept), its labels renumbered from 0, for one
     two-operand einsum.
 
-    It is refused before anything is drawn or contracted: the axes must
-    match the colors, k must be at most MAX_NETWORK_K, checked before the
-    walk, and every step must fit MAX_TENSOR_ENTRIES entries and
-    EINSUM_LABELS labels.
+    It is refused before anything is drawn or contracted, once _route has
+    matched the axes with the colors: k must be at most MAX_NETWORK_K,
+    checked before the walk, and every step must fit MAX_TENSOR_ENTRIES
+    entries and EINSUM_LABELS labels.
     """
-    if len(shape) != B.D + 1:
-        raise ValueError(f"tensor has {len(shape) - 1} axes, graph has D={B.D} colors")
     if B.k > MAX_NETWORK_K:
         raise ValueError(f"k={B.k} exceeds the network route's cap ({MAX_NETWORK_K})")
     axes = tuple(i for i, d in enumerate(shape[1:]) if d > 1)
@@ -470,14 +468,16 @@ def _network_values(T_stack: np.ndarray, B: ColoredGraph) -> np.ndarray:
 
 
 def trace_invariant_network(T: np.ndarray, B: ColoredGraph) -> float:
-    """Real part of the invariant of B for one tensor: _network_values on a
-    stack of one."""
-    return float(_network_values(np.asarray(T, dtype=np.complex128)[None], B)[0])
+    """Real part of the invariant of B for one tensor: the contraction _route
+    gives B, on a stack of one."""
+    T = np.asarray(T, dtype=np.complex128)
+    return float(_route(B, T.shape, 1)(T[None])[0])
 
 
 def _cycle_values(T_stack: np.ndarray, spec: CycleSpec, work: dict | None = None) -> np.ndarray:
     """tr((M^H M)^k) of each tensor in a stack, for the matricization M with
-    row index over the identity colors and column index over the shift colors.
+    row index over the identity colors and column index over the shift colors;
+    _route has matched the stack's axes with the colors.
 
     The stack is consumed: a C-ordered complex128 stack may be overwritten,
     so a caller that still needs it passes a copy.  work, if given, keeps the
@@ -510,8 +510,6 @@ def _cycle_values(T_stack: np.ndarray, spec: CycleSpec, work: dict | None = None
     k, each one dot product of float views, as for k = 2.
     """
     T_stack = np.ascontiguousarray(T_stack, dtype=np.complex128)
-    if T_stack.ndim != spec.D + 1:
-        raise ValueError(f"tensor has {T_stack.ndim - 1} axes, cycle spec has D={spec.D} colors")
     count, k = len(T_stack), spec.k
     if k == 1:
         flat = T_stack.view(np.float64).reshape(count, -1)
@@ -569,9 +567,10 @@ def _cycle_values(T_stack: np.ndarray, spec: CycleSpec, work: dict | None = None
 
 
 def trace_invariant_cycle(T: np.ndarray, spec: CycleSpec) -> float:
-    """tr((M^H M)^k) for the matricization M of one tensor: _cycle_values on
-    a stack of one copy, so T is left as it was."""
-    return float(_cycle_values(np.array(T, dtype=np.complex128, order="C")[None], spec)[0])
+    """tr((M^H M)^k) for the matricization M of one tensor: the contraction
+    _route gives spec, on a stack of one copy, so T is left as it was."""
+    T = np.array(T, dtype=np.complex128, order="C")
+    return float(_route(spec, T.shape, 1)(T[None])[0])
 
 
 def gaussian_exact_mean(B: ColoredGraph, c, N: int) -> int:
@@ -600,21 +599,23 @@ def _route(graph, dims, count: int):
     """The contraction of graph's route for stacks of up to count tensors of
     side lengths dims, after every refusal that can come before a draw.
 
-    The one place that maps a graph kind to its route: a CycleSpec takes the
-    matricized route, whose transposed copy and Gram scratch per stack shape
-    the returned function keeps, and a ColoredGraph the network route, planned
-    here, so that its colors, MAX_NETWORK_K or a step past MAX_TENSOR_ENTRIES
-    or EINSUM_LABELS refuse it before anything is drawn.
+    The one place that maps a graph kind to its route, and that matches the
+    tensor's axes with the graph's colors, for every contraction Monte Carlo
+    or a caller of trace_invariant_cycle or trace_invariant_network runs.  A
+    CycleSpec takes the matricized route, whose transposed copy and Gram
+    scratch per stack shape the returned function keeps, and a ColoredGraph
+    the network route, planned here, so that MAX_NETWORK_K or a step past
+    MAX_TENSOR_ENTRIES or EINSUM_LABELS refuses it before anything is drawn.
     """
+    if not isinstance(graph, (CycleSpec, ColoredGraph)):
+        raise TypeError(f"graph must be ColoredGraph or CycleSpec, got {type(graph)}")
+    if len(dims) != graph.D:
+        raise ValueError(f"tensor has {len(dims)} axes, graph has D={graph.D} colors")
     if isinstance(graph, CycleSpec):
-        if len(dims) != graph.D:
-            raise ValueError(f"tensor has {len(dims)} axes, graph has D={graph.D} colors")
         work: dict = {}
         return lambda stack: _cycle_values(stack, graph, work)
-    if isinstance(graph, ColoredGraph):
-        _network_plan((count, *dims), graph)
-        return lambda stack: _network_values(stack, graph)
-    raise TypeError(f"graph must be ColoredGraph or CycleSpec, got {type(graph)}")
+    _network_plan((count, *dims), graph)
+    return lambda stack: _network_values(stack, graph)
 
 
 def monte_carlo_mean(spec: TensorSpec, graph, samples: int) -> tuple[float, float]:
@@ -634,6 +635,7 @@ def monte_carlo_mean(spec: TensorSpec, graph, samples: int) -> tuple[float, floa
     graph the real part is the whole invariant.  A mean or standard error
     that leaves the double range is a ValueError, with no numpy warning.
     """
+    samples = as_int(samples, "samples")
     _check_samples(samples)
     K = _block_size(spec.dims)
     evaluate = _route(graph, spec.dims, min(K, samples))
@@ -685,15 +687,15 @@ def universality_scan(spec: TensorSpec, graph, N_list, samples) -> UniversalityR
     when squared is refused; a mean or standard error that still overflows
     in the draws is refused by monte_carlo_mean, and named with its N here.
     """
-    N_list = [operator.index(N) for N in N_list]
+    N_list = [as_int(N, "N") for N in N_list]
     if not N_list:
         raise ValueError("N_list must not be empty")
     if isinstance(samples, Iterable):
-        per_N = [operator.index(s) for s in samples]
+        per_N = [as_int(s, "samples") for s in samples]
         if len(per_N) != len(N_list):
             raise ValueError(f"got {len(per_N)} sample counts for {len(N_list)} values of N")
     else:
-        per_N = [operator.index(samples)] * len(N_list)
+        per_N = [as_int(samples, "samples")] * len(N_list)
     # every row's spec, sample count and route is checked before any row is
     # sampled
     row_specs = [replace(spec, N=N) for N in N_list]

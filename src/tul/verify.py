@@ -18,6 +18,7 @@ from .asymptotics import CrossCheckError, cross_check
 from .enumeration import (MAX_K, catalan, minimal_coverings, narayana_face_distribution,
                           narayana_row)
 from .families import CycleSpec, make_cycle_graph, make_melonic, random_melonic_recipe
+from .graphs import as_int
 from .tensors import TensorSpec, gaussian_exact_mean, monte_carlo_mean
 
 FAMILIES = ("cycle_11", "cycle_mm", "cycle_mn", "melonic")
@@ -82,7 +83,9 @@ def run_verify_suite(*, max_k: int, max_D: int, families, seed: int) -> list[Che
     Before any check, refuses max_k < 1, max_k > MAX_K, max_D < 2, an unknown
     family, an empty family set, more than MAX_CYCLE_SPLITS cycle splits,
     more than MAX_MELONIC_GRAPHS melonic graphs and a seed outside
-    0..2^64-1, in that order, with a ValueError."""
+    0..2^64-1, in that order, with a ValueError; max_k, max_D and seed are
+    read by graphs.as_int, so a float or a bool is a TypeError."""
+    max_k, max_D = as_int(max_k, "max_k"), as_int(max_D, "max_D")
     families = frozenset(families)
     if max_k < 1:
         raise ValueError(f"max_k must be positive, got {max_k}")

@@ -12,7 +12,8 @@ uniform disc has two oracles: its draw through np.sin and np.cos in one pass,
 within 2^-49 of the package's, and its IEEE operations one Python float at a
 time, a bitwise oracle.  `face_columns` alone is no oracle: it stacks the
 package's face columns, one row per pairing, for the tests that read the
-pass's record against them.
+pass's record against them, and `json_dict` writes the JSON that tul only
+reads.
 """
 
 from __future__ import annotations
@@ -24,11 +25,26 @@ from fractions import Fraction
 import numpy as np
 
 from tul.enumeration import _face_column
-from tul.families import CycleSpec
+from tul.families import CycleSpec, MelonicRecipe
 from tul.graphs import ColoredGraph, is_connected
 from tul.permutations import Perm, cycles, inverse, is_perm
 from tul.tensors import (COS_KERNEL, SIN_KERNEL, TensorSpec, UniversalityReport,
                          trace_invariant_cycle, trace_invariant_naive)
+
+
+# ---------------------------------------------------------------------------
+# JSON writer
+# ---------------------------------------------------------------------------
+
+def json_dict(spec: ColoredGraph | CycleSpec | MelonicRecipe) -> dict:
+    """The JSON object of a graph, a cycle spec or a melonic recipe, as tul's
+    readers take it: sigma rows of 1-based images, sorted color lists, and
+    the recipe's 1-based steps as [color, white_vertex] pairs."""
+    if isinstance(spec, ColoredGraph):
+        return {"k": spec.k, "D": spec.D, "sigma": [[j + 1 for j in s] for s in spec.sigma]}
+    if isinstance(spec, CycleSpec):
+        return {"k": spec.k, "m_colors": sorted(spec.m_colors), "n_colors": sorted(spec.n_colors)}
+    return {"D": spec.D, "steps": [[c, v] for c, v in spec.steps]}
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +273,6 @@ def cycle_values_fresh(T_stack: np.ndarray, spec: CycleSpec) -> np.ndarray:
     ufuncs, fresh A, S, Gram and powers of the Gram on every call, and the
     stack left as it was.  The kernel must match it bit for bit."""
     T_stack = np.asarray(T_stack, dtype=np.complex128)
-    if T_stack.ndim != spec.D + 1:
-        raise ValueError(f"tensor has {T_stack.ndim - 1} axes, cycle spec has D={spec.D} colors")
     count, k = len(T_stack), spec.k
     if k == 1:
         flat = np.ascontiguousarray(T_stack).view(np.float64).reshape(count, -1)

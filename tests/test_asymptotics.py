@@ -38,17 +38,20 @@ def test_predict_reads_ratios_before_the_histogram(monkeypatch, no_column):
         predict("dipole", (1, 1))
 
 
-def test_predict_carries_its_face_histogram():
+def test_predict_reads_the_histogram_of_its_kind():
+    # gamma is the histogram's total and the coefficient its face sum at c,
+    # rounded once; the prediction holds those two and the family label only
     spec = CycleSpec(k=3, m_colors=frozenset([1]), n_colors=frozenset([2]))
     recipe = MelonicRecipe(D=3, steps=((1, 1),))
     B = make_melonic(recipe)
-    assert predict(spec, (1, 1)).faces == cycle_faces(spec)
-    assert predict(recipe, (1, 1, 1)).faces == melonic_faces(recipe)
-    assert predict(B, (1, 1, 1)).faces == minimal_faces(B)
-    # the histogram is neither compared nor shown
-    assert predict(recipe, (1, 1, 1)) == AsymptoticPrediction(
-        gamma=5, coefficient=1.0, family="melonic", faces={})
-    assert "faces" not in repr(predict(spec, (1, 1)))
+    for target, family, faces in ((spec, "cycle_11", cycle_faces(spec)),
+                                  (recipe, "melonic", melonic_faces(recipe)),
+                                  (B, "generic", minimal_faces(B))):
+        c = (Fraction(3, 2), 2, Fraction(1, 3))[:target.D]
+        assert predict(target, c) == AsymptoticPrediction(
+            gamma=sum(next(iter(faces))), coefficient=float(face_sum(faces, c)), family=family)
+    assert predict(recipe, (1, 1, 1)) == AsymptoticPrediction(gamma=5, coefficient=1.0,
+                                                              family="melonic")
 
 
 def test_predict_melonic_uniform_ratios():

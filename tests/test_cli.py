@@ -10,13 +10,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import CoveringGraph, face_profile
+from reference import CoveringGraph, face_profile, json_dict
 from tul.asymptotics import predict
 from tul.cli import main
 from tul.enumeration import catalan
-from tul.families import (CycleSpec, cycle_spec_to_json_dict, make_cycle_graph,
-                          melonic_recipe_to_json_dict, MelonicRecipe)
-from tul.graphs import ColoredGraph, graph_from_json_dict, graph_to_json_dict
+from tul.families import CycleSpec, make_cycle_graph, make_melonic, MelonicRecipe
+from tul.graphs import ColoredGraph, graph_from_json_dict
 from tul.tensors import STREAM, TensorSpec, gaussian_exact_mean, tensor_spec_from_json_dict
 
 
@@ -24,7 +23,7 @@ from tul.tensors import STREAM, TensorSpec, gaussian_exact_mean, tensor_spec_fro
 def cycle22_graph(tmp_path):
     spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2]))
     path = tmp_path / "c22.json"
-    path.write_text(json.dumps(graph_to_json_dict(make_cycle_graph(spec))))
+    path.write_text(json.dumps(json_dict(make_cycle_graph(spec))))
     return str(path)
 
 
@@ -40,7 +39,7 @@ def tensor_spec_file(tmp_path):
 def cycle_spec_file(tmp_path):
     spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2]))
     path = tmp_path / "cycle.json"
-    path.write_text(json.dumps(cycle_spec_to_json_dict(spec)))
+    path.write_text(json.dumps(json_dict(spec)))
     return str(path)
 
 
@@ -74,7 +73,7 @@ def test_enumerate_faces_of_a_graph_with_unsorted_colors(capsys, tmp_path):
     # the pass sweeps this graph with its rows sorted, then puts every face
     # vector back in these colors; each member is checked covering by covering
     B = ColoredGraph(k=4, sigma=((1, 2, 3, 0), (0, 1, 2, 3), (2, 3, 0, 1), (0, 1, 2, 3)))
-    path = _write(tmp_path, "graph.json", json.dumps(graph_to_json_dict(B)))
+    path = _write(tmp_path, "graph.json", json.dumps(json_dict(B)))
     code, data = run_json(capsys, ["enumerate", "--graph", path, "--faces"])
     assert code == 0
     profiles = {tau: face_profile(CoveringGraph(base=B, tau=tau))
@@ -407,7 +406,7 @@ def test_enumerate_cap_env(capsys, monkeypatch, no_column, tmp_path):
     monkeypatch.setenv("TUL_ENUM_CAP", "20")
     spec = CycleSpec(k=10, m_colors=frozenset([1]), n_colors=frozenset([2]))
     path = tmp_path / "c10.json"
-    path.write_text(json.dumps(graph_to_json_dict(make_cycle_graph(spec))))
+    path.write_text(json.dumps(json_dict(make_cycle_graph(spec))))
     code = main(["enumerate", "--graph", str(path)])
     assert code == 2
     assert "cap" in capsys.readouterr().err
@@ -416,7 +415,7 @@ def test_enumerate_cap_env(capsys, monkeypatch, no_column, tmp_path):
 @pytest.fixture
 def cycle11_k2000_graph(tmp_path):
     spec = CycleSpec(k=2000, m_colors=frozenset([1]), n_colors=frozenset([2]))
-    return _write(tmp_path, "c2000.json", json.dumps(graph_to_json_dict(make_cycle_graph(spec))))
+    return _write(tmp_path, "c2000.json", json.dumps(json_dict(make_cycle_graph(spec))))
 
 
 def test_enumerate_far_over_the_cap_gives_the_cap(capsys, cycle11_k2000_graph):
@@ -436,6 +435,18 @@ def test_mc_graph_over_the_label_limit_exits_2_before_any_draw(capsys, no_draw, 
     assert time.perf_counter() - t0 < 1
     err = capsys.readouterr().err
     assert "k=2000 exceeds the network route's cap (64)" in err
+
+
+def test_mc_graph_past_the_enumeration_cap_exits_2_before_any_draw(capsys, no_draw, tmp_path):
+    # monte_carlo_mean takes this D=3 melonic graph at k=10 by the network
+    # route, but the scan predicts its leading term by the covering pass
+    recipe = MelonicRecipe(D=3, steps=tuple((t % 3 + 1, t // 3 + 1) for t in range(9)))
+    graph = _write(tmp_path, "graph.json", json.dumps(json_dict(make_melonic(recipe))))
+    tensor = _write(tmp_path, "tensor.json", json.dumps({"D": 3, "c": [1, 1, 1], "N": 2,
+                                                         "distribution": "complex_gaussian"}))
+    assert main(["mc", "--spec", tensor, "--graph", graph, "--samples", "4"]) == 2
+    assert capsys.readouterr().err == ("error: k=10 exceeds the enumeration cap (9): "
+                                       "10! = 3.629e+06 pairings\n")
 
 
 @pytest.mark.parametrize("k, size", [(200, "5.644e+479"), (128, "4.443e+306")])
@@ -471,7 +482,7 @@ def test_mc_draws_past_the_double_range_exit_2(capsys, tmp_path):
 def test_asym_cycle(capsys, tmp_path):
     spec = CycleSpec(k=3, m_colors=frozenset([1]), n_colors=frozenset([2]))
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(cycle_spec_to_json_dict(spec)))
+    path.write_text(json.dumps(json_dict(spec)))
     code, data = run_json(capsys, ["asym", "--family", "cycle", "--spec", str(path)])
     assert code == 0
     assert data == {"schema": 1, "family": "cycle_11", "gamma": 4,
@@ -481,7 +492,7 @@ def test_asym_cycle(capsys, tmp_path):
 def test_asym_cycle_with_ratios(capsys, tmp_path):
     spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(cycle_spec_to_json_dict(spec)))
+    path.write_text(json.dumps(json_dict(spec)))
     code, data = run_json(capsys, ["asym", "--family", "cycle", "--spec", str(path),
                                    "--c", "2,1,1/2"])
     assert code == 0
@@ -494,7 +505,7 @@ def test_asym_cycle_with_ratios(capsys, tmp_path):
 def test_asym_melonic(capsys, tmp_path):
     recipe = MelonicRecipe(D=3, steps=((1, 1), (2, 1)))
     path = tmp_path / "recipe.json"
-    path.write_text(json.dumps(melonic_recipe_to_json_dict(recipe)))
+    path.write_text(json.dumps(json_dict(recipe)))
     code, data = run_json(capsys, ["asym", "--family", "melonic", "--spec", str(path)])
     assert code == 0
     assert data["family"] == "melonic"
@@ -507,7 +518,7 @@ def test_asym_melonic_past_the_sweep_cap(capsys, tmp_path):
     # from the recipe alone, although no sweep accepts k > 9
     recipe = MelonicRecipe(D=3, steps=((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2),
                                        (1, 3), (2, 3), (3, 3), (2, 4), (3, 4)))
-    path = _write(tmp_path, "recipe.json", json.dumps(melonic_recipe_to_json_dict(recipe)))
+    path = _write(tmp_path, "recipe.json", json.dumps(json_dict(recipe)))
     code, data = run_json(capsys, ["asym", "--family", "melonic", "--spec", path,
                                    "--c", "2,1,1"])
     assert code == 0
@@ -517,7 +528,7 @@ def test_asym_melonic_past_the_sweep_cap(capsys, tmp_path):
 def test_asym_bad_ratio(capsys, tmp_path):
     spec = CycleSpec(k=1, m_colors=frozenset([1]), n_colors=frozenset([2]))
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(cycle_spec_to_json_dict(spec)))
+    path.write_text(json.dumps(json_dict(spec)))
     code = main(["asym", "--family", "cycle", "--spec", str(path), "--c", "1,zap"])
     assert code == 2
     assert "'c[2]'" in capsys.readouterr().err
@@ -547,7 +558,7 @@ def test_asym_csv_stdout_is_pinned(capsys, tmp_path, family, spec, ratios, out):
 def test_asym_csv(capsys, tmp_path):
     spec = CycleSpec(k=2, m_colors=frozenset([1]), n_colors=frozenset([2]))
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(cycle_spec_to_json_dict(spec)))
+    path.write_text(json.dumps(json_dict(spec)))
     code = main(["asym", "--family", "cycle", "--spec", str(path), "--format", "csv"])
     assert code == 0
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
@@ -992,8 +1003,8 @@ def test_mc_graph_runs_past_the_naive_budget(capsys, tmp_path):
     # the (1,2)-cycle at k=4 and N=16 needs 2.815e+14 naive terms per sample
     spec = CycleSpec(k=4, m_colors=frozenset([1]), n_colors=frozenset([2, 3]))
     graph = _write(tmp_path, "graph.json",
-                   json.dumps(graph_to_json_dict(make_cycle_graph(spec))))
-    cycle = _write(tmp_path, "cycle.json", json.dumps(cycle_spec_to_json_dict(spec)))
+                   json.dumps(json_dict(make_cycle_graph(spec))))
+    cycle = _write(tmp_path, "cycle.json", json.dumps(json_dict(spec)))
     tensor = _write(tmp_path, "tensor.json", json.dumps({"D": 3, "c": [1, 1, 1], "N": 2,
                                                          "distribution": "complex_gaussian"}))
     rows = {}

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import is_melonic
+from reference import is_melonic, json_dict
 from tul.enumeration import minimal_coverings
-from tul.families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict,
-                          cycle_spec_to_json_dict, make_cycle_graph, make_melonic,
-                          melonic_recipe_from_json_dict, melonic_recipe_to_json_dict,
-                          random_melonic_recipe)
+from tul.families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict, make_cycle_graph,
+                          make_melonic, melonic_recipe_from_json_dict, random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
 from tul.permutations import identity
 
@@ -179,7 +177,7 @@ def test_make_cycle_graph_rows():
 
 def test_cycle_spec_json_round_trip():
     spec = CycleSpec(k=4, m_colors=frozenset([2, 3]), n_colors=frozenset([1, 4]))
-    assert cycle_spec_from_json_dict(cycle_spec_to_json_dict(spec)) == spec
+    assert cycle_spec_from_json_dict(json_dict(spec)) == spec
     with pytest.raises(ValueError, match="'k'"):
         cycle_spec_from_json_dict({"m_colors": [1], "n_colors": [2]})
     with pytest.raises(ValueError, match="'m_colors'"):
@@ -188,7 +186,7 @@ def test_cycle_spec_json_round_trip():
 
 def test_melonic_recipe_json_round_trip():
     recipe = MelonicRecipe(D=4, steps=((1, 1), (4, 2)))
-    assert melonic_recipe_from_json_dict(melonic_recipe_to_json_dict(recipe)) == recipe
+    assert melonic_recipe_from_json_dict(json_dict(recipe)) == recipe
     with pytest.raises(ValueError, match="'steps'"):
         melonic_recipe_from_json_dict({"D": 3, "steps": [[1]]})
     with pytest.raises(ValueError, match="'D'"):
@@ -216,7 +214,7 @@ def melonic_recipes(draw):
 @settings(max_examples=100)
 @given(cycle_specs(), melonic_recipes())
 def test_property_family_json_round_trips(spec, recipe):
-    text = json.dumps(cycle_spec_to_json_dict(spec))
+    text = json.dumps(json_dict(spec))
     assert cycle_spec_from_json_dict(json.loads(text)) == spec
-    text = json.dumps(melonic_recipe_to_json_dict(recipe))
+    text = json.dumps(json_dict(recipe))
     assert melonic_recipe_from_json_dict(json.loads(text)) == recipe

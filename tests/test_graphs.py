@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from tul.families import (CycleSpec, MelonicRecipe, cycle_spec_from_json_dict, make_cycle_graph,
                           make_melonic, melonic_recipe_from_json_dict)
-from reference import CoveringGraph, face_profile, genus
+from reference import CoveringGraph, face_profile, genus, json_dict
 from tul.graphs import (MAX_DECIMAL_EXPONENT, ColoredGraph, e_notation, graph_from_json_dict,
-                        graph_to_json_dict, is_connected, side_ratios)
+                        is_connected, side_ratios)
 from tul.tensors import tensor_spec_from_json_dict
 
 
@@ -86,7 +86,7 @@ def test_genus_requires_two_colors():
 
 def test_json_round_trip():
     B = two_color_cycle(3)
-    data = graph_to_json_dict(B)
+    data = json_dict(B)
     assert data["k"] == 3
     assert data["D"] == 2
     assert data["sigma"][0] == [1, 2, 3]  # one-based images
@@ -223,4 +223,4 @@ def colored_graphs(draw):
 @settings(max_examples=100)
 @given(colored_graphs())
 def test_property_graph_json_round_trip(B):
-    assert graph_from_json_dict(json.loads(json.dumps(graph_to_json_dict(B)))) == B
+    assert graph_from_json_dict(json.loads(json.dumps(json_dict(B)))) == B

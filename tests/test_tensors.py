@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from reference import (apply_unitaries, cycle_value_reference, cycle_values_fresh,
                        cycle_values_spectral, disc_entry, margins, random_unitary,
                        uniform_disc_block, unitary_invariance_check)
+from tul.enumeration import catalan, narayana_face_distribution, narayana_row
 from tul.families import (CycleSpec, MelonicRecipe, make_cycle_graph, make_melonic,
                           random_melonic_recipe)
 from tul.graphs import ColoredGraph, is_connected
@@ -28,6 +29,7 @@ from tul.tensors import (BLOCK_ENTRIES, DEFAULT_NAIVE_BUDGET, DISC_CHUNK, DISTRI
                          gaussian_exact_mean, monte_carlo_mean, sample_tensor,
                          tensor_spec_from_json_dict, trace_invariant_cycle, trace_invariant_naive,
                          trace_invariant_network, universality_scan)
+from tul.verify import FAMILIES, run_verify_suite
 
 
 # perfbench's Monte Carlo gate: 4 standard errors, held against the Student-t
@@ -472,9 +474,10 @@ def test_cycle_matches_naive():
 
 
 def test_cycle_shape_mismatch():
-    spec = cycle_11(2)
-    with pytest.raises(ValueError, match="axes"):
-        trace_invariant_cycle(np.zeros((2, 2, 2)), spec)
+    # _route matches axes with colors for both routes, in the same words
+    with pytest.raises(ValueError) as exc:
+        trace_invariant_cycle(np.zeros((2, 2, 2)), cycle_11(2))
+    assert str(exc.value) == "tensor has 3 axes, graph has D=2 colors"
 
 
 def test_gaussian_exact_mean_k1():
@@ -619,8 +622,9 @@ def test_network_step_limit():
 
 
 def test_network_shape_mismatch():
-    with pytest.raises(ValueError, match="tensor has 2 axes, graph has D=3 colors"):
+    with pytest.raises(ValueError) as exc:
         trace_invariant_network(np.zeros((2, 2)), K33)
+    assert str(exc.value) == "tensor has 2 axes, graph has D=3 colors"
 
 
 def test_network_all_sides_one():
@@ -905,6 +909,49 @@ def test_integer_fields_refuse_floats(build, name, value):
     spec = build(np.int64(value))
     assert spec == build(value)
     assert type(getattr(spec, name)) is int
+
+
+BOOL_ARGUMENTS = {
+    "TensorSpec.D": (lambda: TensorSpec(D=True, c=(1,), N=4, distribution="complex_gaussian",
+                                        seed=0), "D"),
+    "TensorSpec.N": (lambda: gaussian_spec(2, True), "N"),
+    "TensorSpec.seed": (lambda: gaussian_spec(2, 4, seed=True), "seed"),
+    "CycleSpec.k": (lambda: CycleSpec(k=True, m_colors={1}, n_colors={2}), "k"),
+    "CycleSpec.m_colors": (lambda: CycleSpec(k=2, m_colors=[True], n_colors={2}),
+                           "a color of m_colors"),
+    "CycleSpec.n_colors": (lambda: CycleSpec(k=2, m_colors={1}, n_colors=[2, True]),
+                           "a color of n_colors"),
+    "MelonicRecipe.D": (lambda: MelonicRecipe(D=True), "D"),
+    "MelonicRecipe.steps": (lambda: MelonicRecipe(D=3, steps=((1, 1), (True, True))),
+                            "a step's color"),
+    "ColoredGraph.k": (lambda: ColoredGraph(k=True, sigma=((0,),)), "k"),
+    "sample_tensor.sample_index": (lambda: sample_tensor(gaussian_spec(2, 4), True),
+                                   "sample_index"),
+    "sample_tensor.count": (lambda: sample_tensor(gaussian_spec(2, 4), 0, True), "count"),
+    "monte_carlo_mean.samples": (lambda: monte_carlo_mean(gaussian_spec(2, 4), cycle_11(2), True),
+                                 "samples"),
+    "universality_scan.N_list": (lambda: universality_scan(gaussian_spec(2, 4), cycle_11(2),
+                                                           [4, True], 3), "N"),
+    "universality_scan.samples": (lambda: universality_scan(gaussian_spec(2, 4), cycle_11(2),
+                                                            [4], [True]), "samples"),
+    "catalan.k": (lambda: catalan(True), "k"),
+    "narayana_row.k": (lambda: narayana_row(True), "k"),
+    "narayana_face_distribution.anchor_color": (
+        lambda: narayana_face_distribution(make_cycle_graph(cycle_11(2)), True), "anchor color"),
+    "run_verify_suite.max_k": (lambda: run_verify_suite(max_k=True, max_D=2, families=FAMILIES,
+                                                        seed=0), "max_k"),
+    "run_verify_suite.seed": (lambda: run_verify_suite(max_k=1, max_D=2, families=FAMILIES,
+                                                       seed=True), "seed"),
+}
+
+
+@pytest.mark.parametrize("call, what", BOOL_ARGUMENTS.values(), ids=BOOL_ARGUMENTS)
+def test_integer_arguments_refuse_bool(no_draw, call, what):
+    # True equals 1 and indexes like it, but is no count, size, color or seed:
+    # it is refused as JSON true is, before anything is drawn
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == f"{what} must be an integer, got True"
 
 
 def test_universality_scan_deterministic():
